@@ -37,7 +37,14 @@ from numpy.typing import NDArray
 
 from .errors import ConfigurationError, SingularSystemError
 from .ldlt import factor_symmetric_indefinite
-from .mesh import SIMPLEX_FACES, Element, Mesh, NATURAL, simplex_measure, tangent_frame
+from .mesh import (
+    NATURAL,
+    Mesh,
+    coupled_sides,
+    simplex_measure,
+    tangent_frame,
+    tangent_frames,
+)
 
 
 def rt0_local(
@@ -85,6 +92,46 @@ def rt0_local(
     return a_e, b_signs, g_rhs
 
 
+def rt0_blocks(
+    dim: int,
+    pts: NDArray,
+    conductivity: NDArray,
+    cross_section: NDArray,
+    measure: NDArray,
+) -> tuple[NDArray, NDArray]:
+    """:func:`rt0_local` for a stack of ``n`` simplices of one dimension.
+
+    ``pts`` has shape ``(n, dim + 1, 3)``, ``conductivity`` ``(n, dim, dim)``;
+    ``cross_section`` and ``measure`` have shape ``(n,)``. Returns the
+    velocity mass matrices ``(n, dim + 1, dim + 1)`` and the gravity loads
+    ``(n, dim + 1)``, by the closed form in :func:`rt0_local`.
+
+    Every step performs the same floating-point operations as
+    :func:`rt0_local`, so each block equals its result bit for bit: stacked
+    ``matmul`` rounds like the 2D products there, where ``einsum`` would
+    sum in another order.
+    """
+    if dim == 3:
+        local = pts
+    else:
+        local = (pts - pts[:, :1]) @ tangent_frames(pts)
+    c = local - local.mean(axis=1, keepdims=True)
+    c_t = c.transpose(0, 2, 1)
+    kinv = np.linalg.inv(conductivity)
+    scale = (measure / ((dim + 1) * (dim + 2)))[:, None, None]
+    second_moment = scale * (c_t @ c)
+    gram = measure[:, None, None] * (c @ kinv @ c_t)
+    gram += np.trace(kinv @ second_moment, axis1=1, axis2=2)[:, None, None]
+    # float_power calls libm pow, as Python's float ** 2 in rt0_local does;
+    # numpy's ** 2 squares, which differs in the last bit for some inputs.
+    measure_sq = np.float_power(measure, 2)
+    a = gram / (cross_section * dim**2 * measure_sq)[:, None, None]
+    a = 0.5 * (a + a.transpose(0, 2, 1))
+    z = pts[:, :, 2]
+    g = -(z.mean(axis=1, keepdims=True) - z) / dim
+    return a, g
+
+
 # ---------------------------------------------------------------------------
 # degree-of-freedom map
 
@@ -93,16 +140,21 @@ def rt0_local(
 class DofMap:
     """Dense numbering of velocity, pressure and multiplier unknowns.
 
-    Pressure dof ids equal element ids. Velocity and multiplier ids are
-    assigned in deterministic element/local-face order. Adjacency registries
-    (``mult_sides``, ``mult_links``) record which element sides and coupling
-    links touch each multiplier; interface classification and weight
-    formulas read them.
+    Pressure dof ids equal element ids. Velocity ids follow the element
+    sides in (element, local face) order; multiplier ids follow the order
+    in which that walk first meets each multiplier. ``side_vel`` and
+    ``side_mult`` hold both per position in ``mesh.sides`` (-1 for none);
+    the dictionaries and lists are keyed by ``(element, local_face)``.
+    Adjacency registries (``mult_sides``, ``mult_links``) record which
+    element sides and coupling links touch each multiplier; interface
+    classification and weight formulas read them.
     """
 
     n_velocity: int = 0
     n_pressure: int = 0
     n_multiplier: int = 0
+    side_vel: NDArray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    side_mult: NDArray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     vel_of_side: dict[tuple[int, int], int] = field(default_factory=dict)
     side_of_vel: list[tuple[int, int]] = field(default_factory=list)
     element_vel: list[NDArray] = field(default_factory=list)
@@ -111,82 +163,85 @@ class DofMap:
     essential_sides: set = field(default_factory=set)
     mult_sides: list[list[tuple[int, int]]] = field(default_factory=list)
     mult_links: list[list[int]] = field(default_factory=list)
-    mult_nodes: list[tuple[int, ...]] = field(default_factory=list)
-    mult_measure: list[float] = field(default_factory=list)
-    mult_center: list[NDArray] = field(default_factory=list)
+    mult_center: NDArray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
 def build_dof_map(mesh: Mesh) -> DofMap:
     """Number all unknowns and resolve boundary conditions.
 
+    A side occupied by a lower-dimensional element gets a velocity dof and
+    a multiplier of its own. A side sharing its face with others gets a
+    velocity dof and the face's multiplier. A side alone on its face is a
+    boundary side: natural ones get a velocity dof, essential ones nothing.
+
     Raises :class:`ConfigurationError` when an explicit boundary condition
     targets a face that is not an unoccupied boundary face (interior faces
     and fracture-coupled faces cannot carry one).
     """
-    dm = DofMap(n_pressure=len(mesh.elements))
-    groups = mesh.side_groups()
-    bc_by_tuple = {bc.face_nodes: bc for bc in mesh.boundary_conditions}
-    link_of_side: dict[tuple[int, int], int] = {}
-    for idx, link in enumerate(mesh.couplings):
-        link_of_side[(link.upper_element, link.upper_local_face)] = idx
-    consumed: set[tuple[int, ...]] = set()
-    shared_mult: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def new_mult(nodes: tuple[int, ...]) -> int:
-        m = dm.n_multiplier
-        dm.n_multiplier += 1
-        dm.mult_sides.append([])
-        dm.mult_links.append([])
-        dm.mult_nodes.append(nodes)
-        dm.mult_measure.append(simplex_measure(mesh.node_coords[list(nodes)]))
-        dm.mult_center.append(mesh.node_coords[list(nodes)].mean(axis=0))
-        return m
-
-    def new_vel(side: tuple[int, int]) -> int:
-        v = dm.n_velocity
-        dm.n_velocity += 1
-        dm.vel_of_side[side] = v
-        dm.side_of_vel.append(side)
-        return v
-
-    for el in mesh.elements:
-        vel_ids = np.full(el.dim + 1, -1, dtype=int)
-        for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
-            side = (el.id, lf)
-            nodes = tuple(sorted(el.node_ids[i] for i in locs))
-            if side in link_of_side:
-                # Fracture-coupled side: unshared multiplier, flow may jump.
-                vel_ids[lf] = new_vel(side)
-                m = new_mult(nodes)
-                dm.mult_of_side[side] = m
-                dm.mult_sides[m].append(side)
-                dm.mult_links[m].append(link_of_side[side])
-                continue
-            group = groups[(el.dim, nodes)]
-            if len(group) == 1:
-                bc = bc_by_tuple.get(nodes)
-                consumed.add(nodes)
-                if bc is not None and bc.kind == NATURAL:
-                    vel_ids[lf] = new_vel(side)
-                    dm.natural_of_side[side] = bc.value
-                else:
-                    dm.essential_sides.add(side)
-                continue
-            vel_ids[lf] = new_vel(side)
-            key = (el.dim, nodes)
-            m = shared_mult.get(key)
-            if m is None:
-                m = shared_mult[key] = new_mult(nodes)
-            dm.mult_of_side[side] = m
-            dm.mult_sides[m].append(side)
-        dm.element_vel.append(vel_ids)
-
-    stray = [t for t in bc_by_tuple if t not in consumed]
-    if stray:
+    s = mesh.sides
+    n_side = len(s.face)
+    coupled = s.lower >= 0
+    boundary = ~coupled & (s.count == 1)
+    bcs = mesh.boundary_conditions
+    # the last condition given for a face wins
+    bc_of_face = np.full(s.n_faces, -1, dtype=np.int64)
+    named = np.flatnonzero(mesh.bc_faces >= 0)
+    np.maximum.at(bc_of_face, mesh.bc_faces[named], named)
+    consumed = np.zeros(s.n_faces, dtype=bool)
+    consumed[s.face[boundary]] = True
+    stray = (mesh.bc_faces < 0) | ~consumed[mesh.bc_faces]
+    if stray.any():
+        tuples = dict.fromkeys(bc.face_nodes for bc, bad in zip(bcs, stray) if bad)
         raise ConfigurationError(
             f"boundary conditions reference faces that are not unoccupied "
-            f"boundary faces: {stray[:5]}"
+            f"boundary faces: {list(tuples)[:5]}"
         )
+    bc_of_side = np.where(boundary, bc_of_face[s.face], -1)
+    is_natural = np.array([bc.kind == NATURAL for bc in bcs] + [False])
+    natural = is_natural[bc_of_side]  # index -1 reads the trailing False
+    has_vel = ~boundary | natural
+    side_vel = np.where(has_vel, np.cumsum(has_vel) - 1, -1)
+    # A coupled side owns its multiplier; other sides share their face's.
+    has_mult = ~boundary
+    owner = np.where(coupled, s.n_faces + np.arange(n_side), s.face)[has_mult]
+    _, first, inverse = np.unique(owner, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    side_mult = np.full(n_side, -1, dtype=np.int64)
+    side_mult[has_mult] = rank[inverse.reshape(-1)]
+    n_mult = len(first)
+
+    keys = list(zip(s.element.tolist(), s.local_face.tolist()))
+    vel_sides = np.flatnonzero(has_vel).tolist()
+    mult_sides_at = np.flatnonzero(has_mult)
+    dm = DofMap(
+        n_velocity=len(vel_sides),
+        n_pressure=len(mesh.elements),
+        n_multiplier=n_mult,
+        side_vel=side_vel,
+        side_mult=side_mult,
+        side_of_vel=[keys[i] for i in vel_sides],
+        natural_of_side={
+            keys[i]: bcs[b].value
+            for i, b in zip(np.flatnonzero(natural).tolist(), bc_of_side[natural].tolist())
+        },
+        essential_sides={keys[i] for i in np.flatnonzero(boundary & ~natural).tolist()},
+        mult_sides=[[] for _ in range(n_mult)],
+        mult_links=[[] for _ in range(n_mult)],
+    )
+    dm.vel_of_side = dict(zip(dm.side_of_vel, range(dm.n_velocity)))
+    for i, m in zip(mult_sides_at.tolist(), side_mult[mult_sides_at].tolist()):
+        dm.mult_of_side[keys[i]] = m
+        dm.mult_sides[m].append(keys[i])
+    for li, m in enumerate(side_mult[coupled_sides(mesh)].tolist()):
+        dm.mult_links[m].append(li)
+    dm.element_vel = [None] * len(mesh.elements)  # type: ignore[list-item]
+    center = np.empty((n_side, 3))
+    for blk in mesh.simplices.values():
+        for eid, vel in zip(blk.ids.tolist(), side_vel[blk.sides]):
+            dm.element_vel[eid] = vel
+        center[blk.sides] = mesh.node_coords[blk.face_nodes()].mean(axis=2)
+    dm.mult_center = center[mult_sides_at[np.sort(first)]]
     return dm
 
 
@@ -270,6 +325,9 @@ class BlockSystem:
 def assemble(mesh: Mesh) -> BlockSystem:
     """Assemble all blocks of the saddle system for one mesh.
 
+    Element matrices come from :func:`rt0_blocks`, one call per element
+    dimension, and each block is built from one coordinate list.
+
     Refuses meshes without a single natural boundary face: every pressure
     would only be determined up to a constant per component and the matrix
     is singular.
@@ -281,77 +339,61 @@ def assemble(mesh: Mesh) -> BlockSystem:
             "to constants)"
         )
     dm = build_dof_map(mesh)
-    coords = mesh.node_coords
-    a_i: list[int] = []
-    a_j: list[int] = []
-    a_v: list[float] = []
-    b_i: list[int] = []
-    b_j: list[int] = []
-    b_v: list[float] = []
-    bf_i: list[int] = []
-    bf_j: list[int] = []
-    bf_v: list[float] = []
-    g = np.zeros(dm.n_velocity)
-    f = np.zeros(dm.n_pressure)
-    for el in mesh.elements:
-        pts = coords[list(el.node_ids)]
-        a_e, b_signs, g_rhs = rt0_local(
-            el.dim, pts, el.conductivity, el.cross_section
-        )
-        vel = dm.element_vel[el.id]
-        kept = np.flatnonzero(vel >= 0)
-        for ii in kept:
-            gi = vel[ii]
-            for jj in kept:
-                a_i.append(gi)
-                a_j.append(vel[jj])
-                a_v.append(a_e[ii, jj])
-            b_i.append(el.id)
-            b_j.append(gi)
-            b_v.append(b_signs[ii])
-            side = (el.id, int(ii))
-            head = dm.natural_of_side.get(side)
-            if head is not None:
-                g[gi] -= head
-            if mesh.gravity_enabled:
-                g[gi] += g_rhs[ii]
-            m = dm.mult_of_side.get(side)
-            if m is not None:
-                bf_i.append(m)
-                bf_j.append(gi)
-                bf_v.append(1.0)
-        f[el.id] = -el.cross_section * el.source * el.measure
-    c_i: list[int] = []
-    c_v: list[float] = []
-    cf_i: list[int] = []
-    cf_j: list[int] = []
-    cf_v: list[float] = []
-    ct_i: list[int] = []
-    ct_v: list[float] = []
-    for idx, link in enumerate(mesh.couplings):
-        m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
-        w = link.sigma * link.measure
-        c_i.append(link.lower_element)
-        c_v.append(w)
-        cf_i.append(m)
-        cf_j.append(link.lower_element)
-        cf_v.append(-w)
-        ct_i.append(m)
-        ct_v.append(w)
     nu, npr, nl = dm.n_velocity, dm.n_pressure, dm.n_multiplier
+    a_parts, b_parts, bf_parts = [], [], []
+    g = np.zeros(nu)
+    natural_vel = [dm.vel_of_side[side] for side in dm.natural_of_side]
+    g[natural_vel] -= np.fromiter(dm.natural_of_side.values(), float, len(natural_vel))
+    f = np.zeros(npr)
+    for blk in mesh.simplices.values():
+        a_e, g_e = rt0_blocks(
+            blk.dim,
+            mesh.node_coords[blk.nodes],
+            blk.conductivity,
+            blk.cross_section,
+            blk.measure,
+        )
+        vel = dm.side_vel[blk.sides]
+        kept = vel >= 0
+        pair = kept[:, :, None] & kept[:, None, :]
+        a_parts.append((
+            a_e[pair],
+            np.broadcast_to(vel[:, :, None], pair.shape)[pair],
+            np.broadcast_to(vel[:, None, :], pair.shape)[pair],
+        ))
+        b_parts.append((np.broadcast_to(blk.ids[:, None], vel.shape)[kept], vel[kept]))
+        mult = dm.side_mult[blk.sides]
+        tied = mult >= 0
+        bf_parts.append((mult[tied], vel[tied]))
+        if mesh.gravity_enabled:
+            g[vel[kept]] += g_e[kept]
+        f[blk.ids] = -blk.cross_section * blk.source * blk.measure
+    links = mesh.couplings
+    lower = np.array([link.lower_element for link in links], dtype=np.int64)
+    w = np.array([link.sigma * link.measure for link in links])
+    link_mult = dm.side_mult[coupled_sides(mesh)]
     system = BlockSystem(
-        a=sps.csr_matrix((a_v, (a_i, a_j)), shape=(nu, nu)),
-        b=sps.csr_matrix((b_v, (b_i, b_j)), shape=(npr, nu)),
-        b_f=sps.csr_matrix((bf_v, (bf_i, bf_j)), shape=(nl, nu)),
-        c=sps.csr_matrix((c_v, (c_i, c_i)), shape=(npr, npr)),
-        c_f=sps.csr_matrix((cf_v, (cf_i, cf_j)), shape=(nl, npr)),
-        c_t=sps.csr_matrix((ct_v, (ct_i, ct_i)), shape=(nl, nl)),
+        a=_coo(a_parts, (nu, nu)),
+        b=_coo([(-np.ones(len(v)), r, v) for r, v in b_parts], (npr, nu)),
+        b_f=_coo([(np.ones(len(v)), m, v) for m, v in bf_parts], (nl, nu)),
+        c=sps.csr_matrix((w, (lower, lower)), shape=(npr, npr)),
+        c_f=sps.csr_matrix((-w, (link_mult, lower)), shape=(nl, npr)),
+        c_t=sps.csr_matrix((w, (link_mult, link_mult)), shape=(nl, nl)),
         g=g,
         f=f,
         dof_map=dm,
         mesh=mesh,
     )
     return system
+
+
+def _coo(parts: list[tuple[NDArray, NDArray, NDArray]], shape) -> sps.csr_matrix:
+    """One CSR matrix from (values, rows, cols) pieces."""
+    vals, rows, cols = (
+        np.concatenate([p[k] for p in parts]) if parts else np.zeros(0)
+        for k in range(3)
+    )
+    return sps.csr_matrix((vals, (rows.astype(np.int64), cols.astype(np.int64))), shape=shape)
 
 
 def full_solve_direct(system: BlockSystem) -> SolutionTriple:

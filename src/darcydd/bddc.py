@@ -209,6 +209,10 @@ class BddcPreconditioner:
     from the assembled coarse matrix, weight again and scatter back, then
     negate. Substructure solves run concurrently; both reductions accumulate
     in substructure order so results do not depend on the worker count.
+
+    Raises :class:`ConstraintDeficiencyError` when the assembled coarse
+    matrix is singular or not negative definite: the coarse constraints
+    are insufficient.
     """
 
     def __init__(
@@ -271,14 +275,14 @@ class BddcPreconditioner:
                 self.coarse_matrix, force_dense=True
             )
         except SingularSystemError as exc:
-            raise ConfigurationError(
+            raise ConstraintDeficiencyError(
                 f"assembled coarse matrix is singular: constraints are "
                 f"insufficient or no natural boundary condition exists "
                 f"({exc})"
             ) from exc
         n_pos, n_neg, n_zero = self.coarse_fact.inertia
         if (n_pos, n_neg, n_zero) != (0, nc, 0):
-            raise ConfigurationError(
+            raise ConstraintDeficiencyError(
                 f"assembled coarse matrix must be negative definite but has "
                 f"inertia ({n_pos} positive, {n_neg} negative, {n_zero} "
                 f"zero); constraints are insufficient or no natural "

@@ -2,11 +2,14 @@
 
 The solver targets the reduced interface system: both the operator and the
 preconditioner are supplied as callables and must be symmetric positive
-definite. Convergence is judged on the true residual 2-norm relative to the
-right-hand side. The scalar recurrence coefficients define a symmetric
-tridiagonal matrix whose extreme eigenvalues estimate the spectrum of the
-preconditioned operator; they are found by bisection with Sturm sign
-counts, so no dense eigensolver is involved.
+definite. Convergence is judged on the recursively updated residual
+``r_k = r_{k-1} - alpha_k S p_k``, by its 2-norm relative to the right-hand
+side; ``b - S x_k`` is never recomputed, so in floating point the true
+residual can differ from the reported one. The scalar recurrence
+coefficients define a symmetric tridiagonal matrix whose extreme
+eigenvalues estimate the spectrum of the preconditioned operator; they are
+found by bisection with Sturm sign counts, so no dense eigensolver is
+involved.
 """
 from __future__ import annotations
 

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sps
 from numpy.typing import NDArray
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, InvalidMeshError, MeshFormatError
 
@@ -118,44 +120,76 @@ SIMPLEX_FACES: dict[int, tuple[tuple[int, ...], ...]] = {
     2: ((1, 2), (0, 2), (0, 1)),
     3: ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)),
 }
+_FACE_INDEX = {d: np.array(faces) for d, faces in SIMPLEX_FACES.items()}
 
 
-def simplex_measure(coords: NDArray) -> float:
-    """Length, area or volume of the simplex spanned by ``coords``.
+def _dot(u: NDArray, v: NDArray) -> NDArray:
+    """Row-wise dot products of two ``(n, 3)`` stacks.
 
-    ``coords`` has shape ``(d + 1, 3)``. A single point has measure 1 by
+    A stacked ``matmul`` rounds each product exactly as ``u[i] @ v[i]``
+    does, which ``einsum`` and axis reductions do not; the batched geometry
+    below therefore reproduces single-element results bit for bit.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def simplex_measures(pts: NDArray) -> NDArray:
+    """Lengths, areas or volumes of a stack of simplices.
+
+    ``pts`` has shape ``(n, k + 1, 3)``. A single point has measure 1 by
     convention (integration over a point is evaluation).
     """
-    k = coords.shape[0] - 1
+    k = pts.shape[1] - 1
     if k == 0:
-        return 1.0
-    edges = coords[1:] - coords[0]
+        return np.ones(len(pts))
+    edges = pts[:, 1:] - pts[:, :1]
     if k == 1:
-        return float(np.linalg.norm(edges[0]))
+        return np.sqrt(_dot(edges[:, 0], edges[:, 0]))
     if k == 2:
-        return float(0.5 * np.linalg.norm(np.cross(edges[0], edges[1])))
+        normal = np.cross(edges[:, 0], edges[:, 1])
+        return 0.5 * np.sqrt(_dot(normal, normal))
     if k == 3:
-        return float(abs(np.linalg.det(edges)) / 6.0)
+        return np.abs(np.linalg.det(edges)) / 6.0
     raise InvalidMeshError(f"unsupported simplex dimension {k}")
 
 
-def tangent_frame(coords: NDArray, dim: int) -> NDArray:
-    """Orthonormal basis of the element's tangent space, shape ``(3, dim)``.
+def simplex_measure(coords: NDArray) -> float:
+    """Length, area or volume of the simplex spanned by ``coords``, shape
+    ``(d + 1, 3)``; see :func:`simplex_measures`."""
+    return float(simplex_measures(np.asarray(coords, dtype=float)[None])[0])
 
+
+def tangent_frames(pts: NDArray) -> NDArray:
+    """Orthonormal bases of the tangent spaces of a stack of simplices.
+
+    ``pts`` has shape ``(n, d + 1, 3)``; the result has shape ``(n, 3, d)``.
     Deterministic Gram-Schmidt on the edge vectors from vertex 0. The first
     axis always points along the first edge.
     """
-    edges = (coords[1:] - coords[0]).T  # (3, dim)
+    edges = pts[:, 1:] - pts[:, :1]
     q: list[NDArray] = []
-    for j in range(dim):
+    for j in range(edges.shape[1]):
         v = edges[:, j].copy()
         for u in q:
-            v -= (u @ v) * u
-        nrm = np.linalg.norm(v)
-        if nrm <= 0.0:
+            v -= _dot(u, v)[:, None] * u
+        nrm = np.sqrt(_dot(v, v))
+        if not (nrm > 0.0).all():
             raise InvalidMeshError("degenerate simplex: edges are dependent")
-        q.append(v / nrm)
-    return np.column_stack(q)
+        q.append(v / nrm[:, None])
+    return np.stack(q, axis=2)
+
+
+def tangent_frame(coords: NDArray, dim: int) -> NDArray:
+    """Orthonormal basis of one element's tangent space, shape ``(3, dim)``;
+    see :func:`tangent_frames`."""
+    return tangent_frames(np.asarray(coords, dtype=float)[None, : dim + 1])[0]
+
+
+def face_keys(rows: NDArray) -> NDArray[np.int64]:
+    """Number node-id rows as sets: rows with the same nodes in any order
+    get the same id, and ids are dense, ascending with the sorted rows."""
+    _, inverse = np.unique(np.sort(rows, axis=1), axis=0, return_inverse=True)
+    return inverse.reshape(-1)
 
 
 def _outward_sign(el: Element, local_face: int, coords: NDArray) -> int:
@@ -183,12 +217,63 @@ def _outward_sign(el: Element, local_face: int, coords: NDArray) -> int:
     return 1 if face_ids[0] > min(el.node_ids) else -1
 
 
+@dataclass(frozen=True)
+class Simplices:
+    """The elements of one dimension as arrays, in ascending element id.
+
+    Row ``i`` describes element ``ids[i]``; ``sides[i, j]`` is the position
+    of its local face ``j`` in the mesh's :class:`Sides` table.
+    """
+
+    dim: int
+    ids: NDArray[np.int64]  # (E,)
+    nodes: NDArray[np.int64]  # (E, dim + 1)
+    conductivity: NDArray[np.float64]  # (E, dim, dim)
+    cross_section: NDArray[np.float64]  # (E,)
+    source: NDArray[np.float64]  # (E,)
+    measure: NDArray[np.float64]  # (E,)
+    centroid: NDArray[np.float64]  # (E, 3)
+    sides: NDArray[np.int64]  # (E, dim + 1)
+
+    def face_nodes(self) -> NDArray[np.int64]:
+        """Sorted node ids of every local face, shape ``(E, dim + 1, dim)``."""
+        return np.sort(self.nodes[:, _FACE_INDEX[self.dim]], axis=2)
+
+
+@dataclass(frozen=True)
+class Sides:
+    """Every element side, in (element id, local face) order.
+
+    Two sides have the same ``face`` id exactly when their elements have
+    the same dimension and the faces the same nodes; ``count`` is the
+    number of sides on the face. ``lower`` is the lower-dimensional element
+    occupying the face, or -1. ``n_faces`` bounds the face ids.
+    """
+
+    element: NDArray[np.int64]
+    local_face: NDArray[np.int64]
+    face: NDArray[np.int64]
+    count: NDArray[np.int64]
+    lower: NDArray[np.int64]
+    n_faces: int
+
+
+def _reject(hits: Iterable[NDArray], message: Callable[[int], str]) -> None:
+    """Raise for the lowest element id among ``hits``, if there is one."""
+    bad = [h for h in hits if len(h)]
+    if bad:
+        raise InvalidMeshError(message(int(min(h.min() for h in bad))))
+
+
 class Mesh:
     """Immutable-by-contract container of nodes, elements and conditions.
 
-    Validation and derived geometry (measures, centroids, coupling links)
-    happen at construction; afterwards the mesh must not be mutated, which
-    makes concurrent read access safe.
+    Validation and derived data happen at construction: the per-dimension
+    :class:`Simplices` arrays (``simplices``), the side table (``sides``),
+    each element's ``measure`` and ``centroid``, and the coupling links.
+    ``bc_faces`` holds the face id of every boundary condition, or -1 when
+    its nodes form no element face. Afterwards the mesh must not be
+    mutated, which makes concurrent read access safe.
     """
 
     def __init__(
@@ -204,64 +289,87 @@ class Mesh:
         self.boundary_conditions = list(boundary_conditions)
         self.gravity_enabled = bool(gravity_enabled)
         self.transition_coefficient = float(transition_coefficient)
-        self._validate()
+        self._build()
         self.couplings: list[CouplingLink] = detect_couplings(self)
 
-    # -- validation ------------------------------------------------------
+    # -- validation and derived arrays -----------------------------------
 
-    def _validate(self) -> None:
+    def _build(self) -> None:
+        els = self.elements
         n_nodes = len(self.node_coords)
-        seen: dict[tuple[int, tuple[int, ...]], int] = {}
-        for pos, el in enumerate(self.elements):
-            if el.id != pos:
-                raise InvalidMeshError(
-                    f"element ids must be dense and ordered; "
-                    f"got id {el.id} at position {pos}"
-                )
-            if el.dim not in (1, 2, 3):
+        ids = [el.id for el in els]
+        if ids != list(range(len(els))):
+            pos = next(p for p, eid in enumerate(ids) if eid != p)
+            raise InvalidMeshError(
+                f"element ids must be dense and ordered; "
+                f"got id {ids[pos]} at position {pos}"
+            )
+        groups: dict[int, list[Element]] = {1: [], 2: [], 3: []}
+        for el in els:
+            if el.dim not in groups:
                 raise InvalidMeshError(f"element {el.id}: dimension {el.dim}")
             if len(el.node_ids) != el.dim + 1:
                 raise InvalidMeshError(
                     f"element {el.id}: expected {el.dim + 1} nodes, "
                     f"got {len(el.node_ids)}"
                 )
-            for nid in el.node_ids:
-                if not 0 <= nid < n_nodes:
-                    raise InvalidMeshError(
-                        f"element {el.id}: dangling node reference {nid}"
-                    )
-            if len(set(el.node_ids)) != len(el.node_ids):
-                raise InvalidMeshError(f"element {el.id}: repeated node")
-            key = (el.dim, tuple(sorted(el.node_ids)))
-            if key in seen:
-                raise InvalidMeshError(
-                    f"elements {seen[key]} and {el.id} occupy the same simplex"
-                )
-            seen[key] = el.id
-            k = np.asarray(el.conductivity, dtype=float)
-            if k.shape != (el.dim, el.dim):
-                raise InvalidMeshError(
-                    f"element {el.id}: conductivity must be "
-                    f"{el.dim}x{el.dim}, got {k.shape}"
-                )
-            if not np.allclose(k, k.T, rtol=0.0, atol=1e-12 * max(1.0, abs(k).max())):
-                raise InvalidMeshError(
-                    f"element {el.id}: conductivity tensor is not symmetric"
-                )
-            if np.linalg.eigvalsh(k).min() <= 0.0:
-                raise InvalidMeshError(
-                    f"element {el.id}: conductivity tensor is not positive definite"
-                )
-            el.conductivity = k
-            if el.cross_section <= 0.0:
-                raise InvalidMeshError(
-                    f"element {el.id}: cross-section must be positive"
-                )
-            pts = self.node_coords[list(el.node_ids)]
-            el.measure = simplex_measure(pts)
-            if el.measure <= 0.0 or not np.isfinite(el.measure):
-                raise InvalidMeshError(f"element {el.id}: degenerate simplex")
-            el.centroid = pts.mean(axis=0)
+            groups[el.dim].append(el)
+        groups = {d: g for d, g in groups.items() if g}
+        gid = {d: np.array([el.id for el in g]) for d, g in groups.items()}
+        nodes = {
+            d: np.array([el.node_ids for el in g], dtype=np.int64)
+            for d, g in groups.items()
+        }
+        _reject(
+            (gid[d][((v < 0) | (v >= n_nodes)).any(axis=1)] for d, v in nodes.items()),
+            lambda e: f"element {e}: dangling node reference "
+            f"{next(n for n in els[e].node_ids if not 0 <= n < n_nodes)}",
+        )
+        _reject(
+            (
+                gid[d][(np.diff(np.sort(v, axis=1), axis=1) == 0).any(axis=1)]
+                for d, v in nodes.items()
+            ),
+            lambda e: f"element {e}: repeated node",
+        )
+        sides, cells, n_faces = self._number_faces(nodes)
+        first_of: dict[int, NDArray] = {}
+        for d, cell in cells.items():
+            _, first, inverse = np.unique(cell, return_index=True, return_inverse=True)
+            first_of[d] = gid[d][first[inverse]]
+        _reject(
+            (gid[d][first_of[d] != gid[d]] for d in cells),
+            lambda e: f"elements {first_of[els[e].dim][gid[els[e].dim] == e][0]} "
+            f"and {e} occupy the same simplex",
+        )
+        offset = np.concatenate(
+            ([0], np.cumsum([el.dim + 1 for el in els], dtype=np.int64))
+        )
+        side_at = {d: offset[e][:, None] + np.arange(d + 1) for d, e in gid.items()}
+        self.sides = self._side_table(offset, gid, side_at, sides, cells, n_faces)
+        cond = {d: self._conductivities(g, d) for d, g in groups.items()}
+        _reject(
+            (gid[d][~_symmetric(k)] for d, k in cond.items()),
+            lambda e: f"element {e}: conductivity tensor is not symmetric",
+        )
+        _reject(
+            (gid[d][~(np.linalg.eigvalsh(k).min(axis=1) > 0.0)] for d, k in cond.items()),
+            lambda e: f"element {e}: conductivity tensor is not positive definite",
+        )
+        cross = {
+            d: np.array([el.cross_section for el in g], dtype=float)
+            for d, g in groups.items()
+        }
+        _reject(
+            (gid[d][~(c > 0.0)] for d, c in cross.items()),
+            lambda e: f"element {e}: cross-section must be positive",
+        )
+        pts = {d: self.node_coords[v] for d, v in nodes.items()}
+        measure = {d: simplex_measures(p) for d, p in pts.items()}
+        _reject(
+            (gid[d][~((m > 0.0) & np.isfinite(m))] for d, m in measure.items()),
+            lambda e: f"element {e}: degenerate simplex",
+        )
         for bc in self.boundary_conditions:
             for nid in bc.face_nodes:
                 if not 0 <= nid < n_nodes:
@@ -272,6 +380,101 @@ class Mesh:
                 raise InvalidMeshError(
                     f"boundary condition node tuple {bc.face_nodes} is not sorted"
                 )
+        self.simplices: dict[int, Simplices] = {}
+        for d, g in groups.items():
+            blk = Simplices(
+                dim=d,
+                ids=gid[d],
+                nodes=nodes[d],
+                conductivity=cond[d],
+                cross_section=cross[d],
+                source=np.array([el.source for el in g], dtype=float),
+                measure=measure[d],
+                centroid=pts[d].mean(axis=1),
+                sides=side_at[d],
+            )
+            self.simplices[d] = blk
+            for el, k, m, c in zip(g, blk.conductivity, blk.measure.tolist(), blk.centroid):
+                el.conductivity = k
+                el.measure = m
+                el.centroid = c
+
+    def _number_faces(
+        self, nodes: dict[int, NDArray]
+    ) -> tuple[dict[int, NDArray], dict[int, NDArray], int]:
+        """Give every element face, every element's own node set and every
+        boundary condition a face id.
+
+        Faces of d-dimensional elements, (d-1)-dimensional elements and
+        conditions with d nodes are numbered together, so equal ids mean
+        coincidence. Returns the ids of the faces ``(E_d, d + 1)`` and of the
+        elements ``(E_d,)`` per dimension, and the number of ids; sets
+        ``bc_faces``.
+        """
+        bcs = self.boundary_conditions
+        width = np.array([len(bc.face_nodes) for bc in bcs], dtype=np.int64)
+        self.bc_faces = np.full(len(bcs), -1, dtype=np.int64)
+        sides: dict[int, NDArray] = {}
+        cells: dict[int, NDArray] = {}
+        n_faces = 0
+        for w in range(1, 5):
+            on_bc = np.flatnonzero(width == w)
+            parts = []
+            if w in nodes:
+                parts.append(nodes[w][:, _FACE_INDEX[w]].reshape(-1, w))
+            if w - 1 in nodes:
+                parts.append(nodes[w - 1])
+            if len(on_bc):
+                parts.append(np.array([bcs[i].face_nodes for i in on_bc], dtype=np.int64))
+            if not parts:
+                continue
+            keys = face_keys(np.concatenate(parts)) + n_faces
+            n_faces = int(keys.max()) + 1
+            start = 0
+            if w in nodes:
+                start = nodes[w].size
+                sides[w] = keys[:start].reshape(-1, w + 1)
+            if w - 1 in nodes:
+                cells[w - 1] = keys[start : start + len(nodes[w - 1])]
+            self.bc_faces[on_bc] = keys[len(keys) - len(on_bc) :]
+        return sides, cells, n_faces
+
+    def _side_table(self, offset, gid, side_at, sides, cells, n_faces) -> Sides:
+        total = int(offset[-1])
+        element = np.repeat(np.arange(len(self.elements)), np.diff(offset))
+        face = np.empty(total, dtype=np.int64)
+        for d, at in side_at.items():
+            face[at] = sides[d]
+        occupant = np.full(n_faces, -1, dtype=np.int64)
+        for d, cell in cells.items():
+            if d < 3:
+                occupant[cell] = gid[d]
+        return Sides(
+            element=element,
+            local_face=np.arange(total) - offset[element],
+            face=face,
+            count=np.bincount(face, minlength=n_faces)[face],
+            lower=occupant[face],
+            n_faces=n_faces,
+        )
+
+    @staticmethod
+    def _conductivities(group: list[Element], dim: int) -> NDArray:
+        """Stack the group's tensors, naming the first malformed one."""
+        try:
+            k = np.array([el.conductivity for el in group], dtype=float)
+        except (ValueError, TypeError):
+            k = None
+        if k is None or k.shape != (len(group), dim, dim):
+            for el in group:
+                shape = np.shape(el.conductivity)
+                if shape != (dim, dim):
+                    raise InvalidMeshError(
+                        f"element {el.id}: conductivity must be "
+                        f"{dim}x{dim}, got {shape}"
+                    )
+            raise InvalidMeshError(f"conductivities of dimension {dim} are not numeric")
+        return k
 
     # -- derived views ---------------------------------------------------
 
@@ -295,28 +498,29 @@ class Mesh:
             )
         return out
 
-    def side_groups(self) -> dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]]:
-        """Group element sides by (element dimension, sorted face nodes).
-
-        The returned lists hold ``(element_id, local_face)`` pairs. A group
-        of size one is a boundary face of its dimension's mesh unless the
-        face is occupied by a lower-dimensional element.
-        """
-        groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
-        for el in self.elements:
-            for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
-                key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
-                groups.setdefault(key, []).append((el.id, lf))
-        return groups
+    def face_neighbors(self) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+        """Pairs of same-dimension elements sharing a face that no
+        lower-dimensional element occupies; such elements share that face's
+        multiplier. Both orders of each pair are listed."""
+        s = self.sides
+        keep = (s.lower < 0) & (s.count > 1)
+        incidence = sps.csr_matrix(
+            (np.ones(int(keep.sum())), (s.element[keep], s.face[keep])),
+            shape=(len(self.elements), s.n_faces),
+        )
+        pairs = (incidence @ incidence.T).tocoo()
+        off = pairs.row != pairs.col
+        return pairs.row[off].astype(np.int64), pairs.col[off].astype(np.int64)
 
     def max_dim(self) -> int:
-        return max(el.dim for el in self.elements)
+        return max(self.simplices)
 
     def has_natural_bc(self) -> bool:
         return any(bc.kind == NATURAL for bc in self.boundary_conditions)
 
     def components(self, include_couplings: bool) -> list[list[int]]:
-        """Connected components of the element graph, as element-id lists.
+        """Connected components of the element graph, as ascending element-id
+        lists ordered by their first element.
 
         Edges join same-dimension elements sharing an unoccupied face (those
         share a pressure-trace unknown). With ``include_couplings`` the links
@@ -324,51 +528,23 @@ class Mesh:
         solvability diagnostics; without them, components separated by
         fractures stay separate.
         """
-        parent = list(range(len(self.elements)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        occupied = {
-            (el.dim, tuple(sorted(el.node_ids)))
-            for el in self.elements
-            if el.dim < 3
-        }
-        for (dim, nodes), sides in self.side_groups().items():
-            if len(sides) < 2:
-                continue
-            if (dim - 1, nodes) in occupied:
-                continue  # fracture face: sides are decoupled here
-            first = sides[0][0]
-            for eid, _ in sides[1:]:
-                union(first, eid)
-        if include_couplings:
-            for link in self.couplings:
-                union(link.lower_element, link.upper_element)
-        comps: dict[int, list[int]] = {}
-        for eid in range(len(self.elements)):
-            comps.setdefault(find(eid), []).append(eid)
-        return [comps[r] for r in sorted(comps)]
+        a, b = self.face_neighbors()
+        if include_couplings and self.couplings:
+            lower = np.array([link.lower_element for link in self.couplings])
+            upper = np.array([link.upper_element for link in self.couplings])
+            a, b = np.concatenate((a, lower)), np.concatenate((b, upper))
+        n = len(self.elements)
+        graph = sps.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        n_comp, labels = connected_components(graph, directed=False)
+        order = np.argsort(labels, kind="stable")
+        comps = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+        return sorted((c.tolist() for c in comps if len(c)), key=lambda c: c[0])
 
     def components_without_natural_bc(self, include_couplings: bool) -> list[list[int]]:
         """Components whose boundary carries no natural condition."""
-        natural_faces = {
-            bc.face_nodes for bc in self.boundary_conditions if bc.kind == NATURAL
-        }
-        touched: set[int] = set()
-        for el in self.elements:
-            for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
-                ids = tuple(sorted(el.node_ids[i] for i in locs))
-                if ids in natural_faces:
-                    touched.add(el.id)
+        natural = [bc.kind == NATURAL for bc in self.boundary_conditions]
+        faces = self.bc_faces[np.array(natural, dtype=bool)]
+        touched = set(self.sides.element[np.isin(self.sides.face, faces)].tolist())
         return [
             comp
             for comp in self.components(include_couplings)
@@ -376,11 +552,27 @@ class Mesh:
         ]
 
 
+def _symmetric(k: NDArray) -> NDArray[np.bool_]:
+    """Which stacked tensors are finite and symmetric to 1e-12 of their
+    largest entry (at least 1e-12 absolute)."""
+    scale = 1e-12 * np.maximum(1.0, np.abs(k).max(axis=(1, 2)))
+    return (np.abs(k - k.transpose(0, 2, 1)) <= scale[:, None, None]).all(axis=(1, 2))
+
+
+def coupled_sides(mesh: Mesh) -> NDArray[np.int64]:
+    """Positions in ``mesh.sides`` of the sides occupied by a lower-dim
+    element, in coupling-link order: by lower element, upper element, then
+    local face."""
+    s = mesh.sides
+    at = np.flatnonzero(s.lower >= 0)
+    return at[np.lexsort((s.local_face[at], s.element[at], s.lower[at]))]
+
+
 def detect_couplings(mesh: Mesh, sigma: float | None = None) -> list[CouplingLink]:
     """Find all lower-dim-element / element-face coincidences.
 
-    Matching is exact on sorted node tuples: a d-dimensional element couples
-    to every side of a (d+1)-dimensional element whose facet has the same
+    Matching is exact on node sets: a d-dimensional element couples to
+    every side of a (d+1)-dimensional element whose facet has the same
     vertices. A lower-dim element matching nothing, in a mesh that does
     contain elements one dimension up, draws a diagnostic warning: it looks
     like a fracture that failed to attach. Purely lower-dimensional meshes
@@ -388,38 +580,36 @@ def detect_couplings(mesh: Mesh, sigma: float | None = None) -> list[CouplingLin
     """
     if sigma is None:
         sigma = mesh.transition_coefficient
-    dims_present = {el.dim for el in mesh.elements}
-    # face tuple -> sides, keyed by (face dimension, nodes)
-    face_sides: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
-    for el in mesh.elements:
-        for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
-            key = (el.dim - 1, tuple(sorted(el.node_ids[i] for i in locs)))
-            face_sides.setdefault(key, []).append((el.id, lf))
-    links: list[CouplingLink] = []
-    for el in mesh.elements:
-        if el.dim == 3:
-            continue
-        key = (el.dim, tuple(sorted(el.node_ids)))
-        sides = face_sides.get(key, [])
-        if not sides and (el.dim + 1) in dims_present:
-            warnings.warn(
-                f"element {el.id} (dim {el.dim}) matches no face of any "
-                f"dim-{el.dim + 1} element; it will not exchange flow with them",
-                stacklevel=2,
-            )
-        for eid, lf in sides:
-            links.append(
-                CouplingLink(
-                    lower_element=el.id,
-                    upper_element=eid,
-                    upper_local_face=lf,
-                    face_nodes=key[1],
-                    measure=el.measure,
-                    sigma=float(sigma),
+    s = mesh.sides
+    at = coupled_sides(mesh)
+    matched = np.bincount(s.lower[at], minlength=len(mesh.elements))
+    for d in (1, 2):
+        if d in mesh.simplices and d + 1 in mesh.simplices:
+            ids = mesh.simplices[d].ids
+            for eid in ids[matched[ids] == 0].tolist():
+                warnings.warn(
+                    f"element {eid} (dim {d}) matches no face of any "
+                    f"dim-{d + 1} element; it will not exchange flow with them",
+                    stacklevel=2,
                 )
+    links = []
+    for lower, upper, lf in zip(
+        s.lower[at].tolist(), s.element[at].tolist(), s.local_face[at].tolist()
+    ):
+        el = mesh.elements[lower]
+        links.append(
+            CouplingLink(
+                lower_element=lower,
+                upper_element=upper,
+                upper_local_face=lf,
+                face_nodes=tuple(sorted(el.node_ids)),
+                measure=el.measure,
+                sigma=float(sigma),
             )
-    links.sort(key=lambda l: (l.lower_element, l.upper_element, l.upper_local_face))
+        )
     return links
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -715,15 +905,6 @@ def _tensor_entries(k: NDArray) -> list[float]:
     return [k[i, j] for i in range(dim) for j in range(i, dim)]
 
 
-def _tensor_from_entries(vals: list[float], dim: int) -> NDArray:
-    k = np.zeros((dim, dim))
-    it = iter(vals)
-    for i in range(dim):
-        for j in range(i, dim):
-            k[i, j] = k[j, i] = next(it)
-    return k
-
-
 def write_mesh(mesh: Mesh, path: str) -> None:
     """Write the plain-text mesh format.
 
@@ -756,20 +937,24 @@ def write_mesh(mesh: Mesh, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_TENSOR_SIZE = {1: 1, 2: 3, 3: 6}
+
+# A data line of a mesh file: its 1-based line number and its tokens.
+_Row = tuple[int, list[str]]
+
+
 def read_mesh(path: str) -> Mesh:
     """Parse the plain-text mesh format written by :func:`write_mesh`.
 
     Raises :class:`MeshFormatError` with a 1-based line number on malformed
     input; structural problems surface as :class:`InvalidMeshError` from the
-    mesh constructor.
+    mesh constructor. Lines are split one by one; each section's numbers
+    are converted and checked as whole arrays.
     """
     section = None
     gravity = False
     sigma = 1.0
-    node_rows: list[tuple[int, NDArray]] = []
-    elements: list[Element] = []
-    bcs: list[BoundaryCondition] = []
-    n_tensor = {1: 1, 2: 3, 3: 6}
+    rows: dict[str, list[_Row]] = {"nodes": [], "elements": [], "boundary": []}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -785,81 +970,25 @@ def read_mesh(path: str) -> Mesh:
                 section = name
                 continue
             tok = line.split()
-            try:
-                if section == "params":
+            if section in rows:
+                rows[section].append((lineno, tok))
+            elif section == "params":
+                try:
                     if tok[0] == "gravity":
                         gravity = bool(int(tok[1]))
                     elif tok[0] == "sigma":
                         sigma = float(tok[1])
                     else:
                         raise MeshFormatError(f"unknown parameter {tok[0]!r}", lineno)
-                elif section == "nodes":
-                    if len(tok) != 4:
-                        raise MeshFormatError("node line needs: id x y z", lineno)
-                    node_rows.append((int(tok[0]), np.array([float(v) for v in tok[1:]])))
-                elif section == "elements":
-                    eid, dim = int(tok[0]), int(tok[1])
-                    if dim not in (1, 2, 3):
-                        raise MeshFormatError(f"element dimension {dim}", lineno)
-                    n_nodes = dim + 1
-                    expect = 2 + n_nodes + n_tensor[dim] + 2
-                    if len(tok) != expect:
-                        raise MeshFormatError(
-                            f"element line needs {expect} fields, got {len(tok)}",
-                            lineno,
-                        )
-                    node_ids = tuple(int(v) for v in tok[2 : 2 + n_nodes])
-                    for nid in node_ids:
-                        if not 0 <= nid < len(node_rows):
-                            raise MeshFormatError(
-                                f"dangling node reference {nid}", lineno
-                            )
-                    vals = [float(v) for v in tok[2 + n_nodes :]]
-                    tensor = _tensor_from_entries(vals[: n_tensor[dim]], dim)
-                    if np.linalg.eigvalsh(tensor).min() <= 0.0:
-                        raise MeshFormatError(
-                            f"element {eid}: conductivity tensor is not "
-                            f"positive definite",
-                            lineno,
-                        )
-                    elements.append(
-                        Element(
-                            id=eid,
-                            dim=dim,
-                            node_ids=node_ids,
-                            conductivity=tensor,
-                            cross_section=vals[-2],
-                            source=vals[-1],
-                        )
-                    )
-                elif section == "boundary":
-                    if len(tok) < 3:
-                        raise MeshFormatError(
-                            "boundary line needs: nodes... kind value", lineno
-                        )
-                    kind, value = tok[-2], float(tok[-1])
-                    if kind not in (NATURAL, ESSENTIAL):
-                        raise MeshFormatError(f"unknown boundary kind {kind!r}", lineno)
-                    nodes = tuple(int(v) for v in tok[:-2])
-                    for nid in nodes:
-                        if not 0 <= nid < len(node_rows):
-                            raise MeshFormatError(f"dangling node reference {nid}", lineno)
-                    bcs.append(BoundaryCondition(nodes, kind, value))
-                else:
-                    raise MeshFormatError("data before any section header", lineno)
-            except MeshFormatError:
-                raise
-            except (ValueError, IndexError) as exc:
-                raise MeshFormatError(str(exc), lineno) from exc
+                except (ValueError, IndexError) as exc:
+                    raise MeshFormatError(str(exc), lineno) from exc
+            else:
+                raise MeshFormatError("data before any section header", lineno)
+    coords = _parse_nodes(rows["nodes"])
+    elements = _parse_elements(rows["elements"], len(coords))
+    bcs = _parse_boundary(rows["boundary"], len(coords))
     if section != "end":
         raise MeshFormatError("missing $end marker")
-    coords = np.zeros((len(node_rows), 3))
-    seen_ids = set()
-    for nid, c in node_rows:
-        if nid in seen_ids or not 0 <= nid < len(node_rows):
-            raise MeshFormatError(f"node ids must be dense and unique, got {nid}")
-        seen_ids.add(nid)
-        coords[nid] = c
     return Mesh(
         coords,
         elements,
@@ -867,6 +996,122 @@ def read_mesh(path: str) -> Mesh:
         gravity_enabled=gravity,
         transition_coefficient=sigma,
     )
+
+
+def _numbers(rows: list[_Row], n_int: int, n_float: int) -> tuple[NDArray, NDArray]:
+    """Convert rows of ``n_int`` integer tokens followed by ``n_float``
+    float tokens into an int and a float array, naming the first bad line."""
+    try:
+        ints = np.array([int(v) for _, t in rows for v in t[:n_int]], dtype=np.int64)
+        floats = np.array([float(v) for _, t in rows for v in t[n_int:]], dtype=float)
+    except (ValueError, OverflowError):
+        for lineno, tok in rows:
+            try:
+                np.array([int(v) for v in tok[:n_int]], dtype=np.int64)
+                [float(v) for v in tok[n_int:]]
+            except (ValueError, OverflowError) as exc:
+                raise MeshFormatError(str(exc), lineno) from exc
+        raise
+    return ints.reshape(len(rows), n_int), floats.reshape(len(rows), n_float)
+
+
+def _check_refs(rows: list[_Row], refs: NDArray, n_nodes: int) -> None:
+    """Reject the first row referencing a node id outside ``[0, n_nodes)``."""
+    bad = (refs < 0) | (refs >= n_nodes)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise MeshFormatError(f"dangling node reference {refs[r, c]}", rows[r][0])
+
+
+def _parse_nodes(rows: list[_Row]) -> NDArray:
+    for lineno, tok in rows:
+        if len(tok) != 4:
+            raise MeshFormatError("node line needs: id x y z", lineno)
+    ids, xyz = _numbers(rows, 1, 3)
+    ids = ids[:, 0]
+    n = len(rows)
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    bad = np.flatnonzero((ids < 0) | (ids >= n) | ~first)
+    if len(bad):
+        raise MeshFormatError(f"node ids must be dense and unique, got {ids[bad[0]]}")
+    coords = np.zeros((n, 3))
+    coords[ids] = xyz
+    return coords
+
+
+def _parse_elements(rows: list[_Row], n_nodes: int) -> list[Element]:
+    by_dim: dict[int, list[int]] = {1: [], 2: [], 3: []}
+    for pos, (lineno, tok) in enumerate(rows):
+        try:
+            dim = int(tok[1])
+        except (ValueError, IndexError) as exc:
+            raise MeshFormatError(str(exc), lineno) from exc
+        if dim not in by_dim:
+            raise MeshFormatError(f"element dimension {dim}", lineno)
+        expect = 2 + (dim + 1) + _TENSOR_SIZE[dim] + 2
+        if len(tok) != expect:
+            raise MeshFormatError(
+                f"element line needs {expect} fields, got {len(tok)}", lineno
+            )
+        by_dim[dim].append(pos)
+    elements: list[Element] = [None] * len(rows)  # type: ignore[list-item]
+    for dim, positions in by_dim.items():
+        if not positions:
+            continue
+        group = [rows[p] for p in positions]
+        n_tensor = _TENSOR_SIZE[dim]
+        ints, floats = _numbers(group, dim + 3, n_tensor + 2)
+        _check_refs(group, ints[:, 2:], n_nodes)
+        tensors = np.zeros((len(group), dim, dim))
+        upper, lower = np.triu_indices(dim)
+        tensors[:, upper, lower] = floats[:, :n_tensor]
+        tensors[:, lower, upper] = floats[:, :n_tensor]
+        finite = np.isfinite(tensors).all(axis=(1, 2))
+        lowest = np.full(len(group), np.nan)
+        lowest[finite] = np.linalg.eigvalsh(tensors[finite]).min(axis=1)
+        bad = np.flatnonzero(~(lowest > 0.0))
+        if len(bad):
+            raise MeshFormatError(
+                f"element {ints[bad[0], 0]}: conductivity tensor is not "
+                f"positive definite",
+                group[bad[0]][0],
+            )
+        for pos, eid, node_ids, tensor, cross, source in zip(
+            positions,
+            ints[:, 0].tolist(),
+            ints[:, 2:].tolist(),
+            tensors,
+            floats[:, -2].tolist(),
+            floats[:, -1].tolist(),
+        ):
+            elements[pos] = Element(
+                id=eid,
+                dim=dim,
+                node_ids=tuple(node_ids),
+                conductivity=tensor,
+                cross_section=cross,
+                source=source,
+            )
+    return elements
+
+
+def _parse_boundary(rows: list[_Row], n_nodes: int) -> list[BoundaryCondition]:
+    by_width: dict[int, list[int]] = {}
+    for pos, (lineno, tok) in enumerate(rows):
+        if len(tok) < 3:
+            raise MeshFormatError("boundary line needs: nodes... kind value", lineno)
+        if tok[-2] not in (NATURAL, ESSENTIAL):
+            raise MeshFormatError(f"unknown boundary kind {tok[-2]!r}", lineno)
+        by_width.setdefault(len(tok) - 2, []).append(pos)
+    bcs: list[BoundaryCondition] = [None] * len(rows)  # type: ignore[list-item]
+    for width, positions in by_width.items():
+        group = [(rows[p][0], rows[p][1][:width] + rows[p][1][-1:]) for p in positions]
+        nodes, values = _numbers(group, width, 1)
+        _check_refs(group, nodes, n_nodes)
+        for pos, face, value in zip(positions, nodes.tolist(), values[:, 0].tolist()):
+            bcs[pos] = BoundaryCondition(tuple(face), rows[pos][1][-2], value)
+    return bcs
 
 
 def meshes_equal(a: Mesh, b: Mesh) -> bool:

@@ -51,17 +51,9 @@ def _adjacency(mesh: Mesh) -> list[set[int]]:
     fracture element, which the link edges reproduce.
     """
     adj: list[set[int]] = [set() for _ in mesh.elements]
-    occupied = {
-        (el.dim, tuple(sorted(el.node_ids))) for el in mesh.elements if el.dim < 3
-    }
-    for (dim, nodes), sides in mesh.side_groups().items():
-        if len(sides) < 2 or (dim - 1, nodes) in occupied:
-            continue
-        ids = [e for e, _ in sides]
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    adj[a].add(b)
+    first, second = mesh.face_neighbors()
+    for a, b in zip(first.tolist(), second.tolist()):
+        adj[a].add(b)
     for link in mesh.couplings:
         adj[link.lower_element].add(link.upper_element)
         adj[link.upper_element].add(link.lower_element)

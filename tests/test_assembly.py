@@ -1,4 +1,6 @@
 """Element matrices, global block assembly and the monolithic solver."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.io
@@ -16,6 +18,7 @@ from darcydd.errors import InvalidMeshError, SingularSystemError
 from darcydd.ldlt import factor_symmetric_indefinite
 from darcydd.mesh import (
     NATURAL,
+    SIMPLEX_FACES,
     BCSpec,
     Element,
     Mesh,
@@ -23,6 +26,7 @@ from darcydd.mesh import (
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
+    simplex_measure,
 )
 
 from support import rt0_quadrature_oracle
@@ -95,6 +99,91 @@ def test_degenerate_simplex_rejected():
     coords = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
     with pytest.raises(InvalidMeshError):
         rt0_local(2, coords, np.eye(2), 1.0)
+
+
+def _all_natural_fracture_cube(rng):
+    """Fractured cube with every side kept: random anisotropic SPD tensors,
+    random sources, cross-sections other than one and gravity on."""
+    spec = BCSpec(rules=tuple(
+        PlaneBC(axis=a, position=p, kind=NATURAL, value=0.5 + a - p)
+        for a in range(3) for p in (0.0, 1.0)
+    ))
+    base = generate_cross_fracture_cube(
+        2, bc_spec=spec, gravity=True, delta1=0.3, delta2=0.7, delta3=1.9
+    )
+    els = [
+        dataclasses.replace(
+            el,
+            conductivity=random_spd(rng, el.dim),
+            source=float(rng.standard_normal()),
+        )
+        for el in base.elements
+    ]
+    return Mesh(base.node_coords, els, base.boundary_conditions, gravity_enabled=True)
+
+
+def test_batched_assembly_matches_single_element_oracle(rng):
+    mesh = _all_natural_fracture_cube(rng)
+    system = assemble(mesh)
+    dm = system.dof_map
+    a = system.a.toarray()
+    assert {el.dim for el in mesh.elements} == {1, 2, 3}
+    for el in mesh.elements:
+        pts = mesh.node_coords[list(el.node_ids)]
+        a_e, _, g_e = rt0_local(el.dim, pts, el.conductivity, el.cross_section)
+        vel = dm.element_vel[el.id]
+        assert (vel >= 0).all()
+        block = a[np.ix_(vel, vel)]
+        assert np.abs(block - a_e).max() <= 1e-14 * np.abs(a_e).max()
+        heads = np.array([dm.natural_of_side.get((el.id, lf), 0.0)
+                          for lf in range(el.dim + 1)])
+        expected_g = g_e - heads
+        assert np.abs(system.g[vel] - expected_g).max() <= 1e-14 * max(
+            1.0, np.abs(expected_g).max())
+        f_e = -el.cross_section * el.source * simplex_measure(pts)
+        assert abs(system.f[el.id] - f_e) <= 1e-14 * abs(f_e)
+
+
+def _numbering_contract(mesh):
+    """The dof numbering, by a walk over sides in (element, local face)
+    order: velocities numbered as met, multipliers on first encounter."""
+    groups = {}
+    for el in mesh.elements:
+        for locs in SIMPLEX_FACES[el.dim]:
+            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
+            groups[key] = groups.get(key, 0) + 1
+    coupled = {(l.upper_element, l.upper_local_face) for l in mesh.couplings}
+    bcs = {bc.face_nodes: bc for bc in mesh.boundary_conditions}
+    side_of_vel, mult_of_side, natural, mult_sides, shared = [], {}, {}, [], {}
+    for el in mesh.elements:
+        for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
+            side = (el.id, lf)
+            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
+            if side not in coupled and groups[key] == 1:
+                bc = bcs.get(key[1])
+                if bc is not None and bc.kind == NATURAL:
+                    side_of_vel.append(side)
+                    natural[side] = bc.value
+                continue
+            side_of_vel.append(side)
+            if side in coupled or key not in shared:
+                mult_sides.append([])
+                if side not in coupled:
+                    shared[key] = len(mult_sides) - 1
+            m = len(mult_sides) - 1 if side in coupled else shared[key]
+            mult_of_side[side] = m
+            mult_sides[m].append(side)
+    return side_of_vel, mult_of_side, natural, mult_sides
+
+
+def test_numbering_contract_fracture_cube():
+    mesh = generate_cross_fracture_cube(4)
+    dm = assemble(mesh).dof_map
+    side_of_vel, mult_of_side, natural, mult_sides = _numbering_contract(mesh)
+    assert dm.side_of_vel == side_of_vel
+    assert dm.mult_of_side == mult_of_side
+    assert dm.natural_of_side == natural
+    assert dm.mult_sides == mult_sides
 
 
 # ---------------------------------------------------------------------------

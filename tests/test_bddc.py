@@ -4,9 +4,19 @@ import pytest
 import scipy.linalg as sla
 
 from darcydd.bddc import BddcPreconditioner, ConstraintSet, build_constraints
-from darcydd.errors import ConfigurationError, ConstraintDeficiencyError
+from darcydd.errors import (
+    ConfigurationError,
+    ConstraintDeficiencyError,
+    SingularSystemError,
+)
 from darcydd.mesh import generate_cross_fracture_cube
-from darcydd.partition import Glob, InterfaceLayout, Partition
+from darcydd.partition import (
+    Glob,
+    InterfaceLayout,
+    Partition,
+    compute_weights,
+    select_corners,
+)
 
 from support import build_pipeline, dense_operator, dense_sub_schur
 
@@ -91,6 +101,32 @@ def test_two_sub_coarse_problem(square4):
     assert np.linalg.eigvalsh(coarse).max() < 0
     assert prec.coarse_fact.inertia == (0, 4, 0)
 
+
+
+@pytest.mark.parametrize("breakdown", ["singular", "indefinite"])
+def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypatch):
+    """A singular or wrongly signed coarse matrix is a lack of coarse
+    constraints, reported as ConstraintDeficiencyError (exit code 4)."""
+    import darcydd.bddc
+
+    real = darcydd.bddc.factor_symmetric_indefinite
+
+    def coarse_fails(matrix, force_dense=False):
+        if not force_dense:  # the local constrained factorizations
+            return real(matrix)
+        if breakdown == "singular":
+            raise SingularSystemError("forced singular coarse matrix")
+        return real(-matrix, force_dense=True)  # positive definite instead
+
+    pipe = build_pipeline(square4, 2, with_prec=False)
+    monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", coarse_fails)
+    with pytest.raises(ConstraintDeficiencyError, match="coarse matrix"):
+        BddcPreconditioner(
+            pipe.subs,
+            pipe.layout,
+            compute_weights(pipe.system, pipe.layout, "arithmetic"),
+            build_constraints(pipe.layout, select_corners(pipe.layout)),
+        )
 
 def test_coarse_count_cross_check(frac2):
     pipe = build_pipeline(frac2, 4)

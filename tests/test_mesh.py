@@ -1,4 +1,5 @@
 """Mesh generation, coupling detection and the text format."""
+import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -242,6 +243,48 @@ def test_degenerate_simplex_rejected():
         Mesh(coords, [el], [])
 
 
+def _square_with(changes: dict[int, dict]):
+    """The elements of generate_unit_square(2), with some fields replaced."""
+    base = generate_unit_square(2)
+    els = [
+        dataclasses.replace(el, **changes.get(el.id, {})) for el in base.elements
+    ]
+    return base.node_coords, els
+
+
+# Each fault is placed in elements 3 and 5, after valid elements; nodes 0,
+# 1, 2 and 3, 4, 5 lie on grid lines.
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        (
+            {3: {"node_ids": (0, 0, 4)}, 5: {"node_ids": (1, 1, 5)}},
+            "element 3: repeated node",
+        ),
+        (
+            {3: {"node_ids": (4, 1, 0)}, 5: {"node_ids": (4, 1, 0)}},
+            "elements 0 and 3 occupy the same simplex",
+        ),
+        (
+            {3: {"node_ids": (0, 1, 2)}, 5: {"node_ids": (3, 4, 5)}},
+            "element 3: degenerate simplex",
+        ),
+        (
+            {3: {"cross_section": 0.0}, 5: {"cross_section": -1.0}},
+            "element 3: cross-section must be positive",
+        ),
+        (
+            {3: {"conductivity": np.diag([1.0, -1.0])}, 5: {"conductivity": -np.eye(2)}},
+            "element 3: conductivity tensor is not positive definite",
+        ),
+    ],
+)
+def test_validation_names_first_offending_element(changes, message):
+    coords, els = _square_with(changes)
+    with pytest.raises(InvalidMeshError, match=message):
+        Mesh(coords, els, [])
+
+
 def test_unknown_boundary_kind_rejected():
     from darcydd.mesh import BoundaryCondition
 
@@ -317,14 +360,19 @@ def test_dangling_node_reference_reports_line(tmp_path):
 
 
 def test_non_spd_conductivity_rejected(tmp_path):
+    lineno = {}
+
     def mutate(lines):
         start = lines.index("$elements")
-        toks = lines[start + 1].split()
+        idx = start + 3  # element 2, after two valid ones
+        toks = lines[idx].split()
         toks[5:8] = ["1", "2", "1"]  # eigenvalues -1 and 3
-        lines[start + 1] = " ".join(toks)
+        lines[idx] = " ".join(toks)
+        lineno["n"] = idx + 1
 
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError) as exc:
         read_mesh(_tampered(tmp_path, mutate))
+    assert exc.value.line == lineno["n"]
 
 
 def test_malformed_section_header(tmp_path):
