@@ -4,9 +4,17 @@ The preconditioner combines independent substructure corrections with a
 global coarse correction. Both are derived from a small set of interface
 constraints per substructure: point constraints at selected corner dofs and
 arithmetic averages over globs. The coarse basis functions are energy
-minimizers subject to those constraints, computed from an augmented
-(constrained) version of each substructure's saddle matrix, and the coarse
-matrix is the assembly of the substructure-local coarse energies.
+minimizers subject to those constraints, and the coarse matrix is the
+assembly of the substructure-local coarse energies.
+
+Every local problem lives on the interface. With the explicit local Schur
+complement ``S_i`` of :class:`~darcydd.subsolve.SubstructureOperator` and
+the constraint matrix ``C_i``, each substructure factors one dense
+``(n_gamma + n_c)`` saddle matrix ``[[-S_i, C_i^T], [C_i, 0]]``. It is the
+constrained local saddle matrix ``[[K, D^T], [D, 0]]`` with the interior
+unknowns eliminated exactly, so its interface and constraint rows solve the
+same problems: the coarse basis, the local coarse matrix and the constrained
+(Neumann) correction.
 
 Sign conventions: each local saddle matrix has a negative semidefinite
 interface energy, so the local coarse matrices are negative semidefinite
@@ -140,24 +148,19 @@ class SubCorrector:
         return self.d.shape[0]
 
     def build(self) -> None:
-        """Factor the constrained saddle matrix and extract the coarse basis.
+        """Factor the interface-sized constrained saddle matrix and extract
+        the coarse basis.
 
         The multi-RHS solve with identity blocks on the constraint rows
         yields the coarse basis on its interface rows and the local coarse
         matrix (negated) on its constraint rows.
         """
         sub = self.sub
-        n_i, n_g, nc = sub.n_interior, sub.n_gamma, self.n_constraints
-        k_full = sps.bmat(
-            [[sub.k_ii, sub.k_ig], [sub.k_ig.T, sub.k_gg]], format="csc"
-        )
-        if nc:
-            d_all = sps.hstack(
-                [sps.csr_matrix((nc, n_i)), self.d], format="csr"
-            )
-            aug = sps.bmat([[k_full, d_all.T], [d_all, None]], format="csc")
-        else:
-            aug = k_full
+        n_g, nc = sub.n_gamma, self.n_constraints
+        if sub.schur is None:
+            sub.factorize()
+        c = self.d.toarray()
+        aug = np.block([[-sub.schur, c.T], [c, np.zeros((nc, nc))]])
         try:
             self.aug_fact = factor_symmetric_indefinite(aug)
         except SingularSystemError as exc:
@@ -170,11 +173,11 @@ class SubCorrector:
             self.phi = np.zeros((n_g, 0))
             self.s_cc = np.zeros((0, 0))
             return
-        rhs = np.zeros((aug.shape[0], nc))
-        rhs[n_i + n_g :, :] = np.eye(nc)
+        rhs = np.zeros((n_g + nc, nc))
+        rhs[n_g:, :] = np.eye(nc)
         x = self.aug_fact.solve(rhs)
-        self.phi = x[n_i : n_i + n_g, :]
-        s_cc = -x[n_i + n_g :, :]
+        self.phi = x[:n_g, :]
+        s_cc = -x[n_g:, :]
         defect = float(np.abs(s_cc - s_cc.T).max(initial=0.0))
         scale = max(1.0, float(np.abs(s_cc).max(initial=0.0)))
         if defect > 1e-10 * scale:
@@ -193,12 +196,11 @@ class SubCorrector:
 
     def neumann_correction(self, r_local: NDArray) -> NDArray:
         """Interface part of the constrained local solve against a residual
-        supported on the interface rows."""
-        sub = self.sub
+        on the interface rows."""
+        n_g = self.sub.n_gamma
         rhs = np.zeros(self.aug_fact.n)
-        rhs[sub.n_interior : sub.n_interior + sub.n_gamma] = r_local
-        z = self.aug_fact.solve(rhs)
-        return z[sub.n_interior : sub.n_interior + sub.n_gamma]
+        rhs[:n_g] = r_local
+        return self.aug_fact.solve(rhs)[:n_g]
 
 
 class BddcPreconditioner:

@@ -231,6 +231,11 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
             f"pcg: {state} in {report.iterations} iterations, "
             f"condition estimate {report.condition:.2f}, final relative "
             f"residual {report.residuals[-1] if report.residuals else 0.0:.3e}"
+            + (
+                f" (true {report.true_residual:.3e})"
+                if report.true_residual is not None
+                else ""
+            )
         )
 
     residual = _full_residual(system, sol)

@@ -2,10 +2,16 @@
 
 The solver targets the reduced interface system: both the operator and the
 preconditioner are supplied as callables and must be symmetric positive
-definite. Convergence is judged on the recursively updated residual
+definite. Convergence is first judged on the recursively updated residual
 ``r_k = r_{k-1} - alpha_k S p_k``, by its 2-norm relative to the right-hand
-side; ``b - S x_k`` is never recomputed, so in floating point the true
-residual can differ from the reported one. The scalar recurrence
+side. Once that meets the tolerance, the true residual ``b - S x_k`` is
+recomputed with one operator application and must meet it too; if it does
+not, it replaces the recursive residual and the iteration restarts from its
+preconditioned direction, within the same iteration limit. (Keeping the old
+direction instead lets the step lengths grow without bound when the
+tolerance lies below the attainable accuracy and every step misses it
+again.) The report keeps the recursive residual history and the last true
+residual. The scalar recurrence
 coefficients define a symmetric tridiagonal matrix whose extreme
 eigenvalues estimate the spectrum of the preconditioned operator; they are
 found by bisection with Sturm sign counts, so no dense eigensolver is
@@ -59,6 +65,9 @@ class SolveReport:
     n_gamma: int = 0
     n_face_globs: int = 0
     n_corners: int = 0
+    # relative 2-norm of b - S x, recomputed when the recursive residual
+    # meets the tolerance; None when it never did
+    true_residual: float | None = None
 
     @property
     def n_per_sub(self) -> float:
@@ -76,6 +85,8 @@ def pcg(
     Loss of positive definiteness in either operator raises
     :class:`IndefiniteOperatorError`. Running out of iterations is not an
     exception; the report carries ``converged=False`` and the history.
+    ``converged`` means that the recomputed true residual met the
+    tolerance.
     """
     if config is None:
         config = PcgConfig()
@@ -83,7 +94,9 @@ def pcg(
     norm_b = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     if norm_b == 0.0:
-        return x, SolveReport(iterations=0, converged=True, condition=1.0)
+        return x, SolveReport(
+            iterations=0, converged=True, condition=1.0, true_residual=0.0
+        )
     r = b.copy()
     z = apply_prec(r)
     rz = float(r @ z)
@@ -98,6 +111,8 @@ def pcg(
     residuals: list[float] = []
     converged = False
     iterations = 0
+    true_residual = None
+    restart = False
     for k in range(1, config.max_iter + 1):
         q = apply_op(p)
         pq = float(p @ q)
@@ -116,8 +131,12 @@ def pcg(
             config.history_stream.write(f"{k},{relres:.6e}\n")
         iterations = k
         if relres <= config.rel_tol:
-            converged = True
-            break
+            r = b - apply_op(x)
+            true_residual = float(np.linalg.norm(r)) / norm_b
+            if true_residual <= config.rel_tol:
+                converged = True
+                break
+            restart = True
         z = apply_prec(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
@@ -125,7 +144,8 @@ def pcg(
                 f"preconditioner lost positive definiteness "
                 f"(r'Mr = {rz_new:.3e} <= 0 at iteration {k})"
             )
-        beta = rz_new / rz
+        beta = 0.0 if restart else rz_new / rz
+        restart = False
         betas.append(beta)
         p = z + beta * p
         rz = rz_new
@@ -137,6 +157,7 @@ def pcg(
         converged=converged,
         condition=condition,
         residuals=residuals,
+        true_residual=true_residual,
     )
     return x, report
 

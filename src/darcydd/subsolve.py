@@ -8,18 +8,25 @@ from the assembled system rather than re-integrated.
 
 With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
 of one substructure (``K_GG`` is minus its penalty diagonal), the local
-interface contribution applied by :meth:`SubstructureOperator.schur_apply`
-is
+interface contribution is the Schur complement
 
-    S_i x = -(K_GG x + K_GI w),   K_II w = -K_IG x,
+    S_i = -(K_GG + K_GI W),   K_II W = -K_IG,
 
 which is symmetric positive semidefinite; the assembled sum over
 substructures is positive definite whenever some natural boundary condition
 exists. The sign convention keeps the reduced problem SPD so conjugate
 gradients applies unchanged.
+
+:meth:`SubstructureOperator.factorize` factors ``K_II`` once and forms
+``S_i`` explicitly, as a dense ``n_gamma x n_gamma`` matrix, from one
+multi-right-hand-side solve; applying the interface operator is then one
+dense matrix-vector product per substructure, and the preconditioner's
+local problems work on ``S_i`` alone. The interior factorization stays for
+the reduced right-hand side and for recovering the interior unknowns.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,14 +40,29 @@ from .ldlt import IndefiniteFactorization, factor_symmetric_indefinite
 from .partition import InterfaceLayout
 
 
+_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
+_EXECUTORS_LOCK = threading.Lock()
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The process-wide pool of ``threads`` workers, created on first use
+    and kept, so that PCG iterations start no threads."""
+    with _EXECUTORS_LOCK:
+        if threads not in _EXECUTORS:
+            _EXECUTORS[threads] = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix=f"darcydd-{threads}"
+            )
+        return _EXECUTORS[threads]
+
+
 def parallel_map(fn, items, threads: int = 1) -> list:
     """Map preserving order; results are reduced by the caller in a fixed
-    order, so the worker count never changes any output."""
+    order, so the worker count never changes any output. ``fn`` must not
+    call ``parallel_map`` itself: it would wait on its own pool."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    return list(_executor(threads).map(fn, items))
 
 
 @dataclass
@@ -61,6 +83,7 @@ class SubstructureOperator:
     n_p: int
     n_li: int
     fact: IndefiniteFactorization | None = field(default=None, repr=False)
+    schur: NDArray | None = field(default=None, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -71,6 +94,7 @@ class SubstructureOperator:
         return len(self.local_gamma)
 
     def factorize(self) -> None:
+        """Factor ``K_II`` and form the dense local Schur complement."""
         try:
             self.fact = factor_symmetric_indefinite(self.k_ii)
         except SingularSystemError as exc:
@@ -78,6 +102,17 @@ class SubstructureOperator:
                 f"interior problem of substructure {self.sub_id} "
                 f"is singular ({exc})"
             ) from exc
+        w = self.fact.solve(-self.k_ig.toarray())
+        schur = -(self.k_gg.toarray() + self.k_ig.T @ w)
+        defect = float(np.abs(schur - schur.T).max(initial=0.0))
+        scale = float(np.abs(schur).max(initial=0.0))
+        if defect > 1e-10 * scale:
+            raise SingularSystemError(
+                f"substructure {self.sub_id}: local Schur complement symmetry "
+                f"defect {defect:.3e} exceeds tolerance; interior solve is "
+                f"unreliable"
+            )
+        self.schur = 0.5 * (schur + schur.T)
 
     def interior_solve(self, rhs: NDArray) -> NDArray:
         if self.fact is None:
@@ -86,8 +121,9 @@ class SubstructureOperator:
 
     def schur_apply(self, x: NDArray) -> NDArray:
         """Local interface operator action, SPD convention."""
-        w = self.interior_solve(-(self.k_ig @ x))
-        return -(self.k_gg @ x + self.k_ig.T @ w)
+        if self.schur is None:
+            self.factorize()
+        return self.schur @ x
 
     def reduced_rhs(self) -> NDArray:
         """This substructure's share of the reduced right-hand side."""

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 from darcydd.assembly import assemble
 from darcydd.bddc import BddcPreconditioner, build_constraints
@@ -125,10 +126,27 @@ def dense_schur_oracle(system, layout):
 
 
 def dense_sub_schur(sub) -> np.ndarray:
-    if sub.n_gamma == 0:
-        return np.zeros((0, 0))
-    eye = np.eye(sub.n_gamma)
-    return np.column_stack([sub.schur_apply(eye[:, j]) for j in range(sub.n_gamma)])
+    """Local Schur complement by dense elimination of the interior blocks,
+    independent of the explicit ``sub.schur`` the solver forms."""
+    k_ig = sub.k_ig.toarray()
+    w = sla.solve(sub.k_ii.toarray(), k_ig)
+    return -(sub.k_gg.toarray() - k_ig.T @ w)
+
+
+def full_constrained_saddle(corr) -> sps.csc_matrix:
+    """One substructure's constrained saddle matrix ``[[K, D^T], [D, 0]]``
+    over all its unknowns, interior first, then interface, then constraint
+    rows; the preconditioner solves the same problem with the interior
+    eliminated."""
+    sub = corr.sub
+    k_full = sps.bmat(
+        [[sub.k_ii, sub.k_ig], [sub.k_ig.T, sub.k_gg]], format="csc"
+    )
+    nc = corr.n_constraints
+    if nc == 0:
+        return k_full
+    d_all = sps.hstack([sps.csr_matrix((nc, sub.n_interior)), corr.d], format="csr")
+    return sps.bmat([[k_full, d_all.T], [d_all, None]], format="csc")
 
 
 def dense_operator(apply_fn, n: int) -> np.ndarray:

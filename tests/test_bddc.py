@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from darcydd.assembly import full_solve_direct
 from darcydd.bddc import BddcPreconditioner, ConstraintSet, build_constraints
 from darcydd.errors import (
     ConfigurationError,
     ConstraintDeficiencyError,
     SingularSystemError,
 )
+from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import generate_cross_fracture_cube
 from darcydd.partition import (
     Glob,
@@ -17,8 +19,14 @@ from darcydd.partition import (
     compute_weights,
     select_corners,
 )
+from darcydd.subsolve import recover_solution
 
-from support import build_pipeline, dense_operator, dense_sub_schur
+from support import (
+    build_pipeline,
+    dense_operator,
+    dense_sub_schur,
+    full_constrained_saddle,
+)
 
 
 CASES = [
@@ -256,3 +264,64 @@ def test_preconditioner_rejects_empty_interface(square4):
     empty = ConstraintSet(0, 0, [], [])
     with pytest.raises(ConfigurationError, match="interface"):
         BddcPreconditioner(pipe.subs, pipe.layout, [np.zeros(0)], empty)
+
+
+# ---------------------------------------------------------------------------
+# interface-sized local problems against the full constrained saddle matrix
+
+
+@pytest.mark.parametrize("name,n_sub", [("square6", 4), ("cube2", 4), ("frac2", 4)])
+def test_interface_saddle_matches_full_saddle(name, n_sub, meshes, rng):
+    pipe = build_pipeline(meshes[name], n_sub)
+    for corr in pipe.prec.correctors:
+        sub = corr.sub
+        n_i, n_g, nc = sub.n_interior, sub.n_gamma, corr.n_constraints
+        full = full_constrained_saddle(corr).toarray()
+        rhs = np.zeros((full.shape[0], nc))
+        rhs[n_i + n_g :, :] = np.eye(nc)
+        x = sla.solve(full, rhs)
+        phi_ref = x[n_i : n_i + n_g]
+        s_cc_ref = -x[n_i + n_g :]
+        assert np.abs(corr.phi - phi_ref).max() <= 1e-9 * max(1.0, np.abs(phi_ref).max())
+        assert np.abs(corr.s_cc - s_cc_ref).max() <= 1e-9 * max(
+            1.0, np.abs(s_cc_ref).max()
+        )
+        r = rng.standard_normal(n_g)
+        rhs = np.zeros(full.shape[0])
+        rhs[n_i : n_i + n_g] = r
+        eta_ref = sla.solve(full, rhs)[n_i : n_i + n_g]
+        eta = corr.neumann_correction(r)
+        assert np.abs(eta - eta_ref).max() <= 1e-9 * max(1.0, np.abs(eta_ref).max())
+
+
+def test_two_threads_bitwise_identical(frac2, rng):
+    p1 = build_pipeline(frac2, 4, threads=1)
+    p2 = build_pipeline(frac2, 4, threads=2)
+    x = rng.standard_normal(p1.layout.n_interface)
+    assert np.array_equal(p1.op.apply(x), p2.op.apply(x))
+    assert np.array_equal(p1.prec.apply(x), p2.prec.apply(x))
+    solutions = []
+    for pipe, threads in ((p1, 1), (p2, 2)):
+        lam, report = pcg(
+            pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+            PcgConfig(rel_tol=1e-10),
+        )
+        sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam, threads)
+        solutions.append((sol.concatenated(), report.iterations, report.condition))
+    assert np.array_equal(solutions[0][0], solutions[1][0])
+    assert solutions[0][1:] == solutions[1][1:]
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1e3, 1e5, 1e7])
+def test_stiff_penalty_substructured_matches_direct(sigma):
+    """The substructured solve holds up to a stiff fracture penalty; at
+    sigma = 1e7 the constrained local factorizations used to break down."""
+    pipe = build_pipeline(generate_cross_fracture_cube(4, sigma=sigma), 8, scheme="diag")
+    lam, report = pcg(
+        pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+        PcgConfig(rel_tol=1e-10),
+    )
+    assert report.converged
+    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam).concatenated()
+    ref = full_solve_direct(pipe.system).concatenated()
+    assert np.abs(sol - ref).max() <= 1e-8 * np.abs(ref).max()

@@ -12,6 +12,8 @@ from darcydd.krylov import (
     pcg,
 )
 
+from support import build_pipeline
+
 
 def op_of(a):
     return lambda v: a @ v
@@ -168,3 +170,66 @@ def test_lanczos_condition_edge_cases():
     assert lanczos_condition([], []) == 1.0
     assert lanczos_condition([-1.0], []) == float("inf")
     assert lanczos_condition([0.5], []) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# true-residual check at convergence
+
+
+def test_true_residual_matches_dense_operator(frac2):
+    pipe = build_pipeline(frac2, 4)
+    b = pipe.op.reduced_rhs()
+    x, report = pcg(pipe.op.apply, pipe.prec.apply, b, PcgConfig(rel_tol=1e-10))
+    assert report.converged
+    s = pipe.op.to_dense()
+    ref = float(np.linalg.norm(b - s @ x) / np.linalg.norm(b))
+    assert report.true_residual <= 1e-10
+    assert abs(report.true_residual - ref) <= 1e-13
+    assert report.residuals[-1] <= 1e-10
+
+
+def _perturbed_once(a, delta):
+    """``a @ v``, except that the first application adds ``delta``."""
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return a @ v + (delta if len(calls) == 1 else 0.0)
+
+    return apply
+
+
+def _first_recursive_hit(report, tol: float) -> int:
+    return next(k for k, r in enumerate(report.residuals, start=1) if r <= tol)
+
+
+def test_true_residual_miss_keeps_iterating(rng):
+    a = np.diag(np.linspace(1.0, 50.0, 30))
+    b = rng.standard_normal(30)
+    delta = 1e-3 * rng.standard_normal(30)
+    x, report = pcg(_perturbed_once(a, delta), IDENT, b, PcgConfig(rel_tol=1e-10))
+    # the recursive residual met the tolerance while the true one, off by
+    # the perturbation, did not; the solve went on until the true one did
+    hit = _first_recursive_hit(report, 1e-10)
+    assert report.iterations > hit
+    assert report.converged
+    true_res = float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+    assert true_res <= 1e-10
+    assert report.true_residual == pytest.approx(true_res, rel=1e-6)
+
+
+def test_true_residual_miss_respects_iteration_limit(rng):
+    a = np.diag(np.linspace(1.0, 50.0, 30))
+    b = rng.standard_normal(30)
+    delta = 1e-3 * rng.standard_normal(30)
+    _, full = pcg(_perturbed_once(a, delta), IDENT, b, PcgConfig(rel_tol=1e-10))
+    hit = _first_recursive_hit(full, 1e-10)
+    x, report = pcg(
+        _perturbed_once(a, delta), IDENT, b,
+        PcgConfig(rel_tol=1e-10, max_iter=hit),
+    )
+    assert not report.converged
+    assert report.iterations == hit
+    true_res = float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+    assert report.true_residual == pytest.approx(true_res, rel=1e-6)
+    assert report.true_residual > 1e-10

@@ -95,3 +95,73 @@ def test_sparse_singularity_detected():
     a = sps.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularSystemError):
         IndefiniteFactorization(a, dense_threshold=0)
+
+
+def _zero_diagonal_saddle(rng, n_a: int, n_b: int) -> np.ndarray:
+    """``[[A, B^T], [B, 0]]`` with a zero-diagonal symmetric ``A``: every
+    diagonal entry is zero, so Bunch-Kaufman must take 2x2 pivots."""
+    a = rng.standard_normal((n_a, n_a))
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    b = rng.standard_normal((n_b, n_a))
+    return np.block([[a, b.T], [b, np.zeros((n_b, n_b))]])
+
+
+@pytest.mark.parametrize("n_a,n_b", [(2, 2), (9, 4), (40, 15), (120, 60)])
+def test_two_by_two_pivots_solve_and_inertia(n_a, n_b):
+    rng = np.random.default_rng(7 * n_a + n_b)
+    m = _zero_diagonal_saddle(rng, n_a, n_b)
+    fact = factor_symmetric_indefinite(m)
+    assert fact.mode == "dense"
+    _, d, _ = sla.ldl(m, lower=True)
+    assert np.count_nonzero(np.diagonal(d, -1)) > 0  # 2x2 pivots were taken
+    w = np.linalg.eigvalsh(m)
+    assert fact.inertia == (int((w > 0).sum()), int((w < 0).sum()), 0)
+    n = n_a + n_b
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        ref = np.linalg.solve(m, b)
+        x = fact.solve(b)
+        assert x.shape == b.shape
+        assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_mixed_pivots_match_loop_reference(rng):
+    """1x1 and 2x2 pivots in one matrix; the block-diagonal solve agrees
+    with a per-block loop over the same factors."""
+    m = _zero_diagonal_saddle(rng, 30, 10)
+    m[:5, :5] += np.diag(np.arange(1.0, 6.0))
+    fact = factor_symmetric_indefinite(m)
+    lu, d, perm = sla.ldl(m, lower=True)
+    sizes = []
+    i = 0
+    while i < len(d):
+        size = 2 if i + 1 < len(d) and d[i + 1, i] != 0.0 else 1
+        sizes.append(size)
+        i += size
+    assert 1 in sizes and 2 in sizes
+    b = rng.standard_normal((40, 2))
+    z = sla.solve_triangular(lu[perm], b[perm], lower=True, unit_diagonal=True)
+    w = np.empty_like(z)
+    off = 0
+    for size in sizes:
+        blk = slice(off, off + size)
+        w[blk] = np.linalg.solve(d[blk, blk], z[blk])
+        off += size
+    y = sla.solve_triangular(lu[perm].T, w, lower=False, unit_diagonal=True)
+    ref = np.empty_like(y)
+    ref[perm] = y
+    assert np.abs(fact._raw_solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_zero_pivots_beside_two_by_two_block_detected():
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = 1.0  # one 2x2 pivot, then two zero 1x1 pivots
+    with pytest.raises(SingularSystemError, match="2 zero"):
+        factor_symmetric_indefinite(a)
+
+
+def test_dense_input_always_takes_dense_path():
+    a = np.diag(np.linspace(1.0, 2.0, 600))
+    fact = factor_symmetric_indefinite(a)
+    assert fact.mode == "dense"
+    assert fact.inertia == (600, 0, 0)

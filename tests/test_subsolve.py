@@ -1,15 +1,19 @@
 """Substructure factorizations and the reduced interface operator."""
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
-from darcydd.errors import ConfigurationError
+from darcydd.errors import ConfigurationError, SingularSystemError
 from darcydd.mesh import generate_cross_fracture_cube, generate_unit_square
 from darcydd.partition import Partition, classify_interface, partition_elements
 from darcydd.subsolve import (
     InterfaceOperator,
     build_substructures,
+    parallel_map,
     recover_solution,
 )
 
@@ -176,3 +180,38 @@ def test_operator_matches_summed_local_schur(square6):
         s_loc = dense_sub_schur(sub)
         total[np.ix_(sub.local_gamma, sub.local_gamma)] += s_loc
     assert np.abs(dense - total).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+
+def test_parallel_map_reuses_one_pool_per_worker_count():
+    def worker_name(_):
+        time.sleep(0.001)  # let both workers pick up items
+        return threading.current_thread().name
+
+    names = set()
+    for _ in range(5):
+        names.update(parallel_map(worker_name, range(8), threads=2))
+    # one pool of two workers served every call, and order is kept
+    assert len(names) <= 2
+    assert len({name.rsplit("_", 1)[0] for name in names}) == 1
+    assert parallel_map(lambda x: 2 * x, range(6), threads=2) == [0, 2, 4, 6, 8, 10]
+
+
+def test_asymmetric_schur_rejected(frac2, monkeypatch):
+    import darcydd.subsolve
+
+    real = darcydd.subsolve.factor_symmetric_indefinite
+
+    class Skewed:
+        def __init__(self, matrix):
+            self.inner = real(matrix)
+
+        def solve(self, rhs):
+            x = self.inner.solve(rhs)
+            if x.ndim == 2 and x.shape[1] > 1:
+                x[:, 0] *= 1.0 + 1e-6  # break the symmetry of S_i
+            return x
+
+    system, layout, _, _ = setup_case(frac2, 4)
+    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", Skewed)
+    with pytest.raises(SingularSystemError, match="symmetry defect"):
+        build_substructures(system, layout)
