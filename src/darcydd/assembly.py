@@ -160,7 +160,6 @@ class DofMap:
     element_vel: list[NDArray] = field(default_factory=list)
     mult_of_side: dict[tuple[int, int], int] = field(default_factory=dict)
     natural_of_side: dict[tuple[int, int], float] = field(default_factory=dict)
-    essential_sides: set = field(default_factory=set)
     mult_sides: list[list[tuple[int, int]]] = field(default_factory=list)
     mult_links: list[list[int]] = field(default_factory=list)
     mult_center: NDArray = field(default_factory=lambda: np.zeros((0, 3)))
@@ -225,7 +224,6 @@ def build_dof_map(mesh: Mesh) -> DofMap:
             keys[i]: bcs[b].value
             for i, b in zip(np.flatnonzero(natural).tolist(), bc_of_side[natural].tolist())
         },
-        essential_sides={keys[i] for i in np.flatnonzero(boundary & ~natural).tolist()},
         mult_sides=[[] for _ in range(n_mult)],
         mult_links=[[] for _ in range(n_mult)],
     )

@@ -7,8 +7,10 @@ verification against the monolithic direct solve. Benchmark suites bundle
 several runs and emit CSV rows with the columns
 ``N,n,n/N,n_Gamma,n_f,n_c,its.,cond.,set-up,PCG,solve``.
 
-Exit codes: 0 success, 2 the iteration budget ran out, 3 configuration or
-input-format problems, 4 singular systems or insufficient constraints.
+Exit codes: 0 success, 2 conjugate gradients stopped short of the tolerance
+(the iteration budget ran out or the true residual stagnated), 3
+configuration or input-format problems, 4 singular systems or insufficient
+constraints.
 """
 from __future__ import annotations
 
@@ -557,7 +559,8 @@ def main(argv: list[str] | None = None) -> int:
     if any(not r.converged for r in reports):
         print(
             "error: conjugate gradients did not reach the requested "
-            "tolerance within the iteration budget",
+            "tolerance: the iteration budget ran out or the true residual "
+            "stagnated above it",
             file=sys.stderr,
         )
         return 2

@@ -10,8 +10,11 @@ not, it replaces the recursive residual and the iteration restarts from its
 preconditioned direction, within the same iteration limit. (Keeping the old
 direction instead lets the step lengths grow without bound when the
 tolerance lies below the attainable accuracy and every step misses it
-again.) The report keeps the recursive residual history and the last true
-residual. The scalar recurrence
+again.) A true residual that misses the tolerance and is no smaller than
+the previous miss means the iteration has stagnated: the tolerance lies
+below the attainable accuracy, and ``pcg`` stops unconverged. The report
+keeps the recursive residual history and the last true residual. The
+scalar recurrence
 coefficients define a symmetric tridiagonal matrix whose extreme
 eigenvalues estimate the spectrum of the preconditioned operator; they are
 found by bisection with Sturm sign counts, so no dense eigensolver is
@@ -35,7 +38,6 @@ class PcgConfig:
 
     rel_tol: float = 1e-7
     max_iter: int = 5000
-    record_lanczos: bool = True
     history_stream: TextIO | None = None
 
     def __post_init__(self):
@@ -83,10 +85,10 @@ def pcg(
     """Solve ``op x = b`` for SPD ``op`` with an SPD preconditioner.
 
     Loss of positive definiteness in either operator raises
-    :class:`IndefiniteOperatorError`. Running out of iterations is not an
-    exception; the report carries ``converged=False`` and the history.
-    ``converged`` means that the recomputed true residual met the
-    tolerance.
+    :class:`IndefiniteOperatorError`. Running out of iterations or
+    stagnating is not an exception; the report carries ``converged=False``
+    and the history. ``converged`` means that the recomputed true residual
+    met the tolerance.
     """
     if config is None:
         config = PcgConfig()
@@ -112,6 +114,7 @@ def pcg(
     converged = False
     iterations = 0
     true_residual = None
+    last_miss = np.inf
     restart = False
     for k in range(1, config.max_iter + 1):
         q = apply_op(p)
@@ -136,6 +139,9 @@ def pcg(
             if true_residual <= config.rel_tol:
                 converged = True
                 break
+            if true_residual >= last_miss:
+                break  # stagnated
+            last_miss = true_residual
             restart = True
         z = apply_prec(r)
         rz_new = float(r @ z)
@@ -149,13 +155,10 @@ def pcg(
         betas.append(beta)
         p = z + beta * p
         rz = rz_new
-    condition = (
-        lanczos_condition(alphas, betas) if config.record_lanczos else 1.0
-    )
     report = SolveReport(
         iterations=iterations,
         converged=converged,
-        condition=condition,
+        condition=lanczos_condition(alphas, betas),
         residuals=residuals,
         true_residual=true_residual,
     )

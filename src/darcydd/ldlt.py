@@ -1,20 +1,22 @@
 """Symmetric indefinite factorization with a dense and a sparse path.
 
 The saddle-point systems solved here are symmetric but indefinite, so plain
-Cholesky does not apply. Dense input, and sparse input of at most
-``DENSE_THRESHOLD`` rows (or any size with ``force_dense``), takes the dense
-route: a Bunch-Kaufman LDL^T with 1x1 and 2x2 pivot blocks, whose block
-diagonal also yields the inertia (used to certify definiteness of reduced
-operators). The block-diagonal solve and the inertia count work on all
-pivot blocks at once: 1x1 pivots divide as one vector, 2x2 pivots use the
-scaled closed form of LAPACK ``dsytrs`` stacked over the blocks, and their
-eigenvalues come from one stacked ``eigvalsh``. Larger sparse input takes a
-sparse LU with partial pivoting and the ``MMD_ATA`` column ordering. On a
-fracture cube with 22k unknowns it keeps less fill than the default COLAMD:
-393k instead of 516k L+U entries over the 16 interior matrices of a
-16-substructure partition, and 1.8M instead of 3.9M for the full saddle
-matrix. The sparse path gives no inertia, so callers that need one force
-the dense path.
+Cholesky does not apply. The input type alone picks the path; there is no
+size threshold. Sparse input takes a sparse LU with partial pivoting and the
+``MMD_ATA`` column ordering, whatever its size: every substructure's
+interior matrix, cut from the assembled system, and the full saddle matrix
+of the direct solve. On a fracture cube with 22k unknowns ``MMD_ATA`` keeps
+less fill than the default COLAMD: 393k instead of 516k L+U entries over the
+16 interior matrices of a 16-substructure partition, and 1.8M instead of
+3.9M for the full saddle matrix. The sparse path gives no inertia.
+
+Dense (ndarray) input, and sparse input with ``force_dense``, takes a
+Bunch-Kaufman LDL^T with 1x1 and 2x2 pivot blocks, whose block diagonal also
+yields the inertia (used to certify definiteness of the coarse matrix). The
+block-diagonal solve and the inertia count work on all pivot blocks at once:
+1x1 pivots divide as one vector, 2x2 pivots use the scaled closed form of
+LAPACK ``dsytrs`` stacked over the blocks, and their eigenvalues come from
+one stacked ``eigvalsh``.
 
 Both paths meet the same accuracy contract: ``solve`` measures the normwise
 backward error and applies one step of iterative refinement whenever it
@@ -29,7 +31,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError
 
-DENSE_THRESHOLD = 500
 _REFINE_TRIGGER = 1e-12
 
 
@@ -55,8 +56,7 @@ class IndefiniteFactorization:
     matrix of stacked right-hand sides.
     """
 
-    def __init__(self, matrix, force_dense: bool = False,
-                 dense_threshold: int = DENSE_THRESHOLD):
+    def __init__(self, matrix, force_dense: bool = False):
         if sps.issparse(matrix):
             self._mat = matrix.tocsr()
             n = matrix.shape[0]
@@ -73,13 +73,12 @@ class IndefiniteFactorization:
             raise ValueError("matrix must be square and symmetric")
         self.n = n
         self.inertia: tuple[int, int, int] | None = None
-        # SuperLU takes only sparse input, so an ndarray is factored densely
-        if force_dense or n <= dense_threshold or not sps.issparse(matrix):
-            self.mode = "dense"
-            self._factor_dense()
-        else:
+        if sps.issparse(matrix) and not force_dense:
             self.mode = "sparse"
             self._factor_sparse()
+        else:
+            self.mode = "dense"
+            self._factor_dense()
         self._norm_inf = self._matrix_norm_inf()
 
     # -- dense Bunch-Kaufman path ----------------------------------------
@@ -174,12 +173,12 @@ class IndefiniteFactorization:
 
 
 def factor_symmetric_indefinite(
-    matrix, force_dense: bool = False, dense_threshold: int = DENSE_THRESHOLD
+    matrix, force_dense: bool = False
 ) -> IndefiniteFactorization:
-    """Factor a symmetric (possibly indefinite, sparse) matrix.
+    """Factor a symmetric (possibly indefinite) sparse or dense matrix.
 
     Raises :class:`SingularSystemError` on exact singularity; the dense-path
-    message includes the inertia. ``force_dense`` guarantees the inertia is
-    available regardless of size.
+    message includes the inertia. ``force_dense`` factors sparse input on
+    the dense path, so that its inertia is available.
     """
-    return IndefiniteFactorization(matrix, force_dense, dense_threshold)
+    return IndefiniteFactorization(matrix, force_dense)

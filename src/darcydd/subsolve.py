@@ -3,8 +3,16 @@
 Each substructure owns the rows and columns of its elements: fluxes,
 pressures, private multipliers (interior), plus its view of the shared
 interface multipliers. Summing the local contributions over substructures
-reproduces the global blocks exactly, because the local matrices are sliced
+reproduces the global blocks exactly, because the local matrices are cut
 from the assembled system rather than re-integrated.
+
+:func:`build_substructures` orders the dofs once, every substructure's
+interior dofs (velocities, pressures, private multipliers, each ascending)
+as one contiguous range followed by all interface multipliers, and permutes
+the assembled matrix once. ``K_II`` of a substructure is then its diagonal
+block of the permuted matrix, and ``K_IG`` the same rows restricted to the
+columns of the interface multipliers it sees. ``K_II`` stays sparse and is
+factored by a sparse LU.
 
 With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
 of one substructure (``K_GG`` is minus its penalty diagonal), the local
@@ -37,6 +45,7 @@ from numpy.typing import NDArray
 from .assembly import BlockSystem, SolutionTriple
 from .errors import ConfigurationError, SingularSystemError
 from .ldlt import IndefiniteFactorization, factor_symmetric_indefinite
+from .mesh import coupled_sides
 from .partition import InterfaceLayout
 
 
@@ -75,7 +84,7 @@ class SubstructureOperator:
     interior_mults: NDArray[np.int64]
     gamma_mults: NDArray[np.int64]
     local_gamma: NDArray[np.int64]  # global interface indices, ascending
-    k_ii: sps.csc_matrix
+    k_ii: sps.csr_matrix
     k_ig: sps.csr_matrix
     k_gg: sps.csr_matrix
     rhs_interior: NDArray
@@ -143,94 +152,84 @@ class SubstructureOperator:
 def build_substructures(
     system: BlockSystem, layout: InterfaceLayout, threads: int = 1
 ) -> list[SubstructureOperator]:
-    """Slice the assembled blocks into per-substructure saddle problems and
-    factor every interior matrix."""
+    """Cut the per-substructure blocks from one permuted copy of the
+    assembled matrix and factor every interior matrix."""
     dm = system.dof_map
+    mesh = system.mesh
     part = layout.partition
     n_sub = part.n_sub
-    interior_of: list[list[int]] = [[] for _ in range(n_sub)]
-    for m, sharing in enumerate(layout.mult_sharing):
-        if len(sharing) == 1:
-            interior_of[sharing[0]].append(m)
-    a = system.a.tocsr()
-    b = system.b.tocsr()
-    b_f = system.b_f.tocsr()
-    c = system.c.tocsr()
-    c_f = system.c_f.tocsr()
-    c_t = system.c_t.tocsr()
+    assign = part.assignment
+    empty = np.flatnonzero(part.sizes() == 0)
+    if len(empty):
+        raise ConfigurationError(f"substructure {empty[0]} is empty")
+    sides = mesh.sides
+    n_u, n_p = dm.n_velocity, dm.n_pressure
+    # Substructure of every dof; interface multipliers get ``n_sub``. Sides
+    # run in (element, local face) order, as velocity ids do, and every
+    # side of an interior multiplier lies in the one substructure sharing it.
+    mult_sub = np.empty(dm.n_multiplier, dtype=np.int64)
+    has_mult = dm.side_mult >= 0
+    mult_sub[dm.side_mult[has_mult]] = assign[sides.element[has_mult]]
+    mult_sub[layout.interface_mults] = n_sub
+    dof_sub = np.concatenate(
+        [assign[sides.element[dm.side_vel >= 0]], assign, mult_sub]
+    )
+    # A stable sort keeps velocities, pressures and interior multipliers of
+    # each substructure in that order and ascending, and the interface
+    # multipliers in ``layout.interface_mults`` order.
+    perm = np.argsort(dof_sub, kind="stable")
+    off = np.concatenate(
+        [[0], np.cumsum(np.bincount(dof_sub, minlength=n_sub + 1))]
+    )
+    n_int = off[n_sub]
+    rows = system.full_matrix()[perm[:n_int]][:, perm]
+    rhs_all = system.full_rhs()[perm[:n_int]]
     # A coupling link belongs to the substructure of its lower element; that
     # substructure already receives the link's pressure and cross entries
-    # through column slicing. Giving it the multiplier penalty diagonal too
-    # keeps each local contribution positive semidefinite and lets the sum
-    # over substructures reproduce the assembled penalty exactly (an
-    # interface multiplier is sliced into every sharer, so slicing c_t
-    # would count its diagonal once per sharer).
+    # from its rows of the full matrix. Giving it the multiplier penalty
+    # diagonal too keeps each local contribution positive semidefinite and
+    # lets the sum over substructures reproduce the assembled penalty
+    # exactly (an interface multiplier is seen by every sharer, so taking
+    # c_t's diagonal would count it once per sharer). Each coupled side
+    # owns its multiplier, so no two links write the same entry.
+    at = coupled_sides(mesh)
+    pen_mult = dm.side_mult[at]
     pen_val = np.zeros(dm.n_multiplier)
+    pen_val[pen_mult] = np.fromiter(
+        (link.sigma * link.measure for link in mesh.couplings),
+        dtype=float,
+        count=len(at),
+    )
     pen_sub = np.full(dm.n_multiplier, -1, dtype=np.int64)
-    for link in system.mesh.couplings:
-        m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
-        pen_val[m] += link.sigma * link.measure
-        pen_sub[m] = part.assignment[link.lower_element]
+    pen_sub[pen_mult] = assign[sides.lower[at]]
     subs: list[SubstructureOperator] = []
     for s in range(n_sub):
-        element_ids = part.elements_of(s)
-        if len(element_ids) == 0:
-            raise ConfigurationError(f"substructure {s} is empty")
-        vel_ids = np.array(
-            [
-                v
-                for e in element_ids
-                for v in dm.element_vel[e]
-                if v >= 0
-            ],
-            dtype=np.int64,
-        )
-        mults_i = np.array(interior_of[s], dtype=np.int64)
+        lo, hi = int(off[s]), int(off[s + 1])
+        dofs = perm[lo:hi]
+        n_us = int(np.searchsorted(dofs, n_u))
+        n_ps = int(np.searchsorted(dofs, n_u + n_p)) - n_us
         gamma = layout.interface_mults[layout.local_dofs[s]]
-        a_loc = a[vel_ids][:, vel_ids]
-        b_loc = b[element_ids][:, vel_ids]
-        bf_i = b_f[mults_i][:, vel_ids]
-        bf_g = b_f[gamma][:, vel_ids]
-        c_loc = c[element_ids][:, element_ids]
-        cf_i = c_f[mults_i][:, element_ids]
-        cf_g = c_f[gamma][:, element_ids]
-        ct_ii = c_t[mults_i][:, mults_i]
-        ct_ig = c_t[mults_i][:, gamma]
-        ct_gg = sps.diags(
-            np.where(pen_sub[gamma] == s, pen_val[gamma], 0.0),
+        block = rows[lo:hi]
+        k_gg = sps.diags(
+            -np.where(pen_sub[gamma] == s, pen_val[gamma], 0.0),
             shape=(len(gamma), len(gamma)),
             format="csr",
-        )
-        k_ii = sps.bmat(
-            [
-                [a_loc, b_loc.T, bf_i.T],
-                [b_loc, -c_loc, -cf_i.T],
-                [bf_i, -cf_i, -ct_ii],
-            ],
-            format="csc",
-        )
-        k_ig = sps.bmat(
-            [[bf_g.T], [-cf_g.T], [-ct_ig]], format="csr"
-        )
-        k_gg = (-ct_gg).tocsr()
-        rhs = np.concatenate(
-            [system.g[vel_ids], system.f[element_ids], np.zeros(len(mults_i))]
         )
         subs.append(
             SubstructureOperator(
                 sub_id=s,
-                element_ids=element_ids,
-                vel_ids=vel_ids,
-                interior_mults=mults_i,
+                element_ids=dofs[n_us : n_us + n_ps] - n_u,
+                vel_ids=dofs[:n_us],
+                interior_mults=dofs[n_us + n_ps :] - (n_u + n_p),
                 gamma_mults=gamma,
                 local_gamma=layout.local_dofs[s],
-                k_ii=k_ii,
-                k_ig=k_ig,
+                k_ii=block[:, lo:hi],
+                k_ig=block[:, n_int + layout.local_dofs[s]],
                 k_gg=k_gg,
-                rhs_interior=rhs,
-                n_u=len(vel_ids),
-                n_p=len(element_ids),
-                n_li=len(mults_i),
+                rhs_interior=rhs_all[lo:hi],
+                n_u=n_us,
+                n_p=n_ps,
+                n_li=hi - lo - n_us - n_ps,
             )
         )
     parallel_map(lambda sub: sub.factorize(), subs, threads)

@@ -149,6 +149,74 @@ def full_constrained_saddle(corr) -> sps.csc_matrix:
     return sps.bmat([[k_full, d_all.T], [d_all, None]], format="csc")
 
 
+def sliced_substructure_blocks(system, layout) -> list[dict]:
+    """Every substructure's interior ids, blocks and load, sliced from the
+    assembled blocks one index set at a time; the oracle for the single
+    permuted matrix that :func:`build_substructures` cuts them from."""
+    dm = system.dof_map
+    part = layout.partition
+    interior_of: list[list[int]] = [[] for _ in range(part.n_sub)]
+    for m, sharing in enumerate(layout.mult_sharing):
+        if len(sharing) == 1:
+            interior_of[sharing[0]].append(m)
+    a = system.a.tocsr()
+    b = system.b.tocsr()
+    b_f = system.b_f.tocsr()
+    c = system.c.tocsr()
+    c_f = system.c_f.tocsr()
+    c_t = system.c_t.tocsr()
+    pen_val = np.zeros(dm.n_multiplier)
+    pen_sub = np.full(dm.n_multiplier, -1, dtype=np.int64)
+    for link in system.mesh.couplings:
+        m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
+        pen_val[m] += link.sigma * link.measure
+        pen_sub[m] = part.assignment[link.lower_element]
+    out = []
+    for s in range(part.n_sub):
+        element_ids = part.elements_of(s)
+        vel_ids = np.array(
+            [v for e in element_ids for v in dm.element_vel[e] if v >= 0],
+            dtype=np.int64,
+        )
+        mults_i = np.array(interior_of[s], dtype=np.int64)
+        gamma = layout.interface_mults[layout.local_dofs[s]]
+        a_loc = a[vel_ids][:, vel_ids]
+        b_loc = b[element_ids][:, vel_ids]
+        bf_i = b_f[mults_i][:, vel_ids]
+        bf_g = b_f[gamma][:, vel_ids]
+        c_loc = c[element_ids][:, element_ids]
+        cf_i = c_f[mults_i][:, element_ids]
+        cf_g = c_f[gamma][:, element_ids]
+        ct_ii = c_t[mults_i][:, mults_i]
+        ct_ig = c_t[mults_i][:, gamma]
+        ct_gg = sps.diags(
+            np.where(pen_sub[gamma] == s, pen_val[gamma], 0.0),
+            shape=(len(gamma), len(gamma)),
+            format="csr",
+        )
+        out.append(
+            dict(
+                vel_ids=vel_ids,
+                element_ids=element_ids,
+                interior_mults=mults_i,
+                k_ii=sps.bmat(
+                    [
+                        [a_loc, b_loc.T, bf_i.T],
+                        [b_loc, -c_loc, -cf_i.T],
+                        [bf_i, -cf_i, -ct_ii],
+                    ],
+                    format="csc",
+                ),
+                k_ig=sps.bmat([[bf_g.T], [-cf_g.T], [-ct_ig]], format="csr"),
+                k_gg=(-ct_gg).tocsr(),
+                rhs_interior=np.concatenate(
+                    [system.g[vel_ids], system.f[element_ids], np.zeros(len(mults_i))]
+                ),
+            )
+        )
+    return out
+
+
 def dense_operator(apply_fn, n: int) -> np.ndarray:
     eye = np.eye(n)
     return np.column_stack([apply_fn(eye[:, j]) for j in range(n)])

@@ -109,6 +109,16 @@ def test_exit_two_on_iteration_budget():
     assert "tolerance" in proc.stderr
 
 
+def test_exit_two_on_stagnation():
+    """A tolerance below rounding: the true residual stagnates above it and
+    the solve stops long before the default 5000-iteration budget."""
+    proc = cli("--gen", "square", "--n", "6", "--nsub", "4", "--tol", "1e-17")
+    assert proc.returncode == 2
+    assert "stagnated" in proc.stderr
+    line = next(x for x in proc.stdout.splitlines() if x.startswith("pcg:"))
+    assert int(line.split(" in ")[1].split()[0]) < 100
+
+
 def test_exit_three_on_bad_configuration(tmp_path):
     assert cli("--gen", "fracture-cube", "--n", "3", "--quiet").returncode == 3
     assert cli("--gen", "square", "--scaling", "best").returncode == 3

@@ -11,6 +11,7 @@ from darcydd.krylov import (
     lanczos_condition,
     pcg,
 )
+from darcydd.mesh import generate_cross_fracture_cube
 
 from support import build_pipeline
 
@@ -233,3 +234,17 @@ def test_true_residual_miss_respects_iteration_limit(rng):
     true_res = float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
     assert report.true_residual == pytest.approx(true_res, rel=1e-6)
     assert report.true_residual > 1e-10
+
+
+def test_stagnation_stops_unconverged():
+    """A tolerance below the attainable accuracy: the true residual misses
+    it and stops decreasing, and the solve ends long before ``max_iter``
+    (it used to restart at every step until the limit)."""
+    pipe = build_pipeline(generate_cross_fracture_cube(4, sigma=1e7), 8, scheme="diag")
+    b = pipe.op.reduced_rhs()
+    x, report = pcg(pipe.op.apply, pipe.prec.apply, b, PcgConfig(rel_tol=1e-12))
+    assert not report.converged
+    assert report.iterations <= 200
+    true_res = float(np.linalg.norm(b - pipe.op.apply(x)) / np.linalg.norm(b))
+    assert report.true_residual == pytest.approx(true_res, rel=1e-6)
+    assert report.true_residual > 1e-12

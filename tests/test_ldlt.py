@@ -94,7 +94,7 @@ def test_asymmetric_rejected():
 def test_sparse_singularity_detected():
     a = sps.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularSystemError):
-        IndefiniteFactorization(a, dense_threshold=0)
+        IndefiniteFactorization(a)
 
 
 def _zero_diagonal_saddle(rng, n_a: int, n_b: int) -> np.ndarray:
@@ -165,3 +165,18 @@ def test_dense_input_always_takes_dense_path():
     fact = factor_symmetric_indefinite(a)
     assert fact.mode == "dense"
     assert fact.inertia == (600, 0, 0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 120])
+def test_input_type_alone_picks_the_path(n, rng):
+    """Sparse input of any size goes to the sparse LU, an ndarray of any
+    size to the dense LDL^T; no size threshold is involved."""
+    a = _laplacian(n) + sps.eye(n)
+    sparse = factor_symmetric_indefinite(a)
+    assert sparse.mode == "sparse"
+    assert sparse.inertia is None
+    dense = factor_symmetric_indefinite(a.toarray())
+    assert dense.mode == "dense"
+    assert dense.inertia == (n, 0, 0)
+    b = rng.standard_normal(n)
+    assert np.abs(sparse.solve(b) - dense.solve(b)).max() <= 1e-12 * np.abs(dense.solve(b)).max()
