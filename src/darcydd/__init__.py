@@ -22,7 +22,6 @@ from .errors import (
     IndefiniteOperatorError,
     InvalidMeshError,
     MeshFormatError,
-    NonConvergenceError,
     SingularSystemError,
 )
 from .krylov import (
@@ -84,7 +83,6 @@ __all__ = [
     "InvalidMeshError",
     "Mesh",
     "MeshFormatError",
-    "NonConvergenceError",
     "Partition",
     "PcgConfig",
     "RunConfig",

@@ -144,10 +144,11 @@ class DofMap:
     sides in (element, local face) order; multiplier ids follow the order
     in which that walk first meets each multiplier. ``side_vel`` and
     ``side_mult`` hold both per position in ``mesh.sides`` (-1 for none);
-    the dictionaries and lists are keyed by ``(element, local_face)``.
-    Adjacency registries (``mult_sides``, ``mult_links``) record which
-    element sides and coupling links touch each multiplier; interface
-    classification and weight formulas read them.
+    the multiplier of coupling link ``i`` is
+    ``side_mult[coupled_sides(mesh)[i]]``. ``natural_sides`` lists the
+    positions of the natural boundary sides in ascending order and
+    ``natural_values`` their prescribed pressures. ``mult_center`` is the
+    barycenter of each multiplier's face.
     """
 
     n_velocity: int = 0
@@ -155,13 +156,8 @@ class DofMap:
     n_multiplier: int = 0
     side_vel: NDArray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     side_mult: NDArray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    vel_of_side: dict[tuple[int, int], int] = field(default_factory=dict)
-    side_of_vel: list[tuple[int, int]] = field(default_factory=list)
-    element_vel: list[NDArray] = field(default_factory=list)
-    mult_of_side: dict[tuple[int, int], int] = field(default_factory=dict)
-    natural_of_side: dict[tuple[int, int], float] = field(default_factory=dict)
-    mult_sides: list[list[tuple[int, int]]] = field(default_factory=list)
-    mult_links: list[list[int]] = field(default_factory=list)
+    natural_sides: NDArray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    natural_values: NDArray = field(default_factory=lambda: np.zeros(0))
     mult_center: NDArray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
@@ -210,37 +206,22 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     side_mult[has_mult] = rank[inverse.reshape(-1)]
     n_mult = len(first)
 
-    keys = list(zip(s.element.tolist(), s.local_face.tolist()))
-    vel_sides = np.flatnonzero(has_vel).tolist()
-    mult_sides_at = np.flatnonzero(has_mult)
-    dm = DofMap(
-        n_velocity=len(vel_sides),
+    natural_sides = np.flatnonzero(natural)
+    center = np.empty((n_side, 3))
+    for blk in mesh.simplices.values():
+        center[blk.sides] = mesh.node_coords[blk.face_nodes()].mean(axis=2)
+    return DofMap(
+        n_velocity=int(has_vel.sum()),
         n_pressure=len(mesh.elements),
         n_multiplier=n_mult,
         side_vel=side_vel,
         side_mult=side_mult,
-        side_of_vel=[keys[i] for i in vel_sides],
-        natural_of_side={
-            keys[i]: bcs[b].value
-            for i, b in zip(np.flatnonzero(natural).tolist(), bc_of_side[natural].tolist())
-        },
-        mult_sides=[[] for _ in range(n_mult)],
-        mult_links=[[] for _ in range(n_mult)],
+        natural_sides=natural_sides,
+        natural_values=np.array([bc.value for bc in bcs], dtype=float)[
+            bc_of_side[natural_sides]
+        ],
+        mult_center=center[np.flatnonzero(has_mult)[np.sort(first)]],
     )
-    dm.vel_of_side = dict(zip(dm.side_of_vel, range(dm.n_velocity)))
-    for i, m in zip(mult_sides_at.tolist(), side_mult[mult_sides_at].tolist()):
-        dm.mult_of_side[keys[i]] = m
-        dm.mult_sides[m].append(keys[i])
-    for li, m in enumerate(side_mult[coupled_sides(mesh)].tolist()):
-        dm.mult_links[m].append(li)
-    dm.element_vel = [None] * len(mesh.elements)  # type: ignore[list-item]
-    center = np.empty((n_side, 3))
-    for blk in mesh.simplices.values():
-        for eid, vel in zip(blk.ids.tolist(), side_vel[blk.sides]):
-            dm.element_vel[eid] = vel
-        center[blk.sides] = mesh.node_coords[blk.face_nodes()].mean(axis=2)
-    dm.mult_center = center[mult_sides_at[np.sort(first)]]
-    return dm
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +321,7 @@ def assemble(mesh: Mesh) -> BlockSystem:
     nu, npr, nl = dm.n_velocity, dm.n_pressure, dm.n_multiplier
     a_parts, b_parts, bf_parts = [], [], []
     g = np.zeros(nu)
-    natural_vel = [dm.vel_of_side[side] for side in dm.natural_of_side]
-    g[natural_vel] -= np.fromiter(dm.natural_of_side.values(), float, len(natural_vel))
+    g[dm.side_vel[dm.natural_sides]] -= dm.natural_values
     f = np.zeros(npr)
     for blk in mesh.simplices.values():
         a_e, g_e = rt0_blocks(
@@ -440,20 +420,16 @@ def mass_balance_residual(system: BlockSystem, sol: SolutionTriple) -> NDArray:
     """
     dm = system.dof_map
     mesh = system.mesh
+    sides = mesh.sides
     res = np.zeros(len(mesh.elements))
-    for el in mesh.elements:
-        total = 0.0
-        for lf in range(el.dim + 1):
-            v = dm.element_vel[el.id][lf]
-            if v >= 0:
-                total += sol.u[v]
-        total -= el.cross_section * el.source * el.measure
-        res[el.id] = total
-    for link in mesh.couplings:
-        m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
-        res[link.lower_element] -= (
-            link.sigma * link.measure * (sol.lam[m] - sol.p[link.lower_element])
-        )
+    has_vel = dm.side_vel >= 0
+    np.add.at(res, sides.element[has_vel], sol.u[dm.side_vel[has_vel]])
+    for blk in mesh.simplices.values():
+        res[blk.ids] -= blk.cross_section * blk.source * blk.measure
+    at = coupled_sides(mesh)
+    lower = sides.lower[at]
+    w = np.array([link.sigma * link.measure for link in mesh.couplings])
+    np.subtract.at(res, lower, w * (sol.lam[dm.side_mult[at]] - sol.p[lower]))
     return np.abs(res)
 
 

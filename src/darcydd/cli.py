@@ -30,7 +30,6 @@ from .errors import (
     IndefiniteOperatorError,
     InvalidMeshError,
     MeshFormatError,
-    NonConvergenceError,
     SingularSystemError,
 )
 from .krylov import PcgConfig, SolveReport, pcg
@@ -63,7 +62,6 @@ class RunConfig:
     mesh_path: str | None = None
     n: int = 8
     n_sub: int = 4
-    seed: int = 0
     scaling: str = "arithmetic"
     corners: bool = True
     edge_averages: bool = True
@@ -117,7 +115,7 @@ class RunConfig:
             f" {k}={v}" for k, v in sorted(self.gen_params.items())
         )
         return (
-            f"{source}{extras} nsub={self.n_sub} seed={self.seed} "
+            f"{source}{extras} nsub={self.n_sub} "
             f"scaling={self.scaling} corners={'on' if self.corners else 'off'} "
             f"edge-averages={'on' if self.edge_averages else 'off'} "
             f"tol={self.rel_tol:g} threads={self.threads}"
@@ -172,7 +170,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         f"({dm.n_velocity} flux, {dm.n_pressure} pressure, "
         f"{dm.n_multiplier} trace)"
     )
-    partition = partition_elements(mesh, config.n_sub, config.seed)
+    partition = partition_elements(mesh, config.n_sub)
     layout = classify_interface(system, partition)
 
     if config.n_sub == 1:
@@ -295,15 +293,18 @@ def report_csv(reports: list[SolveReport]) -> str:
 
 def write_solution(path: str, system: BlockSystem, sol: SolutionTriple) -> None:
     """Element pressures and per-face fluxes, sectioned like the mesh format."""
-    dm = system.dof_map
+    sides = system.mesh.sides
+    at = np.flatnonzero(system.dof_map.side_vel >= 0)
     with open(path, "w") as fh:
         fh.write("$pressure\n")
-        for e in range(dm.n_pressure):
+        for e in range(system.n_pressure):
             fh.write(f"{e} {sol.p[e]:.17g}\n")
         fh.write("$end\n")
         fh.write("$flux\n")
-        for v, (e, lf) in enumerate(dm.side_of_vel):
-            fh.write(f"{e} {lf} {sol.u[v]:.17g}\n")
+        for e, lf, u in zip(
+            sides.element[at].tolist(), sides.local_face[at].tolist(), sol.u.tolist()
+        ):
+            fh.write(f"{e} {lf} {u:.17g}\n")
         fh.write("$end\n")
 
 
@@ -455,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--nsub", type=int, default=4, help="number of substructures (default 4)"
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="partitioner seed (default 0)"
-    )
-    parser.add_argument(
         "--scaling",
         choices=SCHEMES,
         default="arithmetic",
@@ -528,7 +526,6 @@ def main(argv: list[str] | None = None) -> int:
                 mesh_path=args.mesh,
                 n=args.n,
                 n_sub=args.nsub,
-                seed=args.seed,
                 scaling=args.scaling,
                 corners=args.corners == "on",
                 edge_averages=args.edge_averages == "on",
@@ -550,9 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DarcyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

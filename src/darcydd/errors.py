@@ -44,7 +44,3 @@ class ConstraintDeficiencyError(DarcyError):
 class IndefiniteOperatorError(DarcyError):
     """An operator required to be positive definite produced a nonpositive
     quadratic form during iteration."""
-
-
-class NonConvergenceError(DarcyError):
-    """Iteration budget exhausted before reaching the requested tolerance."""

@@ -518,23 +518,31 @@ class Mesh:
     def has_natural_bc(self) -> bool:
         return any(bc.kind == NATURAL for bc in self.boundary_conditions)
 
-    def components(self, include_couplings: bool) -> list[list[int]]:
-        """Connected components of the element graph, as ascending element-id
-        lists ordered by their first element.
+    def element_graph(self, include_couplings: bool) -> sps.csr_matrix:
+        """Symmetric adjacency matrix of the elements that share an unknown.
 
         Edges join same-dimension elements sharing an unoccupied face (those
-        share a pressure-trace unknown). With ``include_couplings`` the links
-        between dimensions join as well, which is the right notion for
+        share a pressure-trace unknown). With ``include_couplings`` the two
+        ends of every coupling link join as well. Each row lists every
+        neighbor once.
+        """
+        a, b = self.face_neighbors()
+        if include_couplings:
+            at = coupled_sides(self)
+            lower, upper = self.sides.lower[at], self.sides.element[at]
+            a, b = np.concatenate((a, lower, upper)), np.concatenate((b, upper, lower))
+        n = len(self.elements)
+        return sps.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+
+    def components(self, include_couplings: bool) -> list[list[int]]:
+        """Connected components of :meth:`element_graph`, as ascending
+        element-id lists ordered by their first element.
+
+        With the coupling links, components are the right notion for
         solvability diagnostics; without them, components separated by
         fractures stay separate.
         """
-        a, b = self.face_neighbors()
-        if include_couplings and self.couplings:
-            lower = np.array([link.lower_element for link in self.couplings])
-            upper = np.array([link.upper_element for link in self.couplings])
-            a, b = np.concatenate((a, lower)), np.concatenate((b, upper))
-        n = len(self.elements)
-        graph = sps.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        graph = self.element_graph(include_couplings)
         n_comp, labels = connected_components(graph, directed=False)
         order = np.argsort(labels, kind="stable")
         comps = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])

@@ -19,11 +19,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sps
 from numpy.typing import NDArray
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import BlockSystem
 from .errors import ConfigurationError
-from .mesh import Mesh
+from .mesh import Mesh, coupled_sides
 
 SCHEMES = ("arithmetic", "rho", "diag")
 
@@ -40,24 +42,6 @@ class Partition:
 
     def sizes(self) -> NDArray[np.int64]:
         return np.bincount(self.assignment, minlength=self.n_sub)
-
-
-def _adjacency(mesh: Mesh) -> list[set[int]]:
-    """Element adjacency through shared unknowns.
-
-    Same-dimension elements sharing an unoccupied face also share a
-    multiplier; coupling links tie a lower-dimensional element to its hosts.
-    Sides of a fracture-occupied face are connected only through the
-    fracture element, which the link edges reproduce.
-    """
-    adj: list[set[int]] = [set() for _ in mesh.elements]
-    first, second = mesh.face_neighbors()
-    for a, b in zip(first.tolist(), second.tolist()):
-        adj[a].add(b)
-    for link in mesh.couplings:
-        adj[link.lower_element].add(link.upper_element)
-        adj[link.upper_element].add(link.lower_element)
-    return adj
 
 
 def _rcb(centroids: NDArray, ids: NDArray, k: int, out: NDArray, next_sub: int) -> int:
@@ -78,35 +62,25 @@ def _rcb(centroids: NDArray, ids: NDArray, k: int, out: NDArray, next_sub: int) 
     return _rcb(centroids, order[n_left:], k - k_left, out, next_sub)
 
 
-def _components_within(ids: list[int], adj: list[set[int]], member: NDArray) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in ids:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            e = stack.pop()
-            comp.append(e)
-            for nb in adj[e]:
-                if member[nb] and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
+def _pieces(graph: sps.csr_matrix, assignment: NDArray) -> NDArray[np.int64]:
+    """Connected-component label of every element within its substructure."""
+    coo = graph.tocoo()
+    keep = assignment[coo.row] == assignment[coo.col]
+    within = sps.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=graph.shape
+    )
+    return connected_components(within, directed=False)[1]
 
 
-def partition_elements(mesh: Mesh, n_sub: int, seed: int = 0) -> Partition:
+def partition_elements(mesh: Mesh, n_sub: int) -> Partition:
     """Partition all elements into ``n_sub`` connected substructures.
 
     Recursive coordinate bisection: split the longest bounding-box axis of
     the current subset at the median, ties resolved by element id, target
-    counts proportional. The procedure is fully deterministic; ``seed`` is
-    accepted for interface stability and recorded by callers but drives no
-    randomness. A repair pass then reattaches any disconnected fragment to
-    the neighboring substructure it shares the most adjacency edges with.
+    counts proportional. The procedure is fully deterministic. A repair
+    pass then reattaches any disconnected fragment to the neighboring
+    substructure it shares the most adjacency edges with (the lowest
+    substructure id on ties).
     """
     n_el = len(mesh.elements)
     if n_sub < 1:
@@ -115,34 +89,33 @@ def partition_elements(mesh: Mesh, n_sub: int, seed: int = 0) -> Partition:
         raise ConfigurationError(
             f"cannot split {n_el} elements into {n_sub} substructures"
         )
-    centroids = np.array([el.centroid for el in mesh.elements])
+    centroids = np.empty((n_el, 3))
+    for blk in mesh.simplices.values():
+        centroids[blk.ids] = blk.centroid
     assignment = np.full(n_el, -1, dtype=np.int64)
     _rcb(centroids, np.arange(n_el), n_sub, assignment, 0)
 
-    adj = _adjacency(mesh)
+    graph = mesh.element_graph(include_couplings=True)
     for _ in range(20):
         moved = False
+        labels = _pieces(graph, assignment)
         for s in range(n_sub):
-            ids = list(np.flatnonzero(assignment == s))
-            if not ids:
+            members = np.flatnonzero(assignment == s)
+            found, piece = np.unique(labels[members], return_inverse=True)
+            if len(found) <= 1:
                 continue
-            member = assignment == s
-            comps = _components_within(ids, adj, member)
-            if len(comps) <= 1:
-                continue
-            comps.sort(key=lambda c: (-len(c), c[0]))
+            comps = sorted(
+                (members[piece.reshape(-1) == k] for k in range(len(found))),
+                key=lambda c: (-len(c), c[0]),
+            )
             for orphan in comps[1:]:
-                counts: dict[int, int] = {}
-                for e in orphan:
-                    for nb in adj[e]:
-                        t = int(assignment[nb])
-                        if t != s:
-                            counts[t] = counts.get(t, 0) + 1
-                if not counts:
+                t = assignment[graph[orphan].indices]
+                counts = np.bincount(t[t != s], minlength=n_sub)
+                if not counts.any():
                     continue  # isolated in the mesh itself; leave in place
-                best = max(sorted(counts), key=lambda t: counts[t])
-                assignment[orphan] = best
+                assignment[orphan] = np.argmax(counts)
                 moved = True
+            labels = _pieces(graph, assignment)
         if not moved:
             break
     else:
@@ -227,30 +200,46 @@ class InterfaceLayout:
         return out
 
 
-def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLayout:
-    """Find interface multipliers, their sharing sets and glob structure."""
+def _touches(system: BlockSystem) -> tuple[NDArray, NDArray, NDArray]:
+    """Every incidence of a multiplier with an element: the coupling links
+    first, in link order, with their lower-dimensional element, then the
+    element sides that carry a multiplier, in side order. Returns the
+    multipliers, the elements and the positions of those sides in
+    ``mesh.sides``."""
     dm = system.dof_map
-    mesh = system.mesh
-    assign = partition.assignment
-    sharing_all: list[tuple[int, ...]] = []
-    interface: list[int] = []
-    for m in range(dm.n_multiplier):
-        subs = {int(assign[e]) for e, _ in dm.mult_sides[m]}
-        for li in dm.mult_links[m]:
-            subs.add(int(assign[mesh.couplings[li].lower_element]))
-        tup = tuple(sorted(subs))
-        sharing_all.append(tup)
-        if len(tup) > 1:
-            interface.append(m)
-    interface_mults = np.array(interface, dtype=np.int64)
-    n_interface = len(interface)
-    local: list[list[int]] = [[] for _ in range(partition.n_sub)]
+    sides = system.mesh.sides
+    links = coupled_sides(system.mesh)
+    at = np.flatnonzero(dm.side_mult >= 0)
+    mult = dm.side_mult[np.concatenate((links, at))]
+    element = np.concatenate((sides.lower[links], sides.element[at]))
+    return mult, element, at
+
+
+def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLayout:
+    """Find interface multipliers, their sharing sets and glob structure.
+
+    A multiplier's sharing set holds the substructures of the elements whose
+    sides carry it and of the lower-dimensional elements linked to it.
+    """
+    dm = system.dof_map
+    n_sub = partition.n_sub
+    mult, element, _ = _touches(system)
+    pairs = np.unique(mult * n_sub + partition.assignment[element])
+    pair_mult, pair_sub = pairs // n_sub, pairs % n_sub
+    n_sharers = np.bincount(pair_mult, minlength=dm.n_multiplier)
+    ends = np.cumsum(n_sharers).tolist()
+    subs = pair_sub.tolist()
+    sharing_all = [tuple(subs[a:b]) for a, b in zip([0] + ends, ends)]
+    interface_mults = np.flatnonzero(n_sharers > 1)
+    n_interface = len(interface_mults)
+    shared = n_sharers[pair_mult] > 1
+    gi_of = np.cumsum(n_sharers > 1) - 1
+    pair_gi, pair_sub = gi_of[pair_mult[shared]], pair_sub[shared]
+    by_sub = np.argsort(pair_sub, kind="stable")
+    cuts = np.cumsum(np.bincount(pair_sub, minlength=n_sub))[:-1]
     by_sharing: dict[tuple[int, ...], list[int]] = {}
-    for gi, m in enumerate(interface):
-        tup = sharing_all[m]
-        for s in tup:
-            local[s].append(gi)
-        by_sharing.setdefault(tup, []).append(gi)
+    for gi, m in enumerate(interface_mults.tolist()):
+        by_sharing.setdefault(sharing_all[m], []).append(gi)
     globs = []
     for tup, dofs in sorted(by_sharing.items(), key=lambda kv: kv[1][0]):
         if len(dofs) == 1:
@@ -260,22 +249,17 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
         else:
             kind = "edge"
         globs.append(Glob(kind=kind, sharing=tup, dofs=tuple(dofs)))
-    barycenters = (
-        np.array([dm.mult_center[m] for m in interface])
-        if interface
-        else np.zeros((0, 3))
-    )
-    sub_has_natural = np.zeros(partition.n_sub, dtype=bool)
-    for (e, _lf) in dm.natural_of_side:
-        sub_has_natural[assign[e]] = True
+    sub_has_natural = np.zeros(n_sub, dtype=bool)
+    natural_elements = system.mesh.sides.element[dm.natural_sides]
+    sub_has_natural[partition.assignment[natural_elements]] = True
     return InterfaceLayout(
         partition=partition,
         mult_sharing=sharing_all,
         interface_mults=interface_mults,
         n_interface=n_interface,
-        local_dofs=[np.array(v, dtype=np.int64) for v in local],
+        local_dofs=np.split(pair_gi[by_sub], cuts),
         globs=globs,
-        barycenters=barycenters,
+        barycenters=dm.mult_center[interface_mults],
         sub_has_natural=sub_has_natural,
     )
 
@@ -338,10 +322,6 @@ def select_corners(layout: InterfaceLayout) -> list[int]:
 # interface weights
 
 
-def _rho(el) -> float:
-    return el.dim / float(np.trace(np.linalg.inv(el.conductivity)))
-
-
 def compute_weights(
     system: BlockSystem, layout: InterfaceLayout, scheme: str
 ) -> list[NDArray]:
@@ -359,45 +339,33 @@ def compute_weights(
         raise ConfigurationError(
             f"unknown weight scheme {scheme!r}; choose from {SCHEMES}"
         )
-    dm = system.dof_map
     mesh = system.mesh
-    assign = layout.partition.assignment
-    a_diag = system.a.diagonal()
-    weights = [np.zeros(len(layout.local_dofs[s])) for s in range(layout.partition.n_sub)]
-    pos_of = [
-        {int(g): i for i, g in enumerate(layout.local_dofs[s])}
-        for s in range(layout.partition.n_sub)
-    ]
-    for gi, m in enumerate(layout.interface_mults):
-        sharing = layout.mult_sharing[m]
-        if scheme == "arithmetic":
-            scores = {s: 1.0 for s in sharing}
-        else:
-            scores = {}
-            for s in sharing:
-                if scheme == "rho":
-                    cands = [
-                        _rho(mesh.elements[e])
-                        for e, _ in dm.mult_sides[m]
-                        if assign[e] == s
-                    ]
-                    cands += [
-                        _rho(mesh.elements[mesh.couplings[li].lower_element])
-                        for li in dm.mult_links[m]
-                        if assign[mesh.couplings[li].lower_element] == s
-                    ]
-                    scores[s] = max(cands)
-                else:  # diag
-                    val = 0.0
-                    for li in dm.mult_links[m]:
-                        link = mesh.couplings[li]
-                        if assign[link.lower_element] == s:
-                            val += link.sigma * link.measure
-                    for e, lf in dm.mult_sides[m]:
-                        if assign[e] == s:
-                            val += 1.0 / a_diag[dm.vel_of_side[(e, lf)]]
-                    scores[s] = val
-        total = sum(scores.values())
-        for s in sharing:
-            weights[s][pos_of[s][gi]] = scores[s] / total
-    return weights
+    n_interface = layout.n_interface
+    # one score per (substructure, interface dof) pair, in local_dofs order
+    sizes = [len(v) for v in layout.local_dofs]
+    pair_sub = np.repeat(np.arange(layout.partition.n_sub), sizes)
+    pair_gi = np.concatenate(layout.local_dofs)
+    if scheme == "arithmetic":
+        score = np.ones(len(pair_gi))
+    else:
+        mult, element, at = _touches(system)
+        gi_of = np.full(system.n_multiplier, -1, dtype=np.int64)
+        gi_of[layout.interface_mults] = np.arange(n_interface)
+        gi = gi_of[mult]
+        on = gi >= 0
+        key = layout.partition.assignment[element] * n_interface + gi
+        pos = np.searchsorted(pair_sub * n_interface + pair_gi, key[on])
+        score = np.zeros(len(pair_gi))
+        if scheme == "rho":
+            rho = np.empty(len(mesh.elements))
+            for blk in mesh.simplices.values():
+                kinv = np.linalg.inv(blk.conductivity)
+                rho[blk.ids] = blk.dim / np.trace(kinv, axis1=1, axis2=2)
+            np.maximum.at(score, pos, rho[element[on]])
+        else:  # diag: the links' penalty terms first, then the sides'
+            link_w = [link.sigma * link.measure for link in mesh.couplings]
+            side_w = 1.0 / system.a.diagonal()[system.dof_map.side_vel[at]]
+            np.add.at(score, pos, np.concatenate((link_w, side_w))[on])
+    total = np.zeros(n_interface)
+    np.add.at(total, pair_gi, score)
+    return np.split(score / total[pair_gi], np.cumsum(sizes)[:-1])

@@ -13,7 +13,12 @@ import scipy.sparse as sps
 
 from darcydd.assembly import assemble
 from darcydd.bddc import BddcPreconditioner, build_constraints
+from darcydd.errors import ConfigurationError
+from darcydd.mesh import NATURAL, SIMPLEX_FACES, coupled_sides
 from darcydd.partition import (
+    SCHEMES,
+    Glob,
+    InterfaceLayout,
     classify_interface,
     compute_weights,
     partition_elements,
@@ -167,17 +172,15 @@ def sliced_substructure_blocks(system, layout) -> list[dict]:
     c_t = system.c_t.tocsr()
     pen_val = np.zeros(dm.n_multiplier)
     pen_sub = np.full(dm.n_multiplier, -1, dtype=np.int64)
-    for link in system.mesh.couplings:
-        m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
+    link_mult = dm.side_mult[coupled_sides(system.mesh)].tolist()
+    for link, m in zip(system.mesh.couplings, link_mult):
         pen_val[m] += link.sigma * link.measure
         pen_sub[m] = part.assignment[link.lower_element]
     out = []
     for s in range(part.n_sub):
         element_ids = part.elements_of(s)
-        vel_ids = np.array(
-            [v for e in element_ids for v in dm.element_vel[e] if v >= 0],
-            dtype=np.int64,
-        )
+        vel_ids = dm.side_vel[np.isin(system.mesh.sides.element, element_ids)]
+        vel_ids = vel_ids[vel_ids >= 0]
         mults_i = np.array(interior_of[s], dtype=np.int64)
         gamma = layout.interface_mults[layout.local_dofs[s]]
         a_loc = a[vel_ids][:, vel_ids]
@@ -215,6 +218,160 @@ def sliced_substructure_blocks(system, layout) -> list[dict]:
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# numbering and interface oracles, keyed by (element, local face)
+
+
+def numbering_contract(mesh) -> SimpleNamespace:
+    """The dof numbering, by a walk over sides in (element, local face)
+    order: velocities numbered as met, multipliers on first encounter.
+
+    Returns the side of every velocity (``side_of_vel``) and its inverse
+    (``vel_of_side``), the multiplier of every side (``mult_of_side``), the
+    prescribed pressure of every natural side (``natural``), and per
+    multiplier the sides (``mult_sides``) and coupling links
+    (``mult_links``) that carry it.
+    """
+    groups = {}
+    for el in mesh.elements:
+        for locs in SIMPLEX_FACES[el.dim]:
+            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
+            groups[key] = groups.get(key, 0) + 1
+    coupled = {(l.upper_element, l.upper_local_face) for l in mesh.couplings}
+    bcs = {bc.face_nodes: bc for bc in mesh.boundary_conditions}
+    side_of_vel, mult_of_side, natural, mult_sides, shared = [], {}, {}, [], {}
+    for el in mesh.elements:
+        for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
+            side = (el.id, lf)
+            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
+            if side not in coupled and groups[key] == 1:
+                bc = bcs.get(key[1])
+                if bc is not None and bc.kind == NATURAL:
+                    side_of_vel.append(side)
+                    natural[side] = bc.value
+                continue
+            side_of_vel.append(side)
+            if side in coupled or key not in shared:
+                mult_sides.append([])
+                if side not in coupled:
+                    shared[key] = len(mult_sides) - 1
+            m = len(mult_sides) - 1 if side in coupled else shared[key]
+            mult_of_side[side] = m
+            mult_sides[m].append(side)
+    mult_links = [[] for _ in mult_sides]
+    for li, link in enumerate(mesh.couplings):
+        mult_links[mult_of_side[(link.upper_element, link.upper_local_face)]].append(li)
+    return SimpleNamespace(
+        side_of_vel=side_of_vel,
+        vel_of_side={side: v for v, side in enumerate(side_of_vel)},
+        mult_of_side=mult_of_side,
+        natural=natural,
+        mult_sides=mult_sides,
+        mult_links=mult_links,
+    )
+
+
+def classify_interface_loops(system, partition) -> InterfaceLayout:
+    """:func:`classify_interface` by a loop over multipliers, reading their
+    sides and links from :func:`numbering_contract`."""
+    dm = system.dof_map
+    mesh = system.mesh
+    contract = numbering_contract(mesh)
+    assign = partition.assignment
+    sharing_all: list[tuple[int, ...]] = []
+    interface: list[int] = []
+    for m in range(dm.n_multiplier):
+        subs = {int(assign[e]) for e, _ in contract.mult_sides[m]}
+        for li in contract.mult_links[m]:
+            subs.add(int(assign[mesh.couplings[li].lower_element]))
+        tup = tuple(sorted(subs))
+        sharing_all.append(tup)
+        if len(tup) > 1:
+            interface.append(m)
+    local: list[list[int]] = [[] for _ in range(partition.n_sub)]
+    by_sharing: dict[tuple[int, ...], list[int]] = {}
+    for gi, m in enumerate(interface):
+        tup = sharing_all[m]
+        for s in tup:
+            local[s].append(gi)
+        by_sharing.setdefault(tup, []).append(gi)
+    globs = []
+    for tup, dofs in sorted(by_sharing.items(), key=lambda kv: kv[1][0]):
+        if len(dofs) == 1:
+            kind = "vertex"
+        elif len(tup) == 2:
+            kind = "face"
+        else:
+            kind = "edge"
+        globs.append(Glob(kind=kind, sharing=tup, dofs=tuple(dofs)))
+    barycenters = (
+        np.array([dm.mult_center[m] for m in interface])
+        if interface
+        else np.zeros((0, 3))
+    )
+    sub_has_natural = np.zeros(partition.n_sub, dtype=bool)
+    for (e, _lf) in contract.natural:
+        sub_has_natural[assign[e]] = True
+    return InterfaceLayout(
+        partition=partition,
+        mult_sharing=sharing_all,
+        interface_mults=np.array(interface, dtype=np.int64),
+        n_interface=len(interface),
+        local_dofs=[np.array(v, dtype=np.int64) for v in local],
+        globs=globs,
+        barycenters=barycenters,
+        sub_has_natural=sub_has_natural,
+    )
+
+
+def compute_weights_loops(system, layout, scheme: str) -> list[np.ndarray]:
+    """:func:`compute_weights` by a loop over interface dofs and their
+    sharers, reading sides and links from :func:`numbering_contract`."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown weight scheme {scheme!r}")
+    mesh = system.mesh
+    contract = numbering_contract(mesh)
+    assign = layout.partition.assignment
+    a_diag = system.a.diagonal()
+
+    def rho(e):
+        el = mesh.elements[e]
+        return el.dim / float(np.trace(np.linalg.inv(el.conductivity)))
+
+    weights = [np.zeros(len(v)) for v in layout.local_dofs]
+    pos_of = [{int(g): i for i, g in enumerate(v)} for v in layout.local_dofs]
+    for gi, m in enumerate(layout.interface_mults):
+        sharing = layout.mult_sharing[m]
+        sides = contract.mult_sides[m]
+        links = [mesh.couplings[li] for li in contract.mult_links[m]]
+        if scheme == "arithmetic":
+            scores = {s: 1.0 for s in sharing}
+        else:
+            scores = {}
+            for s in sharing:
+                if scheme == "rho":
+                    cands = [rho(e) for e, _ in sides if assign[e] == s]
+                    cands += [
+                        rho(link.lower_element)
+                        for link in links
+                        if assign[link.lower_element] == s
+                    ]
+                    scores[s] = max(cands)
+                else:  # diag
+                    val = 0.0
+                    for link in links:
+                        if assign[link.lower_element] == s:
+                            val += link.sigma * link.measure
+                    for side in sides:
+                        if assign[side[0]] == s:
+                            val += 1.0 / a_diag[contract.vel_of_side[side]]
+                    scores[s] = val
+        total = sum(scores.values())
+        for s in sharing:
+            weights[s][pos_of[s][gi]] = scores[s] / total
+    return weights
 
 
 def dense_operator(apply_fn, n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from darcydd.bddc import build_constraints
 from darcydd.cli import RunConfig, run
 from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import (
+    coupled_sides,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
@@ -246,8 +247,7 @@ def test_criterion_08_penalty_limit():
     sol = full_solve_direct(system)
     dm = system.dof_map
     gap = 0.0
-    for link in mesh.couplings:
-        m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
+    for link, m in zip(mesh.couplings, dm.side_mult[coupled_sides(mesh)]):
         gap = max(gap, abs(sol.p[link.lower_element] - sol.lam[m]))
     cbar = system.penalty_matrix()
     rng = np.random.default_rng(99)

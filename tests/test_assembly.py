@@ -18,18 +18,18 @@ from darcydd.errors import InvalidMeshError, SingularSystemError
 from darcydd.ldlt import factor_symmetric_indefinite
 from darcydd.mesh import (
     NATURAL,
-    SIMPLEX_FACES,
     BCSpec,
     Element,
     Mesh,
     PlaneBC,
+    coupled_sides,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
     simplex_measure,
 )
 
-from support import rt0_quadrature_oracle
+from support import numbering_contract, rt0_quadrature_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +127,17 @@ def test_batched_assembly_matches_single_element_oracle(rng):
     system = assemble(mesh)
     dm = system.dof_map
     a = system.a.toarray()
+    natural = dict(zip(dm.natural_sides.tolist(), dm.natural_values.tolist()))
     assert {el.dim for el in mesh.elements} == {1, 2, 3}
     for el in mesh.elements:
         pts = mesh.node_coords[list(el.node_ids)]
         a_e, _, g_e = rt0_local(el.dim, pts, el.conductivity, el.cross_section)
-        vel = dm.element_vel[el.id]
+        at = np.flatnonzero(mesh.sides.element == el.id)
+        vel = dm.side_vel[at]
         assert (vel >= 0).all()
         block = a[np.ix_(vel, vel)]
         assert np.abs(block - a_e).max() <= 1e-14 * np.abs(a_e).max()
-        heads = np.array([dm.natural_of_side.get((el.id, lf), 0.0)
-                          for lf in range(el.dim + 1)])
+        heads = np.array([natural.get(i, 0.0) for i in at.tolist()])
         expected_g = g_e - heads
         assert np.abs(system.g[vel] - expected_g).max() <= 1e-14 * max(
             1.0, np.abs(expected_g).max())
@@ -144,46 +145,25 @@ def test_batched_assembly_matches_single_element_oracle(rng):
         assert abs(system.f[el.id] - f_e) <= 1e-14 * abs(f_e)
 
 
-def _numbering_contract(mesh):
-    """The dof numbering, by a walk over sides in (element, local face)
-    order: velocities numbered as met, multipliers on first encounter."""
-    groups = {}
-    for el in mesh.elements:
-        for locs in SIMPLEX_FACES[el.dim]:
-            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
-            groups[key] = groups.get(key, 0) + 1
-    coupled = {(l.upper_element, l.upper_local_face) for l in mesh.couplings}
-    bcs = {bc.face_nodes: bc for bc in mesh.boundary_conditions}
-    side_of_vel, mult_of_side, natural, mult_sides, shared = [], {}, {}, [], {}
-    for el in mesh.elements:
-        for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
-            side = (el.id, lf)
-            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
-            if side not in coupled and groups[key] == 1:
-                bc = bcs.get(key[1])
-                if bc is not None and bc.kind == NATURAL:
-                    side_of_vel.append(side)
-                    natural[side] = bc.value
-                continue
-            side_of_vel.append(side)
-            if side in coupled or key not in shared:
-                mult_sides.append([])
-                if side not in coupled:
-                    shared[key] = len(mult_sides) - 1
-            m = len(mult_sides) - 1 if side in coupled else shared[key]
-            mult_of_side[side] = m
-            mult_sides[m].append(side)
-    return side_of_vel, mult_of_side, natural, mult_sides
-
-
 def test_numbering_contract_fracture_cube():
     mesh = generate_cross_fracture_cube(4)
     dm = assemble(mesh).dof_map
-    side_of_vel, mult_of_side, natural, mult_sides = _numbering_contract(mesh)
-    assert dm.side_of_vel == side_of_vel
-    assert dm.mult_of_side == mult_of_side
-    assert dm.natural_of_side == natural
-    assert dm.mult_sides == mult_sides
+    contract = numbering_contract(mesh)
+    sides = list(zip(mesh.sides.element.tolist(), mesh.sides.local_face.tolist()))
+    assert sides == [(el.id, lf) for el in mesh.elements for lf in range(el.dim + 1)]
+    assert dm.n_velocity == len(contract.side_of_vel)
+    assert dm.n_multiplier == len(contract.mult_sides)
+    assert dm.side_vel.tolist() == [contract.vel_of_side.get(x, -1) for x in sides]
+    assert dm.side_mult.tolist() == [contract.mult_of_side.get(x, -1) for x in sides]
+    assert dm.natural_sides.tolist() == sorted(dm.natural_sides.tolist())
+    natural = [sides[i] for i in dm.natural_sides.tolist()]
+    assert dict(zip(natural, dm.natural_values.tolist())) == contract.natural
+    assert len(natural) == len(contract.natural)
+    link_mult = dm.side_mult[coupled_sides(mesh)].tolist()
+    assert link_mult == [
+        contract.mult_of_side[(link.upper_element, link.upper_local_face)]
+        for link in mesh.couplings
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +211,7 @@ def test_penalty_form_identity(frac2, rng):
         x = rng.standard_normal(n_p + system.n_multiplier)
         quad = x @ cbar @ x
         ref = 0.0
-        for link in frac2.couplings:
-            m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
+        for link, m in zip(frac2.couplings, dm.side_mult[coupled_sides(frac2)]):
             ref += link.sigma * link.measure * (x[link.lower_element] - x[n_p + m]) ** 2
         assert quad >= 0
         assert abs(quad - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -277,8 +256,8 @@ def test_linear_pressure_reproduced():
     # unit pressure drop over unit conductivity drives unit total flow
     inflow = 0.0
     for el in mesh.elements:
-        for lf, face in enumerate(mesh.element_faces(el)):
-            v = dm.element_vel[el.id][lf]
+        vel = dm.side_vel[mesh.sides.element == el.id]
+        for v, face in zip(vel, mesh.element_faces(el)):
             if v >= 0 and np.all(mesh.node_coords[list(face.node_ids), 0] == 0.0):
                 inflow += sol.u[v]
     assert abs(inflow + 1.0) <= 1e-10
@@ -314,8 +293,7 @@ def test_penalty_limit_scaling():
         sol = full_solve_direct(system)
         dm = system.dof_map
         gap = 0.0
-        for link in mesh.couplings:
-            m = dm.mult_of_side[(link.upper_element, link.upper_local_face)]
+        for link, m in zip(mesh.couplings, dm.side_mult[coupled_sides(mesh)]):
             gap = max(gap, abs(sol.p[link.lower_element] - sol.lam[m]))
         return gap
 

@@ -24,6 +24,8 @@ from darcydd.partition import (
     select_corners,
 )
 
+from support import numbering_contract
+
 
 def cli(*args):
     """Invoke the installed entry point in a subprocess, as a user would."""
@@ -44,7 +46,7 @@ def test_parser_defaults():
     args = build_parser().parse_args(["--gen", "square"])
     assert args.gen == "square"
     assert args.mesh is None
-    assert (args.n, args.nsub, args.seed) == (8, 4, 0)
+    assert (args.n, args.nsub) == (8, 4)
     assert args.scaling == "arithmetic"
     assert args.corners == "on"
     assert args.edge_averages == "on"
@@ -59,13 +61,13 @@ def test_parser_defaults():
 
 def test_parser_full_flags(tmp_path):
     args = build_parser().parse_args([
-        "--gen", "fracture-cube", "--n", "4", "--nsub", "8", "--seed", "3",
+        "--gen", "fracture-cube", "--n", "4", "--nsub", "8",
         "--scaling", "diag", "--corners", "off", "--edge-averages", "off",
         "--tol", "1e-9", "--max-iter", "100", "--oracle",
         "--csv", str(tmp_path / "t.csv"), "--solution", str(tmp_path / "s.txt"),
         "--threads", "2", "--quiet",
     ])
-    assert args.nsub == 8 and args.seed == 3
+    assert args.nsub == 8
     assert args.scaling == "diag"
     assert args.corners == "off" and args.edge_averages == "off"
     assert args.tol == 1e-9 and args.max_iter == 100
@@ -214,6 +216,11 @@ def test_solution_file_layout(tmp_path):
         assert int(tok[0]) == e
         assert float(tok[1]) == result.solution.p[e]
     assert {len(r.split()) for r in u_rows} == {3}
+    contract = numbering_contract(system.mesh)
+    for v, row in enumerate(u_rows):
+        e, lf, value = row.split()
+        assert (int(e), int(lf)) == contract.side_of_vel[v]
+        assert float(value) == result.solution.u[v]
 
 
 def test_oracle_smoke():

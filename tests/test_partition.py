@@ -1,10 +1,14 @@
 """Partitioning, interface classification, corners and weight schemes."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from darcydd.assembly import assemble
 from darcydd.errors import ConfigurationError
 from darcydd.mesh import (
+    Mesh,
+    coupled_sides,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
@@ -21,6 +25,8 @@ from darcydd.partition import (
     save_partition,
     select_corners,
 )
+
+from support import classify_interface_loops, compute_weights_loops
 
 
 def layout_of(mesh, n_sub):
@@ -93,12 +99,16 @@ def independent_adjacency(mesh):
 
 @pytest.mark.parametrize(
     "mesh_name,n_sub",
-    [("square8", 6), ("frac2", 4), ("cube2", 5)],
+    # square8 with 9 and frac4 with 8 need the repair pass
+    [("square8", 6), ("frac2", 4), ("cube2", 5), ("square8", 9), ("frac4", 8)],
 )
 def test_substructures_connected(mesh_name, n_sub, frac2, cube2):
-    mesh = {"square8": generate_unit_square(8), "frac2": frac2, "cube2": cube2}[
-        mesh_name
-    ]
+    mesh = {
+        "square8": lambda: generate_unit_square(8),
+        "frac2": lambda: frac2,
+        "cube2": lambda: cube2,
+        "frac4": lambda: generate_cross_fracture_cube(4),
+    }[mesh_name]()
     partition = partition_elements(mesh, n_sub)
     adj = independent_adjacency(mesh)
     for s in range(n_sub):
@@ -162,8 +172,65 @@ def test_fracture_interface(frac2):
     # most of this interface runs along fracture planes, so the sharing
     # sets must have been traced through coupling links, not just faces
     dm = system.dof_map
-    linked = sum(1 for m in layout.interface_mults if dm.mult_links[int(m)])
-    assert linked == 13
+    linked = np.isin(layout.interface_mults, dm.side_mult[coupled_sides(frac2)])
+    assert linked.sum() == 13
+
+
+def _layered(centroid, dim):
+    """A conductivity that varies from element to element and by dimension."""
+    return 10.0 ** (3 * centroid[0] - 2 * centroid[1] + dim)
+
+
+def _without_intersection_line(mesh):
+    """The mesh without its 1D elements: the fracture planes then meet in
+    unoccupied faces of four sides, so one substructure can hold several
+    sides of an interface multiplier."""
+    kept = [el for el in mesh.elements if el.dim > 1]
+    elements = [dataclasses.replace(el, id=i) for i, el in enumerate(kept)]
+    bcs = [bc for bc in mesh.boundary_conditions if len(bc.face_nodes) > 1]
+    return Mesh(mesh.node_coords, elements, bcs)
+
+
+@pytest.mark.parametrize(
+    "make,n_sub",
+    [
+        (lambda: generate_cross_fracture_cube(4), 8),
+        (lambda: generate_unit_square(8), 6),
+        (lambda: generate_unit_cube(2), 5),
+        (lambda: generate_unit_square(8, conductivity=_layered), 6),
+        (lambda: generate_unit_cube(2, conductivity=_layered), 5),
+        (lambda: _without_intersection_line(generate_cross_fracture_cube(4)), 8),
+    ],
+    ids=[
+        "fracture-cube-4",
+        "square-8",
+        "cube-2",
+        "square-8-layered",
+        "cube-2-layered",
+        "fracture-planes-4",
+    ],
+)
+def test_interface_and_weights_match_loop_oracles(make, n_sub):
+    """The array classification and every weight scheme equal the loops
+    over (element, local face) keyed sides and links, bit for bit."""
+    system, partition, layout = layout_of(make(), n_sub)
+    ref = classify_interface_loops(system, partition)
+    assert layout.interface_mults.dtype == ref.interface_mults.dtype
+    assert np.array_equal(layout.interface_mults, ref.interface_mults)
+    assert layout.n_interface == ref.n_interface > 0
+    assert layout.mult_sharing == ref.mult_sharing
+    assert len(layout.local_dofs) == len(ref.local_dofs) == n_sub
+    for got, want in zip(layout.local_dofs, ref.local_dofs):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert layout.globs == ref.globs
+    assert np.array_equal(layout.barycenters, ref.barycenters)
+    assert np.array_equal(layout.sub_has_natural, ref.sub_has_natural)
+    for scheme in SCHEMES:
+        got = compute_weights(system, layout, scheme)
+        want = compute_weights_loops(system, layout, scheme)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), scheme
 
 
 def test_fracture_quadrants(frac2):
