@@ -12,7 +12,6 @@ from .assembly import (
     full_solve_direct,
     mass_balance_residual,
     rt0_local,
-    write_matrix_market,
 )
 from .bddc import BddcPreconditioner, ConstraintSet, build_constraints
 from .errors import (
@@ -50,9 +49,7 @@ from .partition import (
     Partition,
     classify_interface,
     compute_weights,
-    load_partition,
     partition_elements,
-    save_partition,
     select_corners,
 )
 from .subsolve import (
@@ -104,7 +101,6 @@ __all__ = [
     "generate_unit_cube",
     "generate_unit_square",
     "lanczos_condition",
-    "load_partition",
     "mass_balance_residual",
     "meshes_equal",
     "parallel_map",
@@ -116,8 +112,6 @@ __all__ = [
     "rt0_local",
     "run",
     "run_suite",
-    "save_partition",
     "select_corners",
-    "write_matrix_market",
     "write_mesh",
 ]

@@ -29,7 +29,6 @@ Degrees of freedom at faces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sps
@@ -431,14 +430,3 @@ def mass_balance_residual(system: BlockSystem, sol: SolutionTriple) -> NDArray:
     w = np.array([link.sigma * link.measure for link in mesh.couplings])
     np.subtract.at(res, lower, w * (sol.lam[dm.side_mult[at]] - sol.p[lower]))
     return np.abs(res)
-
-
-def write_matrix_market(matrix, path: str) -> None:
-    """Dump a matrix in MatrixMarket coordinate format (17 significant
-    digits, 1-based indices), for external inspection."""
-    coo = sps.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {'%.17g' % v}\n")

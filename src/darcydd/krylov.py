@@ -16,9 +16,9 @@ below the attainable accuracy, and ``pcg`` stops unconverged. The report
 keeps the recursive residual history and the last true residual. The
 scalar recurrence
 coefficients define a symmetric tridiagonal matrix whose extreme
-eigenvalues estimate the spectrum of the preconditioned operator; they are
-found by bisection with Sturm sign counts, so no dense eigensolver is
-involved.
+eigenvalues estimate the spectrum of the preconditioned operator; LAPACK's
+tridiagonal bisection (``scipy.linalg.eigvalsh_tridiagonal``) computes only
+those two.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, IndefiniteOperatorError
 
@@ -184,41 +185,6 @@ def _tridiagonal_from_scalars(
     return d, e
 
 
-def _sturm_count(d: NDArray, e2: NDArray, x: float, pivmin: float) -> int:
-    """Number of eigenvalues of the tridiagonal strictly below ``x``.
-
-    ``pivmin`` bounds pivots away from zero so the quotient e2/q cannot
-    overflow (it stays below e2.max()/pivmin, finite by construction).
-    """
-    count = 0
-    q = 1.0
-    for i in range(len(d)):
-        if i == 0:
-            q = d[0] - x
-        else:
-            q = d[i] - x - e2[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _bisect_eigenvalue(
-    d: NDArray, e2: NDArray, rank: int, lo: float, hi: float, pivmin: float
-) -> float:
-    """Eigenvalue number ``rank`` (0-based, ascending) by bisection."""
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _sturm_count(d, e2, mid, pivmin) > rank:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def extreme_tridiagonal_eigenvalues(
     diag: NDArray, off: NDArray
 ) -> tuple[float, float]:
@@ -231,18 +197,9 @@ def extreme_tridiagonal_eigenvalues(
         raise ConfigurationError(
             f"off-diagonal length {len(e)} does not match size {len(d)}"
         )
-    pad = np.concatenate([[0.0], np.abs(e), [0.0]])
-    radius = pad[:-1] + pad[1:]
-    lo = float((d - radius).min())
-    hi = float((d + radius).max())
-    width = max(hi - lo, 1.0)
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-    lam_min = _bisect_eigenvalue(
-        d, e2, 0, lo - 1e-12 * width, hi + 1e-12 * width, pivmin
-    )
-    lam_max = _bisect_eigenvalue(
-        d, e2, len(d) - 1, lo - 1e-12 * width, hi + 1e-12 * width, pivmin
+    lam_min, lam_max = (
+        float(eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0])
+        for i in (0, len(d) - 1)
     )
     return lam_min, lam_max
 

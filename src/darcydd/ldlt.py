@@ -1,14 +1,18 @@
 """Symmetric indefinite factorization with a dense and a sparse path.
 
-The saddle-point systems solved here are symmetric but indefinite, so plain
-Cholesky does not apply. The input type alone picks the path; there is no
-size threshold. Sparse input takes a sparse LU with partial pivoting and the
-``MMD_ATA`` column ordering, whatever its size: every substructure's
-interior matrix, cut from the assembled system, and the full saddle matrix
-of the direct solve. On a fracture cube with 22k unknowns ``MMD_ATA`` keeps
-less fill than the default COLAMD: 393k instead of 516k L+U entries over the
-16 interior matrices of a 16-substructure partition, and 1.8M instead of
-3.9M for the full saddle matrix. The sparse path gives no inertia.
+The systems factored here are symmetric. The full saddle matrix and the
+constrained local saddle matrices are indefinite, so plain Cholesky does not
+apply to them, and the definite ones take the same paths. The input type
+alone picks the path; there is no size threshold. Sparse input takes a
+sparse LU with partial pivoting and the ``MMD_ATA`` column ordering,
+whatever its size: every substructure's interior multiplier matrix (negative
+definite, as the velocities and pressures are eliminated element by element
+before it is formed) and the full saddle matrix of the direct solve. On a
+fracture cube with 22k unknowns (the fracture-contrast benchmark mesh, 16
+substructures) the 16 interior matrices hold 329-364 unknowns each and 201k
+L+U entries in all; for the full saddle matrix ``MMD_ATA`` keeps 1.8M
+entries where the default COLAMD keeps 3.9M. The sparse path gives no
+inertia.
 
 Dense (ndarray) input, and sparse input with ``force_dense``, takes a
 Bunch-Kaufman LDL^T with 1x1 and 2x2 pivot blocks, whose block diagonal also
@@ -180,7 +184,7 @@ class IndefiniteFactorization:
 
     def _matrix_norm_inf(self) -> float:
         if sps.issparse(self._mat):
-            return float(abs(self._mat).sum(axis=1).max())
+            return float(np.asarray(abs(self._mat).sum(axis=1)).max(initial=0.0))
         return float(np.abs(self._mat).sum(axis=1).max(initial=0.0))
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:

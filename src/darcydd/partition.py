@@ -16,7 +16,7 @@ diagonal weight schemes distribute interface values among sharers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -124,37 +124,6 @@ def partition_elements(mesh: Mesh, n_sub: int) -> Partition:
     if (np.bincount(assignment, minlength=n_sub) == 0).any():
         raise ConfigurationError("partition produced an empty substructure")
     return Partition(n_sub=n_sub, assignment=assignment)
-
-
-def save_partition(partition: Partition, path: str) -> None:
-    """Write one ``element_id substructure_id`` pair per line."""
-    with open(path, "w") as fh:
-        for e, s in enumerate(partition.assignment):
-            fh.write(f"{e} {s}\n")
-
-
-def load_partition(path: str) -> Partition:
-    pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) != 2:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'element sub', got {line!r}"
-                )
-            pairs.append((int(tok[0]), int(tok[1])))
-    n = len(pairs)
-    assignment = np.full(n, -1, dtype=np.int64)
-    for e, s in pairs:
-        if not 0 <= e < n or assignment[e] != -1:
-            raise ConfigurationError(f"element {e} missing or repeated")
-        assignment[e] = s
-    if assignment.min() < 0:
-        raise ConfigurationError("partition file does not cover all elements")
-    return Partition(n_sub=int(assignment.max()) + 1, assignment=assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,48 @@
-"""Substructure-local saddle problems and the reduced interface operator.
+"""Substructure-local multiplier problems and the reduced interface operator.
 
-Each substructure owns the rows and columns of its elements: fluxes,
-pressures, private multipliers (interior), plus its view of the shared
-interface multipliers. Summing the local contributions over substructures
-reproduces the global blocks exactly, because the local matrices are cut
-from the assembled system rather than re-integrated.
+In the assembled saddle system the velocity-pressure block
+``M = [[A, B^T], [B, -C]]`` is block diagonal by element: ``A`` couples one
+element's own flux dofs, and the penalty ``C`` sits on the diagonal of the
+lower-dimensional pressures. :func:`_element_inverse` inverts every element
+block once, batched per element dimension. With ``N = [B_F, -C_F]`` the rows
+of the multipliers, eliminating velocities and pressures (hybridization)
+leaves the multiplier system
 
-:func:`build_substructures` orders the dofs once, every substructure's
-interior dofs (velocities, pressures, private multipliers, each ascending)
-as one contiguous range followed by all interface multipliers, and permutes
-the assembled matrix once. ``K_II`` of a substructure is then its diagonal
-block of the permuted matrix, and ``K_IG`` the same rows restricted to the
-columns of the interface multipliers it sees. ``K_II`` stays sparse and is
-factored by a sparse LU.
+    -(C_T + N M^-1 N^T) lam = -N M^-1 [g; f],
+
+whose matrix is negative definite. :func:`build_substructures` relabels the
+rows of ``N`` so that every substructure gets its own copy of each
+multiplier it touches: its interior multipliers first, ascending, then its
+interface multipliers in ``layout.local_dofs`` order. A row of ``N`` goes to
+the copy of the substructure owning the element of its column, and a
+coupling link's penalty on ``C_T`` to the copy of its lower element's
+substructure, the same one that receives the link's ``C_F`` entry. One
+sparse product then gives the block-diagonal matrix of all substructures'
+local multiplier problems, which sum to the global one. Each substructure's
+``K_II``, ``K_IG``, ``K_GG`` and its interior and interface loads are cut
+from that matrix and its load vector.
 
 With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
-of one substructure (``K_GG`` is minus its penalty diagonal), the local
-interface contribution is the Schur complement
+of one substructure, the local interface contribution is the Schur
+complement
 
     S_i = -(K_GG + K_GI W),   K_II W = -K_IG,
 
 which is symmetric positive semidefinite; the assembled sum over
 substructures is positive definite whenever some natural boundary condition
-exists. The sign convention keeps the reduced problem SPD so conjugate
-gradients applies unchanged.
+exists. It equals the Schur complement of the substructure's saddle-point
+problem over its velocities, pressures and multipliers, because eliminating
+interior unknowns in another order does not change it. The sign convention
+keeps the reduced problem SPD so conjugate gradients applies unchanged.
 
-:meth:`SubstructureOperator.factorize` factors ``K_II`` once and forms
-``S_i`` explicitly, as a dense ``n_gamma x n_gamma`` matrix, from one
+:meth:`SubstructureOperator.factorize` factors the sparse ``K_II`` once and
+forms ``S_i`` explicitly, as a dense ``n_gamma x n_gamma`` matrix, from one
 multi-right-hand-side solve; applying the interface operator is then one
 dense matrix-vector product per substructure, and the preconditioner's
 local problems work on ``S_i`` alone. The interior factorization stays for
-the reduced right-hand side and for recovering the interior unknowns.
+the reduced right-hand side and for recovering the interior multipliers;
+:func:`recover_solution` then gets every velocity and pressure from
+``M^-1 ([g; f] - N^T lam)``.
 """
 from __future__ import annotations
 
@@ -45,7 +57,6 @@ from numpy.typing import NDArray
 from .assembly import BlockSystem, SolutionTriple
 from .errors import ConfigurationError, SingularSystemError
 from .ldlt import IndefiniteFactorization, factor_symmetric_indefinite
-from .mesh import coupled_sides
 from .partition import InterfaceLayout
 
 
@@ -76,27 +87,23 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 
 @dataclass
 class SubstructureOperator:
-    """One substructure's interior factorization and interface coupling."""
+    """One substructure's interior factorization and interface coupling,
+    on its copies of the multipliers it touches."""
 
     sub_id: int
-    element_ids: NDArray[np.int64]
-    vel_ids: NDArray[np.int64]
-    interior_mults: NDArray[np.int64]
-    gamma_mults: NDArray[np.int64]
+    interior_mults: NDArray[np.int64]  # global ids, ascending
     local_gamma: NDArray[np.int64]  # global interface indices, ascending
     k_ii: sps.csr_matrix
     k_ig: sps.csr_matrix
     k_gg: sps.csr_matrix
     rhs_interior: NDArray
-    n_u: int
-    n_p: int
-    n_li: int
+    rhs_gamma: NDArray
     fact: IndefiniteFactorization | None = field(default=None, repr=False)
     schur: NDArray | None = field(default=None, repr=False)
 
     @property
     def n_interior(self) -> int:
-        return self.n_u + self.n_p + self.n_li
+        return len(self.interior_mults)
 
     @property
     def n_gamma(self) -> int:
@@ -137,99 +144,131 @@ class SubstructureOperator:
     def reduced_rhs(self) -> NDArray:
         """This substructure's share of the reduced right-hand side."""
         w = self.interior_solve(self.rhs_interior)
-        return self.k_ig.T @ w
+        return self.k_ig.T @ w - self.rhs_gamma
 
-    def recover(self, x_gamma: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        """Interior unknowns for a given local interface trace."""
-        sol = self.interior_solve(self.rhs_interior - self.k_ig @ x_gamma)
-        return (
-            sol[: self.n_u],
-            sol[self.n_u : self.n_u + self.n_p],
-            sol[self.n_u + self.n_p :],
-        )
+    def recover(self, x_gamma: NDArray) -> NDArray:
+        """Interior multipliers for a given local interface trace."""
+        return self.interior_solve(self.rhs_interior - self.k_ig @ x_gamma)
+
+
+def _element_inverse(system: BlockSystem) -> sps.csr_matrix:
+    """``M^-1`` for the velocity-pressure block ``M = [[A, B^T], [B, -C]]``,
+    inverted element by element, one batched inverse per element dimension.
+
+    Each element block spans the element's sides that carry a velocity and
+    its pressure. A side without one gets a unit diagonal entry, which
+    keeps the blocks of one dimension equally sized and drops out again.
+    Every inverse is symmetrized, so the result is bitwise symmetric.
+
+    Raises :class:`SingularSystemError` when an element block is singular,
+    as for an element with neither a velocity nor a coupling penalty.
+    """
+    n_u = system.n_velocity
+    n_up = n_u + system.n_pressure
+    side_vel = system.dof_map.side_vel
+    m = sps.bmat([[system.a, system.b.T], [system.b, -system.c]], format="csr")
+    vals, rows, cols = [], [], []
+    for blk in system.mesh.simplices.values():
+        dofs = np.concatenate([side_vel[blk.sides], n_u + blk.ids[:, None]], axis=1)
+        kept = dofs >= 0
+        pair = kept[:, :, None] & kept[:, None, :]
+        row = np.broadcast_to(dofs[:, :, None], pair.shape)[pair]
+        col = np.broadcast_to(dofs[:, None, :], pair.shape)[pair]
+        local = np.zeros(pair.shape)
+        local[pair] = np.asarray(m[row, col]).ravel()
+        el, face = np.nonzero(~kept)
+        local[el, face, face] = 1.0
+        try:
+            inv = np.linalg.inv(local)
+        except np.linalg.LinAlgError as exc:
+            singular = blk.ids[np.linalg.matrix_rank(local) < local.shape[1]]
+            raise SingularSystemError(
+                f"velocity-pressure block of element(s) {singular[:6].tolist()} "
+                f"is singular; their pressure is not determined"
+            ) from exc
+        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        vals.append(inv[pair])
+        rows.append(row)
+        cols.append(col)
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_up, n_up),
+    )
 
 
 def build_substructures(
     system: BlockSystem, layout: InterfaceLayout, threads: int = 1
 ) -> list[SubstructureOperator]:
-    """Cut the per-substructure blocks from one permuted copy of the
-    assembled matrix and factor every interior matrix."""
+    """Cut the per-substructure blocks from one block-diagonal multiplier
+    matrix and factor every interior matrix."""
     dm = system.dof_map
-    mesh = system.mesh
+    sides = system.mesh.sides
     part = layout.partition
     n_sub = part.n_sub
     assign = part.assignment
     empty = np.flatnonzero(part.sizes() == 0)
     if len(empty):
         raise ConfigurationError(f"substructure {empty[0]} is empty")
-    sides = mesh.sides
-    n_u, n_p = dm.n_velocity, dm.n_pressure
-    # Substructure of every dof; interface multipliers get ``n_sub``. Sides
-    # run in (element, local face) order, as velocity ids do, and every
-    # side of an interior multiplier lies in the one substructure sharing it.
-    mult_sub = np.empty(dm.n_multiplier, dtype=np.int64)
+    n_l = dm.n_multiplier
+    # Substructure of every interior multiplier, ``n_sub`` for interface
+    # ones; every side of an interior multiplier lies in the one
+    # substructure sharing it.
+    mult_sub = np.empty(n_l, dtype=np.int64)
     has_mult = dm.side_mult >= 0
     mult_sub[dm.side_mult[has_mult]] = assign[sides.element[has_mult]]
     mult_sub[layout.interface_mults] = n_sub
-    dof_sub = np.concatenate(
-        [assign[sides.element[dm.side_vel >= 0]], assign, mult_sub]
+    # the stable sort keeps each substructure's interior multipliers ascending
+    by_sub = np.argsort(mult_sub, kind="stable")
+    n_int = np.bincount(mult_sub, minlength=n_sub + 1)[:n_sub]
+    interior = np.split(by_sub[: n_int.sum()], np.cumsum(n_int)[:-1])
+    gamma = [layout.interface_mults[d] for d in layout.local_dofs]
+    copy_mult = np.concatenate(
+        [m for s in range(n_sub) for m in (interior[s], gamma[s])]
     )
-    # A stable sort keeps velocities, pressures and interior multipliers of
-    # each substructure in that order and ascending, and the interface
-    # multipliers in ``layout.interface_mults`` order.
-    perm = np.argsort(dof_sub, kind="stable")
-    off = np.concatenate(
-        [[0], np.cumsum(np.bincount(dof_sub, minlength=n_sub + 1))]
+    n_copy = len(copy_mult)
+    off = np.concatenate([[0], np.cumsum(n_int + [len(g) for g in gamma])])
+    key = np.repeat(np.arange(n_sub), np.diff(off)) * n_l + copy_mult
+    order = np.argsort(key)
+
+    def copy_of(sub: NDArray, mult: NDArray) -> NDArray:
+        """Position of substructure ``sub``'s copy of multiplier ``mult``."""
+        return order[np.searchsorted(key, sub * n_l + mult, sorter=order)]
+
+    # substructure of every velocity and pressure, through its element
+    up_sub = np.concatenate([assign[sides.element[dm.side_vel >= 0]], assign])
+    n_mat = sps.hstack([system.b_f, -system.c_f], format="coo")
+    n_tilde = sps.csr_matrix(
+        (n_mat.data, (copy_of(up_sub[n_mat.col], n_mat.row), n_mat.col)),
+        shape=(n_copy, n_mat.shape[1]),
     )
-    n_int = off[n_sub]
-    rows = system.full_matrix()[perm[:n_int]][:, perm]
-    rhs_all = system.full_rhs()[perm[:n_int]]
-    # A coupling link belongs to the substructure of its lower element; that
-    # substructure already receives the link's pressure and cross entries
-    # from its rows of the full matrix. Giving it the multiplier penalty
-    # diagonal too keeps each local contribution positive semidefinite and
-    # lets the sum over substructures reproduce the assembled penalty
-    # exactly (an interface multiplier is seen by every sharer, so taking
-    # c_t's diagonal would count it once per sharer). Each coupled side
-    # owns its multiplier, so no two links write the same entry.
-    at = coupled_sides(mesh)
-    pen_mult = dm.side_mult[at]
-    pen_val = np.zeros(dm.n_multiplier)
-    pen_val[pen_mult] = np.fromiter(
-        (link.sigma * link.measure for link in mesh.couplings),
-        dtype=float,
-        count=len(at),
+    # A link's penalty goes to the copy that receives its C_F entry, the
+    # one of its lower element's substructure.
+    c_f = system.c_f.tocoo()
+    pen_copy = copy_of(assign[c_f.col], c_f.row)
+    penalty = sps.csr_matrix(
+        (system.c_t.diagonal()[c_f.row], (pen_copy, pen_copy)),
+        shape=(n_copy, n_copy),
     )
-    pen_sub = np.full(dm.n_multiplier, -1, dtype=np.int64)
-    pen_sub[pen_mult] = assign[sides.lower[at]]
+    m_inv = _element_inverse(system)
+    k = n_tilde @ m_inv @ n_tilde.T + penalty
+    # the sum of k and its transpose is exactly symmetric, as the symmetry
+    # check of factor_symmetric_indefinite requires
+    k = (-0.5 * (k + k.T)).tocsr()
+    load = -(n_tilde @ (m_inv @ np.concatenate([system.g, system.f])))
     subs: list[SubstructureOperator] = []
     for s in range(n_sub):
-        lo, hi = int(off[s]), int(off[s + 1])
-        dofs = perm[lo:hi]
-        n_us = int(np.searchsorted(dofs, n_u))
-        n_ps = int(np.searchsorted(dofs, n_u + n_p)) - n_us
-        gamma = layout.interface_mults[layout.local_dofs[s]]
-        block = rows[lo:hi]
-        k_gg = sps.diags(
-            -np.where(pen_sub[gamma] == s, pen_val[gamma], 0.0),
-            shape=(len(gamma), len(gamma)),
-            format="csr",
-        )
+        lo, mid, hi = off[s], off[s] + n_int[s], off[s + 1]
+        rows = k[lo:mid]
         subs.append(
             SubstructureOperator(
                 sub_id=s,
-                element_ids=dofs[n_us : n_us + n_ps] - n_u,
-                vel_ids=dofs[:n_us],
-                interior_mults=dofs[n_us + n_ps :] - (n_u + n_p),
-                gamma_mults=gamma,
+                interior_mults=interior[s],
                 local_gamma=layout.local_dofs[s],
-                k_ii=block[:, lo:hi],
-                k_ig=block[:, n_int + layout.local_dofs[s]],
-                k_gg=k_gg,
-                rhs_interior=rhs_all[lo:hi],
-                n_u=n_us,
-                n_p=n_ps,
-                n_li=hi - lo - n_us - n_ps,
+                k_ii=rows[:, lo:mid],
+                k_ig=rows[:, mid:hi],
+                k_gg=k[mid:hi][:, mid:hi],
+                rhs_interior=load[lo:mid],
+                rhs_gamma=load[mid:hi],
             )
         )
     parallel_map(lambda sub: sub.factorize(), subs, threads)
@@ -273,15 +312,6 @@ class InterfaceOperator:
             np.add.at(b, sub.local_gamma, bl)
         return b
 
-    def to_dense(self) -> NDArray:
-        """Assemble the dense operator column by column (testing aid)."""
-        cols = []
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = 1.0
-            cols.append(self.apply(e))
-        return np.column_stack(cols) if cols else np.zeros((0, 0))
-
 
 def recover_solution(
     system: BlockSystem,
@@ -290,16 +320,19 @@ def recover_solution(
     lam_gamma: NDArray,
     threads: int = 1,
 ) -> SolutionTriple:
-    """Back-substitute interior unknowns from the interface solution."""
-    u = np.zeros(system.n_velocity)
-    p = np.zeros(system.n_pressure)
+    """Back-substitute the interior multipliers from the interface solution,
+    then every velocity and pressure element by element."""
     lam = np.zeros(system.n_multiplier)
     lam[layout.interface_mults] = lam_gamma
     parts = parallel_map(
         lambda sub: sub.recover(lam_gamma[sub.local_gamma]), subs, threads
     )
-    for sub, (u_loc, p_loc, lam_i) in zip(subs, parts):
-        u[sub.vel_ids] = u_loc
-        p[sub.element_ids] = p_loc
+    for sub, lam_i in zip(subs, parts):
         lam[sub.interior_mults] = lam_i
-    return SolutionTriple(u=u, p=p, lam=lam)
+    n_mat = sps.hstack([system.b_f, -system.c_f], format="csr")
+    up = _element_inverse(system) @ (
+        np.concatenate([system.g, system.f]) - n_mat.T @ lam
+    )
+    return SolutionTriple(
+        u=up[: system.n_velocity], p=up[system.n_velocity :], lam=lam
+    )

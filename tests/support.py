@@ -130,6 +130,23 @@ def dense_schur_oracle(system, layout):
     return s, b
 
 
+def eliminate_leading(k: np.ndarray, rhs: np.ndarray, n: int):
+    """Matrix and load left by dense elimination of the first ``n``
+    unknowns of ``k x = rhs``."""
+    cross = k[n:, :n]
+    x = sla.solve(k[:n, :n], np.column_stack([cross.T, rhs[:n]]))
+    return k[n:, n:] - cross @ x[:, :-1], rhs[n:] - cross @ x[:, -1]
+
+
+def dense_multiplier_system(system):
+    """The global multiplier matrix and load, by dense elimination of all
+    velocities and pressures from the full saddle system."""
+    n_up = system.n_velocity + system.n_pressure
+    return eliminate_leading(
+        system.full_matrix().toarray(), system.full_rhs(), n_up
+    )
+
+
 def dense_sub_schur(sub) -> np.ndarray:
     """Local Schur complement by dense elimination of the interior blocks,
     independent of the explicit ``sub.schur`` the solver forms."""
@@ -215,6 +232,36 @@ def sliced_substructure_blocks(system, layout) -> list[dict]:
                 rhs_interior=np.concatenate(
                     [system.g[vel_ids], system.f[element_ids], np.zeros(len(mults_i))]
                 ),
+            )
+        )
+    return out
+
+
+def hybridized_substructure_blocks(system, layout) -> list[dict]:
+    """Every substructure's multiplier blocks and loads, by dense
+    elimination of its velocities and pressures from the saddle blocks of
+    :func:`sliced_substructure_blocks`; the oracle for the element-wise
+    elimination in :func:`build_substructures`. ``schur`` is the local
+    Schur complement of the saddle blocks themselves."""
+    out = []
+    for saddle in sliced_substructure_blocks(system, layout):
+        k_ig = saddle["k_ig"]
+        k = sps.bmat(
+            [[saddle["k_ii"], k_ig], [k_ig.T, saddle["k_gg"]]]
+        ).toarray()
+        rhs = np.concatenate([saddle["rhs_interior"], np.zeros(k_ig.shape[1])])
+        n_up = len(saddle["vel_ids"]) + len(saddle["element_ids"])
+        k_l, load = eliminate_leading(k, rhs, n_up)
+        n_i = len(saddle["interior_mults"])
+        out.append(
+            dict(
+                interior_mults=saddle["interior_mults"],
+                k_ii=k_l[:n_i, :n_i],
+                k_ig=k_l[:n_i, n_i:],
+                k_gg=k_l[n_i:, n_i:],
+                rhs_interior=load[:n_i],
+                rhs_gamma=load[n_i:],
+                schur=dense_sub_schur(SimpleNamespace(**saddle)),
             )
         )
     return out

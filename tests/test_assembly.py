@@ -3,7 +3,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sps
 
@@ -12,7 +11,6 @@ from darcydd.assembly import (
     full_solve_direct,
     mass_balance_residual,
     rt0_local,
-    write_matrix_market,
 )
 from darcydd.errors import InvalidMeshError, SingularSystemError
 from darcydd.ldlt import factor_symmetric_indefinite
@@ -329,11 +327,3 @@ def test_null_space_census_two_components():
     assert abs(null[1]) > 0.1
     with pytest.raises(SingularSystemError):
         full_solve_direct(system)
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    system = assemble(generate_unit_square(2))
-    path = tmp_path / "a.mtx"
-    write_matrix_market(system.a, str(path))
-    back = scipy.io.mmread(str(path)).tocsr()
-    assert np.abs((back - system.a)).max() == 0.0

@@ -20,9 +20,7 @@ from darcydd.partition import (
     Partition,
     classify_interface,
     compute_weights,
-    load_partition,
     partition_elements,
-    save_partition,
     select_corners,
 )
 
@@ -129,26 +127,6 @@ def test_partition_deterministic(frac2):
     a = partition_elements(frac2, 4).assignment
     b = partition_elements(frac2, 4).assignment
     assert np.array_equal(a, b)
-
-
-def test_partition_roundtrip(tmp_path, frac2):
-    partition = partition_elements(frac2, 4)
-    path = tmp_path / "part.txt"
-    save_partition(partition, str(path))
-    back = load_partition(str(path))
-    assert back.n_sub == 4
-    assert np.array_equal(back.assignment, partition.assignment)
-
-
-def test_partition_file_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 0 7\n")
-    with pytest.raises(ConfigurationError):
-        load_partition(str(bad))
-    dup = tmp_path / "dup.txt"
-    dup.write_text("0 0\n0 1\n")
-    with pytest.raises(ConfigurationError):
-        load_partition(str(dup))
 
 
 def test_too_many_substructures(square4):

@@ -8,7 +8,15 @@ import scipy.linalg as sla
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.errors import ConfigurationError, SingularSystemError
-from darcydd.mesh import generate_cross_fracture_cube, generate_unit_square
+from darcydd.mesh import (
+    NATURAL,
+    BoundaryCondition,
+    Element,
+    Mesh,
+    coupled_sides,
+    generate_cross_fracture_cube,
+    generate_unit_square,
+)
 from darcydd.partition import Partition, classify_interface, partition_elements
 from darcydd.subsolve import (
     InterfaceOperator,
@@ -18,10 +26,11 @@ from darcydd.subsolve import (
 )
 
 from support import (
+    dense_multiplier_system,
     dense_operator,
     dense_schur_oracle,
     dense_sub_schur,
-    sliced_substructure_blocks,
+    hybridized_substructure_blocks,
 )
 
 
@@ -33,6 +42,7 @@ CASES = [
     ("frac2", 2, {}),
     ("frac2", 4, {}),
     ("frac-stiff", 4, {"sigma": 1e6}),
+    ("square4", 32, {}),  # one element each: no interior multipliers
 ]
 
 
@@ -62,7 +72,7 @@ def test_reduced_operator_matches_dense_elimination(name, n_sub, params, fixture
     mesh = make_mesh(name, params, fixtures)
     system, layout, subs, op = setup_case(mesh, n_sub)
     s_ref, b_ref = dense_schur_oracle(system, layout)
-    s_hat = op.to_dense()
+    s_hat = dense_operator(op.apply, op.n)
     scale = max(1.0, np.abs(s_ref).max())
     assert np.abs(s_hat - s_ref).max() <= 1e-11 * scale
     b_hat = op.reduced_rhs()
@@ -81,7 +91,9 @@ def test_reduced_operator_matches_dense_elimination(name, n_sub, params, fixture
 def test_reduced_solve_agrees_with_direct(name, n_sub, params, fixtures):
     mesh = make_mesh(name, params, fixtures)
     system, layout, subs, op = setup_case(mesh, n_sub)
-    lam_gamma = sla.solve(op.to_dense(), op.reduced_rhs(), assume_a="pos")
+    lam_gamma = sla.solve(
+        dense_operator(op.apply, op.n), op.reduced_rhs(), assume_a="pos"
+    )
     sol = recover_solution(system, subs, layout, lam_gamma)
     ref = full_solve_direct(system).concatenated()
     err = np.abs(sol.concatenated() - ref).max()
@@ -94,7 +106,9 @@ def test_reduced_solve_agrees_with_direct(name, n_sub, params, fixtures):
 def test_thread_count_does_not_change_results(frac2):
     _, _, _, op1 = setup_case(frac2, 4, threads=1)
     _, _, _, op4 = setup_case(frac2, 4, threads=4)
-    assert np.array_equal(op1.to_dense(), op4.to_dense())
+    assert np.array_equal(
+        dense_operator(op1.apply, op1.n), dense_operator(op4.apply, op4.n)
+    )
     assert np.array_equal(op1.reduced_rhs(), op4.reduced_rhs())
 
 
@@ -115,6 +129,14 @@ def test_empty_substructure_rejected(square4):
         build_substructures(system, layout)
 
 
+def _relative_gap(got, want) -> float:
+    got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
+    assert got.shape == want.shape
+    return float(np.abs(got - want).max(initial=0.0)) / max(
+        1.0, float(np.abs(want).max(initial=0.0))
+    )
+
+
 @pytest.mark.parametrize(
     "mesh_of,n_sub",
     [
@@ -124,58 +146,80 @@ def test_empty_substructure_rejected(square4):
     ids=["fracture-cube-4", "square-8"],
 )
 def test_blocks_match_per_substructure_slicing(mesh_of, n_sub):
-    """The blocks cut from the one permuted matrix equal, entry for entry,
-    those sliced from the assembled blocks one index set at a time."""
+    """The multiplier blocks cut from the one block-diagonal matrix equal
+    the dense elimination of velocities and pressures from each
+    substructure's saddle blocks, sliced one index set at a time, and every
+    local Schur complement equals the one of those saddle blocks."""
     mesh = mesh_of()
     system, layout, subs, _ = setup_case(mesh, n_sub)
-    ref = sliced_substructure_blocks(system, layout)
+    ref = hybridized_substructure_blocks(system, layout)
     assert len(subs) == len(ref) == n_sub
     if mesh.couplings:
-        # some substructure owns an interface penalty, so ownership is covered
-        assert any(sub.k_gg.nnz for sub in subs)
+        # some link multiplier is on the interface, so penalty ownership
+        # is covered
+        link_mults = system.dof_map.side_mult[coupled_sides(mesh)]
+        assert np.isin(layout.interface_mults, link_mults).any()
     for sub, want in zip(subs, ref):
-        for name in ("vel_ids", "element_ids", "interior_mults", "rhs_interior"):
-            assert np.array_equal(getattr(sub, name), want[name]), name
-        for name in ("k_ii", "k_ig", "k_gg"):
-            got = getattr(sub, name)
-            assert got.shape == want[name].shape, name
-            assert np.array_equal(got.toarray(), want[name].toarray()), name
-        assert (sub.n_u, sub.n_p, sub.n_li) == (
-            len(want["vel_ids"]), len(want["element_ids"]), len(want["interior_mults"])
-        )
+        assert np.array_equal(sub.interior_mults, want["interior_mults"])
+        for name in ("k_ii", "k_ig", "k_gg", "rhs_interior", "rhs_gamma", "schur"):
+            assert _relative_gap(getattr(sub, name), want[name]) <= 1e-12, name
 
 
 def test_blockwise_assembly_covers_global_matrix(frac2):
+    """The local multiplier blocks and loads sum to the global multiplier
+    system left by eliminating every velocity and pressure; in particular
+    each interface penalty is counted once."""
     system, layout, subs, _ = setup_case(frac2, 4)
-    n = system.n_total
-    n_up = system.n_velocity + system.n_pressure
-    gamma_global = n_up + layout.interface_mults
-    total = np.zeros((n, n))
+    k_ref, load_ref = dense_multiplier_system(system)
+    n_l = system.n_multiplier
+    total = np.zeros((n_l, n_l))
+    load = np.zeros(n_l)
     for sub in subs:
-        interior = np.concatenate([
-            sub.vel_ids,
-            system.n_velocity + sub.element_ids,
-            n_up + sub.interior_mults,
-        ])
-        gamma = gamma_global[sub.local_gamma]
+        interior = sub.interior_mults
+        gamma = layout.interface_mults[sub.local_gamma]
         total[np.ix_(interior, interior)] += sub.k_ii.toarray()
         total[np.ix_(interior, gamma)] += sub.k_ig.toarray()
         total[np.ix_(gamma, interior)] += sub.k_ig.toarray().T
         total[np.ix_(gamma, gamma)] += sub.k_gg.toarray()
-    assert np.abs(total - system.full_matrix().toarray()).max() <= 1e-14
+        load[interior] += sub.rhs_interior
+        load[gamma] += sub.rhs_gamma
+    assert _relative_gap(total, k_ref) <= 1e-12
+    assert _relative_gap(load, load_ref) <= 1e-12
+    gg = np.ix_(layout.interface_mults, layout.interface_mults)
+    assert _relative_gap(total[gg], k_ref[gg]) <= 1e-12
 
 
-def test_interface_penalty_owned_once(frac2):
-    system, layout, subs, _ = setup_case(frac2, 4)
-    owners = np.zeros(layout.n_interface, dtype=int)
-    total = np.zeros(layout.n_interface)
+def test_stiffest_penalty_builds_and_matches_oracle():
+    """At sigma = 1e9 the interior blocks are definite and the assembled
+    local Schur complements match the dense elimination."""
+    mesh = generate_cross_fracture_cube(4, sigma=1e9)
+    system, layout, subs, _ = setup_case(mesh, 8)
+    s_ref, _ = dense_schur_oracle(system, layout)
+    total = np.zeros_like(s_ref)
     for sub in subs:
-        diag = -sub.k_gg.diagonal()
-        owners[sub.local_gamma] += (diag != 0).astype(int)
-        total[sub.local_gamma] += diag
-    assert owners.max() <= 1
-    c_t = system.c_t.diagonal()[layout.interface_mults]
-    assert np.abs(total - c_t).max() <= 1e-14
+        assert np.linalg.eigvalsh(sub.k_ii.toarray()).max() < 0
+        total[np.ix_(sub.local_gamma, sub.local_gamma)] += sub.schur
+    assert _relative_gap(total, s_ref) <= 1e-11
+
+
+def test_sealed_element_is_singular():
+    """An element with neither a velocity nor a coupling penalty leaves its
+    pressure undetermined: assembly succeeds, the substructure build
+    reports a singular system."""
+    coords = np.array([
+        [0.0, 0, 0], [1, 0, 0], [0, 1, 0],
+        [5.0, 0, 0], [6, 0, 0], [5, 1, 0],
+    ])
+    els = [
+        Element(id=i, dim=2, node_ids=nodes, conductivity=np.eye(2),
+                cross_section=1.0, source=0.0)
+        for i, nodes in enumerate([(0, 1, 2), (3, 4, 5)])
+    ]
+    bcs = [BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0)]
+    system = assemble(Mesh(coords, els, bcs))
+    layout = classify_interface(system, Partition(2, np.array([0, 1])))
+    with pytest.raises(SingularSystemError, match=r"element\(s\) \[1\]"):
+        build_substructures(system, layout)
 
 
 def test_zero_load_gives_zero_reduced_rhs(square6):
