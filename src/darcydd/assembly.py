@@ -254,6 +254,7 @@ class BlockSystem:
     dof_map: DofMap
     mesh: Mesh
     _full: sps.csr_matrix | None = field(default=None, repr=False)
+    _m_inv: sps.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_velocity(self) -> int:
@@ -284,6 +285,14 @@ class BlockSystem:
             )
         return self._full
 
+    def element_inverse(self) -> sps.csr_matrix:
+        """``M^-1`` of the velocity-pressure block, from
+        :func:`_element_inverse`, cached: substructure set-up and recovery
+        share one."""
+        if self._m_inv is None:
+            self._m_inv = _element_inverse(self)
+        return self._m_inv
+
     def full_rhs(self) -> NDArray:
         return np.concatenate([self.g, self.f, np.zeros(self.n_multiplier)])
 
@@ -298,6 +307,51 @@ class BlockSystem:
         return SolutionTriple(
             u=x[:nu], p=x[nu : nu + npr], lam=x[nu + npr :]
         )
+
+
+def _element_inverse(system: BlockSystem) -> sps.csr_matrix:
+    """``M^-1`` for the velocity-pressure block ``M = [[A, B^T], [B, -C]]``,
+    inverted element by element, one batched inverse per element dimension.
+
+    Each element block spans the element's sides that carry a velocity and
+    its pressure. A side without one gets a unit diagonal entry, which
+    keeps the blocks of one dimension equally sized and drops out again.
+    Every inverse is symmetrized, so the result is bitwise symmetric.
+
+    Raises :class:`SingularSystemError` when an element block is singular,
+    as for an element with neither a velocity nor a coupling penalty.
+    """
+    n_u = system.n_velocity
+    n_up = n_u + system.n_pressure
+    side_vel = system.dof_map.side_vel
+    m = sps.bmat([[system.a, system.b.T], [system.b, -system.c]], format="csr")
+    vals, rows, cols = [], [], []
+    for blk in system.mesh.simplices.values():
+        dofs = np.concatenate([side_vel[blk.sides], n_u + blk.ids[:, None]], axis=1)
+        kept = dofs >= 0
+        pair = kept[:, :, None] & kept[:, None, :]
+        row = np.broadcast_to(dofs[:, :, None], pair.shape)[pair]
+        col = np.broadcast_to(dofs[:, None, :], pair.shape)[pair]
+        local = np.zeros(pair.shape)
+        local[pair] = np.asarray(m[row, col]).ravel()
+        el, face = np.nonzero(~kept)
+        local[el, face, face] = 1.0
+        try:
+            inv = np.linalg.inv(local)
+        except np.linalg.LinAlgError as exc:
+            singular = blk.ids[np.linalg.matrix_rank(local) < local.shape[1]]
+            raise SingularSystemError(
+                f"velocity-pressure block of element(s) {singular[:6].tolist()} "
+                f"is singular; their pressure is not determined"
+            ) from exc
+        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        vals.append(inv[pair])
+        rows.append(row)
+        cols.append(col)
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_up, n_up),
+    )
 
 
 def assemble(mesh: Mesh) -> BlockSystem:

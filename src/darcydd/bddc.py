@@ -14,7 +14,11 @@ the constraint matrix ``C_i``, each substructure factors one dense
 constrained local saddle matrix ``[[K, D^T], [D, 0]]`` with the interior
 unknowns eliminated exactly, so its interface and constraint rows solve the
 same problems: the coarse basis, the local coarse matrix and the constrained
-(Neumann) correction.
+(Neumann) correction. Set-up inverts it explicitly, once, and keeps three
+blocks of the inverse: the interface block ``N_i``, the coarse basis
+``Phi_i`` and the local coarse matrix. An application of the preconditioner
+is then two dense products per substructure, ``N_i r_i`` and
+``Phi_i^T r_i``, and one solve with the factored coarse matrix.
 
 Sign conventions: each local saddle matrix has a negative semidefinite
 interface energy, so the local coarse matrices are negative semidefinite
@@ -36,7 +40,7 @@ from .errors import (
     ConstraintDeficiencyError,
     SingularSystemError,
 )
-from .ldlt import IndefiniteFactorization, factor_symmetric_indefinite
+from .ldlt import factor_symmetric_indefinite
 from .partition import InterfaceLayout
 from .subsolve import SubstructureOperator, parallel_map
 
@@ -131,15 +135,28 @@ def build_constraints(
     )
 
 
+def _symmetrized(block: NDArray, sub_id: int, what: str) -> NDArray:
+    """``block`` made exactly symmetric, after checking that its symmetry
+    defect is at rounding level."""
+    defect = float(np.abs(block - block.T).max(initial=0.0))
+    scale = max(1.0, float(np.abs(block).max(initial=0.0)))
+    if defect > 1e-10 * scale:
+        raise SingularSystemError(
+            f"substructure {sub_id}: {what} symmetry defect {defect:.3e} "
+            f"exceeds tolerance; constrained local solve is unreliable"
+        )
+    return 0.5 * (block + block.T)
+
+
 @dataclass
 class SubCorrector:
-    """One substructure's augmented factorization and coarse basis."""
+    """One substructure's constrained local inverse and coarse basis."""
 
     sub: SubstructureOperator
     weights: NDArray
     d: sps.csr_matrix
     coarse_ids: NDArray[np.int64]
-    aug_fact: IndefiniteFactorization = field(repr=False, default=None)
+    neumann: NDArray = field(repr=False, default=None)
     phi: NDArray = field(repr=False, default=None)
     s_cc: NDArray = field(repr=False, default=None)
 
@@ -148,45 +165,30 @@ class SubCorrector:
         return self.d.shape[0]
 
     def build(self) -> None:
-        """Factor the interface-sized constrained saddle matrix and extract
-        the coarse basis.
+        """Invert the interface-sized constrained saddle matrix once.
 
-        The multi-RHS solve with identity blocks on the constraint rows
-        yields the coarse basis on its interface rows and the local coarse
-        matrix (negated) on its constraint rows.
+        One solve against the identity gives the whole inverse. Its
+        interface block is ``N_i``, which maps an interface residual to the
+        constrained (Neumann) correction; its columns for the constraint
+        rows hold the coarse basis on the interface rows and the local
+        coarse matrix (negated) on the constraint rows.
         """
         sub = self.sub
         n_g, nc = sub.n_gamma, self.n_constraints
-        if sub.schur is None:
-            sub.factorize()
         c = self.d.toarray()
         aug = np.block([[-sub.schur, c.T], [c, np.zeros((nc, nc))]])
         try:
-            self.aug_fact = factor_symmetric_indefinite(aug)
+            fact = factor_symmetric_indefinite(aug)
         except SingularSystemError as exc:
             raise ConstraintDeficiencyError(
                 f"substructure {sub.sub_id}: constrained local problem is "
                 f"singular; its constraints do not remove every floating "
                 f"pressure mode ({exc})"
             ) from exc
-        if nc == 0:
-            self.phi = np.zeros((n_g, 0))
-            self.s_cc = np.zeros((0, 0))
-            return
-        rhs = np.zeros((n_g + nc, nc))
-        rhs[n_g:, :] = np.eye(nc)
-        x = self.aug_fact.solve(rhs)
-        self.phi = x[:n_g, :]
-        s_cc = -x[n_g:, :]
-        defect = float(np.abs(s_cc - s_cc.T).max(initial=0.0))
-        scale = max(1.0, float(np.abs(s_cc).max(initial=0.0)))
-        if defect > 1e-10 * scale:
-            raise SingularSystemError(
-                f"substructure {sub.sub_id}: coarse matrix symmetry defect "
-                f"{defect:.3e} exceeds tolerance; constrained local solve "
-                f"is unreliable"
-            )
-        self.s_cc = 0.5 * (s_cc + s_cc.T)
+        x = fact.solve(np.eye(n_g + nc))
+        self.neumann = _symmetrized(x[:n_g, :n_g], sub.sub_id, "Neumann block")
+        self.phi = x[:n_g, n_g:]
+        self.s_cc = _symmetrized(-x[n_g:, n_g:], sub.sub_id, "coarse matrix")
         interp = self.d @ self.phi - np.eye(nc)
         if float(np.abs(interp).max(initial=0.0)) > 1e-8:
             raise SingularSystemError(
@@ -194,23 +196,16 @@ class SubCorrector:
                 f"its defining constraints"
             )
 
-    def neumann_correction(self, r_local: NDArray) -> NDArray:
-        """Interface part of the constrained local solve against a residual
-        on the interface rows."""
-        n_g = self.sub.n_gamma
-        rhs = np.zeros(self.aug_fact.n)
-        rhs[:n_g] = r_local
-        return self.aug_fact.solve(rhs)[:n_g]
-
 
 class BddcPreconditioner:
     """Substructure corrections plus a coarse correction, SPD as an operator.
 
     Application: weight and restrict the residual to each substructure,
-    solve the constrained local problems, add the coarse component obtained
+    apply the constrained local inverses, add the coarse component obtained
     from the assembled coarse matrix, weight again and scatter back, then
-    negate. Substructure solves run concurrently; both reductions accumulate
-    in substructure order so results do not depend on the worker count.
+    negate. The local inverses are built concurrently at set-up; both
+    reductions accumulate in substructure order so results do not depend on
+    the worker count.
 
     Raises :class:`ConstraintDeficiencyError` when the assembled coarse
     matrix is singular or not negative definite: the coarse constraints
@@ -231,7 +226,6 @@ class BddcPreconditioner:
                 "use the direct solver for a single substructure"
             )
         self.layout = layout
-        self.threads = threads
         self.n = layout.n_interface
         self.n_coarse = constraints.n_coarse
         self.n_corners = constraints.n_corners
@@ -272,9 +266,9 @@ class BddcPreconditioner:
             shape=(nc, nc),
         )
         try:
-            # dense keeps the inertia available at any coarse size
+            # dense, so that the inertia is available
             self.coarse_fact = factor_symmetric_indefinite(
-                self.coarse_matrix, force_dense=True
+                self.coarse_matrix.toarray()
             )
         except SingularSystemError as exc:
             raise ConstraintDeficiencyError(
@@ -293,21 +287,17 @@ class BddcPreconditioner:
 
     def apply(self, r: NDArray) -> NDArray:
         """Preconditioned residual, positive definite in exact arithmetic."""
-
-        def local_part(corr: SubCorrector):
-            r_i = corr.weights * r[corr.sub.local_gamma]
-            eta = corr.neumann_correction(r_i)
-            return eta, corr.phi.T @ r_i
-
-        parts = parallel_map(local_part, self.correctors, self.threads)
+        etas = []
         r_c = np.zeros(self.n_coarse)
-        for corr, (_, rc) in zip(self.correctors, parts):
-            np.add.at(r_c, corr.coarse_ids, rc)
+        for corr in self.correctors:
+            r_i = corr.weights * r[corr.sub.local_gamma]
+            etas.append(corr.neumann @ r_i)
+            np.add.at(r_c, corr.coarse_ids, corr.phi.T @ r_i)
         eta_c = (
             self.coarse_fact.solve(r_c) if self.n_coarse else np.zeros(0)
         )
         out = np.zeros(self.n)
-        for corr, (eta, _) in zip(self.correctors, parts):
+        for corr, eta in zip(self.correctors, etas):
             comb = corr.weights * (eta + corr.phi @ eta_c[corr.coarse_ids])
             np.subtract.at(out, corr.sub.local_gamma, comb)
         return out

@@ -3,24 +3,28 @@
 The systems factored here are symmetric. The full saddle matrix and the
 constrained local saddle matrices are indefinite, so plain Cholesky does not
 apply to them, and the definite ones take the same paths. The input type
-alone picks the path; there is no size threshold. Sparse input takes a
-sparse LU with partial pivoting and the ``MMD_ATA`` column ordering,
-whatever its size: every substructure's interior multiplier matrix (negative
-definite, as the velocities and pressures are eliminated element by element
-before it is formed) and the full saddle matrix of the direct solve. On a
-fracture cube with 22k unknowns (the fracture-contrast benchmark mesh, 16
-substructures) the 16 interior matrices hold 329-364 unknowns each and 201k
-L+U entries in all; for the full saddle matrix ``MMD_ATA`` keeps 1.8M
-entries where the default COLAMD keeps 3.9M. The sparse path gives no
-inertia.
+alone picks the path; there is no size threshold and no option. Sparse
+input takes a sparse LU with partial pivoting and the ``MMD_ATA`` column
+ordering, whatever its size: every substructure's interior multiplier
+matrix (negative definite, as the velocities and pressures are eliminated
+element by element before it is formed) and the full saddle matrix of the
+direct solve. On a fracture cube with 22k unknowns (the fracture-contrast
+benchmark mesh, 16 substructures) the 16 interior matrices hold 329-364
+unknowns each and 201k L+U entries in all; for the full saddle matrix
+``MMD_ATA`` keeps 1.8M entries where the default COLAMD keeps 3.9M. The
+sparse path gives no inertia.
 
-Dense (ndarray) input, and sparse input with ``force_dense``, takes a
-Bunch-Kaufman LDL^T with 1x1 and 2x2 pivot blocks, whose block diagonal also
-yields the inertia (used to certify definiteness of the coarse matrix). The
-block-diagonal solve and the inertia count work on all pivot blocks at once:
-1x1 pivots divide as one vector, 2x2 pivots use the scaled closed form of
-LAPACK ``dsytrs`` stacked over the blocks, and their eigenvalues come from
-one stacked ``eigvalsh``.
+Dense (ndarray) input takes LAPACK's Bunch-Kaufman ``dsytrf``/``dsytrs``
+on the symmetrically equilibrated matrix ``S A S``, ``S = diag(s)`` with
+``s_i = 1/sqrt(max_j |a_ij|)``, which brings every row's largest entry near
+one. The inertia is read from the 1x1 and 2x2 pivot blocks of the scaled
+factor (it equals that of ``A``, by Sylvester's law), and a pivot
+eigenvalue counts as zero below ``n eps max|D|``. Without the scaling that
+test would be absolute: a matrix whose rows differ in scale by many orders
+of magnitude, such as a constrained local problem at a stiff fracture
+penalty, showed false zero pivots. The dense path factors the constrained
+local saddle matrices and the coarse matrix, whose inertia certifies that
+it is negative definite.
 
 Both paths meet the same accuracy contract: ``solve`` measures the normwise
 backward error and applies one step of iterative refinement whenever it
@@ -32,7 +36,7 @@ import ctypes
 import sys
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
@@ -70,20 +74,6 @@ def _pin_mmap_threshold() -> None:
 _pin_mmap_threshold()
 
 
-def _block_structure(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the 1x1 and of the 2x2 blocks of an LDL block diagonal.
-
-    A 2x2 block starts wherever the subdiagonal is nonzero; Bunch-Kaufman
-    never lets two such blocks overlap.
-    """
-    n = d.shape[0]
-    two = np.flatnonzero(np.diagonal(d, -1) != 0.0)
-    in_two = np.zeros(n, dtype=bool)
-    in_two[two] = True
-    in_two[two + 1] = True
-    return np.flatnonzero(~in_two), two
-
-
 class IndefiniteFactorization:
     """Factored symmetric matrix exposing ``solve`` and optional inertia.
 
@@ -92,7 +82,7 @@ class IndefiniteFactorization:
     matrix of stacked right-hand sides.
     """
 
-    def __init__(self, matrix, force_dense: bool = False):
+    def __init__(self, matrix):
         if sps.issparse(matrix):
             self._mat = matrix.tocsr()
             n = matrix.shape[0]
@@ -109,7 +99,7 @@ class IndefiniteFactorization:
             raise ValueError("matrix must be square and symmetric")
         self.n = n
         self.inertia: tuple[int, int, int] | None = None
-        if sps.issparse(matrix) and not force_dense:
+        if sps.issparse(matrix):
             self.mode = "sparse"
             self._factor_sparse()
         else:
@@ -120,27 +110,33 @@ class IndefiniteFactorization:
     # -- dense Bunch-Kaufman path ----------------------------------------
 
     def _factor_dense(self) -> None:
-        a = self._mat.toarray() if sps.issparse(self._mat) else self._mat
-        lu, d, perm = scipy.linalg.ldl(a, lower=True)
-        self._lu_perm = lu[perm]
-        self._perm = perm
-        self._one, two = _block_structure(d)
-        self._one_piv = d[self._one, self._one]
-        blocks = np.empty((len(two), 2, 2))
-        blocks[:, 0, 0] = d[two, two]
-        blocks[:, 1, 1] = d[two + 1, two + 1]
-        blocks[:, 0, 1] = blocks[:, 1, 0] = c = d[two + 1, two]
-        # 2x2 blocks [[a, c], [c, b]] solved scaled by c, as LAPACK dsytrs does
-        a_c = blocks[:, 0, 0] / c
-        b_c = blocks[:, 1, 1] / c
-        self._two = two
-        self._two_scaled = (c, a_c, b_c, a_c * b_c - 1.0)
-        eigs = np.concatenate(
-            [self._one_piv, np.linalg.eigvalsh(blocks).ravel()]
+        a = self._mat
+        row_max = np.abs(a).max(axis=1, initial=0.0)
+        scale = np.ones(self.n)
+        scale[row_max > 0] = 1.0 / np.sqrt(row_max[row_max > 0])
+        self._scale = scale
+        self._ldu, self._ipiv, _ = lapack.dsytrf(
+            np.outer(scale, scale) * a, lower=1
         )
-        scale = max(1.0, float(np.abs(d).max(initial=0.0)))
-        zero_tol = self.n * np.finfo(float).eps * scale
-        zero = np.abs(eigs) <= zero_tol
+        # In lower storage a 2x2 pivot block covers two consecutive negative
+        # ipiv entries, and 1x1 pivots have positive ones. Blocks never
+        # overlap, so the negative positions, left to right, pair up block
+        # by block; their values cannot be used, as two adjacent 2x2 blocks
+        # may carry the same one.
+        neg = self._ipiv < 0
+        two = np.flatnonzero(neg)[::2]
+        diag = np.diagonal(self._ldu)
+        blocks = np.empty((len(two), 2, 2))
+        blocks[:, 0, 0] = diag[two]
+        blocks[:, 1, 1] = diag[two + 1]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = self._ldu[two + 1, two]
+        eigs = np.concatenate([diag[~neg], np.linalg.eigvalsh(blocks).ravel()])
+        d_max = max(
+            1.0,
+            float(np.abs(diag).max(initial=0.0)),
+            float(np.abs(blocks).max(initial=0.0)),
+        )
+        zero = np.abs(eigs) <= self.n * np.finfo(float).eps * d_max
         n_zero = int(zero.sum())
         n_pos = int((~zero & (eigs > 0)).sum())
         n_neg = int((~zero & (eigs < 0)).sum())
@@ -152,25 +148,12 @@ class IndefiniteFactorization:
             )
 
     def _solve_dense_raw(self, b: np.ndarray) -> np.ndarray:
-        z = scipy.linalg.solve_triangular(
-            self._lu_perm, b[self._perm], lower=True, unit_diagonal=True
+        # trailing axes broadcast the scaling over stacked right-hand sides
+        scale = self._scale.reshape((-1,) + (1,) * (b.ndim - 1))
+        x, _ = lapack.dsytrs(
+            self._ldu, self._ipiv, scale * b, lower=1
         )
-        w = np.empty_like(z)
-        # trailing axes broadcast the pivots over stacked right-hand sides
-        cols = (slice(None),) + (None,) * (z.ndim - 1)
-        w[self._one] = z[self._one] / self._one_piv[cols]
-        two = self._two
-        c, a_c, b_c, denom = (v[cols] for v in self._two_scaled)
-        z1 = z[two] / c
-        z2 = z[two + 1] / c
-        w[two] = (b_c * z1 - z2) / denom
-        w[two + 1] = (a_c * z2 - z1) / denom
-        y = scipy.linalg.solve_triangular(
-            self._lu_perm.T, w, lower=False, unit_diagonal=True
-        )
-        x = np.empty_like(y)
-        x[self._perm] = y
-        return x
+        return scale * x
 
     # -- sparse LU path ---------------------------------------------------
 
@@ -208,13 +191,11 @@ class IndefiniteFactorization:
         return x
 
 
-def factor_symmetric_indefinite(
-    matrix, force_dense: bool = False
-) -> IndefiniteFactorization:
+def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization:
     """Factor a symmetric (possibly indefinite) sparse or dense matrix.
 
     Raises :class:`SingularSystemError` on exact singularity; the dense-path
-    message includes the inertia. ``force_dense`` factors sparse input on
-    the dense path, so that its inertia is available.
+    message includes the inertia. An ndarray takes the dense path, which
+    also gives the inertia; a sparse matrix takes the sparse path.
     """
-    return IndefiniteFactorization(matrix, force_dense)
+    return IndefiniteFactorization(matrix)

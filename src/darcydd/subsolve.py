@@ -3,10 +3,10 @@
 In the assembled saddle system the velocity-pressure block
 ``M = [[A, B^T], [B, -C]]`` is block diagonal by element: ``A`` couples one
 element's own flux dofs, and the penalty ``C`` sits on the diagonal of the
-lower-dimensional pressures. :func:`_element_inverse` inverts every element
-block once, batched per element dimension. With ``N = [B_F, -C_F]`` the rows
-of the multipliers, eliminating velocities and pressures (hybridization)
-leaves the multiplier system
+lower-dimensional pressures. ``BlockSystem.element_inverse`` inverts every
+element block once, batched per element dimension, and keeps the result for
+recovery. With ``N = [B_F, -C_F]`` the rows of the multipliers, eliminating
+velocities and pressures (hybridization) leaves the multiplier system
 
     -(C_T + N M^-1 N^T) lam = -N M^-1 [g; f],
 
@@ -131,15 +131,7 @@ class SubstructureOperator:
         self.schur = 0.5 * (schur + schur.T)
 
     def interior_solve(self, rhs: NDArray) -> NDArray:
-        if self.fact is None:
-            self.factorize()
         return self.fact.solve(rhs)
-
-    def schur_apply(self, x: NDArray) -> NDArray:
-        """Local interface operator action, SPD convention."""
-        if self.schur is None:
-            self.factorize()
-        return self.schur @ x
 
     def reduced_rhs(self) -> NDArray:
         """This substructure's share of the reduced right-hand side."""
@@ -149,51 +141,6 @@ class SubstructureOperator:
     def recover(self, x_gamma: NDArray) -> NDArray:
         """Interior multipliers for a given local interface trace."""
         return self.interior_solve(self.rhs_interior - self.k_ig @ x_gamma)
-
-
-def _element_inverse(system: BlockSystem) -> sps.csr_matrix:
-    """``M^-1`` for the velocity-pressure block ``M = [[A, B^T], [B, -C]]``,
-    inverted element by element, one batched inverse per element dimension.
-
-    Each element block spans the element's sides that carry a velocity and
-    its pressure. A side without one gets a unit diagonal entry, which
-    keeps the blocks of one dimension equally sized and drops out again.
-    Every inverse is symmetrized, so the result is bitwise symmetric.
-
-    Raises :class:`SingularSystemError` when an element block is singular,
-    as for an element with neither a velocity nor a coupling penalty.
-    """
-    n_u = system.n_velocity
-    n_up = n_u + system.n_pressure
-    side_vel = system.dof_map.side_vel
-    m = sps.bmat([[system.a, system.b.T], [system.b, -system.c]], format="csr")
-    vals, rows, cols = [], [], []
-    for blk in system.mesh.simplices.values():
-        dofs = np.concatenate([side_vel[blk.sides], n_u + blk.ids[:, None]], axis=1)
-        kept = dofs >= 0
-        pair = kept[:, :, None] & kept[:, None, :]
-        row = np.broadcast_to(dofs[:, :, None], pair.shape)[pair]
-        col = np.broadcast_to(dofs[:, None, :], pair.shape)[pair]
-        local = np.zeros(pair.shape)
-        local[pair] = np.asarray(m[row, col]).ravel()
-        el, face = np.nonzero(~kept)
-        local[el, face, face] = 1.0
-        try:
-            inv = np.linalg.inv(local)
-        except np.linalg.LinAlgError as exc:
-            singular = blk.ids[np.linalg.matrix_rank(local) < local.shape[1]]
-            raise SingularSystemError(
-                f"velocity-pressure block of element(s) {singular[:6].tolist()} "
-                f"is singular; their pressure is not determined"
-            ) from exc
-        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
-        vals.append(inv[pair])
-        rows.append(row)
-        cols.append(col)
-    return sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_up, n_up),
-    )
 
 
 def build_substructures(
@@ -249,7 +196,7 @@ def build_substructures(
         (system.c_t.diagonal()[c_f.row], (pen_copy, pen_copy)),
         shape=(n_copy, n_copy),
     )
-    m_inv = _element_inverse(system)
+    m_inv = system.element_inverse()
     k = n_tilde @ m_inv @ n_tilde.T + penalty
     # the sum of k and its transpose is exactly symmetric, as the symmetry
     # check of factor_symmetric_indefinite requires
@@ -295,12 +242,9 @@ class InterfaceOperator:
         self.n = layout.n_interface
 
     def apply(self, x: NDArray) -> NDArray:
-        locals_ = parallel_map(
-            lambda sub: sub.schur_apply(x[sub.local_gamma]), self.subs, self.threads
-        )
         y = np.zeros(self.n)
-        for sub, yl in zip(self.subs, locals_):
-            np.add.at(y, sub.local_gamma, yl)
+        for sub in self.subs:
+            np.add.at(y, sub.local_gamma, sub.schur @ x[sub.local_gamma])
         return y
 
     def reduced_rhs(self) -> NDArray:
@@ -330,7 +274,7 @@ def recover_solution(
     for sub, lam_i in zip(subs, parts):
         lam[sub.interior_mults] = lam_i
     n_mat = sps.hstack([system.b_f, -system.c_f], format="csr")
-    up = _element_inverse(system) @ (
+    up = system.element_inverse() @ (
         np.concatenate([system.g, system.f]) - n_mat.T @ lam
     )
     return SolutionTriple(

@@ -14,6 +14,7 @@ import scipy.sparse as sps
 from darcydd.assembly import assemble
 from darcydd.bddc import BddcPreconditioner, build_constraints
 from darcydd.errors import ConfigurationError
+from darcydd.ldlt import factor_symmetric_indefinite
 from darcydd.mesh import NATURAL, SIMPLEX_FACES, coupled_sides
 from darcydd.partition import (
     SCHEMES,
@@ -169,6 +170,31 @@ def full_constrained_saddle(corr) -> sps.csc_matrix:
         return k_full
     d_all = sps.hstack([sps.csr_matrix((nc, sub.n_interior)), corr.d], format="csr")
     return sps.bmat([[k_full, d_all.T], [d_all, None]], format="csc")
+
+
+def implicit_bddc_apply(prec, r: np.ndarray) -> np.ndarray:
+    """The preconditioner's action with every constrained local problem
+    solved afresh: one factorization of each substructure's
+    ``[[-S_i, C_i^T], [C_i, 0]]`` solved against ``[r_i; 0]``, and the
+    coarse problem solved densely; a reference for the precomputed
+    ``N_i`` and ``Phi_i`` of ``prec.apply``."""
+    r_c = np.zeros(prec.n_coarse)
+    etas = []
+    for corr in prec.correctors:
+        n_g, nc = corr.sub.n_gamma, corr.n_constraints
+        c = corr.d.toarray()
+        aug = np.block([[-corr.sub.schur, c.T], [c, np.zeros((nc, nc))]])
+        r_i = corr.weights * r[corr.sub.local_gamma]
+        rhs = np.zeros(n_g + nc)
+        rhs[:n_g] = r_i
+        etas.append(factor_symmetric_indefinite(aug).solve(rhs)[:n_g])
+        np.add.at(r_c, corr.coarse_ids, corr.phi.T @ r_i)
+    eta_c = np.linalg.solve(prec.coarse_matrix.toarray(), r_c)
+    out = np.zeros(prec.n)
+    for corr, eta in zip(prec.correctors, etas):
+        comb = corr.weights * (eta + corr.phi @ eta_c[corr.coarse_ids])
+        np.subtract.at(out, corr.sub.local_gamma, comb)
+    return out
 
 
 def sliced_substructure_blocks(system, layout) -> list[dict]:

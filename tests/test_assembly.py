@@ -218,7 +218,7 @@ def test_penalty_form_identity(frac2, rng):
 def test_full_system_inertia(square4):
     system = assemble(square4)
     assert (system.n_velocity, system.n_pressure, system.n_multiplier) == (88, 32, 40)
-    fact = factor_symmetric_indefinite(system.full_matrix(), force_dense=True)
+    fact = factor_symmetric_indefinite(system.full_matrix().toarray())
     assert fact.inertia == (88, 72, 0)
 
 

@@ -26,6 +26,7 @@ from support import (
     dense_operator,
     dense_sub_schur,
     full_constrained_saddle,
+    implicit_bddc_apply,
 )
 
 
@@ -92,6 +93,23 @@ def test_preconditioner_properties(name, n_sub, scheme, corners_on, edge_avg, me
     assert eigs.real.min() > 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("name,n_sub,scheme,corners_on,edge_avg", CASES)
+def test_explicit_apply_matches_implicit_oracle(
+    name, n_sub, scheme, corners_on, edge_avg, meshes, rng
+):
+    """The apply through the precomputed local inverses equals the apply
+    that solves every constrained local saddle problem afresh."""
+    pipe = build_pipeline(
+        meshes[name], n_sub, scheme=scheme, corners_on=corners_on,
+        edge_averages=edge_avg,
+    )
+    for _ in range(3):
+        r = rng.standard_normal(pipe.layout.n_interface)
+        ref = implicit_bddc_apply(pipe.prec, r)
+        out = pipe.prec.apply(r)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_threaded_application_identical(frac2, rng):
     p1 = build_pipeline(frac2, 4, threads=1)
     p4 = build_pipeline(frac2, 4, threads=4)
@@ -118,15 +136,19 @@ def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypat
     import darcydd.bddc
 
     real = darcydd.bddc.factor_symmetric_indefinite
+    pipe = build_pipeline(square4, 2, with_prec=False)
+    # set-up factors one constrained matrix per substructure, in order
+    # with one thread, and then the coarse matrix
+    calls = []
 
-    def coarse_fails(matrix, force_dense=False):
-        if not force_dense:  # the local constrained factorizations
+    def coarse_fails(matrix):
+        calls.append(matrix.shape)
+        if len(calls) <= len(pipe.subs):  # the local constrained factorizations
             return real(matrix)
         if breakdown == "singular":
             raise SingularSystemError("forced singular coarse matrix")
-        return real(-matrix, force_dense=True)  # positive definite instead
+        return real(-matrix)  # positive definite instead
 
-    pipe = build_pipeline(square4, 2, with_prec=False)
     monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", coarse_fails)
     with pytest.raises(ConstraintDeficiencyError, match="coarse matrix"):
         BddcPreconditioner(
@@ -135,6 +157,8 @@ def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypat
             compute_weights(pipe.system, pipe.layout, "arithmetic"),
             build_constraints(pipe.layout, select_corners(pipe.layout)),
         )
+    assert len(calls) == len(pipe.subs) + 1
+
 
 def test_coarse_count_cross_check(frac2):
     pipe = build_pipeline(frac2, 4)
@@ -290,7 +314,7 @@ def test_interface_saddle_matches_full_saddle(name, n_sub, meshes, rng):
         rhs = np.zeros(full.shape[0])
         rhs[n_i : n_i + n_g] = r
         eta_ref = sla.solve(full, rhs)[n_i : n_i + n_g]
-        eta = corr.neumann_correction(r)
+        eta = corr.neumann @ r
         assert np.abs(eta - eta_ref).max() <= 1e-9 * max(1.0, np.abs(eta_ref).max())
 
 
@@ -325,3 +349,46 @@ def test_stiff_penalty_substructured_matches_direct(sigma):
     sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam).concatenated()
     ref = full_solve_direct(pipe.system).concatenated()
     assert np.abs(sol - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sigma", [1e8, 1e9])
+def test_stiffest_penalties_substructured(sigma):
+    """At sigma = 1e8 and 1e9 every constrained local problem factors: the
+    equilibrated pivot test finds no false zero pivot. The solve converges
+    to rel_tol 1e-8 and lies within 1e-6 of the direct solve."""
+    pipe = build_pipeline(generate_cross_fracture_cube(4, sigma=sigma), 8, scheme="diag")
+    lam, report = pcg(
+        pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+        PcgConfig(rel_tol=1e-8),
+    )
+    assert report.converged
+    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam).concatenated()
+    ref = full_solve_direct(pipe.system).concatenated()
+    assert np.abs(sol - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_asymmetric_neumann_block_rejected(frac2, monkeypatch):
+    """An explicit local inverse whose interface block is not symmetric to
+    rounding level is refused, as an unreliable constrained local solve."""
+    import darcydd.bddc
+
+    real = darcydd.bddc.factor_symmetric_indefinite
+
+    class Skewed:
+        def __init__(self, matrix):
+            self.inner = real(matrix)
+
+        def solve(self, rhs):
+            x = self.inner.solve(rhs)
+            x[0, 1] += 1e-6 * np.abs(x).max()  # break the symmetry of N_i
+            return x
+
+    pipe = build_pipeline(frac2, 4, with_prec=False)
+    monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", Skewed)
+    with pytest.raises(SingularSystemError, match="Neumann block symmetry defect"):
+        BddcPreconditioner(
+            pipe.subs,
+            pipe.layout,
+            compute_weights(pipe.system, pipe.layout, "arithmetic"),
+            build_constraints(pipe.layout, select_corners(pipe.layout)),
+        )

@@ -69,7 +69,7 @@ def test_sparse_path(rng):
 
 
 def test_force_dense_keeps_inertia():
-    fact = factor_symmetric_indefinite(_laplacian(600), force_dense=True)
+    fact = factor_symmetric_indefinite(_laplacian(600).toarray())
     assert fact.mode == "dense"
     assert fact.inertia == (600, 0, 0)
 
@@ -180,3 +180,18 @@ def test_input_type_alone_picks_the_path(n, rng):
     assert dense.inertia == (n, 0, 0)
     b = rng.standard_normal(n)
     assert np.abs(sparse.solve(b) - dense.solve(b)).max() <= 1e-12 * np.abs(dense.solve(b)).max()
+
+
+def test_badly_scaled_rows_keep_inertia(rng):
+    """``D A D`` with row scales spread over twelve orders of magnitude:
+    the equilibrated factorization finds no false zero pivot, and its
+    inertia is that of ``A``."""
+    a = rng.standard_normal((40, 40))
+    a = 0.5 * (a + a.T)
+    d = np.logspace(-6, 6, 40)
+    m = np.outer(d, d) * a
+    w = np.linalg.eigvalsh(a)
+    fact = factor_symmetric_indefinite(m)
+    assert fact.inertia == (int((w > 0).sum()), int((w < 0).sum()), 0)
+    b = rng.standard_normal((40, 3))
+    assert fact.backward_error(b, fact.solve(b)) <= 1e-12

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.errors import ConfigurationError, SingularSystemError
+from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import (
     NATURAL,
     BoundaryCondition,
@@ -26,6 +27,7 @@ from darcydd.subsolve import (
 )
 
 from support import (
+    build_pipeline,
     dense_multiplier_system,
     dense_operator,
     dense_schur_oracle,
@@ -294,3 +296,30 @@ def test_asymmetric_schur_rejected(frac2, monkeypatch):
     monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", Skewed)
     with pytest.raises(SingularSystemError, match="symmetry defect"):
         build_substructures(system, layout)
+
+
+def test_element_inverse_formed_once_per_solve(frac2, monkeypatch):
+    """Set-up and recovery share one element inverse, and recovering with
+    it gives the same solution, bit for bit, as with a fresh one."""
+    import darcydd.assembly
+
+    real = darcydd.assembly._element_inverse
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(darcydd.assembly, "_element_inverse", counting)
+    pipe = build_pipeline(frac2, 4)
+    lam, report = pcg(
+        pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+        PcgConfig(rel_tol=1e-10),
+    )
+    assert report.converged
+    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
+    assert len(calls) == 1
+    pipe.system._m_inv = None  # recovery forms its own inverse again
+    fresh = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
+    assert len(calls) == 2
+    assert np.array_equal(sol.concatenated(), fresh.concatenated())
