@@ -39,7 +39,6 @@ from .ldlt import factor_symmetric_indefinite
 from .mesh import (
     NATURAL,
     Mesh,
-    coupled_sides,
     simplex_measure,
     tangent_frame,
     tangent_frames,
@@ -144,7 +143,7 @@ class DofMap:
     in which that walk first meets each multiplier. ``side_vel`` and
     ``side_mult`` hold both per position in ``mesh.sides`` (-1 for none);
     the multiplier of coupling link ``i`` is
-    ``side_mult[coupled_sides(mesh)[i]]``. ``natural_sides`` lists the
+    ``side_mult[mesh.couplings[i]]``. ``natural_sides`` lists the
     positions of the natural boundary sides in ascending order and
     ``natural_values`` their prescribed pressures. ``mult_center`` is the
     barycenter of each multiplier's face.
@@ -211,7 +210,7 @@ def build_dof_map(mesh: Mesh) -> DofMap:
         center[blk.sides] = mesh.node_coords[blk.face_nodes()].mean(axis=2)
     return DofMap(
         n_velocity=int(has_vel.sum()),
-        n_pressure=len(mesh.elements),
+        n_pressure=mesh.n_elements,
         n_multiplier=n_mult,
         side_vel=side_vel,
         side_mult=side_mult,
@@ -399,10 +398,9 @@ def assemble(mesh: Mesh) -> BlockSystem:
         if mesh.gravity_enabled:
             g[vel[kept]] += g_e[kept]
         f[blk.ids] = -blk.cross_section * blk.source * blk.measure
-    links = mesh.couplings
-    lower = np.array([link.lower_element for link in links], dtype=np.int64)
-    w = np.array([link.sigma * link.measure for link in links])
-    link_mult = dm.side_mult[coupled_sides(mesh)]
+    lower = mesh.sides.lower[mesh.couplings]
+    w = mesh.coupling_weights
+    link_mult = dm.side_mult[mesh.couplings]
     system = BlockSystem(
         a=_coo(a_parts, (nu, nu)),
         b=_coo([(-np.ones(len(v)), r, v) for r, v in b_parts], (npr, nu)),
@@ -474,13 +472,13 @@ def mass_balance_residual(system: BlockSystem, sol: SolutionTriple) -> NDArray:
     dm = system.dof_map
     mesh = system.mesh
     sides = mesh.sides
-    res = np.zeros(len(mesh.elements))
+    res = np.zeros(mesh.n_elements)
     has_vel = dm.side_vel >= 0
     np.add.at(res, sides.element[has_vel], sol.u[dm.side_vel[has_vel]])
     for blk in mesh.simplices.values():
         res[blk.ids] -= blk.cross_section * blk.source * blk.measure
-    at = coupled_sides(mesh)
+    at = mesh.couplings
     lower = sides.lower[at]
-    w = np.array([link.sigma * link.measure for link in mesh.couplings])
+    w = mesh.coupling_weights
     np.subtract.at(res, lower, w * (sol.lam[dm.side_mult[at]] - sol.p[lower]))
     return np.abs(res)

@@ -165,7 +165,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
     system = assemble(mesh)
     dm = system.dof_map
     say(
-        f"mesh: {len(mesh.elements)} elements, {len(mesh.node_coords)} nodes, "
+        f"mesh: {mesh.n_elements} elements, {len(mesh.node_coords)} nodes, "
         f"{len(mesh.couplings)} coupling links; system: {system.n_total} dofs "
         f"({dm.n_velocity} flux, {dm.n_pressure} pressure, "
         f"{dm.n_multiplier} trace)"

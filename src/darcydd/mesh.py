@@ -6,6 +6,17 @@ with faces of higher-dimensional elements: a 2D fracture triangle occupies a
 tetrahedral face, a 1D channel segment occupies a triangle edge. Coincidence
 is exact, by shared node ids, and is discovered by :func:`detect_couplings`.
 
+Representation
+--------------
+A :class:`Mesh` is built from node coordinates and, for each element
+dimension, one :class:`Cells` record of arrays: element ids, node ids,
+conductivity tensors, cross-sections and sources. The constructor validates
+them and derives the per-dimension :class:`Simplices` arrays, the
+:class:`Sides` table and the coupling links. :func:`read_mesh`, the
+generators and every solver layer work on these arrays only.
+``Mesh.elements`` is a list of :class:`Element` records built from the
+arrays on first access; :func:`write_mesh` writes from it.
+
 Conventions
 -----------
 * Node coordinates are always stored in 3D; planar and linear meshes embed.
@@ -21,12 +32,12 @@ Conventions
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sps
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, InvalidMeshError, MeshFormatError
@@ -38,20 +49,12 @@ ESSENTIAL = "essential"
 _PLANE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Node:
-    """A mesh vertex: dense integer id plus 3D coordinates."""
-
-    id: int
-    coords: NDArray[np.float64]
-
-
 @dataclass
 class Element:
-    """A simplex of dimension 1, 2 or 3.
+    """One simplex of dimension 1, 2 or 3, as a record of its input data.
 
-    Parameters are the raw input data; ``measure`` and ``centroid`` are
-    derived from node coordinates when the owning mesh is constructed.
+    Meshes store elements as arrays; :attr:`Mesh.elements` lists them in
+    this form for writing files and for tests.
     """
 
     id: int
@@ -60,45 +63,17 @@ class Element:
     conductivity: NDArray[np.float64]
     cross_section: float = 1.0
     source: float = 0.0
-    measure: float = field(default=0.0, compare=False)
-    centroid: NDArray[np.float64] = field(
-        default_factory=lambda: np.zeros(3), compare=False
-    )
 
 
-@dataclass(frozen=True)
-class ElementFace:
-    """One facet of one element, with its sorted node tuple.
+class Cells(NamedTuple):
+    """The input data of the elements of one dimension, one row per
+    element, in ascending element id."""
 
-    ``outward_normal_sign`` relates the element's outward normal to the
-    facet's canonical orientation (see :func:`_outward_sign`); it is a
-    diagnostic quantity, degree-of-freedom values never depend on it because
-    each side of a face carries its own outward-flux unknown.
-    """
-
-    element_id: int
-    local_face: int
-    node_ids: tuple[int, ...]
-    measure: float
-    outward_normal_sign: int
-
-
-@dataclass(frozen=True)
-class CouplingLink:
-    """Geometric coincidence of a lower-dim element with one element face.
-
-    One lower-dimensional element generates one link per adjoining side, so
-    a fracture triangle interior to a tetrahedral mesh generates two links.
-    ``sigma`` is the pressure-jump transition coefficient of the link and
-    ``measure`` the area (or length) of the shared face.
-    """
-
-    lower_element: int
-    upper_element: int
-    upper_local_face: int
-    face_nodes: tuple[int, ...]
-    measure: float
-    sigma: float
+    ids: ArrayLike  # (E,)
+    nodes: ArrayLike  # (E, dim + 1)
+    conductivity: ArrayLike  # (E, dim, dim)
+    cross_section: ArrayLike  # (E,)
+    source: ArrayLike  # (E,)
 
 
 @dataclass(frozen=True)
@@ -192,31 +167,6 @@ def face_keys(rows: NDArray) -> NDArray[np.int64]:
     return inverse.reshape(-1)
 
 
-def _outward_sign(el: Element, local_face: int, coords: NDArray) -> int:
-    """Sign of the element's outward normal against a canonical orientation.
-
-    For triangle faces of tetrahedra the canonical normal is the cross
-    product of the sorted-node edge vectors, which is element independent.
-    For lower dimensions a fully element-independent convention does not
-    exist (an edge in 3D has no canonical in-plane normal), so the sign is
-    taken in the element's own tangent frame. Diagnostic use only.
-    """
-    pts = coords[list(el.node_ids)]
-    face_local = SIMPLEX_FACES[el.dim][local_face]
-    face_ids = sorted(el.node_ids[i] for i in face_local)
-    fpts = coords[face_ids]
-    opposite = pts[local_face]
-    if el.dim == 3:
-        canon = np.cross(fpts[1] - fpts[0], fpts[2] - fpts[0])
-        return 1 if canon @ (fpts.mean(axis=0) - opposite) > 0 else -1
-    if el.dim == 2:
-        plane_n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        canon = np.cross(plane_n, fpts[1] - fpts[0])
-        return 1 if canon @ (fpts.mean(axis=0) - opposite) > 0 else -1
-    # Point face of a segment: +1 when outward means increasing node id.
-    return 1 if face_ids[0] > min(el.node_ids) else -1
-
-
 @dataclass(frozen=True)
 class Simplices:
     """The elements of one dimension as arrays, in ascending element id.
@@ -268,62 +218,90 @@ def _reject(hits: Iterable[NDArray], message: Callable[[int], str]) -> None:
 class Mesh:
     """Immutable-by-contract container of nodes, elements and conditions.
 
-    Validation and derived data happen at construction: the per-dimension
-    :class:`Simplices` arrays (``simplices``), the side table (``sides``),
-    each element's ``measure`` and ``centroid``, and the coupling links.
-    ``bc_faces`` holds the face id of every boundary condition, or -1 when
-    its nodes form no element face. Afterwards the mesh must not be
-    mutated, which makes concurrent read access safe.
+    ``cells`` maps each element dimension to a :class:`Cells` record. The
+    ids of all dimensions together must be ``0 .. E-1``, ascending within
+    each dimension. Validation and derived data happen at construction:
+
+    * ``n_elements`` and ``simplices``, the per-dimension
+      :class:`Simplices` arrays, with each element's ``measure`` and
+      ``centroid``;
+    * ``sides``, the :class:`Sides` table;
+    * ``couplings``, the positions in ``sides`` of the coupled sides in
+      link order (see :func:`detect_couplings`), and ``coupling_weights``,
+      the penalty weight σ·|F| of each link;
+    * ``bc_faces``, the face id of every boundary condition, or -1 when its
+      nodes form no element face.
+
+    Afterwards the mesh must not be mutated, which makes concurrent read
+    access safe. The one exception is :attr:`elements`, a view that may be
+    replaced to change what :func:`write_mesh` writes.
     """
 
     def __init__(
         self,
         node_coords: NDArray,
-        elements: Sequence[Element],
+        cells: Mapping[int, Cells],
         boundary_conditions: Sequence[BoundaryCondition] = (),
         gravity_enabled: bool = False,
         transition_coefficient: float = 1.0,
     ):
         self.node_coords = np.asarray(node_coords, dtype=float).reshape(-1, 3)
-        self.elements = list(elements)
         self.boundary_conditions = list(boundary_conditions)
         self.gravity_enabled = bool(gravity_enabled)
         self.transition_coefficient = float(transition_coefficient)
-        self._build()
-        self.couplings: list[CouplingLink] = detect_couplings(self)
+        self._elements: list[Element] | None = None
+        self._build(cells)
+        self.couplings = detect_couplings(self)
+        measure = self.by_id("measure")[self.sides.lower[self.couplings]]
+        self.coupling_weights = self.transition_coefficient * measure
 
     # -- validation and derived arrays -----------------------------------
 
-    def _build(self) -> None:
-        els = self.elements
+    def _build(self, cells: Mapping[int, Cells]) -> None:
         n_nodes = len(self.node_coords)
-        ids = [el.id for el in els]
-        if ids != list(range(len(els))):
-            pos = next(p for p, eid in enumerate(ids) if eid != p)
+        blocks = {d: c for d, c in sorted(cells.items()) if np.size(c.ids)}
+        gid = {
+            d: np.ascontiguousarray(c.ids, dtype=np.int64).reshape(-1)
+            for d, c in blocks.items()
+        }
+        every = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *gid.values()]))
+        self.n_elements = len(every)
+        pos = np.flatnonzero(every != np.arange(self.n_elements))
+        if len(pos):
             raise InvalidMeshError(
                 f"element ids must be dense and ordered; "
-                f"got id {ids[pos]} at position {pos}"
+                f"got id {every[pos[0]]} at position {pos[0]}"
             )
-        groups: dict[int, list[Element]] = {1: [], 2: [], 3: []}
-        for el in els:
-            if el.dim not in groups:
-                raise InvalidMeshError(f"element {el.id}: dimension {el.dim}")
-            if len(el.node_ids) != el.dim + 1:
-                raise InvalidMeshError(
-                    f"element {el.id}: expected {el.dim + 1} nodes, "
-                    f"got {len(el.node_ids)}"
-                )
-            groups[el.dim].append(el)
-        groups = {d: g for d, g in groups.items() if g}
-        gid = {d: np.array([el.id for el in g]) for d, g in groups.items()}
+        _reject(
+            (ids[1:][np.diff(ids) < 0] for ids in gid.values()),
+            lambda e: f"element ids must be dense and ordered; element {e} "
+            f"follows a higher id of its dimension",
+        )
+        dim_of = np.zeros(self.n_elements, dtype=np.int64)
+        for d, ids in gid.items():
+            dim_of[ids] = d
+        _reject(
+            (ids[:1] for d, ids in gid.items() if d not in (1, 2, 3)),
+            lambda e: f"element {e}: dimension {dim_of[e]}",
+        )
         nodes = {
-            d: np.array([el.node_ids for el in g], dtype=np.int64)
-            for d, g in groups.items()
+            d: np.ascontiguousarray(c.nodes, dtype=np.int64).reshape(len(gid[d]), -1)
+            for d, c in blocks.items()
         }
+        _reject(
+            (gid[d][:1] for d, v in nodes.items() if v.shape[1] != d + 1),
+            lambda e: f"element {e}: expected {dim_of[e] + 1} nodes, "
+            f"got {nodes[dim_of[e]].shape[1]}",
+        )
+
+        def nodes_of(e: int) -> list[int]:
+            d = int(dim_of[e])
+            return nodes[d][np.searchsorted(gid[d], e)].tolist()
+
         _reject(
             (gid[d][((v < 0) | (v >= n_nodes)).any(axis=1)] for d, v in nodes.items()),
             lambda e: f"element {e}: dangling node reference "
-            f"{next(n for n in els[e].node_ids if not 0 <= n < n_nodes)}",
+            f"{next(n for n in nodes_of(e) if not 0 <= n < n_nodes)}",
         )
         _reject(
             (
@@ -332,22 +310,32 @@ class Mesh:
             ),
             lambda e: f"element {e}: repeated node",
         )
-        sides, cells, n_faces = self._number_faces(nodes)
+        sides, occupied, n_faces = self._number_faces(nodes)
         first_of: dict[int, NDArray] = {}
-        for d, cell in cells.items():
+        for d, cell in occupied.items():
             _, first, inverse = np.unique(cell, return_index=True, return_inverse=True)
             first_of[d] = gid[d][first[inverse]]
         _reject(
-            (gid[d][first_of[d] != gid[d]] for d in cells),
-            lambda e: f"elements {first_of[els[e].dim][gid[els[e].dim] == e][0]} "
+            (gid[d][first_of[d] != gid[d]] for d in occupied),
+            lambda e: f"elements {first_of[dim_of[e]][gid[dim_of[e]] == e][0]} "
             f"and {e} occupy the same simplex",
         )
-        offset = np.concatenate(
-            ([0], np.cumsum([el.dim + 1 for el in els], dtype=np.int64))
-        )
+        offset = np.concatenate(([0], np.cumsum(dim_of + 1)))
         side_at = {d: offset[e][:, None] + np.arange(d + 1) for d, e in gid.items()}
-        self.sides = self._side_table(offset, gid, side_at, sides, cells, n_faces)
-        cond = {d: self._conductivities(g, d) for d, g in groups.items()}
+        self.sides = self._side_table(offset, gid, side_at, sides, occupied, n_faces)
+        cond = {}
+        for d, c in blocks.items():
+            try:
+                cond[d] = np.ascontiguousarray(c.conductivity, dtype=float)
+            except (ValueError, TypeError):
+                raise InvalidMeshError(
+                    f"conductivities of dimension {d} are not numeric"
+                ) from None
+        _reject(
+            (gid[d][:1] for d, k in cond.items() if k.shape != (len(gid[d]), d, d)),
+            lambda e: f"element {e}: conductivity must be {dim_of[e]}x{dim_of[e]}, "
+            f"got {cond[dim_of[e]].shape[1:]}",
+        )
         _reject(
             (gid[d][~_symmetric(k)] for d, k in cond.items()),
             lambda e: f"element {e}: conductivity tensor is not symmetric",
@@ -357,8 +345,8 @@ class Mesh:
             lambda e: f"element {e}: conductivity tensor is not positive definite",
         )
         cross = {
-            d: np.array([el.cross_section for el in g], dtype=float)
-            for d, g in groups.items()
+            d: np.ascontiguousarray(c.cross_section, dtype=float)
+            for d, c in blocks.items()
         }
         _reject(
             (gid[d][~(c > 0.0)] for d, c in cross.items()),
@@ -380,24 +368,20 @@ class Mesh:
                 raise InvalidMeshError(
                     f"boundary condition node tuple {bc.face_nodes} is not sorted"
                 )
-        self.simplices: dict[int, Simplices] = {}
-        for d, g in groups.items():
-            blk = Simplices(
+        self.simplices: dict[int, Simplices] = {
+            d: Simplices(
                 dim=d,
                 ids=gid[d],
                 nodes=nodes[d],
                 conductivity=cond[d],
                 cross_section=cross[d],
-                source=np.array([el.source for el in g], dtype=float),
+                source=np.ascontiguousarray(c.source, dtype=float),
                 measure=measure[d],
                 centroid=pts[d].mean(axis=1),
                 sides=side_at[d],
             )
-            self.simplices[d] = blk
-            for el, k, m, c in zip(g, blk.conductivity, blk.measure.tolist(), blk.centroid):
-                el.conductivity = k
-                el.measure = m
-                el.centroid = c
+            for d, c in blocks.items()
+        }
 
     def _number_faces(
         self, nodes: dict[int, NDArray]
@@ -441,7 +425,7 @@ class Mesh:
 
     def _side_table(self, offset, gid, side_at, sides, cells, n_faces) -> Sides:
         total = int(offset[-1])
-        element = np.repeat(np.arange(len(self.elements)), np.diff(offset))
+        element = np.repeat(np.arange(self.n_elements), np.diff(offset))
         face = np.empty(total, dtype=np.int64)
         for d, at in side_at.items():
             face[at] = sides[d]
@@ -458,44 +442,41 @@ class Mesh:
             n_faces=n_faces,
         )
 
-    @staticmethod
-    def _conductivities(group: list[Element], dim: int) -> NDArray:
-        """Stack the group's tensors, naming the first malformed one."""
-        try:
-            k = np.array([el.conductivity for el in group], dtype=float)
-        except (ValueError, TypeError):
-            k = None
-        if k is None or k.shape != (len(group), dim, dim):
-            for el in group:
-                shape = np.shape(el.conductivity)
-                if shape != (dim, dim):
-                    raise InvalidMeshError(
-                        f"element {el.id}: conductivity must be "
-                        f"{dim}x{dim}, got {shape}"
-                    )
-            raise InvalidMeshError(f"conductivities of dimension {dim} are not numeric")
-        return k
-
     # -- derived views ---------------------------------------------------
 
     @property
-    def nodes(self) -> list[Node]:
-        return [Node(i, c) for i, c in enumerate(self.node_coords)]
+    def elements(self) -> list[Element]:
+        """The elements as :class:`Element` records in id order, built from
+        :attr:`simplices` on first access. Assigning a new list replaces
+        what :func:`write_mesh` writes; the arrays stay as they are."""
+        if self._elements is None:
+            els: list[Element] = [None] * self.n_elements  # type: ignore[list-item]
+            for blk in self.simplices.values():
+                for e, nodes, k, cross, source in zip(
+                    blk.ids.tolist(),
+                    blk.nodes.tolist(),
+                    blk.conductivity.copy(),
+                    blk.cross_section.tolist(),
+                    blk.source.tolist(),
+                ):
+                    els[e] = Element(e, blk.dim, tuple(nodes), k, cross, source)
+            self._elements = els
+        return self._elements
 
-    def element_faces(self, el: Element) -> list[ElementFace]:
-        """All facets of one element, with measures and diagnostic signs."""
-        out = []
-        for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
-            ids = tuple(sorted(el.node_ids[i] for i in locs))
-            out.append(
-                ElementFace(
-                    element_id=el.id,
-                    local_face=lf,
-                    node_ids=ids,
-                    measure=simplex_measure(self.node_coords[list(ids)]),
-                    outward_normal_sign=_outward_sign(el, lf, self.node_coords),
-                )
-            )
+    @elements.setter
+    def elements(self, elements: Sequence[Element]) -> None:
+        self._elements = list(elements)
+
+    def by_id(self, name: str) -> NDArray:
+        """One :class:`Simplices` field of every element, indexed by element
+        id; for the fields whose rows have the same shape in every dimension
+        (``cross_section``, ``source``, ``measure``, ``centroid``)."""
+        blocks = list(self.simplices.values())
+        if not blocks:
+            return np.zeros(0)
+        values = np.concatenate([getattr(blk, name) for blk in blocks])
+        out = np.empty_like(values)
+        out[np.concatenate([blk.ids for blk in blocks])] = values
         return out
 
     def face_neighbors(self) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
@@ -506,14 +487,11 @@ class Mesh:
         keep = (s.lower < 0) & (s.count > 1)
         incidence = sps.csr_matrix(
             (np.ones(int(keep.sum())), (s.element[keep], s.face[keep])),
-            shape=(len(self.elements), s.n_faces),
+            shape=(self.n_elements, s.n_faces),
         )
         pairs = (incidence @ incidence.T).tocoo()
         off = pairs.row != pairs.col
         return pairs.row[off].astype(np.int64), pairs.col[off].astype(np.int64)
-
-    def max_dim(self) -> int:
-        return max(self.simplices)
 
     def has_natural_bc(self) -> bool:
         return any(bc.kind == NATURAL for bc in self.boundary_conditions)
@@ -528,10 +506,10 @@ class Mesh:
         """
         a, b = self.face_neighbors()
         if include_couplings:
-            at = coupled_sides(self)
-            lower, upper = self.sides.lower[at], self.sides.element[at]
+            lower = self.sides.lower[self.couplings]
+            upper = self.sides.element[self.couplings]
             a, b = np.concatenate((a, lower, upper)), np.concatenate((b, upper, lower))
-        n = len(self.elements)
+        n = self.n_elements
         return sps.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
 
     def components(self, include_couplings: bool) -> list[list[int]]:
@@ -567,30 +545,22 @@ def _symmetric(k: NDArray) -> NDArray[np.bool_]:
     return (np.abs(k - k.transpose(0, 2, 1)) <= scale[:, None, None]).all(axis=(1, 2))
 
 
-def coupled_sides(mesh: Mesh) -> NDArray[np.int64]:
-    """Positions in ``mesh.sides`` of the sides occupied by a lower-dim
-    element, in coupling-link order: by lower element, upper element, then
-    local face."""
-    s = mesh.sides
-    at = np.flatnonzero(s.lower >= 0)
-    return at[np.lexsort((s.local_face[at], s.element[at], s.lower[at]))]
-
-
-def detect_couplings(mesh: Mesh, sigma: float | None = None) -> list[CouplingLink]:
+def detect_couplings(mesh: Mesh) -> NDArray[np.int64]:
     """Find all lower-dim-element / element-face coincidences.
 
     Matching is exact on node sets: a d-dimensional element couples to
     every side of a (d+1)-dimensional element whose facet has the same
-    vertices. A lower-dim element matching nothing, in a mesh that does
-    contain elements one dimension up, draws a diagnostic warning: it looks
-    like a fracture that failed to attach. Purely lower-dimensional meshes
-    (a standalone 2D problem, say) warn about nothing.
+    vertices. Returns the positions in ``mesh.sides`` of the coupled sides
+    in link order: by lower element, upper element, then local face. A
+    lower-dim element matching nothing, in a mesh that does contain
+    elements one dimension up, draws a diagnostic warning: it looks like a
+    fracture that failed to attach. Purely lower-dimensional meshes (a
+    standalone 2D problem, say) warn about nothing.
     """
-    if sigma is None:
-        sigma = mesh.transition_coefficient
     s = mesh.sides
-    at = coupled_sides(mesh)
-    matched = np.bincount(s.lower[at], minlength=len(mesh.elements))
+    at = np.flatnonzero(s.lower >= 0)
+    at = at[np.lexsort((s.local_face[at], s.element[at], s.lower[at]))]
+    matched = np.bincount(s.lower[at], minlength=mesh.n_elements)
     for d in (1, 2):
         if d in mesh.simplices and d + 1 in mesh.simplices:
             ids = mesh.simplices[d].ids
@@ -600,24 +570,7 @@ def detect_couplings(mesh: Mesh, sigma: float | None = None) -> list[CouplingLin
                     f"dim-{d + 1} element; it will not exchange flow with them",
                     stacklevel=2,
                 )
-    links = []
-    for lower, upper, lf in zip(
-        s.lower[at].tolist(), s.element[at].tolist(), s.local_face[at].tolist()
-    ):
-        el = mesh.elements[lower]
-        links.append(
-            CouplingLink(
-                lower_element=lower,
-                upper_element=upper,
-                upper_local_face=lf,
-                face_nodes=tuple(sorted(el.node_ids)),
-                measure=el.measure,
-                sigma=float(sigma),
-            )
-        )
-    return links
-
-
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -665,39 +618,74 @@ def default_bc_spec() -> BCSpec:
     )
 
 
-def _as_tensor(conductivity, dim: int, centroid: NDArray) -> NDArray:
-    if callable(conductivity):
-        k = np.asarray(conductivity(centroid, dim), dtype=float)
-        if k.ndim == 0:
-            return float(k) * np.eye(dim)
-        return k
-    k = np.asarray(conductivity, dtype=float)
-    if k.ndim == 0:
-        return float(k) * np.eye(dim)
-    return k
-
-
 def _boundary_conditions_for(
-    coords: NDArray, elements: list[Element], bc_spec: BCSpec
+    coords: NDArray, nodes: dict[int, NDArray], bc_spec: BCSpec
 ) -> list[BoundaryCondition]:
-    """Apply a BCSpec to every unoccupied single-sided face group."""
-    groups: dict[tuple[int, tuple[int, ...]], int] = {}
-    for el in elements:
-        for locs in SIMPLEX_FACES[el.dim]:
-            key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
-            groups[key] = groups.get(key, 0) + 1
-    occupied = {
-        (el.dim + 1, tuple(sorted(el.node_ids))) for el in elements if el.dim < 3
-    }
+    """Apply a BCSpec to every face of exactly one element that no
+    lower-dimensional element occupies, ordered by the dimension of the
+    element, then by the face's sorted node ids."""
     out = []
-    for (dim, nodes), count in sorted(groups.items()):
-        if count == 1 and (dim, nodes) not in occupied:
-            out.append(bc_spec.resolve(nodes, coords))
+    for d in sorted(nodes):
+        rows = [nodes[d][:, _FACE_INDEX[d]].reshape(-1, d)]
+        if d - 1 in nodes:
+            rows.append(nodes[d - 1])
+        rows = np.sort(np.concatenate(rows), axis=1)
+        keys = face_keys(rows)
+        n_side = nodes[d].size
+        count = np.bincount(keys[:n_side], minlength=len(rows))
+        count[keys[n_side:]] = 0
+        face = np.empty_like(rows)
+        face[keys] = rows
+        out += [bc_spec.resolve(tuple(f), coords) for f in face[count == 1].tolist()]
     return out
 
 
 # ---------------------------------------------------------------------------
 # generators
+
+
+def _tensors(conductivity, dim: int, centroid: NDArray) -> NDArray:
+    """One conductivity tensor per centroid, ``(E, dim, dim)``, from a
+    constant or a callable of ``(centroid, dim)``; scalars are isotropic."""
+
+    def tensor(k) -> NDArray:
+        k = np.asarray(k, dtype=float)
+        return float(k) * np.eye(dim) if k.ndim == 0 else k
+
+    if callable(conductivity):
+        return np.array([tensor(conductivity(c, dim)) for c in centroid])
+    return np.repeat(tensor(conductivity)[None], len(centroid), axis=0)
+
+
+def _values(source, centroid: NDArray) -> NDArray:
+    """One value per centroid from a constant or a callable of the centroid."""
+    if callable(source):
+        return np.array([float(source(c)) for c in centroid])
+    return np.full(len(centroid), source, dtype=float)
+
+
+def _generated(coords: NDArray, parts, bc_spec: BCSpec | None, **options) -> Mesh:
+    """A mesh of ``parts``, ``(nodes, conductivity, cross_section, source)``
+    per element dimension, numbered consecutively in the order given, with
+    the fields evaluated on the element centroids and ``bc_spec`` applied
+    to the boundary."""
+    cells: dict[int, Cells] = {}
+    start = 0
+    for nodes, conductivity, cross_section, source in parts:
+        dim = nodes.shape[1] - 1
+        centroid = coords[nodes].mean(axis=1)
+        cells[dim] = Cells(
+            ids=np.arange(start, start + len(nodes)),
+            nodes=nodes,
+            conductivity=_tensors(conductivity, dim, centroid),
+            cross_section=np.full(len(nodes), cross_section, dtype=float),
+            source=_values(source, centroid),
+        )
+        start += len(nodes)
+    bcs = _boundary_conditions_for(
+        coords, {d: c.nodes for d, c in cells.items()}, bc_spec or default_bc_spec()
+    )
+    return Mesh(coords, cells, bcs, **options)
 
 
 def generate_unit_square(
@@ -717,65 +705,42 @@ def generate_unit_square(
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    coords = np.array([(x, y, 0.0) for y in xs for x in xs])
-
-    def nid(i: int, j: int) -> int:
-        return j * (n + 1) + i
-
-    elements: list[Element] = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            for tri in ((v00, v10, v11), (v00, v11, v01)):
-                centroid = coords[list(tri)].mean(axis=0)
-                elements.append(
-                    Element(
-                        id=len(elements),
-                        dim=2,
-                        node_ids=tri,
-                        conductivity=_as_tensor(conductivity, 2, centroid),
-                        cross_section=cross_section,
-                        source=float(source(centroid)) if callable(source) else source,
-                    )
-                )
-    bcs = _boundary_conditions_for(coords, elements, bc_spec or default_bc_spec())
-    return Mesh(coords, elements, bcs, gravity_enabled=gravity)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, n + 1))
+    coords = np.column_stack((x.ravel(), y.ravel(), np.zeros(x.size)))
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    tris = np.column_stack((v00, v10, v11, v00, v11, v01)).reshape(-1, 3)
+    return _generated(
+        coords,
+        [(tris, conductivity, cross_section, source)],
+        bc_spec,
+        gravity_enabled=gravity,
+    )
 
 
 def _cube_nodes(n: int) -> NDArray:
-    xs = np.linspace(0.0, 1.0, n + 1)
-    return np.array([(x, y, z) for z in xs for y in xs for x in xs])
-
-
-def _cube_node_id(n: int, i: int, j: int, k: int) -> int:
-    return (k * (n + 1) + j) * (n + 1) + i
+    """Grid nodes of the unit cube, x fastest, then y, then z."""
+    z, y, x = np.meshgrid(*[np.linspace(0.0, 1.0, n + 1)] * 3, indexing="ij")
+    return np.column_stack((x.ravel(), y.ravel(), z.ravel()))
 
 
 # Vertex paths of the six tetrahedra splitting a unit cell along its main
 # diagonal; each path adds the axes in one of the 3! orders.
-_KUHN_ORDERS = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
+_KUHN_ORDERS = np.array(
+    [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 )
 
 
-def _cell_tets(n: int, i: int, j: int, k: int) -> list[tuple[int, ...]]:
-    base = np.array([i, j, k])
-    tets = []
-    for order in _KUHN_ORDERS:
-        corner = base.copy()
-        path = [_cube_node_id(n, *corner)]
-        for axis in order:
-            corner[axis] += 1
-            path.append(_cube_node_id(n, *corner))
-        tets.append(tuple(path))
-    return tets
+def _kuhn_tets(n: int) -> NDArray[np.int64]:
+    """The six tetrahedra of every cell of the ``n**3`` grid, cell by cell
+    (x fastest) and path by path, each a vertex path from the cell's lowest
+    corner to its highest."""
+    step = np.array([1, n + 1, (n + 1) ** 2])
+    k, j, i = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    corner = (i * step[0] + j * step[1] + k * step[2]).reshape(-1, 1, 1)
+    path = np.zeros((len(_KUHN_ORDERS), 4), dtype=np.int64)
+    path[:, 1:] = np.cumsum(step[_KUHN_ORDERS], axis=1)
+    return (corner + path).reshape(-1, 4)
 
 
 def generate_unit_cube(
@@ -794,25 +759,12 @@ def generate_unit_cube(
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
-    coords = _cube_nodes(n)
-    elements: list[Element] = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                for tet in _cell_tets(n, i, j, k):
-                    centroid = coords[list(tet)].mean(axis=0)
-                    elements.append(
-                        Element(
-                            id=len(elements),
-                            dim=3,
-                            node_ids=tet,
-                            conductivity=_as_tensor(conductivity, 3, centroid),
-                            cross_section=cross_section,
-                            source=float(source(centroid)) if callable(source) else source,
-                        )
-                    )
-    bcs = _boundary_conditions_for(coords, elements, bc_spec or default_bc_spec())
-    return Mesh(coords, elements, bcs, gravity_enabled=gravity)
+    return _generated(
+        _cube_nodes(n),
+        [(_kuhn_tets(n), conductivity, cross_section, source)],
+        bc_spec,
+        gravity_enabled=gravity,
+    )
 
 
 def generate_cross_fracture_cube(
@@ -838,60 +790,24 @@ def generate_cross_fracture_cube(
     if n < 2 or n % 2 != 0:
         raise ConfigurationError("cross-fracture cube requires an even n >= 2")
     coords = _cube_nodes(n)
-    elements: list[Element] = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                for tet in _cell_tets(n, i, j, k):
-                    elements.append(
-                        Element(
-                            id=len(elements),
-                            dim=3,
-                            node_ids=tet,
-                            conductivity=k3 * np.eye(3),
-                            cross_section=delta3,
-                        )
-                    )
-    # Fracture triangles reuse the tetrahedral face tuples found on each
-    # plane, so coincidence with both adjoining tetrahedra is exact.
-    plane_faces: set[tuple[int, ...]] = set()
-    for el in elements:
-        for locs in SIMPLEX_FACES[3]:
-            ids = tuple(sorted(el.node_ids[i] for i in locs))
-            for axis in (0, 1):
-                if np.all(np.abs(coords[list(ids), axis] - 0.5) <= _PLANE_TOL):
-                    plane_faces.add(ids)
-    for ids in sorted(plane_faces):
-        elements.append(
-            Element(
-                id=len(elements),
-                dim=2,
-                node_ids=ids,
-                conductivity=k2 * np.eye(2),
-                cross_section=delta2,
-            )
-        )
+    tets = _kuhn_tets(n)
+    # Fracture triangles are the tetrahedral faces found on either plane,
+    # so coincidence with both adjoining tetrahedra is exact.
+    faces = np.sort(tets[:, _FACE_INDEX[3]].reshape(-1, 3), axis=1)
+    on_plane = (np.abs(coords[faces, :2] - 0.5) <= _PLANE_TOL).all(axis=1).any(axis=1)
+    tris = np.unique(faces[on_plane], axis=0)
     # Channel segments along x = y = 0.5.
     mid = n // 2
-    for k in range(n):
-        pair = (
-            _cube_node_id(n, mid, mid, k),
-            _cube_node_id(n, mid, mid, k + 1),
-        )
-        elements.append(
-            Element(
-                id=len(elements),
-                dim=1,
-                node_ids=pair,
-                conductivity=k1 * np.eye(1),
-                cross_section=delta1,
-            )
-        )
-    bcs = _boundary_conditions_for(coords, elements, bc_spec or default_bc_spec())
-    return Mesh(
+    line = (np.arange(n + 1) * (n + 1) + mid) * (n + 1) + mid
+    segments = np.column_stack((line[:-1], line[1:]))
+    return _generated(
         coords,
-        elements,
-        bcs,
+        [
+            (tets, k3, delta3, 0.0),
+            (tris, k2, delta2, 0.0),
+            (segments, k1, delta1, 0.0),
+        ],
+        bc_spec,
         gravity_enabled=gravity,
         transition_coefficient=sigma,
     )
@@ -919,7 +835,8 @@ def write_mesh(mesh: Mesh, path: str) -> None:
     Sections: ``$params`` (gravity flag, transition coefficient), ``$nodes``
     (id x y z), ``$elements`` (id dim nodes..., upper-triangle conductivity,
     cross-section, source), ``$boundary`` (node tuple, kind, value), ``$end``.
-    Floats use 17 significant digits and round-trip exactly.
+    Elements are written from :attr:`Mesh.elements`. Floats use 17
+    significant digits and round-trip exactly.
     """
     lines = ["# mixed-dimensional mesh"]
     lines.append("$params")
@@ -957,7 +874,7 @@ def read_mesh(path: str) -> Mesh:
     Raises :class:`MeshFormatError` with a 1-based line number on malformed
     input; structural problems surface as :class:`InvalidMeshError` from the
     mesh constructor. Lines are split one by one; each section's numbers
-    are converted and checked as whole arrays.
+    are converted and checked as whole arrays, one per element dimension.
     """
     section = None
     gravity = False
@@ -993,13 +910,19 @@ def read_mesh(path: str) -> Mesh:
             else:
                 raise MeshFormatError("data before any section header", lineno)
     coords = _parse_nodes(rows["nodes"])
-    elements = _parse_elements(rows["elements"], len(coords))
+    cells, ids = _parse_elements(rows["elements"], len(coords))
     bcs = _parse_boundary(rows["boundary"], len(coords))
     if section != "end":
         raise MeshFormatError("missing $end marker")
+    pos = np.flatnonzero(ids != np.arange(len(ids)))
+    if len(pos):
+        raise InvalidMeshError(
+            f"element ids must be dense and ordered; "
+            f"got id {ids[pos[0]]} at position {pos[0]}"
+        )
     return Mesh(
         coords,
-        elements,
+        cells,
         bcs,
         gravity_enabled=gravity,
         transition_coefficient=sigma,
@@ -1048,7 +971,9 @@ def _parse_nodes(rows: list[_Row]) -> NDArray:
     return coords
 
 
-def _parse_elements(rows: list[_Row], n_nodes: int) -> list[Element]:
+def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], NDArray]:
+    """The element lines as one :class:`Cells` record per dimension, and
+    the element ids in file order."""
     by_dim: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for pos, (lineno, tok) in enumerate(rows):
         try:
@@ -1063,7 +988,8 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> list[Element]:
                 f"element line needs {expect} fields, got {len(tok)}", lineno
             )
         by_dim[dim].append(pos)
-    elements: list[Element] = [None] * len(rows)  # type: ignore[list-item]
+    cells: dict[int, Cells] = {}
+    ids = np.empty(len(rows), dtype=np.int64)
     for dim, positions in by_dim.items():
         if not positions:
             continue
@@ -1085,23 +1011,15 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> list[Element]:
                 f"positive definite",
                 group[bad[0]][0],
             )
-        for pos, eid, node_ids, tensor, cross, source in zip(
-            positions,
-            ints[:, 0].tolist(),
-            ints[:, 2:].tolist(),
-            tensors,
-            floats[:, -2].tolist(),
-            floats[:, -1].tolist(),
-        ):
-            elements[pos] = Element(
-                id=eid,
-                dim=dim,
-                node_ids=tuple(node_ids),
-                conductivity=tensor,
-                cross_section=cross,
-                source=source,
-            )
-    return elements
+        ids[positions] = ints[:, 0]
+        cells[dim] = Cells(
+            ids=ints[:, 0],
+            nodes=ints[:, 2:],
+            conductivity=tensors,
+            cross_section=floats[:, -2],
+            source=floats[:, -1],
+        )
+    return cells, ids
 
 
 def _parse_boundary(rows: list[_Row], n_nodes: int) -> list[BoundaryCondition]:
@@ -1123,23 +1041,18 @@ def _parse_boundary(rows: list[_Row], n_nodes: int) -> list[BoundaryCondition]:
 
 
 def meshes_equal(a: Mesh, b: Mesh) -> bool:
-    """Exact field-for-field identity, used by round-trip tests."""
+    """Exact field-for-field identity of the input data, used by round-trip
+    tests."""
     if (
-        a.node_coords.shape != b.node_coords.shape
-        or not np.array_equal(a.node_coords, b.node_coords)
-        or len(a.elements) != len(b.elements)
+        not np.array_equal(a.node_coords, b.node_coords)
+        or a.simplices.keys() != b.simplices.keys()
         or a.gravity_enabled != b.gravity_enabled
         or a.transition_coefficient != b.transition_coefficient
     ):
         return False
-    for ea, eb in zip(a.elements, b.elements):
-        if (
-            ea.id != eb.id
-            or ea.dim != eb.dim
-            or ea.node_ids != eb.node_ids
-            or not np.array_equal(ea.conductivity, eb.conductivity)
-            or ea.cross_section != eb.cross_section
-            or ea.source != eb.source
-        ):
-            return False
+    for d, sa in a.simplices.items():
+        sb = b.simplices[d]
+        for name in Cells._fields:
+            if not np.array_equal(getattr(sa, name), getattr(sb, name)):
+                return False
     return a.boundary_conditions == b.boundary_conditions

@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .assembly import BlockSystem
 from .errors import ConfigurationError
-from .mesh import Mesh, coupled_sides
+from .mesh import Mesh
 
 SCHEMES = ("arithmetic", "rho", "diag")
 
@@ -82,16 +82,14 @@ def partition_elements(mesh: Mesh, n_sub: int) -> Partition:
     substructure it shares the most adjacency edges with (the lowest
     substructure id on ties).
     """
-    n_el = len(mesh.elements)
+    n_el = mesh.n_elements
     if n_sub < 1:
         raise ConfigurationError("n_sub must be at least 1")
     if n_sub > n_el:
         raise ConfigurationError(
             f"cannot split {n_el} elements into {n_sub} substructures"
         )
-    centroids = np.empty((n_el, 3))
-    for blk in mesh.simplices.values():
-        centroids[blk.ids] = blk.centroid
+    centroids = mesh.by_id("centroid")
     assignment = np.full(n_el, -1, dtype=np.int64)
     _rcb(centroids, np.arange(n_el), n_sub, assignment, 0)
 
@@ -177,7 +175,7 @@ def _touches(system: BlockSystem) -> tuple[NDArray, NDArray, NDArray]:
     ``mesh.sides``."""
     dm = system.dof_map
     sides = system.mesh.sides
-    links = coupled_sides(system.mesh)
+    links = system.mesh.couplings
     at = np.flatnonzero(dm.side_mult >= 0)
     mult = dm.side_mult[np.concatenate((links, at))]
     element = np.concatenate((sides.lower[links], sides.element[at]))
@@ -326,15 +324,14 @@ def compute_weights(
         pos = np.searchsorted(pair_sub * n_interface + pair_gi, key[on])
         score = np.zeros(len(pair_gi))
         if scheme == "rho":
-            rho = np.empty(len(mesh.elements))
+            rho = np.empty(mesh.n_elements)
             for blk in mesh.simplices.values():
                 kinv = np.linalg.inv(blk.conductivity)
                 rho[blk.ids] = blk.dim / np.trace(kinv, axis1=1, axis2=2)
             np.maximum.at(score, pos, rho[element[on]])
         else:  # diag: the links' penalty terms first, then the sides'
-            link_w = [link.sigma * link.measure for link in mesh.couplings]
             side_w = 1.0 / system.a.diagonal()[system.dof_map.side_vel[at]]
-            np.add.at(score, pos, np.concatenate((link_w, side_w))[on])
+            np.add.at(score, pos, np.concatenate((mesh.coupling_weights, side_w))[on])
     total = np.zeros(n_interface)
     np.add.at(total, pair_gi, score)
     return np.split(score / total[pair_gi], np.cumsum(sizes)[:-1])

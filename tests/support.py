@@ -15,7 +15,7 @@ from darcydd.assembly import assemble
 from darcydd.bddc import BddcPreconditioner, build_constraints
 from darcydd.errors import ConfigurationError
 from darcydd.ldlt import factor_symmetric_indefinite
-from darcydd.mesh import NATURAL, SIMPLEX_FACES, coupled_sides
+from darcydd.mesh import NATURAL, SIMPLEX_FACES, Cells, Mesh
 from darcydd.partition import (
     SCHEMES,
     Glob,
@@ -36,6 +36,49 @@ def record_criterion(num: int, label: str, ok: bool, detail: str) -> None:
     print(line)
     ACCEPTANCE_LINES.append(line)
     assert ok, line
+
+
+# ---------------------------------------------------------------------------
+# meshes from element records
+
+
+def mesh_from_elements(coords, elements, boundary_conditions=(), **options) -> Mesh:
+    """A mesh of :class:`darcydd.mesh.Element` records, grouped per
+    dimension in list order."""
+    cells = {}
+    for d in sorted({el.dim for el in elements}):
+        group = [el for el in elements if el.dim == d]
+        cells[d] = Cells(
+            ids=[el.id for el in group],
+            nodes=[el.node_ids for el in group],
+            conductivity=[el.conductivity for el in group],
+            cross_section=[el.cross_section for el in group],
+            source=[el.source for el in group],
+        )
+    return Mesh(coords, cells, boundary_conditions, **options)
+
+
+def coupling_links(mesh) -> list[SimpleNamespace]:
+    """The coupling links in link order, read from ``mesh.couplings``:
+    lower and upper element, the upper element's local face, the sorted
+    nodes and measure of the lower element, and the transition
+    coefficient."""
+    s = mesh.sides
+    at = mesh.couplings
+    measure = mesh.by_id("measure")
+    return [
+        SimpleNamespace(
+            lower_element=lower,
+            upper_element=upper,
+            upper_local_face=lf,
+            face_nodes=tuple(sorted(mesh.elements[lower].node_ids)),
+            measure=float(measure[lower]),
+            sigma=mesh.transition_coefficient,
+        )
+        for lower, upper, lf in zip(
+            s.lower[at].tolist(), s.element[at].tolist(), s.local_face[at].tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +258,8 @@ def sliced_substructure_blocks(system, layout) -> list[dict]:
     c_t = system.c_t.tocsr()
     pen_val = np.zeros(dm.n_multiplier)
     pen_sub = np.full(dm.n_multiplier, -1, dtype=np.int64)
-    link_mult = dm.side_mult[coupled_sides(system.mesh)].tolist()
-    for link, m in zip(system.mesh.couplings, link_mult):
+    link_mult = dm.side_mult[system.mesh.couplings].tolist()
+    for link, m in zip(coupling_links(system.mesh), link_mult):
         pen_val[m] += link.sigma * link.measure
         pen_sub[m] = part.assignment[link.lower_element]
     out = []
@@ -312,7 +355,8 @@ def numbering_contract(mesh) -> SimpleNamespace:
         for locs in SIMPLEX_FACES[el.dim]:
             key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
             groups[key] = groups.get(key, 0) + 1
-    coupled = {(l.upper_element, l.upper_local_face) for l in mesh.couplings}
+    links = coupling_links(mesh)
+    coupled = {(l.upper_element, l.upper_local_face) for l in links}
     bcs = {bc.face_nodes: bc for bc in mesh.boundary_conditions}
     side_of_vel, mult_of_side, natural, mult_sides, shared = [], {}, {}, [], {}
     for el in mesh.elements:
@@ -334,7 +378,7 @@ def numbering_contract(mesh) -> SimpleNamespace:
             mult_of_side[side] = m
             mult_sides[m].append(side)
     mult_links = [[] for _ in mult_sides]
-    for li, link in enumerate(mesh.couplings):
+    for li, link in enumerate(links):
         mult_links[mult_of_side[(link.upper_element, link.upper_local_face)]].append(li)
     return SimpleNamespace(
         side_of_vel=side_of_vel,
@@ -352,13 +396,14 @@ def classify_interface_loops(system, partition) -> InterfaceLayout:
     dm = system.dof_map
     mesh = system.mesh
     contract = numbering_contract(mesh)
+    lower = [link.lower_element for link in coupling_links(mesh)]
     assign = partition.assignment
     sharing_all: list[tuple[int, ...]] = []
     interface: list[int] = []
     for m in range(dm.n_multiplier):
         subs = {int(assign[e]) for e, _ in contract.mult_sides[m]}
         for li in contract.mult_links[m]:
-            subs.add(int(assign[mesh.couplings[li].lower_element]))
+            subs.add(int(assign[lower[li]]))
         tup = tuple(sorted(subs))
         sharing_all.append(tup)
         if len(tup) > 1:
@@ -406,6 +451,7 @@ def compute_weights_loops(system, layout, scheme: str) -> list[np.ndarray]:
         raise ConfigurationError(f"unknown weight scheme {scheme!r}")
     mesh = system.mesh
     contract = numbering_contract(mesh)
+    all_links = coupling_links(mesh)
     assign = layout.partition.assignment
     a_diag = system.a.diagonal()
 
@@ -418,7 +464,7 @@ def compute_weights_loops(system, layout, scheme: str) -> list[np.ndarray]:
     for gi, m in enumerate(layout.interface_mults):
         sharing = layout.mult_sharing[m]
         sides = contract.mult_sides[m]
-        links = [mesh.couplings[li] for li in contract.mult_links[m]]
+        links = [all_links[li] for li in contract.mult_links[m]]
         if scheme == "arithmetic":
             scores = {s: 1.0 for s in sharing}
         else:

@@ -11,7 +11,6 @@ from darcydd.bddc import build_constraints
 from darcydd.cli import RunConfig, run
 from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import (
-    coupled_sides,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
@@ -19,7 +18,7 @@ from darcydd.mesh import (
 from darcydd.partition import compute_weights
 from darcydd.subsolve import recover_solution
 
-from support import build_pipeline, dense_sub_schur, record_criterion
+from support import build_pipeline, coupling_links, dense_sub_schur, record_criterion
 
 
 def test_criterion_01_matches_direct_solver():
@@ -210,7 +209,7 @@ def test_criterion_07_physical_fidelity():
     )
     assert report.converged
     sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
-    centroids = np.array([el.centroid for el in mesh.elements])
+    centroids = mesh.by_id("centroid")
     linear_err = np.abs(sol.p - (1.0 - centroids[:, 0])).max()
 
     worst_balance = 0.0
@@ -247,7 +246,7 @@ def test_criterion_08_penalty_limit():
     sol = full_solve_direct(system)
     dm = system.dof_map
     gap = 0.0
-    for link, m in zip(mesh.couplings, dm.side_mult[coupled_sides(mesh)]):
+    for link, m in zip(coupling_links(mesh), dm.side_mult[mesh.couplings]):
         gap = max(gap, abs(sol.p[link.lower_element] - sol.lam[m]))
     cbar = system.penalty_matrix()
     rng = np.random.default_rng(99)

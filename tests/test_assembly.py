@@ -18,16 +18,19 @@ from darcydd.mesh import (
     NATURAL,
     BCSpec,
     Element,
-    Mesh,
     PlaneBC,
-    coupled_sides,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
     simplex_measure,
 )
 
-from support import numbering_contract, rt0_quadrature_oracle
+from support import (
+    coupling_links,
+    mesh_from_elements,
+    numbering_contract,
+    rt0_quadrature_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,9 @@ def _all_natural_fracture_cube(rng):
         )
         for el in base.elements
     ]
-    return Mesh(base.node_coords, els, base.boundary_conditions, gravity_enabled=True)
+    return mesh_from_elements(
+        base.node_coords, els, base.boundary_conditions, gravity_enabled=True
+    )
 
 
 def test_batched_assembly_matches_single_element_oracle(rng):
@@ -157,10 +162,10 @@ def test_numbering_contract_fracture_cube():
     natural = [sides[i] for i in dm.natural_sides.tolist()]
     assert dict(zip(natural, dm.natural_values.tolist())) == contract.natural
     assert len(natural) == len(contract.natural)
-    link_mult = dm.side_mult[coupled_sides(mesh)].tolist()
+    link_mult = dm.side_mult[mesh.couplings].tolist()
     assert link_mult == [
         contract.mult_of_side[(link.upper_element, link.upper_local_face)]
-        for link in mesh.couplings
+        for link in coupling_links(mesh)
     ]
 
 
@@ -209,7 +214,7 @@ def test_penalty_form_identity(frac2, rng):
         x = rng.standard_normal(n_p + system.n_multiplier)
         quad = x @ cbar @ x
         ref = 0.0
-        for link, m in zip(frac2.couplings, dm.side_mult[coupled_sides(frac2)]):
+        for link, m in zip(coupling_links(frac2), dm.side_mult[frac2.couplings]):
             ref += link.sigma * link.measure * (x[link.lower_element] - x[n_p + m]) ** 2
         assert quad >= 0
         assert abs(quad - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -253,11 +258,11 @@ def test_linear_pressure_reproduced():
     assert np.abs(sol.lam - (1.0 - mult_x)).max() <= 1e-10
     # unit pressure drop over unit conductivity drives unit total flow
     inflow = 0.0
-    for el in mesh.elements:
-        vel = dm.side_vel[mesh.sides.element == el.id]
-        for v, face in zip(vel, mesh.element_faces(el)):
-            if v >= 0 and np.all(mesh.node_coords[list(face.node_ids), 0] == 0.0):
-                inflow += sol.u[v]
+    for blk in mesh.simplices.values():
+        for vel, faces in zip(dm.side_vel[blk.sides], blk.face_nodes()):
+            for v, face in zip(vel, faces):
+                if v >= 0 and np.all(mesh.node_coords[face, 0] == 0.0):
+                    inflow += sol.u[v]
     assert abs(inflow + 1.0) <= 1e-10
 
 
@@ -291,7 +296,7 @@ def test_penalty_limit_scaling():
         sol = full_solve_direct(system)
         dm = system.dof_map
         gap = 0.0
-        for link, m in zip(mesh.couplings, dm.side_mult[coupled_sides(mesh)]):
+        for link, m in zip(coupling_links(mesh), dm.side_mult[mesh.couplings]):
             gap = max(gap, abs(sol.p[link.lower_element] - sol.lam[m]))
         return gap
 
@@ -314,7 +319,7 @@ def test_null_space_census_two_components():
     from darcydd.mesh import BoundaryCondition
 
     bcs = [BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0)]
-    mesh = Mesh(coords, els, bcs)
+    mesh = mesh_from_elements(coords, els, bcs)
     assert [c for c in mesh.components_without_natural_bc(True)] == [[1]]
     system = assemble(mesh)
     bbar = sps.vstack([system.b, system.b_f]).toarray()

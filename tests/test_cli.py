@@ -17,7 +17,13 @@ from darcydd.cli import (
     run_suite,
 )
 from darcydd.errors import ConfigurationError
-from darcydd.mesh import BCSpec, generate_unit_square, write_mesh
+from darcydd.mesh import (
+    BCSpec,
+    Mesh,
+    generate_cross_fracture_cube,
+    generate_unit_square,
+    write_mesh,
+)
 from darcydd.partition import (
     classify_interface,
     partition_elements,
@@ -266,6 +272,24 @@ def test_run_suite_smoke(tmp_path):
     assert len(lines) == 4
     with pytest.raises(ConfigurationError, match="unknown suite"):
         run_suite("warmup")
+
+
+@pytest.mark.parametrize("source", ["gen", "file"])
+def test_run_builds_no_element_records(tmp_path, monkeypatch, source):
+    """Reading or generating, assembling, partitioning and solving work
+    on the mesh arrays alone."""
+    config = RunConfig(gen="fracture-cube", n=2, n_sub=4, oracle=True)
+    if source == "file":
+        path = tmp_path / "frac.msh"
+        write_mesh(generate_cross_fracture_cube(2), str(path))
+        config = RunConfig(mesh_path=str(path), n_sub=4, oracle=True)
+
+    def refuse(mesh):
+        raise AssertionError("Mesh.elements built on the solve path")
+
+    monkeypatch.setattr(Mesh, "elements", property(refuse))
+    result = run(config, quiet=True)
+    assert result.report.converged
 
 
 def test_report_csv_multiline():

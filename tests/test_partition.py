@@ -7,8 +7,7 @@ import pytest
 from darcydd.assembly import assemble
 from darcydd.errors import ConfigurationError
 from darcydd.mesh import (
-    Mesh,
-    coupled_sides,
+    SIMPLEX_FACES,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
@@ -24,7 +23,12 @@ from darcydd.partition import (
     select_corners,
 )
 
-from support import classify_interface_loops, compute_weights_loops
+from support import (
+    classify_interface_loops,
+    compute_weights_loops,
+    coupling_links,
+    mesh_from_elements,
+)
 
 
 def layout_of(mesh, n_sub):
@@ -80,16 +84,17 @@ def independent_adjacency(mesh):
         (el.dim, tuple(sorted(el.node_ids))) for el in mesh.elements if el.dim < 3
     }
     for el in mesh.elements:
-        for face in mesh.element_faces(el):
-            key = (el.dim, face.node_ids)
-            if (el.dim - 1, face.node_ids) in occupied:
+        for locs in SIMPLEX_FACES[el.dim]:
+            face_nodes = tuple(sorted(el.node_ids[i] for i in locs))
+            key = (el.dim, face_nodes)
+            if (el.dim - 1, face_nodes) in occupied:
                 continue
             other = facet_owner.get(key)
             if other is not None:
                 adj[el.id].add(other)
                 adj[other].add(el.id)
             facet_owner[key] = el.id
-    for link in mesh.couplings:
+    for link in coupling_links(mesh):
         adj[link.lower_element].add(link.upper_element)
         adj[link.upper_element].add(link.lower_element)
     return adj
@@ -150,7 +155,7 @@ def test_fracture_interface(frac2):
     # most of this interface runs along fracture planes, so the sharing
     # sets must have been traced through coupling links, not just faces
     dm = system.dof_map
-    linked = np.isin(layout.interface_mults, dm.side_mult[coupled_sides(frac2)])
+    linked = np.isin(layout.interface_mults, dm.side_mult[frac2.couplings])
     assert linked.sum() == 13
 
 
@@ -166,7 +171,7 @@ def _without_intersection_line(mesh):
     kept = [el for el in mesh.elements if el.dim > 1]
     elements = [dataclasses.replace(el, id=i) for i, el in enumerate(kept)]
     bcs = [bc for bc in mesh.boundary_conditions if len(bc.face_nodes) > 1]
-    return Mesh(mesh.node_coords, elements, bcs)
+    return mesh_from_elements(mesh.node_coords, elements, bcs)
 
 
 @pytest.mark.parametrize(
@@ -316,7 +321,7 @@ def test_conductivity_weighting_exact():
     mesh = generate_unit_square(4, conductivity=cond)
     system, partition, layout = layout_of(mesh, 2)
     low, high = compute_weights(system, layout, "rho")
-    if mesh.elements[int(partition.elements_of(0)[0])].centroid[0] > 0.5:
+    if mesh.by_id("centroid")[partition.elements_of(0)[0], 0] > 0.5:
         low, high = high, low
     assert (low == 0.375).all()
     assert (high == 0.625).all()

@@ -15,7 +15,7 @@ from darcydd.mesh import generate_cross_fracture_cube
 from darcydd.partition import SCHEMES
 from darcydd.subsolve import recover_solution
 
-from support import build_pipeline
+from support import build_pipeline, coupling_links
 
 RTOL = 1e-10
 
@@ -67,7 +67,7 @@ def test_substructured_solve_properties(sigma, k1, k2, k3, n_sub, scheme):
     # balance holds to rounding, relative to the size of the balance terms
     # (the fluxes and the coupling inflows); rounding inside the element
     # solves grows with their conditioning.
-    link_weight = max(link.sigma * link.measure for link in mesh.couplings)
+    link_weight = max(link.sigma * link.measure for link in coupling_links(mesh))
     scale = max(
         np.abs(sol.u).max(),
         link_weight * max(np.abs(sol.lam).max(), np.abs(sol.p).max()),

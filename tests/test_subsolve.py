@@ -13,8 +13,6 @@ from darcydd.mesh import (
     NATURAL,
     BoundaryCondition,
     Element,
-    Mesh,
-    coupled_sides,
     generate_cross_fracture_cube,
     generate_unit_square,
 )
@@ -33,6 +31,7 @@ from support import (
     dense_schur_oracle,
     dense_sub_schur,
     hybridized_substructure_blocks,
+    mesh_from_elements,
 )
 
 
@@ -156,10 +155,10 @@ def test_blocks_match_per_substructure_slicing(mesh_of, n_sub):
     system, layout, subs, _ = setup_case(mesh, n_sub)
     ref = hybridized_substructure_blocks(system, layout)
     assert len(subs) == len(ref) == n_sub
-    if mesh.couplings:
+    if len(mesh.couplings):
         # some link multiplier is on the interface, so penalty ownership
         # is covered
-        link_mults = system.dof_map.side_mult[coupled_sides(mesh)]
+        link_mults = system.dof_map.side_mult[mesh.couplings]
         assert np.isin(layout.interface_mults, link_mults).any()
     for sub, want in zip(subs, ref):
         assert np.array_equal(sub.interior_mults, want["interior_mults"])
@@ -218,7 +217,7 @@ def test_sealed_element_is_singular():
         for i, nodes in enumerate([(0, 1, 2), (3, 4, 5)])
     ]
     bcs = [BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0)]
-    system = assemble(Mesh(coords, els, bcs))
+    system = assemble(mesh_from_elements(coords, els, bcs))
     layout = classify_interface(system, Partition(2, np.array([0, 1])))
     with pytest.raises(SingularSystemError, match=r"element\(s\) \[1\]"):
         build_substructures(system, layout)
