@@ -196,7 +196,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         )
         weights = compute_weights(system, layout, config.scaling)
         subs = build_substructures(system, layout, config.threads)
-        operator = InterfaceOperator(subs, layout, config.threads)
+        operator = InterfaceOperator(subs, layout)
         prec = BddcPreconditioner(
             subs, layout, weights, constraints, config.threads
         )
@@ -217,7 +217,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
             PcgConfig(rel_tol=config.rel_tol, max_iter=config.max_iter),
         )
         t_pcg = time.perf_counter() - t0
-        sol = recover_solution(system, subs, layout, lam_gamma, config.threads)
+        sol = recover_solution(system, subs, layout, lam_gamma)
         report.setup_seconds = t_setup
         report.pcg_seconds = t_pcg
         report.total_seconds = time.perf_counter() - t_start
@@ -449,6 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--gen", choices=GENERATORS, help="built-in mesh generator"
     )
+    source.add_argument(
+        "--suite",
+        choices=tuple(SUITES),
+        help="run a named benchmark suite instead of a single case",
+    )
     parser.add_argument(
         "--n", type=int, default=8, help="generator resolution (default 8)"
     )
@@ -495,12 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--solution", metavar="PATH", help="write pressures and fluxes"
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker cap (default 1)"
-    )
-    parser.add_argument(
-        "--suite",
-        choices=tuple(SUITES),
-        help="run a named benchmark suite instead of a single case",
+        "--threads",
+        type=int,
+        default=1,
+        help="worker cap for substructure set-up (default 1)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress output"

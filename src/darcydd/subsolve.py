@@ -35,18 +35,19 @@ problem over its velocities, pressures and multipliers, because eliminating
 interior unknowns in another order does not change it. The sign convention
 keeps the reduced problem SPD so conjugate gradients applies unchanged.
 
-:meth:`SubstructureOperator.factorize` factors the sparse ``K_II`` once and
-forms ``S_i`` explicitly, as a dense ``n_gamma x n_gamma`` matrix, from one
-multi-right-hand-side solve; applying the interface operator is then one
-dense matrix-vector product per substructure, and the preconditioner's
-local problems work on ``S_i`` alone. The interior factorization stays for
-the reduced right-hand side and for recovering the interior multipliers;
+:meth:`SubstructureOperator.factorize` does all interior work at set-up: it
+factors the sparse ``K_II``, forms ``W`` and ``S_i`` (dense, ``n_gamma x
+n_gamma``) from one multi-right-hand-side solve and, in a second solve,
+``K_II^-1`` times the interior load, and then lets the factorization go.
+Applying the interface operator is one dense matrix-vector product per
+substructure, the preconditioner's local problems work on ``S_i`` alone,
+the reduced right-hand side is a sum of stored shares, and the interior
+multipliers of an interface trace ``x`` are ``K_II^-1 rhs_I + W x``.
 :func:`recover_solution` then gets every velocity and pressure from
 ``M^-1 ([g; f] - N^T lam)``.
 """
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,39 +57,26 @@ from numpy.typing import NDArray
 
 from .assembly import BlockSystem, SolutionTriple
 from .errors import ConfigurationError, SingularSystemError
-from .ldlt import IndefiniteFactorization, factor_symmetric_indefinite
+from .ldlt import factor_symmetric_indefinite
 from .partition import InterfaceLayout
 
 
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-_EXECUTORS_LOCK = threading.Lock()
-
-
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The process-wide pool of ``threads`` workers, created on first use
-    and kept, so that PCG iterations start no threads."""
-    with _EXECUTORS_LOCK:
-        if threads not in _EXECUTORS:
-            _EXECUTORS[threads] = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix=f"darcydd-{threads}"
-            )
-        return _EXECUTORS[threads]
-
-
 def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map preserving order; results are reduced by the caller in a fixed
-    order, so the worker count never changes any output. ``fn`` must not
-    call ``parallel_map`` itself: it would wait on its own pool."""
+    """Map preserving order on a pool of at most ``threads`` workers that
+    lives for this call only. Callers reduce the results in a fixed order,
+    so the worker count never changes any output. Only set-up uses it:
+    :func:`build_substructures` and the preconditioner's local inverses."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    return list(_executor(threads).map(fn, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
 class SubstructureOperator:
-    """One substructure's interior factorization and interface coupling,
-    on its copies of the multipliers it touches."""
+    """One substructure's interface coupling on its copies of the
+    multipliers it touches, with its interior solved once at set-up."""
 
     sub_id: int
     interior_mults: NDArray[np.int64]  # global ids, ascending
@@ -98,8 +86,10 @@ class SubstructureOperator:
     k_gg: sps.csr_matrix
     rhs_interior: NDArray
     rhs_gamma: NDArray
-    fact: IndefiniteFactorization | None = field(default=None, repr=False)
     schur: NDArray | None = field(default=None, repr=False)
+    w: NDArray | None = field(default=None, repr=False)  # -K_II^-1 K_IG
+    lam_load: NDArray | None = field(default=None, repr=False)  # K_II^-1 rhs_I
+    rhs_share: NDArray | None = field(default=None, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -110,15 +100,16 @@ class SubstructureOperator:
         return len(self.local_gamma)
 
     def factorize(self) -> None:
-        """Factor ``K_II`` and form the dense local Schur complement."""
+        """Factor ``K_II``, form ``W``, the dense local Schur complement and
+        the interior load's solution, and drop the factorization."""
         try:
-            self.fact = factor_symmetric_indefinite(self.k_ii)
+            fact = factor_symmetric_indefinite(self.k_ii)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"interior problem of substructure {self.sub_id} "
                 f"is singular ({exc})"
             ) from exc
-        w = self.fact.solve(-self.k_ig.toarray())
+        w = fact.solve(-self.k_ig.toarray())
         schur = -(self.k_gg.toarray() + self.k_ig.T @ w)
         defect = float(np.abs(schur - schur.T).max(initial=0.0))
         scale = float(np.abs(schur).max(initial=0.0))
@@ -129,25 +120,25 @@ class SubstructureOperator:
                 f"unreliable"
             )
         self.schur = 0.5 * (schur + schur.T)
-
-    def interior_solve(self, rhs: NDArray) -> NDArray:
-        return self.fact.solve(rhs)
+        self.w = w
+        # a solve of its own, so that the load cannot change W or S_i
+        self.lam_load = fact.solve(self.rhs_interior)
+        self.rhs_share = self.k_ig.T @ self.lam_load - self.rhs_gamma
 
     def reduced_rhs(self) -> NDArray:
         """This substructure's share of the reduced right-hand side."""
-        w = self.interior_solve(self.rhs_interior)
-        return self.k_ig.T @ w - self.rhs_gamma
+        return self.rhs_share
 
     def recover(self, x_gamma: NDArray) -> NDArray:
         """Interior multipliers for a given local interface trace."""
-        return self.interior_solve(self.rhs_interior - self.k_ig @ x_gamma)
+        return self.lam_load + self.w @ x_gamma
 
 
 def build_substructures(
     system: BlockSystem, layout: InterfaceLayout, threads: int = 1
 ) -> list[SubstructureOperator]:
     """Cut the per-substructure blocks from one block-diagonal multiplier
-    matrix and factor every interior matrix."""
+    matrix and solve every interior problem once."""
     dm = system.dof_map
     sides = system.mesh.sides
     part = layout.partition
@@ -227,18 +218,12 @@ class InterfaceOperator:
 
     Applies every substructure's local contribution and scatter-adds the
     results in substructure order, so the operator is deterministic for any
-    worker count.
+    worker count of set-up.
     """
 
-    def __init__(
-        self,
-        subs: list[SubstructureOperator],
-        layout: InterfaceLayout,
-        threads: int = 1,
-    ):
+    def __init__(self, subs: list[SubstructureOperator], layout: InterfaceLayout):
         self.subs = subs
         self.layout = layout
-        self.threads = threads
         self.n = layout.n_interface
 
     def apply(self, x: NDArray) -> NDArray:
@@ -248,12 +233,9 @@ class InterfaceOperator:
         return y
 
     def reduced_rhs(self) -> NDArray:
-        locals_ = parallel_map(
-            lambda sub: sub.reduced_rhs(), self.subs, self.threads
-        )
         b = np.zeros(self.n)
-        for sub, bl in zip(self.subs, locals_):
-            np.add.at(b, sub.local_gamma, bl)
+        for sub in self.subs:
+            np.add.at(b, sub.local_gamma, sub.reduced_rhs())
         return b
 
 
@@ -262,17 +244,13 @@ def recover_solution(
     subs: list[SubstructureOperator],
     layout: InterfaceLayout,
     lam_gamma: NDArray,
-    threads: int = 1,
 ) -> SolutionTriple:
     """Back-substitute the interior multipliers from the interface solution,
     then every velocity and pressure element by element."""
     lam = np.zeros(system.n_multiplier)
     lam[layout.interface_mults] = lam_gamma
-    parts = parallel_map(
-        lambda sub: sub.recover(lam_gamma[sub.local_gamma]), subs, threads
-    )
-    for sub, lam_i in zip(subs, parts):
-        lam[sub.interior_mults] = lam_i
+    for sub in subs:
+        lam[sub.interior_mults] = sub.recover(lam_gamma[sub.local_gamma])
     n_mat = sps.hstack([system.b_f, -system.c_f], format="csr")
     up = system.element_inverse() @ (
         np.concatenate([system.g, system.f]) - n_mat.T @ lam

@@ -516,7 +516,7 @@ def build_pipeline(
     part = partition_elements(mesh, n_sub)
     layout = classify_interface(system, part)
     subs = build_substructures(system, layout, threads=threads)
-    op = InterfaceOperator(subs, layout, threads=threads)
+    op = InterfaceOperator(subs, layout)
     ns = SimpleNamespace(
         mesh=mesh,
         system=system,

@@ -81,6 +81,14 @@ def test_parser_full_flags(tmp_path):
     assert args.threads == 2
 
 
+def test_suite_excludes_other_mesh_sources(capsys):
+    for source in (["--mesh", "nonexistent.msh"], ["--gen", "square"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--suite", "corner-study", *source])
+        assert exc.value.code == 3
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_config_validation_messages():
     with pytest.raises(ConfigurationError, match="mesh source"):
         RunConfig().validate()

@@ -30,7 +30,7 @@ def _substructured_solve(mesh, n_sub: int, scheme: str, threads: int):
         pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
         PcgConfig(rel_tol=RTOL),
     )
-    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam, threads)
+    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
     return pipe.system, sol, report
 
 

@@ -1,10 +1,11 @@
-"""Substructure factorizations and the reduced interface operator."""
-import threading
-import time
+"""Substructure set-up and the reduced interface operator."""
+import gc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.errors import ConfigurationError, SingularSystemError
@@ -64,7 +65,7 @@ def setup_case(mesh, n_sub, threads=1):
     partition = partition_elements(mesh, n_sub)
     layout = classify_interface(system, partition)
     subs = build_substructures(system, layout, threads=threads)
-    op = InterfaceOperator(subs, layout, threads=threads)
+    op = InterfaceOperator(subs, layout)
     return system, layout, subs, op
 
 
@@ -243,13 +244,50 @@ def test_operator_symmetry_bilinear(cube2, rng):
         assert abs(lhs - rhs) <= bound
 
 
-def test_interior_solve_backward_error(frac2, rng):
+def test_recover_backward_error(frac2, rng):
+    """Recovery from the stored interior solutions solves the interior
+    problem to the factorization's accuracy, and every stored share of the
+    reduced right-hand side matches a fresh sparse solve."""
     _, _, subs, _ = setup_case(frac2, 4)
     for sub in subs:
-        rhs = rng.standard_normal(sub.n_interior)
-        x = sub.interior_solve(rhs)
-        r = rhs - sub.k_ii @ x
+        x = rng.standard_normal(sub.n_gamma)
+        lam_i = sub.recover(x)
+        rhs = sub.rhs_interior - sub.k_ig @ x
+        r = rhs - sub.k_ii @ lam_i
         assert np.linalg.norm(r) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+        want = sub.k_ig.T @ spla.spsolve(sub.k_ii.tocsc(), sub.rhs_interior)
+        want -= sub.rhs_gamma
+        got = sub.reduced_rhs()
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_interior_factorizations_released_after_setup(frac2, monkeypatch):
+    """No interior factorization outlives set-up, and the reduced
+    right-hand side, PCG and recovery still match the direct solve."""
+    import darcydd.subsolve
+
+    real = darcydd.subsolve.factor_symmetric_indefinite
+    refs = []
+
+    def recording(matrix):
+        fact = real(matrix)
+        refs.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", recording)
+    pipe = build_pipeline(frac2, 4)
+    gc.collect()
+    assert len(refs) == len(pipe.subs)
+    assert all(ref() is None for ref in refs)
+    lam, report = pcg(
+        pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+        PcgConfig(rel_tol=1e-10),
+    )
+    assert report.converged
+    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
+    sol = sol.concatenated()
+    ref = full_solve_direct(pipe.system).concatenated()
+    assert np.abs(sol - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
 def test_operator_matches_summed_local_schur(square6):
@@ -262,17 +300,7 @@ def test_operator_matches_summed_local_schur(square6):
     assert np.abs(dense - total).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
-def test_parallel_map_reuses_one_pool_per_worker_count():
-    def worker_name(_):
-        time.sleep(0.001)  # let both workers pick up items
-        return threading.current_thread().name
-
-    names = set()
-    for _ in range(5):
-        names.update(parallel_map(worker_name, range(8), threads=2))
-    # one pool of two workers served every call, and order is kept
-    assert len(names) <= 2
-    assert len({name.rsplit("_", 1)[0] for name in names}) == 1
+def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: 2 * x, range(6), threads=2) == [0, 2, 4, 6, 8, 10]
 
 
