@@ -295,12 +295,6 @@ class BlockSystem:
     def full_rhs(self) -> NDArray:
         return np.concatenate([self.g, self.f, np.zeros(self.n_multiplier)])
 
-    def penalty_matrix(self) -> sps.csr_matrix:
-        """The coupling penalty block [[C, CF^T], [CF, CT]], PSD."""
-        return sps.bmat(
-            [[self.c, self.c_f.T], [self.c_f, self.c_t]], format="csr"
-        )
-
     def split(self, x: NDArray) -> SolutionTriple:
         nu, npr = self.n_velocity, self.n_pressure
         return SolutionTriple(

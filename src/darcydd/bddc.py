@@ -47,7 +47,8 @@ from .subsolve import SubstructureOperator, parallel_map
 
 @dataclass
 class ConstraintSet:
-    """Per-substructure constraint matrices with a shared coarse numbering.
+    """Per-substructure dense constraint matrices ``C_i`` (``n_c,i`` rows,
+    ``n_gamma,i`` columns) with a shared coarse numbering.
 
     Row order is corners first (single unit entry each), then glob averages
     (unit entries over the glob members; scaling a row does not change the
@@ -57,7 +58,7 @@ class ConstraintSet:
 
     n_coarse: int
     n_corners: int
-    matrices: list[sps.csr_matrix]
+    matrices: list[NDArray]
     coarse_ids: list[NDArray[np.int64]]
 
 
@@ -94,7 +95,7 @@ def build_constraints(
         avg_id[k] = next_id
         next_id += 1
 
-    matrices: list[sps.csr_matrix] = []
+    matrices: list[NDArray] = []
     coarse_ids: list[NDArray[np.int64]] = []
     for s in range(n_sub):
         local = layout.local_dofs[s]
@@ -121,11 +122,9 @@ def build_constraints(
                 f"coarse constraints; its local problem keeps a floating "
                 f"pressure mode"
             )
-        matrices.append(
-            sps.csr_matrix(
-                (np.ones(len(rows)), (rows, cols)), shape=(len(ids), len(local))
-            )
-        )
+        c = np.zeros((len(ids), len(local)))
+        c[rows, cols] = 1.0
+        matrices.append(c)
         coarse_ids.append(np.array(ids, dtype=np.int64))
     return ConstraintSet(
         n_coarse=next_id,
@@ -154,7 +153,7 @@ class SubCorrector:
 
     sub: SubstructureOperator
     weights: NDArray
-    d: sps.csr_matrix
+    d: NDArray
     coarse_ids: NDArray[np.int64]
     neumann: NDArray = field(repr=False, default=None)
     phi: NDArray = field(repr=False, default=None)
@@ -175,7 +174,7 @@ class SubCorrector:
         """
         sub = self.sub
         n_g, nc = sub.n_gamma, self.n_constraints
-        c = self.d.toarray()
+        c = self.d
         aug = np.block([[-sub.schur, c.T], [c, np.zeros((nc, nc))]])
         try:
             fact = factor_symmetric_indefinite(aug)

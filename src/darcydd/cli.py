@@ -3,9 +3,15 @@
 One invocation runs the full pipeline on a generated or loaded mesh:
 assembly, partitioning, substructure factorizations, preconditioner setup,
 conjugate gradients on the interface, interior recovery, and optional
-verification against the monolithic direct solve. Benchmark suites bundle
-several runs and emit CSV rows with the columns
-``N,n,n/N,n_Gamma,n_f,n_c,its.,cond.,set-up,PCG,solve``.
+verification against the monolithic direct solve.
+
+:class:`RunConfig` defines a run and holds every default; the parser passes
+on only the flags given, each under the name of the field it sets. A
+benchmark suite is a table of ``RunConfig`` overrides; it emits CSV rows
+with the columns ``N,n,n/N,n_Gamma,n_f,n_c,its.,cond.,set-up,PCG,solve``.
+Flags that a run would ignore are refused: ``--suite`` takes only
+``--csv``, ``--threads`` and ``--quiet``, and ``--mesh`` does not take
+``--n``.
 
 Exit codes: 0 success, 2 conjugate gradients stopped short of the tolerance
 (the iteration budget ran out or the true residual stagnated), 3
@@ -15,6 +21,7 @@ constraints.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,8 +35,6 @@ from .errors import (
     ConstraintDeficiencyError,
     DarcyError,
     IndefiniteOperatorError,
-    InvalidMeshError,
-    MeshFormatError,
     SingularSystemError,
 )
 from .krylov import PcgConfig, SolveReport, pcg
@@ -65,8 +70,8 @@ class RunConfig:
     scaling: str = "arithmetic"
     corners: bool = True
     edge_averages: bool = True
-    rel_tol: float = 1e-7
-    max_iter: int = 5000
+    rel_tol: float = PcgConfig.rel_tol
+    max_iter: int = PcgConfig.max_iter
     oracle: bool = False
     csv_path: str | None = None
     solution_path: str | None = None
@@ -177,17 +182,8 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         t_setup = time.perf_counter() - t_start
         t0 = time.perf_counter()
         sol = full_solve_direct(system)
-        t_solve = time.perf_counter() - t0
-        report = SolveReport(
-            iterations=0,
-            converged=True,
-            condition=1.0,
-            setup_seconds=t_setup,
-            pcg_seconds=t_solve,
-            total_seconds=t_setup + t_solve,
-            n_sub=1,
-            n=system.n_total,
-        )
+        t_pcg = time.perf_counter() - t0
+        report = SolveReport()
         say("solver: single substructure, direct factorization")
     else:
         corners = select_corners(layout) if config.corners else []
@@ -218,11 +214,6 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         )
         t_pcg = time.perf_counter() - t0
         sol = recover_solution(system, subs, layout, lam_gamma)
-        report.setup_seconds = t_setup
-        report.pcg_seconds = t_pcg
-        report.total_seconds = time.perf_counter() - t_start
-        report.n_sub = config.n_sub
-        report.n = system.n_total
         report.n_gamma = layout.n_interface
         report.n_face_globs = layout.n_face_globs
         report.n_corners = constraints.n_corners
@@ -237,6 +228,11 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
                 else ""
             )
         )
+    report.setup_seconds = t_setup
+    report.pcg_seconds = t_pcg
+    report.total_seconds = time.perf_counter() - t_start
+    report.n_sub = config.n_sub
+    report.n = system.n_total
 
     residual = _full_residual(system, sol)
     say(f"residual: full-system relative residual {residual:.3e}")
@@ -311,94 +307,42 @@ def write_solution(path: str, system: BlockSystem, sol: SolutionTriple) -> None:
 # ---------------------------------------------------------------------------
 # benchmark suites
 
-
-def _square_weak(threads: int) -> list[RunConfig]:
+# Each suite is a list of RunConfig overrides; run_suite adds ``threads``.
+SUITES: dict[str, list[dict]] = {
     # fixed local problem size: n grows with sqrt of the substructure count
-    configs = []
-    for n_sub, n in ((2, 12), (4, 16), (8, 24), (16, 32)):
-        configs.append(
-            RunConfig(
-                gen="square",
-                n=n,
-                n_sub=n_sub,
-                oracle=n_sub == 2,
-                threads=threads,
-            )
+    "square-weak": [
+        dict(gen="square", n=n, n_sub=n_sub, oracle=n_sub == 2)
+        for n_sub, n in ((2, 12), (4, 16), (8, 24), (16, 32))
+    ],
+    "cube-weak": [
+        dict(gen="cube", n=n, n_sub=n_sub, oracle=n_sub == 2)
+        for n_sub, n in ((2, 3), (4, 4), (8, 5))
+    ],
+    "fracture-strong": [
+        dict(
+            gen="fracture-cube", n=4, n_sub=n_sub, scaling="diag",
+            oracle=n_sub == 2,
         )
-    return configs
-
-
-def _cube_weak(threads: int) -> list[RunConfig]:
-    configs = []
-    for n_sub, n in ((2, 3), (4, 4), (8, 5)):
-        configs.append(
-            RunConfig(
-                gen="cube", n=n, n_sub=n_sub, oracle=n_sub == 2, threads=threads
-            )
+        for n_sub in (2, 4, 8, 16)
+    ],
+    "corner-study": [
+        dict(
+            gen="fracture-cube", n=4, n_sub=n_sub, corners=corners,
+            scaling="diag", oracle=n_sub == 8 and corners,
         )
-    return configs
-
-
-def _fracture_strong(threads: int) -> list[RunConfig]:
-    configs = []
-    for n_sub in (2, 4, 8, 16):
-        configs.append(
-            RunConfig(
-                gen="fracture-cube",
-                n=4,
-                n_sub=n_sub,
-                scaling="diag",
-                oracle=n_sub == 2,
-                threads=threads,
-            )
-        )
-    return configs
-
-
-def _corner_study(threads: int) -> list[RunConfig]:
-    configs = []
-    for n_sub in (8, 16):
-        for corners in (True, False):
-            configs.append(
-                RunConfig(
-                    gen="fracture-cube",
-                    n=4,
-                    n_sub=n_sub,
-                    corners=corners,
-                    scaling="diag",
-                    oracle=n_sub == 8 and corners,
-                    threads=threads,
-                )
-            )
-    return configs
-
-
-def _scaling_study(threads: int) -> list[RunConfig]:
+        for n_sub in (8, 16)
+        for corners in (True, False)
+    ],
     # strong conductivity contrast between the volume and the fractures
-    params = dict(k1=1e3, k2=1.0, k3=1e-3)
-    configs = []
-    for n_sub in (4, 8):
-        for scheme in SCHEMES:
-            configs.append(
-                RunConfig(
-                    gen="fracture-cube",
-                    n=4,
-                    n_sub=n_sub,
-                    scaling=scheme,
-                    gen_params=dict(params),
-                    oracle=n_sub == 4 and scheme == "diag",
-                    threads=threads,
-                )
-            )
-    return configs
-
-
-SUITES = {
-    "square-weak": _square_weak,
-    "cube-weak": _cube_weak,
-    "fracture-strong": _fracture_strong,
-    "corner-study": _corner_study,
-    "scaling-study": _scaling_study,
+    "scaling-study": [
+        dict(
+            gen="fracture-cube", n=4, n_sub=n_sub, scaling=scheme,
+            gen_params=dict(k1=1e3, k2=1.0, k3=1e-3),
+            oracle=n_sub == 4 and scheme == "diag",
+        )
+        for n_sub in (4, 8)
+        for scheme in SCHEMES
+    ],
 }
 
 
@@ -411,7 +355,8 @@ def run_suite(
             f"unknown suite {name!r}; choose from {tuple(SUITES)}"
         )
     results = []
-    for config in SUITES[name](threads):
+    for overrides in SUITES[name]:
+        config = RunConfig(**copy.deepcopy(overrides), threads=threads)
         results.append(run(config, quiet=quiet))
         if not quiet:
             print()
@@ -428,6 +373,12 @@ def run_suite(
 # argument handling
 
 
+def _switch(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors exit with the configuration-error code."""
 
@@ -435,17 +386,28 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
 
+    def refuse(self, dests: set[str], source: str) -> None:
+        """Usage error naming the options that set ``dests``."""
+        flags = [a.option_strings[0] for a in self._actions if a.dest in dests]
+        self.error(f"{', '.join(flags)} not allowed with argument {source}")
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser() -> _Parser:
+    """Options named after the :class:`RunConfig` fields they set, with
+    its defaults; the parsed namespace holds only the options given."""
+    d = RunConfig()
     parser = _Parser(
         prog="darcydd",
         description=(
             "Substructured solver for Darcy flow in fractured porous media "
             "using mixed-hybrid finite elements"
         ),
+        argument_default=argparse.SUPPRESS,
     )
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--mesh", help="path to a mesh file")
+    source.add_argument(
+        "--mesh", dest="mesh_path", metavar="PATH", help="path to a mesh file"
+    )
     source.add_argument(
         "--gen", choices=GENERATORS, help="built-in mesh generator"
     )
@@ -455,55 +417,49 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a named benchmark suite instead of a single case",
     )
     parser.add_argument(
-        "--n", type=int, default=8, help="generator resolution (default 8)"
+        "--n", type=int, help=f"generator resolution (default {d.n})"
     )
     parser.add_argument(
-        "--nsub", type=int, default=4, help="number of substructures (default 4)"
+        "--nsub", dest="n_sub", type=int, metavar="N",
+        help=f"number of substructures (default {d.n_sub})",
     )
     parser.add_argument(
-        "--scaling",
-        choices=SCHEMES,
-        default="arithmetic",
-        help="interface weight scheme (default arithmetic)",
+        "--scaling", choices=SCHEMES,
+        help=f"interface weight scheme (default {d.scaling})",
     )
     parser.add_argument(
-        "--corners",
-        choices=("on", "off"),
-        default="on",
-        help="corner constraints (default on)",
+        "--corners", type=_switch, metavar="{on,off}",
+        help=f"corner constraints (default {'on' if d.corners else 'off'})",
     )
     parser.add_argument(
-        "--edge-averages",
-        choices=("on", "off"),
-        default="on",
-        help="average constraints on edge globs (default on)",
+        "--edge-averages", type=_switch, metavar="{on,off}",
+        help=(
+            "average constraints on edge globs "
+            f"(default {'on' if d.edge_averages else 'off'})"
+        ),
     )
     parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-7,
-        help="relative residual tolerance (default 1e-7)",
+        "--tol", dest="rel_tol", type=float, metavar="X",
+        help=f"relative residual tolerance (default {d.rel_tol:g})",
     )
     parser.add_argument(
-        "--max-iter",
-        type=int,
-        default=5000,
-        help="iteration budget (default 5000)",
+        "--max-iter", type=int, metavar="N",
+        help=f"iteration budget (default {d.max_iter})",
     )
     parser.add_argument(
-        "--oracle",
-        action="store_true",
+        "--oracle", action="store_true",
         help="verify against the monolithic direct solve (dof-limited)",
     )
-    parser.add_argument("--csv", metavar="PATH", help="write the report table")
     parser.add_argument(
-        "--solution", metavar="PATH", help="write pressures and fluxes"
+        "--csv", dest="csv_path", metavar="PATH", help="write the report table"
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap for substructure set-up (default 1)",
+        "--solution", dest="solution_path", metavar="PATH",
+        help="write pressures and fluxes",
+    )
+    parser.add_argument(
+        "--threads", type=int, metavar="N",
+        help=f"worker cap for substructure set-up (default {d.threads})",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
@@ -513,36 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    given = vars(parser.parse_args(argv))
+    suite = given.pop("suite", None)
+    quiet = given.pop("quiet", False)
+    ignored = set(given) - {"csv_path", "threads"}
+    if suite is not None and ignored:
+        parser.refuse(ignored, "--suite")
+    if "mesh_path" in given and "n" in given:
+        parser.refuse({"n"}, "--mesh")
     try:
-        if args.suite:
-            results = run_suite(
-                args.suite, csv_path=args.csv, threads=args.threads,
-                quiet=args.quiet,
-            )
-            reports = [r.report for r in results]
+        if suite is not None:
+            results = run_suite(suite, quiet=quiet, **given)
         else:
-            if args.mesh is None and args.gen is None:
-                parser.error("one of --mesh or --gen (or --suite) is required")
-            config = RunConfig(
-                gen=args.gen,
-                mesh_path=args.mesh,
-                n=args.n,
-                n_sub=args.nsub,
-                scaling=args.scaling,
-                corners=args.corners == "on",
-                edge_averages=args.edge_averages == "on",
-                rel_tol=args.tol,
-                max_iter=args.max_iter,
-                oracle=args.oracle,
-                csv_path=args.csv,
-                solution_path=args.solution,
-                threads=args.threads,
-            )
-            reports = [run(config, quiet=args.quiet).report]
-    except (ConfigurationError, MeshFormatError, InvalidMeshError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            results = [run(RunConfig(**given), quiet=quiet)]
     except (
         SingularSystemError,
         ConstraintDeficiencyError,
@@ -550,10 +489,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DarcyError as exc:
+    except (DarcyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if any(not r.converged for r in reports):
+    if any(not r.report.converged for r in results):
         print(
             "error: conjugate gradients did not reach the requested "
             "tolerance: the iteration budget ran out or the true residual "

@@ -37,9 +37,6 @@ class Partition:
     n_sub: int
     assignment: NDArray[np.int64]
 
-    def elements_of(self, sub: int) -> NDArray[np.int64]:
-        return np.flatnonzero(self.assignment == sub)
-
     def sizes(self) -> NDArray[np.int64]:
         return np.bincount(self.assignment, minlength=self.n_sub)
 

@@ -92,10 +92,6 @@ class SubstructureOperator:
     rhs_share: NDArray | None = field(default=None, repr=False)
 
     @property
-    def n_interior(self) -> int:
-        return len(self.interior_mults)
-
-    @property
     def n_gamma(self) -> int:
         return len(self.local_gamma)
 

@@ -211,7 +211,10 @@ def full_constrained_saddle(corr) -> sps.csc_matrix:
     nc = corr.n_constraints
     if nc == 0:
         return k_full
-    d_all = sps.hstack([sps.csr_matrix((nc, sub.n_interior)), corr.d], format="csr")
+    d_all = sps.hstack(
+        [sps.csr_matrix((nc, len(sub.interior_mults))), sps.csr_matrix(corr.d)],
+        format="csr",
+    )
     return sps.bmat([[k_full, d_all.T], [d_all, None]], format="csc")
 
 
@@ -225,7 +228,7 @@ def implicit_bddc_apply(prec, r: np.ndarray) -> np.ndarray:
     etas = []
     for corr in prec.correctors:
         n_g, nc = corr.sub.n_gamma, corr.n_constraints
-        c = corr.d.toarray()
+        c = corr.d
         aug = np.block([[-corr.sub.schur, c.T], [c, np.zeros((nc, nc))]])
         r_i = corr.weights * r[corr.sub.local_gamma]
         rhs = np.zeros(n_g + nc)
@@ -264,7 +267,7 @@ def sliced_substructure_blocks(system, layout) -> list[dict]:
         pen_sub[m] = part.assignment[link.lower_element]
     out = []
     for s in range(part.n_sub):
-        element_ids = part.elements_of(s)
+        element_ids = np.flatnonzero(part.assignment == s)
         vel_ids = dm.side_vel[np.isin(system.mesh.sides.element, element_ids)]
         vel_ids = vel_ids[vel_ids >= 0]
         mults_i = np.array(interior_of[s], dtype=np.int64)

@@ -5,6 +5,7 @@ tolerance and prints a single PASS/FAIL line through
 :func:`support.record_criterion`; the terminal summary repeats all lines.
 """
 import numpy as np
+import scipy.sparse as sps
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.bddc import build_constraints
@@ -95,7 +96,7 @@ def test_criterion_03_coarse_space_algebra():
         for corr in pipe.prec.correctors:
             if corr.n_constraints == 0:
                 continue
-            d = corr.d.toarray()
+            d = corr.d
             worst_interp = max(
                 worst_interp,
                 np.abs(d @ corr.phi - np.eye(corr.n_constraints)).max(),
@@ -248,7 +249,9 @@ def test_criterion_08_penalty_limit():
     gap = 0.0
     for link, m in zip(coupling_links(mesh), dm.side_mult[mesh.couplings]):
         gap = max(gap, abs(sol.p[link.lower_element] - sol.lam[m]))
-    cbar = system.penalty_matrix()
+    cbar = sps.bmat(
+        [[system.c, system.c_f.T], [system.c_f, system.c_t]], format="csr"
+    )
     rng = np.random.default_rng(99)
     min_quad = min(
         float(x @ (cbar @ x))

@@ -208,7 +208,9 @@ def test_no_fracture_means_no_penalty(square4):
 def test_penalty_form_identity(frac2, rng):
     system = assemble(frac2)
     dm = system.dof_map
-    cbar = system.penalty_matrix().toarray()
+    cbar = sps.bmat(
+        [[system.c, system.c_f.T], [system.c_f, system.c_t]]
+    ).toarray()
     n_p = system.n_pressure
     for _ in range(50):
         x = rng.standard_normal(n_p + system.n_multiplier)

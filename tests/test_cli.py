@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import darcydd.cli as cli_module
 from darcydd.assembly import assemble
 from darcydd.cli import (
     CSV_HEADER,
@@ -34,7 +35,8 @@ from support import numbering_contract
 
 
 def cli(*args):
-    """Invoke the installed entry point in a subprocess, as a user would."""
+    """Run ``main`` in a subprocess, as the ``darcydd`` entry point does; CI
+    runs the installed script itself."""
     code = "import sys; from darcydd.cli import main; sys.exit(main())"
     return subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -49,36 +51,40 @@ def cli(*args):
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["--gen", "square"])
-    assert args.gen == "square"
-    assert args.mesh is None
-    assert (args.n, args.nsub) == (8, 4)
-    assert args.scaling == "arithmetic"
-    assert args.corners == "on"
-    assert args.edge_averages == "on"
-    assert args.tol == 1e-7
-    assert args.max_iter == 5000
-    assert not args.oracle
-    assert args.csv is None and args.solution is None
-    assert args.threads == 1
-    assert args.suite is None
-    assert not args.quiet
+    given = vars(build_parser().parse_args(["--gen", "square"]))
+    assert given == {"gen": "square"}  # no suite, not quiet
+    config = RunConfig(**given)
+    assert config.gen == "square"
+    assert config.mesh_path is None
+    assert (config.n, config.n_sub) == (8, 4)
+    assert config.scaling == "arithmetic"
+    assert config.corners is True
+    assert config.edge_averages is True
+    assert config.rel_tol == 1e-7
+    assert config.max_iter == 5000
+    assert not config.oracle
+    assert config.csv_path is None and config.solution_path is None
+    assert config.threads == 1
 
 
 def test_parser_full_flags(tmp_path):
-    args = build_parser().parse_args([
+    given = vars(build_parser().parse_args([
         "--gen", "fracture-cube", "--n", "4", "--nsub", "8",
         "--scaling", "diag", "--corners", "off", "--edge-averages", "off",
         "--tol", "1e-9", "--max-iter", "100", "--oracle",
         "--csv", str(tmp_path / "t.csv"), "--solution", str(tmp_path / "s.txt"),
         "--threads", "2", "--quiet",
-    ])
-    assert args.nsub == 8
-    assert args.scaling == "diag"
-    assert args.corners == "off" and args.edge_averages == "off"
-    assert args.tol == 1e-9 and args.max_iter == 100
-    assert args.oracle and args.quiet
-    assert args.threads == 2
+    ]))
+    assert given.pop("quiet")
+    config = RunConfig(**given)
+    assert config.n_sub == 8
+    assert config.scaling == "diag"
+    assert config.corners is False and config.edge_averages is False
+    assert config.rel_tol == 1e-9 and config.max_iter == 100
+    assert config.oracle
+    assert config.csv_path == str(tmp_path / "t.csv")
+    assert config.solution_path == str(tmp_path / "s.txt")
+    assert config.threads == 2
 
 
 def test_suite_excludes_other_mesh_sources(capsys):
@@ -87,6 +93,56 @@ def test_suite_excludes_other_mesh_sources(capsys):
             build_parser().parse_args(["--suite", "corner-study", *source])
         assert exc.value.code == 3
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ("--n", "4"),
+        ("--nsub", "3"),
+        ("--scaling", "diag"),
+        ("--corners", "off"),
+        ("--edge-averages", "off"),
+        ("--tol", "0.5"),
+        ("--max-iter", "10"),
+        ("--oracle",),
+        ("--solution", "out.txt"),
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_suite_refuses_flags_it_would_ignore(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "cube-weak", "--quiet", *flag])
+    assert exc.value.code == 3
+    assert f"{flag[0]} not allowed with argument --suite" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_suite_takes_csv_threads_and_quiet(tmp_path, monkeypatch, capsys):
+    """Every suite entry runs with the given thread count."""
+    seen = []
+
+    def recording_run(config, quiet=False):
+        seen.append(config)
+        return run(config, quiet=quiet)
+
+    monkeypatch.setattr(cli_module, "run", recording_run)
+    csv = tmp_path / "suite.csv"
+    argv = ["--suite", "cube-weak", "--csv", str(csv), "--threads", "2", "--quiet"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert seen == [RunConfig(**o, threads=2) for o in SUITES["cube-weak"]]
+    assert len(csv.read_text().strip().splitlines()) == 1 + len(seen)
+
+
+def test_mesh_refuses_n(tmp_path, capsys):
+    path = tmp_path / "square.msh"
+    write_mesh(generate_unit_square(2), str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["--mesh", str(path), "--n", "4", "--quiet"])
+    assert exc.value.code == 3
+    assert "--n not allowed with argument --mesh" in capsys.readouterr().err
 
 
 def test_config_validation_messages():
@@ -262,8 +318,8 @@ def test_suites_are_well_formed():
         "corner-study",
         "scaling-study",
     }
-    for name, factory in SUITES.items():
-        configs = factory(1)
+    for name, table in SUITES.items():
+        configs = [RunConfig(**overrides) for overrides in table]
         assert configs, name
         assert any(c.oracle for c in configs), name
         for c in configs:

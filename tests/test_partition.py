@@ -115,7 +115,7 @@ def test_substructures_connected(mesh_name, n_sub, frac2, cube2):
     partition = partition_elements(mesh, n_sub)
     adj = independent_adjacency(mesh)
     for s in range(n_sub):
-        members = set(partition.elements_of(s).tolist())
+        members = set(np.flatnonzero(partition.assignment == s).tolist())
         assert members
         seen = {min(members)}
         stack = [min(members)]
@@ -321,7 +321,7 @@ def test_conductivity_weighting_exact():
     mesh = generate_unit_square(4, conductivity=cond)
     system, partition, layout = layout_of(mesh, 2)
     low, high = compute_weights(system, layout, "rho")
-    if mesh.by_id("centroid")[partition.elements_of(0)[0], 0] > 0.5:
+    if mesh.by_id("centroid")[np.flatnonzero(partition.assignment == 0)[0], 0] > 0.5:
         low, high = high, low
     assert (low == 0.375).all()
     assert (high == 0.625).all()
