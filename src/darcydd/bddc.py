@@ -14,11 +14,13 @@ the constraint matrix ``C_i``, each substructure factors one dense
 constrained local saddle matrix ``[[K, D^T], [D, 0]]`` with the interior
 unknowns eliminated exactly, so its interface and constraint rows solve the
 same problems: the coarse basis, the local coarse matrix and the constrained
-(Neumann) correction. Set-up inverts it explicitly, once, and keeps three
-blocks of the inverse: the interface block ``N_i``, the coarse basis
-``Phi_i`` and the local coarse matrix. An application of the preconditioner
-is then two dense products per substructure, ``N_i r_i`` and
-``Phi_i^T r_i``, and one solve with the factored coarse matrix.
+(Neumann) correction. :func:`constrained_inverse` inverts it explicitly,
+once, and returns three blocks of the inverse: the interface block ``N_i``,
+the coarse basis ``Phi_i`` and the local coarse matrix. Set-up keeps
+``N_i`` and ``Phi_i`` and assembles the local coarse matrices into the
+coarse matrix, which it factors. An application of the preconditioner is
+then two dense products per substructure, ``N_i r_i`` and ``Phi_i^T r_i``,
+and one solve with the factored coarse matrix.
 
 Sign conventions: each local saddle matrix has a negative semidefinite
 interface energy, so the local coarse matrices are negative semidefinite
@@ -29,7 +31,7 @@ on the assembled interface space, matching the reduced operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -75,59 +77,53 @@ def build_constraints(
     on the corner rows. Vertex globs carry no average; with corner
     constraints disabled they are simply unconstrained.
 
-    Raises :class:`ConstraintDeficiencyError` for a substructure that ends
-    up with no constraints and no natural boundary condition; its local
-    problem would have a floating pressure mode that nothing removes.
+    Raises :class:`ConfigurationError` for a corner id that is not an
+    interface dof index, and :class:`ConstraintDeficiencyError` for a
+    substructure that ends up with no constraints and no natural boundary
+    condition; its local problem would have a floating pressure mode that
+    nothing removes.
     """
-    corners = sorted(set(int(c) for c in corners))
-    corner_set = set(corners)
-    corner_rank = {c: k for k, c in enumerate(corners)}
-    n_sub = layout.partition.n_sub
-    avg_id: dict[int, int] = {}
-    next_id = len(corners)
-    for k, glob in enumerate(layout.globs):
-        if glob.kind == "vertex":
-            continue
-        if glob.kind == "edge" and not edge_averages:
-            continue
-        if all(d in corner_set for d in glob.dofs):
-            continue
-        avg_id[k] = next_id
-        next_id += 1
-
+    n_gamma = layout.n_interface
+    corners = np.unique(np.asarray(corners, dtype=np.int64))
+    outside = corners[(corners < 0) | (corners >= n_gamma)]
+    if len(outside):
+        raise ConfigurationError(
+            f"corner id {outside[0]} is not an interface dof index "
+            f"(0 to {n_gamma - 1})"
+        )
+    is_corner = np.zeros(n_gamma, dtype=bool)
+    is_corner[corners] = True
+    averaged = [
+        g
+        for g in layout.globs
+        if (g.kind == "face" or g.kind == "edge" and edge_averages)
+        and not is_corner[list(g.dofs)].all()
+    ]
+    # averages of substructure s, in glob order
+    avg_of: list[list[int]] = [[] for _ in range(layout.partition.n_sub)]
+    for k, g in enumerate(averaged):
+        for s in g.sharing:
+            avg_of[s].append(k)
     matrices: list[NDArray] = []
     coarse_ids: list[NDArray[np.int64]] = []
-    for s in range(n_sub):
-        local = layout.local_dofs[s]
-        pos = {int(g): i for i, g in enumerate(local)}
-        rows: list[int] = []
-        cols: list[int] = []
-        ids: list[int] = []
-        for c in corners:
-            if c in pos:
-                rows.append(len(ids))
-                cols.append(pos[c])
-                ids.append(corner_rank[c])
-        for k, glob in enumerate(layout.globs):
-            if k not in avg_id or s not in glob.sharing:
-                continue
-            r = len(ids)
-            for d in glob.dofs:
-                rows.append(r)
-                cols.append(pos[d])
-            ids.append(avg_id[k])
-        if not ids and not layout.sub_has_natural[s]:
+    for s, local in enumerate(layout.local_dofs):
+        at = np.flatnonzero(is_corner[local])
+        avg_ids = len(corners) + np.array(avg_of[s], dtype=np.int64)
+        ids = np.concatenate([np.searchsorted(corners, local[at]), avg_ids])
+        if not len(ids) and not layout.sub_has_natural[s]:
             raise ConstraintDeficiencyError(
                 f"substructure {s} has no natural boundary condition and no "
                 f"coarse constraints; its local problem keeps a floating "
                 f"pressure mode"
             )
         c = np.zeros((len(ids), len(local)))
-        c[rows, cols] = 1.0
+        c[np.arange(len(at)), at] = 1.0
+        for row, k in enumerate(avg_of[s], len(at)):
+            c[row, np.searchsorted(local, averaged[k].dofs)] = 1.0
         matrices.append(c)
-        coarse_ids.append(np.array(ids, dtype=np.int64))
+        coarse_ids.append(ids)
     return ConstraintSet(
-        n_coarse=next_id,
+        n_coarse=len(corners) + len(averaged),
         n_corners=len(corners),
         matrices=matrices,
         coarse_ids=coarse_ids,
@@ -147,53 +143,39 @@ def _symmetrized(block: NDArray, sub_id: int, what: str) -> NDArray:
     return 0.5 * (block + block.T)
 
 
-@dataclass
-class SubCorrector:
-    """One substructure's constrained local inverse and coarse basis."""
+def constrained_inverse(
+    schur: NDArray, c: NDArray, sub_id: int
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Invert one substructure's constrained saddle matrix
+    ``[[-S_i, C_i^T], [C_i, 0]]`` once; returns ``N_i``, ``Phi_i`` and the
+    local coarse matrix ``S_cc,i``.
 
-    sub: SubstructureOperator
-    weights: NDArray
-    d: NDArray
-    coarse_ids: NDArray[np.int64]
-    neumann: NDArray = field(repr=False, default=None)
-    phi: NDArray = field(repr=False, default=None)
-    s_cc: NDArray = field(repr=False, default=None)
-
-    @property
-    def n_constraints(self) -> int:
-        return self.d.shape[0]
-
-    def build(self) -> None:
-        """Invert the interface-sized constrained saddle matrix once.
-
-        One solve against the identity gives the whole inverse. Its
-        interface block is ``N_i``, which maps an interface residual to the
-        constrained (Neumann) correction; its columns for the constraint
-        rows hold the coarse basis on the interface rows and the local
-        coarse matrix (negated) on the constraint rows.
-        """
-        sub = self.sub
-        n_g, nc = sub.n_gamma, self.n_constraints
-        c = self.d
-        aug = np.block([[-sub.schur, c.T], [c, np.zeros((nc, nc))]])
-        try:
-            fact = factor_symmetric_indefinite(aug)
-        except SingularSystemError as exc:
-            raise ConstraintDeficiencyError(
-                f"substructure {sub.sub_id}: constrained local problem is "
-                f"singular; its constraints do not remove every floating "
-                f"pressure mode ({exc})"
-            ) from exc
-        x = fact.solve(np.eye(n_g + nc))
-        self.neumann = _symmetrized(x[:n_g, :n_g], sub.sub_id, "Neumann block")
-        self.phi = x[:n_g, n_g:]
-        self.s_cc = _symmetrized(-x[n_g:, n_g:], sub.sub_id, "coarse matrix")
-        interp = self.d @ self.phi - np.eye(nc)
-        if float(np.abs(interp).max(initial=0.0)) > 1e-8:
-            raise SingularSystemError(
-                f"substructure {sub.sub_id}: coarse basis does not satisfy "
-                f"its defining constraints"
-            )
+    One solve against the identity gives the whole inverse. Its interface
+    block is ``N_i``, which maps an interface residual to the constrained
+    (Neumann) correction; its columns for the constraint rows hold the
+    coarse basis on the interface rows and the local coarse matrix
+    (negated) on the constraint rows.
+    """
+    n_g, nc = len(schur), len(c)
+    aug = np.block([[-schur, c.T], [c, np.zeros((nc, nc))]])
+    try:
+        fact = factor_symmetric_indefinite(aug)
+    except SingularSystemError as exc:
+        raise ConstraintDeficiencyError(
+            f"substructure {sub_id}: constrained local problem is "
+            f"singular; its constraints do not remove every floating "
+            f"pressure mode ({exc})"
+        ) from exc
+    x = fact.solve(np.eye(n_g + nc))
+    neumann = _symmetrized(x[:n_g, :n_g], sub_id, "Neumann block")
+    phi = x[:n_g, n_g:]
+    s_cc = _symmetrized(-x[n_g:, n_g:], sub_id, "coarse matrix")
+    if float(np.abs(c @ phi - np.eye(nc)).max(initial=0.0)) > 1e-8:
+        raise SingularSystemError(
+            f"substructure {sub_id}: coarse basis does not satisfy its "
+            f"defining constraints"
+        )
+    return neumann, phi, s_cc
 
 
 class BddcPreconditioner:
@@ -224,46 +206,35 @@ class BddcPreconditioner:
                 "preconditioner needs a nonempty interface; "
                 "use the direct solver for a single substructure"
             )
-        self.layout = layout
         self.n = layout.n_interface
-        self.n_coarse = constraints.n_coarse
+        self.n_coarse = nc = constraints.n_coarse
         self.n_corners = constraints.n_corners
-        self.correctors = [
-            SubCorrector(
-                sub=sub,
-                weights=weights[sub.sub_id],
-                d=constraints.matrices[sub.sub_id],
-                coarse_ids=constraints.coarse_ids[sub.sub_id],
-            )
-            for sub in subs
+        ids = [constraints.coarse_ids[sub.sub_id] for sub in subs]
+        inverses = parallel_map(
+            lambda sub: constrained_inverse(
+                sub.schur, constraints.matrices[sub.sub_id], sub.sub_id
+            ),
+            subs,
+            threads,
+        )
+        # what apply reads, per substructure
+        self.local = [
+            (sub.local_gamma, weights[sub.sub_id], n_i, phi, idx)
+            for sub, (n_i, phi, _), idx in zip(subs, inverses, ids)
         ]
-        parallel_map(lambda c: c.build(), self.correctors, threads)
-        self._assemble_coarse()
-
-    def _assemble_coarse(self) -> None:
-        nc = self.n_coarse
-        rows: list[NDArray] = []
-        cols: list[NDArray] = []
-        vals: list[NDArray] = []
-        for corr in self.correctors:
-            idx = corr.coarse_ids
-            if len(idx) == 0:
-                continue
-            ii, jj = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(ii.ravel())
-            cols.append(jj.ravel())
-            vals.append(corr.s_cc.ravel())
-        if nc == 0:
-            self.coarse_matrix = sps.csr_matrix((0, 0))
-            self.coarse_fact = None
-            return
         self.coarse_matrix = sps.csr_matrix(
             (
-                np.concatenate(vals),
-                (np.concatenate(rows), np.concatenate(cols)),
+                np.concatenate([s_cc.ravel() for _, _, s_cc in inverses]),
+                (
+                    np.concatenate([np.repeat(idx, len(idx)) for idx in ids]),
+                    np.concatenate([np.tile(idx, len(idx)) for idx in ids]),
+                ),
             ),
             shape=(nc, nc),
         )
+        self.coarse_fact = None
+        if nc == 0:
+            return
         try:
             # dense, so that the inertia is available
             self.coarse_fact = factor_symmetric_indefinite(
@@ -288,15 +259,12 @@ class BddcPreconditioner:
         """Preconditioned residual, positive definite in exact arithmetic."""
         etas = []
         r_c = np.zeros(self.n_coarse)
-        for corr in self.correctors:
-            r_i = corr.weights * r[corr.sub.local_gamma]
-            etas.append(corr.neumann @ r_i)
-            np.add.at(r_c, corr.coarse_ids, corr.phi.T @ r_i)
-        eta_c = (
-            self.coarse_fact.solve(r_c) if self.n_coarse else np.zeros(0)
-        )
+        for gamma, weights, n_i, phi, ids in self.local:
+            r_i = weights * r[gamma]
+            etas.append(n_i @ r_i)
+            np.add.at(r_c, ids, phi.T @ r_i)
+        eta_c = self.coarse_fact.solve(r_c) if self.n_coarse else np.zeros(0)
         out = np.zeros(self.n)
-        for corr, eta in zip(self.correctors, etas):
-            comb = corr.weights * (eta + corr.phi @ eta_c[corr.coarse_ids])
-            np.subtract.at(out, corr.sub.local_gamma, comb)
+        for (gamma, weights, _, phi, ids), eta in zip(self.local, etas):
+            np.subtract.at(out, gamma, weights * (eta + phi @ eta_c[ids]))
         return out

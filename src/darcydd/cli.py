@@ -131,7 +131,6 @@ class RunConfig:
 class RunResult:
     """Report plus the artifacts a caller may want to inspect."""
 
-    config: RunConfig
     report: SolveReport
     solution: SolutionTriple
     system: BlockSystem
@@ -260,7 +259,6 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         write_solution(config.solution_path, system, sol)
         say(f"solution written to {config.solution_path}")
     result = RunResult(
-        config=config,
         report=report,
         solution=sol,
         system=system,

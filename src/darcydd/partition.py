@@ -10,8 +10,10 @@ interior. Interface dofs are grouped into globs by their sharing set:
 * face: a glob whose dofs are shared by exactly two substructures;
 * edge: a glob shared by three or more substructures.
 
-Corner selection follows a farthest-point heuristic per face glob, and three
-diagonal weight schemes distribute interface values among sharers.
+Corner selection follows a farthest-point heuristic per face glob, one
+``argmax`` over the row norms of the glob's barycenters per chosen point,
+and three diagonal weight schemes distribute interface values among
+sharers.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .assembly import BlockSystem
 from .errors import ConfigurationError
-from .mesh import Mesh
+from .mesh import Mesh, _dot
 
 SCHEMES = ("arithmetic", "rho", "diag")
 
@@ -228,6 +230,12 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     )
 
 
+def _row_norms(v: NDArray) -> NDArray:
+    """Euclidean norm of every row, each rounded as ``np.linalg.norm`` of
+    that row rounds it."""
+    return np.sqrt(_dot(v, v))
+
+
 def select_corners(layout: InterfaceLayout) -> list[int]:
     """Choose corner dofs: every vertex glob, plus up to three
     well-distributed dofs per face glob.
@@ -237,48 +245,28 @@ def select_corners(layout: InterfaceLayout) -> list[int]:
     two (selected even when collinearity makes the distance zero). All ties
     resolve to the lowest dof index, so selection is deterministic.
     """
-    pts = layout.barycenters
-    corners: set[int] = set()
+    corners = {g.dofs[0] for g in layout.globs if g.kind == "vertex"}
     for glob in layout.globs:
-        if glob.kind == "vertex":
-            corners.add(glob.dofs[0])
-            continue
         if glob.kind != "face":
             continue
-        dofs = list(glob.dofs)
-        if len(dofs) <= 2:
-            corners.update(dofs)
+        if len(glob.dofs) <= 2:
+            corners.update(glob.dofs)
             continue
-        centroid = pts[dofs].mean(axis=0)
-
-        def farthest(cands, dist):
-            # strict > keeps the first (lowest-index) candidate on ties
-            best, best_d = None, -np.inf
-            for d in cands:
-                x = dist(pts[d])
-                if x > best_d:
-                    best, best_d = d, x
-            return best
-
-        c1 = farthest(dofs, lambda p: float(np.linalg.norm(p - centroid)))
-        rest = [d for d in dofs if d != c1]
-        c2 = farthest(rest, lambda p: float(np.linalg.norm(p - pts[c1])))
-        rest = [d for d in rest if d != c2]
-        t = pts[c2] - pts[c1]
-        nt = np.linalg.norm(t)
-        if nt > 0:
-            that = t / nt
-
-            def line_dist(p):
-                v = p - pts[c1]
-                return float(np.linalg.norm(v - (v @ that) * that))
-
-        else:
-            def line_dist(p):
-                return float(np.linalg.norm(p - pts[c1]))
-
-        c3 = farthest(rest, line_dist)
-        corners.update(x for x in (c1, c2, c3) if x is not None)
+        pts = layout.barycenters[list(glob.dofs)]
+        # argmax takes the first, lowest-index dof on ties
+        c1 = np.argmax(_row_norms(pts - pts.mean(axis=0)))
+        v = pts - pts[c1]
+        dist = _row_norms(v)
+        dist[c1] = -np.inf
+        c2 = np.argmax(dist)
+        nt = np.linalg.norm(v[c2])
+        if nt > 0:  # distance to the line through c1 and c2
+            that = v[c2] / nt
+            v = v - _dot(v, that[None])[:, None] * that
+        dist = _row_norms(v)
+        dist[[c1, c2]] = -np.inf
+        c3 = np.argmax(dist)
+        corners.update(glob.dofs[c] for c in (c1, c2, c3))
     return sorted(corners)
 
 

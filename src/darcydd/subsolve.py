@@ -35,10 +35,12 @@ problem over its velocities, pressures and multipliers, because eliminating
 interior unknowns in another order does not change it. The sign convention
 keeps the reduced problem SPD so conjugate gradients applies unchanged.
 
-:meth:`SubstructureOperator.factorize` does all interior work at set-up: it
-factors the sparse ``K_II``, forms ``W`` and ``S_i`` (dense, ``n_gamma x
-n_gamma``) from one multi-right-hand-side solve and, in a second solve,
-``K_II^-1`` times the interior load, and then lets the factorization go.
+:func:`build_substructures` does all interior work at set-up, one
+substructure at a time: it cuts the blocks, factors the sparse ``K_II``,
+forms ``W`` and ``S_i`` (dense, ``n_gamma x n_gamma``) from one
+multi-right-hand-side solve and, in a second solve, ``K_II^-1`` times the
+interior load, and keeps only those results in a
+:class:`SubstructureOperator`; the blocks and the factorization go.
 Applying the interface operator is one dense matrix-vector product per
 substructure, the preconditioner's local problems work on ``S_i`` alone,
 the reduced right-hand side is a sum of stored shares, and the interior
@@ -81,53 +83,14 @@ class SubstructureOperator:
     sub_id: int
     interior_mults: NDArray[np.int64]  # global ids, ascending
     local_gamma: NDArray[np.int64]  # global interface indices, ascending
-    k_ii: sps.csr_matrix
-    k_ig: sps.csr_matrix
-    k_gg: sps.csr_matrix
-    rhs_interior: NDArray
-    rhs_gamma: NDArray
-    schur: NDArray | None = field(default=None, repr=False)
-    w: NDArray | None = field(default=None, repr=False)  # -K_II^-1 K_IG
-    lam_load: NDArray | None = field(default=None, repr=False)  # K_II^-1 rhs_I
-    rhs_share: NDArray | None = field(default=None, repr=False)
+    schur: NDArray = field(repr=False)  # S_i
+    w: NDArray = field(repr=False)  # -K_II^-1 K_IG
+    lam_load: NDArray = field(repr=False)  # K_II^-1 rhs_I
+    rhs_share: NDArray = field(repr=False)  # K_GI K_II^-1 rhs_I - rhs_G
 
     @property
     def n_gamma(self) -> int:
         return len(self.local_gamma)
-
-    def factorize(self) -> None:
-        """Factor ``K_II``, form ``W``, the dense local Schur complement and
-        the interior load's solution, and drop the factorization."""
-        try:
-            fact = factor_symmetric_indefinite(self.k_ii)
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"interior problem of substructure {self.sub_id} "
-                f"is singular ({exc})"
-            ) from exc
-        w = fact.solve(-self.k_ig.toarray())
-        schur = -(self.k_gg.toarray() + self.k_ig.T @ w)
-        defect = float(np.abs(schur - schur.T).max(initial=0.0))
-        scale = float(np.abs(schur).max(initial=0.0))
-        if defect > 1e-10 * scale:
-            raise SingularSystemError(
-                f"substructure {self.sub_id}: local Schur complement symmetry "
-                f"defect {defect:.3e} exceeds tolerance; interior solve is "
-                f"unreliable"
-            )
-        self.schur = 0.5 * (schur + schur.T)
-        self.w = w
-        # a solve of its own, so that the load cannot change W or S_i
-        self.lam_load = fact.solve(self.rhs_interior)
-        self.rhs_share = self.k_ig.T @ self.lam_load - self.rhs_gamma
-
-    def reduced_rhs(self) -> NDArray:
-        """This substructure's share of the reduced right-hand side."""
-        return self.rhs_share
-
-    def recover(self, x_gamma: NDArray) -> NDArray:
-        """Interior multipliers for a given local interface trace."""
-        return self.lam_load + self.w @ x_gamma
 
 
 def build_substructures(
@@ -189,24 +152,42 @@ def build_substructures(
     # check of factor_symmetric_indefinite requires
     k = (-0.5 * (k + k.T)).tocsr()
     load = -(n_tilde @ (m_inv @ np.concatenate([system.g, system.f])))
-    subs: list[SubstructureOperator] = []
-    for s in range(n_sub):
+
+    def solve_interior(s: int) -> SubstructureOperator:
+        """Cut substructure ``s``'s blocks, factor ``K_II``, and form
+        ``W``, the dense local Schur complement and the interior load's
+        solution; the blocks and the factorization go on return."""
         lo, mid, hi = off[s], off[s] + n_int[s], off[s + 1]
         rows = k[lo:mid]
-        subs.append(
-            SubstructureOperator(
-                sub_id=s,
-                interior_mults=interior[s],
-                local_gamma=layout.local_dofs[s],
-                k_ii=rows[:, lo:mid],
-                k_ig=rows[:, mid:hi],
-                k_gg=k[mid:hi][:, mid:hi],
-                rhs_interior=load[lo:mid],
-                rhs_gamma=load[mid:hi],
+        k_ig = rows[:, mid:hi]
+        try:
+            fact = factor_symmetric_indefinite(rows[:, lo:mid])
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                f"interior problem of substructure {s} is singular ({exc})"
+            ) from exc
+        w = fact.solve(-k_ig.toarray())
+        schur = -(k[mid:hi][:, mid:hi].toarray() + k_ig.T @ w)
+        defect = float(np.abs(schur - schur.T).max(initial=0.0))
+        scale = float(np.abs(schur).max(initial=0.0))
+        if defect > 1e-10 * scale:
+            raise SingularSystemError(
+                f"substructure {s}: local Schur complement symmetry defect "
+                f"{defect:.3e} exceeds tolerance; interior solve is unreliable"
             )
+        # a solve of its own, so that the load cannot change W or S_i
+        lam_load = fact.solve(load[lo:mid])
+        return SubstructureOperator(
+            s,
+            interior[s],
+            layout.local_dofs[s],
+            schur=0.5 * (schur + schur.T),
+            w=w,
+            lam_load=lam_load,
+            rhs_share=k_ig.T @ lam_load - load[mid:hi],
         )
-    parallel_map(lambda sub: sub.factorize(), subs, threads)
-    return subs
+
+    return parallel_map(solve_interior, range(n_sub), threads)
 
 
 class InterfaceOperator:
@@ -219,7 +200,6 @@ class InterfaceOperator:
 
     def __init__(self, subs: list[SubstructureOperator], layout: InterfaceLayout):
         self.subs = subs
-        self.layout = layout
         self.n = layout.n_interface
 
     def apply(self, x: NDArray) -> NDArray:
@@ -231,7 +211,7 @@ class InterfaceOperator:
     def reduced_rhs(self) -> NDArray:
         b = np.zeros(self.n)
         for sub in self.subs:
-            np.add.at(b, sub.local_gamma, sub.reduced_rhs())
+            np.add.at(b, sub.local_gamma, sub.rhs_share)
         return b
 
 
@@ -246,7 +226,7 @@ def recover_solution(
     lam = np.zeros(system.n_multiplier)
     lam[layout.interface_mults] = lam_gamma
     for sub in subs:
-        lam[sub.interior_mults] = sub.recover(lam_gamma[sub.local_gamma])
+        lam[sub.interior_mults] = sub.lam_load + sub.w @ lam_gamma[sub.local_gamma]
     n_mat = sps.hstack([system.b_f, -system.c_f], format="csr")
     up = system.element_inverse() @ (
         np.concatenate([system.g, system.f]) - n_mat.T @ lam

@@ -14,7 +14,6 @@ import scipy.sparse as sps
 from darcydd.assembly import assemble
 from darcydd.bddc import BddcPreconditioner, build_constraints
 from darcydd.errors import ConfigurationError
-from darcydd.ldlt import factor_symmetric_indefinite
 from darcydd.mesh import NATURAL, SIMPLEX_FACES, Cells, Mesh
 from darcydd.partition import (
     SCHEMES,
@@ -191,55 +190,64 @@ def dense_multiplier_system(system):
     )
 
 
-def dense_sub_schur(sub) -> np.ndarray:
-    """Local Schur complement by dense elimination of the interior blocks,
-    independent of the explicit ``sub.schur`` the solver forms."""
-    k_ig = sub.k_ig.toarray()
-    w = sla.solve(sub.k_ii.toarray(), k_ig)
-    return -(sub.k_gg.toarray() - k_ig.T @ w)
+def _dense(a) -> np.ndarray:
+    return a.toarray() if sps.issparse(a) else a
 
 
-def full_constrained_saddle(corr) -> sps.csc_matrix:
+def dense_sub_schur(blocks: dict) -> np.ndarray:
+    """Local Schur complement by dense elimination of the interior blocks
+    ``k_ii``, ``k_ig`` and ``k_gg`` of ``blocks``."""
+    k_ig = _dense(blocks["k_ig"])
+    w = sla.solve(_dense(blocks["k_ii"]), k_ig)
+    return -(_dense(blocks["k_gg"]) - k_ig.T @ w)
+
+
+def full_constrained_saddle(blocks: dict, c: np.ndarray) -> np.ndarray:
     """One substructure's constrained saddle matrix ``[[K, D^T], [D, 0]]``
-    over all its unknowns, interior first, then interface, then constraint
-    rows; the preconditioner solves the same problem with the interior
-    eliminated."""
-    sub = corr.sub
-    k_full = sps.bmat(
-        [[sub.k_ii, sub.k_ig], [sub.k_ig.T, sub.k_gg]], format="csc"
+    over all its unknowns, the interior ones of ``blocks`` first, then
+    interface, then the constraint rows ``D = [0, C_i]``; the
+    preconditioner solves the same problem with the interior eliminated."""
+    n_i, nc = blocks["k_ii"].shape[0], len(c)
+    k_ig = _dense(blocks["k_ig"])
+    return np.block(
+        [
+            [_dense(blocks["k_ii"]), k_ig, np.zeros((n_i, nc))],
+            [k_ig.T, _dense(blocks["k_gg"]), c.T],
+            [np.zeros((nc, n_i)), c, np.zeros((nc, nc))],
+        ]
     )
-    nc = corr.n_constraints
-    if nc == 0:
-        return k_full
-    d_all = sps.hstack(
-        [sps.csr_matrix((nc, len(sub.interior_mults))), sps.csr_matrix(corr.d)],
-        format="csr",
-    )
-    return sps.bmat([[k_full, d_all.T], [d_all, None]], format="csc")
 
 
-def implicit_bddc_apply(prec, r: np.ndarray) -> np.ndarray:
+def implicit_bddc_apply(subs, weights, constraints, r: np.ndarray) -> np.ndarray:
     """The preconditioner's action with every constrained local problem
-    solved afresh: one factorization of each substructure's
-    ``[[-S_i, C_i^T], [C_i, 0]]`` solved against ``[r_i; 0]``, and the
-    coarse problem solved densely; a reference for the precomputed
-    ``N_i`` and ``Phi_i`` of ``prec.apply``."""
-    r_c = np.zeros(prec.n_coarse)
-    etas = []
-    for corr in prec.correctors:
-        n_g, nc = corr.sub.n_gamma, corr.n_constraints
-        c = corr.d
-        aug = np.block([[-corr.sub.schur, c.T], [c, np.zeros((nc, nc))]])
-        r_i = corr.weights * r[corr.sub.local_gamma]
-        rhs = np.zeros(n_g + nc)
-        rhs[:n_g] = r_i
-        etas.append(factor_symmetric_indefinite(aug).solve(rhs)[:n_g])
-        np.add.at(r_c, corr.coarse_ids, corr.phi.T @ r_i)
-    eta_c = np.linalg.solve(prec.coarse_matrix.toarray(), r_c)
-    out = np.zeros(prec.n)
-    for corr, eta in zip(prec.correctors, etas):
-        comb = corr.weights * (eta + corr.phi @ eta_c[corr.coarse_ids])
-        np.subtract.at(out, corr.sub.local_gamma, comb)
+    solved afresh: each substructure's ``[[-S_i, C_i^T], [C_i, 0]]`` solved
+    densely against ``[r_i; 0]`` and against ``[0; I]``, which gives the
+    coarse basis and the local coarse matrix, and the assembled coarse
+    problem solved densely; a reference for the precomputed ``N_i``,
+    ``Phi_i`` and factored coarse matrix of ``BddcPreconditioner.apply``."""
+    n_c = constraints.n_coarse
+    coarse = np.zeros((n_c, n_c))
+    r_c = np.zeros(n_c)
+    parts = []
+    for sub in subs:
+        c = constraints.matrices[sub.sub_id]
+        ids = constraints.coarse_ids[sub.sub_id]
+        w = weights[sub.sub_id]
+        n_g, nc = sub.n_gamma, len(c)
+        aug = np.block([[-sub.schur, c.T], [c, np.zeros((nc, nc))]])
+        r_i = w * r[sub.local_gamma]
+        rhs = np.zeros((n_g + nc, 1 + nc))
+        rhs[:n_g, 0] = r_i
+        rhs[n_g:, 1:] = np.eye(nc)
+        x = sla.solve(aug, rhs)
+        phi = x[:n_g, 1:]
+        coarse[np.ix_(ids, ids)] -= x[n_g:, 1:]
+        r_c[ids] += phi.T @ r_i
+        parts.append((sub.local_gamma, w, x[:n_g, 0], phi, ids))
+    eta_c = np.linalg.solve(coarse, r_c) if n_c else np.zeros(0)
+    out = np.zeros(len(r))
+    for gamma, w, eta, phi, ids in parts:
+        np.subtract.at(out, gamma, w * (eta + phi @ eta_c[ids]))
     return out
 
 
@@ -333,7 +341,7 @@ def hybridized_substructure_blocks(system, layout) -> list[dict]:
                 k_gg=k_l[n_i:, n_i:],
                 rhs_interior=load[:n_i],
                 rhs_gamma=load[n_i:],
-                schur=dense_sub_schur(SimpleNamespace(**saddle)),
+                schur=dense_sub_schur(saddle),
             )
         )
     return out

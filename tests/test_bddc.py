@@ -4,14 +4,24 @@ import pytest
 import scipy.linalg as sla
 
 from darcydd.assembly import full_solve_direct
-from darcydd.bddc import BddcPreconditioner, ConstraintSet, build_constraints
+from darcydd.bddc import (
+    BddcPreconditioner,
+    ConstraintSet,
+    build_constraints,
+    constrained_inverse,
+)
 from darcydd.errors import (
     ConfigurationError,
     ConstraintDeficiencyError,
     SingularSystemError,
 )
 from darcydd.krylov import PcgConfig, pcg
-from darcydd.mesh import generate_cross_fracture_cube
+from darcydd.mesh import (
+    NATURAL,
+    BoundaryCondition,
+    Element,
+    generate_cross_fracture_cube,
+)
 from darcydd.partition import (
     Glob,
     InterfaceLayout,
@@ -24,9 +34,11 @@ from darcydd.subsolve import recover_solution
 from support import (
     build_pipeline,
     dense_operator,
-    dense_sub_schur,
     full_constrained_saddle,
+    hybridized_substructure_blocks,
     implicit_bddc_apply,
+    mesh_from_elements,
+    sliced_substructure_blocks,
 )
 
 
@@ -64,21 +76,22 @@ def test_preconditioner_properties(name, n_sub, scheme, corners_on, edge_avg, me
     prec = pipe.prec
     n = pipe.layout.n_interface
 
-    for corr in prec.correctors:
-        if corr.n_constraints == 0:
+    blocks = hybridized_substructure_blocks(pipe.system, pipe.layout)
+    for sub, d, blk in zip(pipe.subs, pipe.constraints.matrices, blocks):
+        if len(d) == 0:
             continue
-        d = corr.d
+        _, phi, s_cc = constrained_inverse(sub.schur, d, sub.sub_id)
         # the coarse basis interpolates its own constraints
-        assert np.abs(d @ corr.phi - np.eye(corr.n_constraints)).max() <= 1e-10
+        assert np.abs(d @ phi - np.eye(len(d))).max() <= 1e-10
         # the local coarse matrix is the constrained interface energy
-        s_loc = dense_sub_schur(corr.sub)
-        ref = -corr.phi.T @ s_loc @ corr.phi
+        s_loc = blk["schur"]
+        ref = -phi.T @ s_loc @ phi
         scale = max(1.0, np.abs(ref).max())
-        assert np.abs(corr.s_cc - ref).max() <= 1e-9 * scale
+        assert np.abs(s_cc - ref).max() <= 1e-9 * scale
         # energy minimization: the basis is orthogonal to null(D) in S_loc
         null = sla.null_space(d)
         if null.size:
-            cross = null.T @ s_loc @ corr.phi
+            cross = null.T @ s_loc @ phi
             assert np.abs(cross).max() <= 1e-9 * max(1.0, np.abs(s_loc).max())
 
     m = dense_operator(prec.apply, n)
@@ -105,7 +118,7 @@ def test_explicit_apply_matches_implicit_oracle(
     )
     for _ in range(3):
         r = rng.standard_normal(pipe.layout.n_interface)
-        ref = implicit_bddc_apply(pipe.prec, r)
+        ref = implicit_bddc_apply(pipe.subs, pipe.weights, pipe.constraints, r)
         out = pipe.prec.apply(r)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -283,6 +296,50 @@ def test_vertex_globs_have_no_average():
     assert cs.n_corners == 1
 
 
+@pytest.mark.parametrize("where", ["past the end", "negative"])
+def test_out_of_range_corner_id_rejected(where, square4):
+    """A corner id outside the interface dof range is a configuration
+    error that names the id, not a coarse dof that no substructure
+    touches."""
+    layout = build_pipeline(square4, 2, with_prec=False).layout
+    bad = layout.n_interface + 3 if where == "past the end" else -1
+    with pytest.raises(ConfigurationError, match=rf"corner id {bad} "):
+        build_constraints(layout, [0, bad])
+
+
+def test_empty_coarse_space(rng):
+    """Two triangles of the unit square, each with a natural face, share a
+    single interface dof. Without corners no glob carries a constraint, so
+    the coarse space is empty and each local inverse is ``-S_i^-1``."""
+    coords = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    els = [
+        Element(id=i, dim=2, node_ids=nodes, conductivity=np.eye(2),
+                cross_section=1.0, source=0.0)
+        for i, nodes in enumerate([(0, 1, 2), (0, 2, 3)])
+    ]
+    bcs = [
+        BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0),
+        BoundaryCondition(face_nodes=(2, 3), kind=NATURAL, value=0.0),
+    ]
+    pipe = build_pipeline(
+        mesh_from_elements(coords, els, bcs), 2, corners_on=False
+    )
+    prec = pipe.prec
+    assert prec.n_coarse == 0
+    assert prec.coarse_fact is None
+    r = rng.standard_normal(pipe.layout.n_interface)
+    ref = implicit_bddc_apply(pipe.subs, pipe.weights, pipe.constraints, r)
+    assert np.abs(prec.apply(r) - ref).max() <= 1e-12 * np.abs(ref).max()
+    lam, report = pcg(
+        pipe.op.apply, prec.apply, pipe.op.reduced_rhs(),
+        PcgConfig(rel_tol=1e-10),
+    )
+    assert report.converged
+    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam).concatenated()
+    want = full_solve_direct(pipe.system).concatenated()
+    assert np.abs(sol - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_preconditioner_rejects_empty_interface(square4):
     pipe = build_pipeline(square4, 1, with_prec=False)
     empty = ConstraintSet(0, 0, [], [])
@@ -297,24 +354,25 @@ def test_preconditioner_rejects_empty_interface(square4):
 @pytest.mark.parametrize("name,n_sub", [("square6", 4), ("cube2", 4), ("frac2", 4)])
 def test_interface_saddle_matches_full_saddle(name, n_sub, meshes, rng):
     pipe = build_pipeline(meshes[name], n_sub)
-    for corr in pipe.prec.correctors:
-        sub = corr.sub
-        n_i, n_g, nc = len(sub.interior_mults), sub.n_gamma, corr.n_constraints
-        full = full_constrained_saddle(corr).toarray()
+    blocks = sliced_substructure_blocks(pipe.system, pipe.layout)
+    for sub, c, blk in zip(pipe.subs, pipe.constraints.matrices, blocks):
+        neumann, phi, s_cc = constrained_inverse(sub.schur, c, sub.sub_id)
+        n_i, n_g, nc = blk["k_ii"].shape[0], sub.n_gamma, len(c)
+        full = full_constrained_saddle(blk, c)
         rhs = np.zeros((full.shape[0], nc))
         rhs[n_i + n_g :, :] = np.eye(nc)
         x = sla.solve(full, rhs)
         phi_ref = x[n_i : n_i + n_g]
         s_cc_ref = -x[n_i + n_g :]
-        assert np.abs(corr.phi - phi_ref).max() <= 1e-9 * max(1.0, np.abs(phi_ref).max())
-        assert np.abs(corr.s_cc - s_cc_ref).max() <= 1e-9 * max(
+        assert np.abs(phi - phi_ref).max() <= 1e-9 * max(1.0, np.abs(phi_ref).max())
+        assert np.abs(s_cc - s_cc_ref).max() <= 1e-9 * max(
             1.0, np.abs(s_cc_ref).max()
         )
         r = rng.standard_normal(n_g)
         rhs = np.zeros(full.shape[0])
         rhs[n_i : n_i + n_g] = r
         eta_ref = sla.solve(full, rhs)[n_i : n_i + n_g]
-        eta = corr.neumann @ r
+        eta = neumann @ r
         assert np.abs(eta - eta_ref).max() <= 1e-9 * max(1.0, np.abs(eta_ref).max())
 
 

@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.errors import ConfigurationError, SingularSystemError
@@ -30,7 +29,6 @@ from support import (
     dense_multiplier_system,
     dense_operator,
     dense_schur_oracle,
-    dense_sub_schur,
     hybridized_substructure_blocks,
     mesh_from_elements,
 )
@@ -83,7 +81,7 @@ def test_reduced_operator_matches_dense_elimination(name, n_sub, params, fixture
     assert np.linalg.eigvalsh(0.5 * (s_hat + s_hat.T)).min() > 0
     # and each local contribution is at least positive semidefinite
     for sub in subs:
-        s_loc = dense_sub_schur(sub)
+        s_loc = sub.schur
         if s_loc.size:
             eigs = np.linalg.eigvalsh(0.5 * (s_loc + s_loc.T))
             assert eigs.min() >= -1e-9 * max(1.0, eigs.max())
@@ -148,8 +146,10 @@ def _relative_gap(got, want) -> float:
     ids=["fracture-cube-4", "square-8"],
 )
 def test_blocks_match_per_substructure_slicing(mesh_of, n_sub):
-    """The multiplier blocks cut from the one block-diagonal matrix equal
-    the dense elimination of velocities and pressures from each
+    """What set-up keeps of the multiplier blocks cut from the one
+    block-diagonal matrix, ``W``, ``K_II^-1 rhs_I`` and the share of the
+    reduced right-hand side, equals the dense elimination of the multiplier
+    blocks left by eliminating velocities and pressures from each
     substructure's saddle blocks, sliced one index set at a time, and every
     local Schur complement equals the one of those saddle blocks."""
     mesh = mesh_of()
@@ -163,32 +163,43 @@ def test_blocks_match_per_substructure_slicing(mesh_of, n_sub):
         assert np.isin(layout.interface_mults, link_mults).any()
     for sub, want in zip(subs, ref):
         assert np.array_equal(sub.interior_mults, want["interior_mults"])
-        for name in ("k_ii", "k_ig", "k_gg", "rhs_interior", "rhs_gamma", "schur"):
+        want["w"] = -sla.solve(want["k_ii"], want["k_ig"])
+        want["lam_load"] = sla.solve(want["k_ii"], want["rhs_interior"])
+        want["rhs_share"] = want["k_ig"].T @ want["lam_load"] - want["rhs_gamma"]
+        for name in ("w", "lam_load", "rhs_share", "schur"):
             assert _relative_gap(getattr(sub, name), want[name]) <= 1e-12, name
 
 
 def test_blockwise_assembly_covers_global_matrix(frac2):
-    """The local multiplier blocks and loads sum to the global multiplier
-    system left by eliminating every velocity and pressure; in particular
-    each interface penalty is counted once."""
+    """The local interior solutions, Schur complements and load shares
+    assemble to the elimination of every interior multiplier from the
+    global multiplier system left by eliminating every velocity and
+    pressure; in particular each interface penalty is counted once."""
     system, layout, subs, _ = setup_case(frac2, 4)
     k_ref, load_ref = dense_multiplier_system(system)
-    n_l = system.n_multiplier
-    total = np.zeros((n_l, n_l))
-    load = np.zeros(n_l)
+    gamma = layout.interface_mults
+    interior = np.setdiff1d(np.arange(system.n_multiplier), gamma)
+    k_ig = k_ref[np.ix_(interior, gamma)]
+    # [W, K_II^-1 rhs_I] of the global system, interior rows only
+    x_ref = sla.solve(
+        k_ref[np.ix_(interior, interior)],
+        np.column_stack([-k_ig, load_ref[interior]]),
+    )
+    n_g = layout.n_interface
+    x = np.zeros((system.n_multiplier, n_g + 1))
+    schur = np.zeros((n_g, n_g))
+    share = np.zeros(n_g)
     for sub in subs:
-        interior = sub.interior_mults
-        gamma = layout.interface_mults[sub.local_gamma]
-        total[np.ix_(interior, interior)] += sub.k_ii.toarray()
-        total[np.ix_(interior, gamma)] += sub.k_ig.toarray()
-        total[np.ix_(gamma, interior)] += sub.k_ig.toarray().T
-        total[np.ix_(gamma, gamma)] += sub.k_gg.toarray()
-        load[interior] += sub.rhs_interior
-        load[gamma] += sub.rhs_gamma
-    assert _relative_gap(total, k_ref) <= 1e-12
-    assert _relative_gap(load, load_ref) <= 1e-12
-    gg = np.ix_(layout.interface_mults, layout.interface_mults)
-    assert _relative_gap(total[gg], k_ref[gg]) <= 1e-12
+        x[np.ix_(sub.interior_mults, sub.local_gamma)] = sub.w
+        x[sub.interior_mults, -1] = sub.lam_load
+        schur[np.ix_(sub.local_gamma, sub.local_gamma)] += sub.schur
+        share[sub.local_gamma] += sub.rhs_share
+    assert _relative_gap(x[interior, :-1], x_ref[:, :-1]) <= 1e-12
+    assert _relative_gap(x[interior, -1], x_ref[:, -1]) <= 1e-12
+    schur_ref = -(k_ref[np.ix_(gamma, gamma)] + k_ig.T @ x_ref[:, :-1])
+    assert _relative_gap(schur, schur_ref) <= 1e-12
+    share_ref = k_ig.T @ x_ref[:, -1] - load_ref[gamma]
+    assert _relative_gap(share, share_ref) <= 1e-12
 
 
 def test_stiffest_penalty_builds_and_matches_oracle():
@@ -198,8 +209,8 @@ def test_stiffest_penalty_builds_and_matches_oracle():
     system, layout, subs, _ = setup_case(mesh, 8)
     s_ref, _ = dense_schur_oracle(system, layout)
     total = np.zeros_like(s_ref)
-    for sub in subs:
-        assert np.linalg.eigvalsh(sub.k_ii.toarray()).max() < 0
+    for sub, blk in zip(subs, hybridized_substructure_blocks(system, layout)):
+        assert np.linalg.eigvalsh(blk["k_ii"]).max() < 0
         total[np.ix_(sub.local_gamma, sub.local_gamma)] += sub.schur
     assert _relative_gap(total, s_ref) <= 1e-11
 
@@ -245,19 +256,20 @@ def test_operator_symmetry_bilinear(cube2, rng):
 
 
 def test_recover_backward_error(frac2, rng):
-    """Recovery from the stored interior solutions solves the interior
-    problem to the factorization's accuracy, and every stored share of the
-    reduced right-hand side matches a fresh sparse solve."""
-    _, _, subs, _ = setup_case(frac2, 4)
-    for sub in subs:
+    """Recovery from the stored interior solutions, ``lam_load + W x``,
+    solves the interior problem of the hybridized substructure blocks to
+    the factorization's accuracy, and every stored share of the reduced
+    right-hand side matches a fresh dense solve."""
+    system, layout, subs, _ = setup_case(frac2, 4)
+    for sub, blk in zip(subs, hybridized_substructure_blocks(system, layout)):
         x = rng.standard_normal(sub.n_gamma)
-        lam_i = sub.recover(x)
-        rhs = sub.rhs_interior - sub.k_ig @ x
-        r = rhs - sub.k_ii @ lam_i
+        lam_i = sub.lam_load + sub.w @ x
+        rhs = blk["rhs_interior"] - blk["k_ig"] @ x
+        r = rhs - blk["k_ii"] @ lam_i
         assert np.linalg.norm(r) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
-        want = sub.k_ig.T @ spla.spsolve(sub.k_ii.tocsc(), sub.rhs_interior)
-        want -= sub.rhs_gamma
-        got = sub.reduced_rhs()
+        want = blk["k_ig"].T @ sla.solve(blk["k_ii"], blk["rhs_interior"])
+        want -= blk["rhs_gamma"]
+        got = sub.rhs_share
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -291,11 +303,11 @@ def test_interior_factorizations_released_after_setup(frac2, monkeypatch):
 
 
 def test_operator_matches_summed_local_schur(square6):
-    _, layout, subs, op = setup_case(square6, 4)
+    system, layout, subs, op = setup_case(square6, 4)
     dense = dense_operator(op.apply, layout.n_interface)
     total = np.zeros_like(dense)
-    for sub in subs:
-        s_loc = dense_sub_schur(sub)
+    for sub, blk in zip(subs, hybridized_substructure_blocks(system, layout)):
+        s_loc = blk["schur"]
         total[np.ix_(sub.local_gamma, sub.local_gamma)] += s_loc
     assert np.abs(dense - total).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
