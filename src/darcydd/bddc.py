@@ -168,7 +168,9 @@ def constrained_inverse(
         ) from exc
     x = fact.solve(np.eye(n_g + nc))
     neumann = _symmetrized(x[:n_g, :n_g], sub_id, "Neumann block")
-    phi = x[:n_g, n_g:]
+    # a copy, so that the whole inverse is freed; "K" keeps the memory
+    # layout that the products in ``apply`` see
+    phi = x[:n_g, n_g:].copy(order="K")
     s_cc = _symmetrized(-x[n_g:, n_g:], sub_id, "coarse matrix")
     if float(np.abs(c @ phi - np.eye(nc)).max(initial=0.0)) > 1e-8:
         raise SingularSystemError(

@@ -14,6 +14,16 @@ unknowns each and 201k L+U entries in all; for the full saddle matrix
 ``MMD_ATA`` keeps 1.8M entries where the default COLAMD keeps 3.9M. The
 sparse path gives no inertia.
 
+Sparse input is taken as it is when it is a CSC matrix in canonical format
+(sorted row indices, no duplicates), which is what SuperLU reads; any other
+sparse matrix is converted to one once, and the caller's matrix is never
+changed. Its checks work on those arrays: the matrix is symmetric when its
+nonzero ``(row, col, value)`` triplets, in column-major order, equal its
+transpose's triplets sorted the same way (``np.lexsort``), which is exactly
+``(A != A.T).nnz == 0``; the infinity norm used by the backward error is an
+``np.bincount`` of ``|a_ij|`` over the row indices, the row sums of
+``|A|`` accumulated in column order.
+
 Dense (ndarray) input takes LAPACK's Bunch-Kaufman ``dsytrf``/``dsytrs``
 on the symmetrically equilibrated matrix ``S A S``, ``S = diag(s)`` with
 ``s_i = 1/sqrt(max_j |a_ij|)``, which brings every row's largest entry near
@@ -74,6 +84,24 @@ def _pin_mmap_threshold() -> None:
 _pin_mmap_threshold()
 
 
+def _csc_symmetric(a: sps.csc_matrix) -> bool:
+    """Whether a canonical CSC matrix equals its transpose, entry by entry.
+
+    Explicit zeros count as absent, as they do in ``(A != A.T).nnz == 0``.
+    The kept ``(row, col, value)`` triplets come in column-major order; the
+    transpose's triplets, sorted column-major, must be the same arrays.
+    """
+    col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    keep = a.data != 0
+    row, col, val = a.indices[keep], col[keep], a.data[keep]
+    order = np.lexsort((col, row))
+    return (
+        np.array_equal(col[order], row)
+        and np.array_equal(row[order], col)
+        and np.array_equal(val[order], val)
+    )
+
+
 class IndefiniteFactorization:
     """Factored symmetric matrix exposing ``solve`` and optional inertia.
 
@@ -84,12 +112,12 @@ class IndefiniteFactorization:
 
     def __init__(self, matrix):
         if sps.issparse(matrix):
-            self._mat = matrix.tocsr()
+            if matrix.format != "csc" or not matrix.has_canonical_format:
+                matrix = matrix.tocsc(copy=True)
+                matrix.sum_duplicates()
+            self._mat = matrix
             n = matrix.shape[0]
-            symmetric = (
-                matrix.shape[0] == matrix.shape[1]
-                and (self._mat != self._mat.T).nnz == 0
-            )
+            symmetric = matrix.shape[0] == matrix.shape[1] and _csc_symmetric(matrix)
         else:
             mat = np.asarray(matrix, dtype=float)
             self._mat = mat
@@ -159,15 +187,18 @@ class IndefiniteFactorization:
 
     def _factor_sparse(self) -> None:
         try:
-            self._splu = spla.splu(self._mat.tocsc(), permc_spec="MMD_ATA")
+            self._splu = spla.splu(self._mat, permc_spec="MMD_ATA")
         except RuntimeError as exc:  # SuperLU reports exact singularity this way
             raise SingularSystemError(f"matrix is singular: {exc}") from exc
 
     # -- shared solve with refinement -------------------------------------
 
     def _matrix_norm_inf(self) -> float:
-        if sps.issparse(self._mat):
-            return float(np.asarray(abs(self._mat).sum(axis=1)).max(initial=0.0))
+        if self.mode == "sparse":
+            # row sums of |A|, accumulated in column order
+            a = self._mat
+            row_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=self.n)
+            return float(row_sums.max(initial=0.0))
         return float(np.abs(self._mat).sum(axis=1).max(initial=0.0))
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:

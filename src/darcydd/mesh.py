@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -163,8 +164,14 @@ def tangent_frame(coords: NDArray, dim: int) -> NDArray:
 def face_keys(rows: NDArray) -> NDArray[np.int64]:
     """Number node-id rows as sets: rows with the same nodes in any order
     get the same id, and ids are dense, ascending with the sorted rows."""
-    _, inverse = np.unique(np.sort(rows, axis=1), axis=0, return_inverse=True)
-    return inverse.reshape(-1)
+    keys = np.sort(rows, axis=1)
+    order = np.lexsort(keys.T[::-1])  # rows ascending, first column first
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids
 
 
 @dataclass(frozen=True)
@@ -933,8 +940,14 @@ def _numbers(rows: list[_Row], n_int: int, n_float: int) -> tuple[NDArray, NDArr
     """Convert rows of ``n_int`` integer tokens followed by ``n_float``
     float tokens into an int and a float array, naming the first bad line."""
     try:
-        ints = np.array([int(v) for _, t in rows for v in t[:n_int]], dtype=np.int64)
-        floats = np.array([float(v) for _, t in rows for v in t[n_int:]], dtype=float)
+        ints = np.array(
+            list(map(int, chain.from_iterable(t[:n_int] for _, t in rows))),
+            dtype=np.int64,
+        )
+        floats = np.array(
+            list(map(float, chain.from_iterable(t[n_int:] for _, t in rows))),
+            dtype=float,
+        )
     except (ValueError, OverflowError):
         for lineno, tok in rows:
             try:

@@ -22,6 +22,16 @@ local multiplier problems, which sum to the global one. Each substructure's
 ``K_II``, ``K_IG``, ``K_GG`` and its interior and interface loads are cut
 from that matrix and its load vector.
 
+The blocks are cut from the ``indptr``/``indices``/``data`` arrays of that
+CSR matrix, with no sparse slicing. The entries of the ``II``, ``IG`` and
+``GG`` blocks are listed once, by whether their row and column are
+interface copies; each list keeps the matrix's row order, so the rows of
+one substructure's block are one slice of it. The matrix is exactly
+symmetric, so the rows of ``K_II`` are also its columns: they go to the
+factorization as a canonical CSC matrix, which SuperLU reads without a
+conversion. ``K_IG`` stays a CSR matrix of its rows (``K_GI`` is used as its
+transpose), and ``K_GG`` is scattered into a dense array.
+
 With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
 of one substructure, the local interface contribution is the Schur
 complement
@@ -151,23 +161,50 @@ def build_substructures(
     # the sum of k and its transpose is exactly symmetric, as the symmetry
     # check of factor_symmetric_indefinite requires
     k = (-0.5 * (k + k.T)).tocsr()
+    k.sum_duplicates()  # sorted columns in every row
     load = -(n_tilde @ (m_inv @ np.concatenate([system.g, system.f])))
+    # Every entry of k lies in its substructure's diagonal block; whether
+    # its row and its column are interface copies tells the block's part.
+    # ``cut`` lists one part's entries in row order, with a row pointer.
+    on_gamma = np.arange(n_copy) >= np.repeat(off[:-1] + n_int, np.diff(off))
+    entry_row = np.repeat(np.arange(n_copy), np.diff(k.indptr))
+    row_gamma, col_gamma = on_gamma[entry_row], on_gamma[k.indices]
+
+    def cut(part: NDArray) -> tuple[NDArray, NDArray]:
+        take = np.flatnonzero(part)
+        count = np.bincount(entry_row[take], minlength=n_copy)
+        return take, np.concatenate([[0], np.cumsum(count)])
+
+    cut_ii = cut(~row_gamma & ~col_gamma)
+    cut_ig = cut(~row_gamma & col_gamma)
+    cut_gg = cut(row_gamma & col_gamma)
+
+    def rows_of(block: tuple[NDArray, NDArray], r0: int, r1: int, c0: int):
+        """Values, columns less ``c0``, and row pointer of rows ``r0:r1``."""
+        take, ptr = block
+        pick = take[ptr[r0] : ptr[r1]]
+        return k.data[pick], k.indices[pick] - c0, ptr[r0 : r1 + 1] - ptr[r0]
 
     def solve_interior(s: int) -> SubstructureOperator:
         """Cut substructure ``s``'s blocks, factor ``K_II``, and form
         ``W``, the dense local Schur complement and the interior load's
         solution; the blocks and the factorization go on return."""
-        lo, mid, hi = off[s], off[s] + n_int[s], off[s + 1]
-        rows = k[lo:mid]
-        k_ig = rows[:, mid:hi]
+        lo, mid, hi = int(off[s]), int(off[s] + n_int[s]), int(off[s + 1])
+        n_i, n_g = mid - lo, hi - mid
+        # k is exactly symmetric, so the rows of K_II are its columns
+        k_ii = sps.csc_matrix(rows_of(cut_ii, lo, mid, lo), shape=(n_i, n_i))
+        k_ig = sps.csr_matrix(rows_of(cut_ig, lo, mid, mid), shape=(n_i, n_g))
+        val, col, ptr = rows_of(cut_gg, mid, hi, mid)
+        k_gg = np.zeros((n_g, n_g))
+        k_gg[np.repeat(np.arange(n_g), np.diff(ptr)), col] = val
         try:
-            fact = factor_symmetric_indefinite(rows[:, lo:mid])
+            fact = factor_symmetric_indefinite(k_ii)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"interior problem of substructure {s} is singular ({exc})"
             ) from exc
         w = fact.solve(-k_ig.toarray())
-        schur = -(k[mid:hi][:, mid:hi].toarray() + k_ig.T @ w)
+        schur = -(k_gg + k_ig.T @ w)
         defect = float(np.abs(schur - schur.T).max(initial=0.0))
         scale = float(np.abs(schur).max(initial=0.0))
         if defect > 1e-10 * scale:

@@ -450,3 +450,25 @@ def test_asymmetric_neumann_block_rejected(frac2, monkeypatch):
             compute_weights(pipe.system, pipe.layout, "arithmetic"),
             build_constraints(pipe.layout, select_corners(pipe.layout)),
         )
+
+
+@pytest.mark.parametrize("name,n_sub", [("frac2", 4), ("square6", 4), ("cube2", 4)])
+def test_kept_coarse_bases_own_their_data(meshes, rng, name, n_sub):
+    """Every kept ``Phi_i`` is a copy that owns its memory, so the whole
+    explicit local inverse it was cut from is freed; applying the
+    preconditioner with ``Phi_i`` read as a block of such an inverse, as
+    before the copy, gives the same result bit for bit."""
+    pipe = build_pipeline(meshes[name], n_sub)
+    prec = pipe.prec
+    r = rng.standard_normal(prec.n)
+    z = prec.apply(r)
+    as_blocks = []
+    for gamma, weights, n_i, phi, ids in prec.local:
+        assert phi.base is None and phi.flags.owndata
+        n_g, nc = phi.shape
+        order = "F" if phi.flags.f_contiguous else "C"
+        whole = np.zeros((n_g + nc, n_g + nc), order=order)
+        whole[:n_g, n_g:] = phi
+        as_blocks.append((gamma, weights, n_i, whole[:n_g, n_g:], ids))
+    prec.local = as_blocks
+    np.testing.assert_array_equal(prec.apply(r), z)

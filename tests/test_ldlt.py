@@ -195,3 +195,122 @@ def test_badly_scaled_rows_keep_inertia(rng):
     assert fact.inertia == (int((w > 0).sum()), int((w < 0).sum()), 0)
     b = rng.standard_normal((40, 3))
     assert fact.backward_error(b, fact.solve(b)) <= 1e-12
+
+
+def _symmetry_cases(rng):
+    """Random sparse matrices in several formats, symmetric or broken in
+    one way, each with the old check's verdict ``(A != A.T).nnz == 0``."""
+    for _ in range(40):
+        n = int(rng.integers(2, 25))
+        a = sps.random(n, n, density=0.25, random_state=rng, format="csr")
+        a = (a + a.T + (2 * n + 1) * sps.eye(n)).tocsr()
+        coo = a.tocoo()
+        off = np.flatnonzero(coo.row != coo.col)
+        cases = [a, a.tocsc(), coo]
+        # duplicates: every entry split into two stored parts with an
+        # exactly representable sum
+        half = sps.coo_matrix(
+            (
+                np.concatenate([coo.data * 0.5, coo.data * 0.5]),
+                (np.tile(coo.row, 2), np.tile(coo.col, 2)),
+            ),
+            shape=(n, n),
+        )
+        cases += [half, half.tocsr()]
+        # a CSR matrix storing each entry as two unequal parts, the upper
+        # triangle's in the opposite order to the lower's
+        upper = coo.row < coo.col
+        first = np.where(upper, 0.25 * coo.data, 0.75 * coo.data)
+        second = coo.data - first
+        row, col = np.tile(coo.row, 2), np.tile(coo.col, 2)
+        order = np.lexsort((col, row))
+        cases.append(sps.csr_matrix(
+            (
+                np.concatenate([first, second])[order],
+                col[order],
+                np.searchsorted(row[order], np.arange(n + 1)),
+            ),
+            shape=(n, n),
+        ))
+        if len(off):
+            i, j = coo.row[off[0]], coo.col[off[0]]
+            # an explicit zero at (i, j) only: still symmetric
+            keep = ~((coo.row == j) & (coo.col == i)) & ~((coo.row == i) & (coo.col == j))
+            zero_one_side = sps.coo_matrix(
+                (
+                    np.append(coo.data[keep], 0.0),
+                    (np.append(coo.row[keep], i), np.append(coo.col[keep], j)),
+                ),
+                shape=(n, n),
+            )
+            cases += [zero_one_side.tocsr(), zero_one_side.tocsc()]
+            # an explicit zero at (i, j) facing a nonzero at (j, i)
+            drop = ~((coo.row == i) & (coo.col == j))
+            zero_facing = sps.coo_matrix(
+                (
+                    np.append(coo.data[drop], 0.0),
+                    (np.append(coo.row[drop], i), np.append(coo.col[drop], j)),
+                ),
+                shape=(n, n),
+            )
+            cases += [zero_facing.tocsr(), zero_facing]
+            # one ulp of asymmetry in one off-diagonal entry
+            ulp = coo.copy()
+            ulp.data[off[0]] = np.nextafter(ulp.data[off[0]], np.inf)
+            cases += [ulp, ulp.tocsr(), ulp.tocsc()]
+            # a missing mirror entry
+            cases.append(sps.coo_matrix(
+                (coo.data[drop], (coo.row[drop], coo.col[drop])), shape=(n, n)
+            ).tocsc())
+        cases.append(sps.random(n, n + 1, density=0.3, random_state=rng, format="csr"))
+        cases.append(a[:, : n - 1].tocsc())
+        for case in cases:
+            square = case.shape[0] == case.shape[1]
+            yield case, square and (case != case.T).nnz == 0
+
+
+def test_sparse_symmetry_check_matches_transpose_comparison(rng):
+    """factor_symmetric_indefinite raises ValueError exactly where the
+    shape is not square or ``(A != A.T).nnz != 0``, for CSR, CSC and COO
+    input with duplicates, one-sided explicit zeros and one-ulp defects."""
+    seen = {True: 0, False: 0}
+    for case, symmetric in _symmetry_cases(rng):
+        seen[symmetric] += 1
+        before = (case.format, case.data.copy())
+        if symmetric:
+            factor_symmetric_indefinite(case)
+        else:
+            with pytest.raises(ValueError, match="square and symmetric"):
+                factor_symmetric_indefinite(case)
+        assert case.format == before[0]
+        np.testing.assert_array_equal(case.data, before[1])
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def test_sparse_norm_matches_absolute_row_sums(rng):
+    """The infinity norm of the sparse path equals ``|A|``'s largest row
+    sum, bit for bit, over the canonical CSC matrix it factors."""
+    for case, symmetric in _symmetry_cases(rng):
+        if not symmetric:
+            continue
+        fact = factor_symmetric_indefinite(case)
+        csc = case.tocsc(copy=True)
+        csc.sum_duplicates()
+        assert fact._norm_inf == float(abs(csc).sum(axis=1).max())
+
+
+def test_canonical_csc_taken_as_is_other_input_converted_once():
+    a = (_laplacian(30) + sps.eye(30)).tocsc()
+    assert a.has_canonical_format
+    assert factor_symmetric_indefinite(a)._mat is a
+    for other in (a.tocsr(), a.tocoo()):
+        mat = factor_symmetric_indefinite(other)._mat
+        assert mat.format == "csc" and mat.has_canonical_format
+        assert mat is not other
+    unsorted = a.copy()
+    unsorted.indices[:2] = unsorted.indices[1::-1].copy()
+    unsorted.data[:2] = unsorted.data[1::-1].copy()
+    unsorted.has_sorted_indices = False
+    mat = factor_symmetric_indefinite(unsorted)._mat
+    assert mat is not unsorted and mat.has_canonical_format
+    assert not unsorted.has_sorted_indices  # the caller's matrix is unchanged

@@ -17,6 +17,7 @@ from darcydd.mesh import (
     Element,
     Mesh,
     PlaneBC,
+    face_keys,
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
@@ -560,6 +561,7 @@ def _swap_elements(lines):
         (_set_token(lambda ls: _boundary_line(ls, 3), -2, "robin"), MeshFormatError),
         (_set_token(lambda ls: _boundary_line(ls, 1), 0, "99"), MeshFormatError),
         (_swap_elements, InvalidMeshError),
+        (_set_token(lambda ls: _node_line(ls, 4), 0, "99999999999999999999"), MeshFormatError),
     ],
     ids=[
         "element-node-not-int",
@@ -574,6 +576,7 @@ def _swap_elements(lines):
         "unknown-boundary-kind",
         "dangling-boundary-node",
         "elements-out-of-order",
+        "node-id-overflows-int64",
     ],
 )
 def test_reader_error_contract(tmp_path, mutate, error):
@@ -586,6 +589,39 @@ def test_reader_error_contract(tmp_path, mutate, error):
         read_mesh(str(path))
     if error is MeshFormatError:
         assert exc.value.line == line
+
+
+def _unique_numbering(rows):
+    """Row-set ids as ``np.unique`` numbers the row-sorted rows."""
+    _, inverse = np.unique(np.sort(rows, axis=1), axis=0, return_inverse=True)
+    return inverse.reshape(-1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_face_keys_matches_unique_numbering(rng, width):
+    """Random node-id rows, each repeated with its entries permuted: the
+    ids equal np.unique's numbering of the sorted rows, so rows with the
+    same nodes in any order share one id."""
+    for n_rows in (1, 2, 7, 200):
+        base = rng.integers(0, 12, size=(n_rows, width))
+        copies = rng.integers(0, n_rows, size=2 * n_rows)
+        rows = np.concatenate([base, rng.permuted(base[copies], axis=1)])
+        rows = rows[rng.permutation(len(rows))]
+        ids = face_keys(rows)
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, _unique_numbering(rows))
+        for a, b in combinations(range(min(len(rows), 40)), 2):
+            same = sorted(rows[a]) == sorted(rows[b])
+            assert (ids[a] == ids[b]) == same
+
+
+def test_face_keys_single_and_empty_inputs():
+    np.testing.assert_array_equal(face_keys(np.array([[5, 2, 9]])), [0])
+    for width in (1, 2, 3):
+        empty = np.zeros((0, width), dtype=np.int64)
+        ids = face_keys(empty)
+        assert ids.shape == (0,) and ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, _unique_numbering(empty))
 
 
 def test_reader_comments_blank_lines_and_section_order(tmp_path):

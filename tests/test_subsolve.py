@@ -302,6 +302,35 @@ def test_interior_factorizations_released_after_setup(frac2, monkeypatch):
     assert np.abs(sol - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
+@pytest.mark.parametrize("name,n_sub", [("frac2", 4), ("square6", 4), ("cube2", 4)])
+def test_interior_matrices_reach_the_factorization_as_canonical_csc(
+    fixtures, monkeypatch, name, n_sub
+):
+    """build_substructures hands each K_II to the module-level
+    factor_symmetric_indefinite, the binding a benchmark trace wraps, as a
+    canonical CSC matrix equal to the dense elimination's interior block."""
+    import darcydd.subsolve
+
+    real = darcydd.subsolve.factor_symmetric_indefinite
+    seen = []
+
+    def recording(matrix):
+        seen.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", recording)
+    system, layout, subs, _ = setup_case(fixtures[name], n_sub)
+    assert len(seen) == len(subs)
+    for k_ii, blk in zip(seen, hybridized_substructure_blocks(system, layout)):
+        assert k_ii.format == "csc"
+        assert k_ii.has_canonical_format
+        assert (k_ii != k_ii.T).nnz == 0
+        want = blk["k_ii"]
+        assert k_ii.shape == want.shape
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.abs(k_ii.toarray() - want).max(initial=0.0) <= 1e-12 * scale
+
+
 def test_operator_matches_summed_local_schur(square6):
     system, layout, subs, op = setup_case(square6, 4)
     dense = dense_operator(op.apply, layout.n_interface)
