@@ -36,58 +36,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigurationError, SingularSystemError
 from .ldlt import factor_symmetric_indefinite
-from .mesh import (
-    NATURAL,
-    Mesh,
-    simplex_measure,
-    tangent_frame,
-    tangent_frames,
-)
-
-
-def rt0_local(
-    dim: int,
-    coords: NDArray,
-    conductivity: NDArray,
-    cross_section: float = 1.0,
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Element matrices of the lowest-order flux basis on one simplex.
-
-    With the dof of face j defined as the total outward flux through face j,
-    the basis function is ``w_j(x) = (x - x_j) / (d |T|)``. Returns
-
-    * ``a_e``: the (d+1)x(d+1) weighted velocity mass matrix
-      ``(1/delta) integral of k^-1 w_i . w_j``, exactly symmetric and SPD;
-    * ``b_signs``: the divergence-row contribution, -1 per side, because the
-      total outward flux of w_j is one;
-    * ``g_rhs``: minus the integral of the vertical component of each basis
-      function, the gravity load when enabled.
-
-    The integral has the closed form
-    ``(|T| c_i^T k^-1 c_j + tr(k^-1 J)) / (delta d^2 |T|^2)`` with ``c_i``
-    the vector from vertex i to the centroid and J the second moment of the
-    simplex about its centroid.
-    """
-    pts = np.asarray(coords, dtype=float)
-    if pts.shape != (dim + 1, 3):
-        raise ValueError(f"expected {(dim + 1, 3)} coordinates, got {pts.shape}")
-    if dim == 3:
-        local = pts
-    else:
-        frame = tangent_frame(pts, dim)
-        local = (pts - pts[0]) @ frame
-    measure = simplex_measure(pts)
-    centroid = local.mean(axis=0)
-    c = local - centroid  # rows: centroid-to-vertex offsets (negated)
-    kinv = np.linalg.inv(np.asarray(conductivity, dtype=float))
-    second_moment = measure / ((dim + 1) * (dim + 2)) * (c.T @ c)
-    gram = measure * (c @ kinv @ c.T) + np.trace(kinv @ second_moment)
-    a_e = gram / (cross_section * dim**2 * measure**2)
-    a_e = 0.5 * (a_e + a_e.T)
-    b_signs = -np.ones(dim + 1)
-    z_centroid = pts[:, 2].mean()
-    g_rhs = -(z_centroid - pts[:, 2]) / dim
-    return a_e, b_signs, g_rhs
+from .mesh import NATURAL, Mesh, tangent_frames
 
 
 def rt0_blocks(
@@ -97,17 +46,28 @@ def rt0_blocks(
     cross_section: NDArray,
     measure: NDArray,
 ) -> tuple[NDArray, NDArray]:
-    """:func:`rt0_local` for a stack of ``n`` simplices of one dimension.
+    """Element matrices of the lowest-order flux basis on a stack of ``n``
+    simplices of one dimension.
 
-    ``pts`` has shape ``(n, dim + 1, 3)``, ``conductivity`` ``(n, dim, dim)``;
-    ``cross_section`` and ``measure`` have shape ``(n,)``. Returns the
-    velocity mass matrices ``(n, dim + 1, dim + 1)`` and the gravity loads
-    ``(n, dim + 1)``, by the closed form in :func:`rt0_local`.
+    With the dof of face j defined as the total outward flux through face j,
+    the basis function is ``w_j(x) = (x - x_j) / (d |T|)``. ``pts`` has shape
+    ``(n, dim + 1, 3)``, ``conductivity`` ``(n, dim, dim)``;
+    ``cross_section`` and ``measure`` have shape ``(n,)``. Returns
 
-    Every step performs the same floating-point operations as
-    :func:`rt0_local`, so each block equals its result bit for bit: stacked
-    ``matmul`` rounds like the 2D products there, where ``einsum`` would
-    sum in another order.
+    * the velocity mass matrices ``(1/delta) integral of k^-1 w_i . w_j``,
+      shape ``(n, dim + 1, dim + 1)``, exactly symmetric and SPD;
+    * the gravity loads, minus the integral of the vertical component of
+      each basis function, shape ``(n, dim + 1)``.
+
+    The integral has the closed form
+    ``(|T| c_i^T k^-1 c_j + tr(k^-1 J)) / (delta d^2 |T|^2)`` with ``c_i``
+    the vector from vertex i to the centroid and J the second moment of the
+    simplex about its centroid. The divergence row of every element is -1
+    per side, because the total outward flux of w_j is one.
+
+    Stacked ``matmul`` rounds each block's products as the 2D products of a
+    single-element evaluation do, where ``einsum`` would sum in another
+    order.
     """
     if dim == 3:
         local = pts
@@ -120,8 +80,8 @@ def rt0_blocks(
     second_moment = scale * (c_t @ c)
     gram = measure[:, None, None] * (c @ kinv @ c_t)
     gram += np.trace(kinv @ second_moment, axis1=1, axis2=2)[:, None, None]
-    # float_power calls libm pow, as Python's float ** 2 in rt0_local does;
-    # numpy's ** 2 squares, which differs in the last bit for some inputs.
+    # float_power calls libm pow, as Python's float ** 2 does; numpy's ** 2
+    # squares, which differs in the last bit for some inputs.
     measure_sq = np.float_power(measure, 2)
     a = gram / (cross_section * dim**2 * measure_sq)[:, None, None]
     a = 0.5 * (a + a.transpose(0, 2, 1))

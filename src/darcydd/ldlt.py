@@ -5,14 +5,19 @@ constrained local saddle matrices are indefinite, so plain Cholesky does not
 apply to them, and the definite ones take the same paths. The input type
 alone picks the path; there is no size threshold and no option. Sparse
 input takes a sparse LU with partial pivoting and the ``MMD_ATA`` column
-ordering, whatever its size: every substructure's interior multiplier
-matrix (negative definite, as the velocities and pressures are eliminated
-element by element before it is formed) and the full saddle matrix of the
-direct solve. On a fracture cube with 22k unknowns (the fracture-contrast
-benchmark mesh, 16 substructures) the 16 interior matrices hold 329-364
-unknowns each and 201k L+U entries in all; for the full saddle matrix
-``MMD_ATA`` keeps 1.8M entries where the default COLAMD keeps 3.9M. The
-sparse path gives no inertia.
+ordering, whatever its size: the interior multiplier matrices of the
+substructures (negative definite, as the velocities and pressures are
+eliminated element by element before they are formed), one block-diagonal
+matrix per group of substructures with one interface size, and the full
+saddle matrix of the direct solve. On a fracture cube with 22k unknowns
+(the fracture-contrast benchmark mesh, 16 substructures) the 16 interior
+blocks hold 329-364 unknowns each and 201k L+U entries in all, in 15
+matrices, as two substructures share an interface size; the 64 blocks of
+the square-dense mesh (65 unknowns each, 45k L+U entries) make 3 matrices.
+SuperLU factors a block-diagonal matrix block by block, with the same fill
+as its blocks alone. For the full saddle matrix ``MMD_ATA`` keeps 1.8M
+entries where the default COLAMD keeps 3.9M. The sparse path gives no
+inertia.
 
 Sparse input is taken as it is when it is a CSC matrix in canonical format
 (sorted row indices, no duplicates), which is what SuperLU reads; any other

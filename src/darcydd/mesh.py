@@ -129,12 +129,6 @@ def simplex_measures(pts: NDArray) -> NDArray:
     raise InvalidMeshError(f"unsupported simplex dimension {k}")
 
 
-def simplex_measure(coords: NDArray) -> float:
-    """Length, area or volume of the simplex spanned by ``coords``, shape
-    ``(d + 1, 3)``; see :func:`simplex_measures`."""
-    return float(simplex_measures(np.asarray(coords, dtype=float)[None])[0])
-
-
 def tangent_frames(pts: NDArray) -> NDArray:
     """Orthonormal bases of the tangent spaces of a stack of simplices.
 
@@ -153,12 +147,6 @@ def tangent_frames(pts: NDArray) -> NDArray:
             raise InvalidMeshError("degenerate simplex: edges are dependent")
         q.append(v / nrm[:, None])
     return np.stack(q, axis=2)
-
-
-def tangent_frame(coords: NDArray, dim: int) -> NDArray:
-    """Orthonormal basis of one element's tangent space, shape ``(3, dim)``;
-    see :func:`tangent_frames`."""
-    return tangent_frames(np.asarray(coords, dtype=float)[None, : dim + 1])[0]
 
 
 def face_keys(rows: NDArray) -> NDArray[np.int64]:
@@ -1051,21 +1039,3 @@ def _parse_boundary(rows: list[_Row], n_nodes: int) -> list[BoundaryCondition]:
         for pos, face, value in zip(positions, nodes.tolist(), values[:, 0].tolist()):
             bcs[pos] = BoundaryCondition(tuple(face), rows[pos][1][-2], value)
     return bcs
-
-
-def meshes_equal(a: Mesh, b: Mesh) -> bool:
-    """Exact field-for-field identity of the input data, used by round-trip
-    tests."""
-    if (
-        not np.array_equal(a.node_coords, b.node_coords)
-        or a.simplices.keys() != b.simplices.keys()
-        or a.gravity_enabled != b.gravity_enabled
-        or a.transition_coefficient != b.transition_coefficient
-    ):
-        return False
-    for d, sa in a.simplices.items():
-        sb = b.simplices[d]
-        for name in Cells._fields:
-            if not np.array_equal(getattr(sa, name), getattr(sb, name)):
-                return False
-    return a.boundary_conditions == b.boundary_conditions

@@ -12,24 +12,29 @@ velocities and pressures (hybridization) leaves the multiplier system
 
 whose matrix is negative definite. :func:`build_substructures` relabels the
 rows of ``N`` so that every substructure gets its own copy of each
-multiplier it touches: its interior multipliers first, ascending, then its
-interface multipliers in ``layout.local_dofs`` order. A row of ``N`` goes to
-the copy of the substructure owning the element of its column, and a
+multiplier it touches. The substructures with one interface size
+``n_gamma`` form a group, and the copies are numbered group by group: the
+interior copies of every member (ascending multipliers), then the
+interface copies of every member (in ``layout.local_dofs`` order). A row of
+``N`` goes to the copy of the substructure owning the element of its
+column, and a
 coupling link's penalty on ``C_T`` to the copy of its lower element's
 substructure, the same one that receives the link's ``C_F`` entry. One
 sparse product then gives the block-diagonal matrix of all substructures'
-local multiplier problems, which sum to the global one. Each substructure's
+local multiplier problems, which sum to the global one. Each group's
 ``K_II``, ``K_IG``, ``K_GG`` and its interior and interface loads are cut
-from that matrix and its load vector.
+from that matrix and its load vector; the group's ``K_II`` is the
+block-diagonal matrix of its members' interior blocks.
 
 The blocks are cut from the ``indptr``/``indices``/``data`` arrays of that
 CSR matrix, with no sparse slicing. The entries of the ``II``, ``IG`` and
 ``GG`` blocks are listed once, by whether their row and column are
 interface copies; each list keeps the matrix's row order, so the rows of
-one substructure's block are one slice of it. The matrix is exactly
-symmetric, so the rows of ``K_II`` are also its columns: they go to the
-factorization as a canonical CSC matrix, which SuperLU reads without a
-conversion. ``K_IG`` stays a CSR matrix of its rows (``K_GI`` is used as its
+one group's block are one slice of it. The matrix is exactly symmetric, so
+the rows of ``K_II`` are also its columns: they go to the factorization as
+a canonical CSC matrix with int32 indices, which SuperLU reads without a
+conversion. ``K_IG`` stays a CSR matrix of its rows, member ``j``'s
+interface copy ``c`` in column ``j n_gamma + c`` (``K_GI`` is used as its
 transpose), and ``K_GG`` is scattered into a dense array.
 
 With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
@@ -45,12 +50,22 @@ problem over its velocities, pressures and multipliers, because eliminating
 interior unknowns in another order does not change it. The sign convention
 keeps the reduced problem SPD so conjugate gradients applies unchanged.
 
-:func:`build_substructures` does all interior work at set-up, one
-substructure at a time: it cuts the blocks, factors the sparse ``K_II``,
-forms ``W`` and ``S_i`` (dense, ``n_gamma x n_gamma``) from one
-multi-right-hand-side solve and, in a second solve, ``K_II^-1`` times the
-interior load, and keeps only those results in a
-:class:`SubstructureOperator`; the blocks and the factorization go.
+:func:`build_substructures` does all interior work at set-up, one group
+at a time: it cuts the group's blocks and factors its sparse block-diagonal
+``K_II`` once. One solve against ``n_gamma`` right-hand sides, whose row
+block ``j`` is member ``j``'s ``-K_IG``, gives every member's ``W``;
+one product ``K_GI W`` of the group's ``K_IG`` gives every ``S_i`` (dense,
+``n_gamma x n_gamma``), each checked for symmetry on its own; a second
+solve gives ``K_II^-1`` times the interior load. SuperLU factors a
+block-diagonal matrix block by block, and on the benchmark meshes every
+member's results equal those of factoring its own ``K_II`` bit for bit; the
+backward error that decides on iterative refinement is measured over the
+whole group. A member's ``W`` and ``K_II^-1 rhs_I`` are views of row blocks
+of its group's solutions. Only those results are kept, in a
+:class:`SubstructureOperator` per substructure; the blocks and the
+factorization go. On the square-dense benchmark mesh, 64 substructures with
+three interface sizes, this makes three factorizations instead of 64.
+
 Applying the interface operator is one dense matrix-vector product per
 substructure, the preconditioner's local problems work on ``S_i`` alone,
 the reduced right-hand side is a sum of stored shares, and the interior
@@ -107,7 +122,8 @@ def build_substructures(
     system: BlockSystem, layout: InterfaceLayout, threads: int = 1
 ) -> list[SubstructureOperator]:
     """Cut the per-substructure blocks from one block-diagonal multiplier
-    matrix and solve every interior problem once."""
+    matrix and solve every interior problem once, with one factorization
+    per interface size."""
     dm = system.dof_map
     sides = system.mesh.sides
     part = layout.partition
@@ -129,13 +145,30 @@ def build_substructures(
     n_int = np.bincount(mult_sub, minlength=n_sub + 1)[:n_sub]
     interior = np.split(by_sub[: n_int.sum()], np.cumsum(n_int)[:-1])
     gamma = [layout.interface_mults[d] for d in layout.local_dofs]
-    copy_mult = np.concatenate(
-        [m for s in range(n_sub) for m in (interior[s], gamma[s])]
+    # The substructures with one interface size form a group, members by
+    # ascending id. Groups go by descending size, so that the widest
+    # transient arrays of the interior solves come while the fewest results
+    # are kept: on the fracture-contrast benchmark mesh, where two of the
+    # widest substructures share a size, the set-up then peaks about 2 MB
+    # lower than in ascending order. The copies are numbered group by group:
+    # the interior copies of every member, then the interface copies of
+    # every member.
+    sizes, group_of = np.unique([len(g) for g in gamma], return_inverse=True)
+    groups = np.split(
+        np.argsort(group_of, kind="stable"), np.cumsum(np.bincount(group_of))[:-1]
     )
+    groups, sizes = groups[::-1], sizes[::-1]
+    blocks = [of[s] for grp in groups for of in (interior, gamma) for s in grp]
+    copy_mult = np.concatenate(blocks)
     n_copy = len(copy_mult)
-    off = np.concatenate([[0], np.cumsum(n_int + [len(g) for g in gamma])])
-    key = np.repeat(np.arange(n_sub), np.diff(off)) * n_l + copy_mult
+    copy_sub = np.concatenate([grp for grp in groups for _ in (interior, gamma)])
+    key = np.repeat(copy_sub, [len(b) for b in blocks]) * n_l + copy_mult
     order = np.argsort(key)
+    # group g's interior copies are edge[2g]:edge[2g+1], and its interface
+    # copies edge[2g+1]:edge[2g+2]
+    edge = np.concatenate(
+        [[0], np.cumsum([(n_int[g].sum(), len(g) * n) for g, n in zip(groups, sizes)])]
+    )
 
     def copy_of(sub: NDArray, mult: NDArray) -> NDArray:
         """Position of substructure ``sub``'s copy of multiplier ``mult``."""
@@ -166,7 +199,7 @@ def build_substructures(
     # Every entry of k lies in its substructure's diagonal block; whether
     # its row and its column are interface copies tells the block's part.
     # ``cut`` lists one part's entries in row order, with a row pointer.
-    on_gamma = np.arange(n_copy) >= np.repeat(off[:-1] + n_int, np.diff(off))
+    on_gamma = np.repeat(np.arange(len(edge) - 1) % 2 == 1, np.diff(edge))
     entry_row = np.repeat(np.arange(n_copy), np.diff(k.indptr))
     row_gamma, col_gamma = on_gamma[entry_row], on_gamma[k.indices]
 
@@ -180,51 +213,95 @@ def build_substructures(
     cut_gg = cut(row_gamma & col_gamma)
 
     def rows_of(block: tuple[NDArray, NDArray], r0: int, r1: int, c0: int):
-        """Values, columns less ``c0``, and row pointer of rows ``r0:r1``."""
+        """Values, columns less ``c0``, and row pointer of rows ``r0:r1``;
+        the index arrays are int32, which SuperLU takes without a copy."""
         take, ptr = block
         pick = take[ptr[r0] : ptr[r1]]
-        return k.data[pick], k.indices[pick] - c0, ptr[r0 : r1 + 1] - ptr[r0]
-
-    def solve_interior(s: int) -> SubstructureOperator:
-        """Cut substructure ``s``'s blocks, factor ``K_II``, and form
-        ``W``, the dense local Schur complement and the interior load's
-        solution; the blocks and the factorization go on return."""
-        lo, mid, hi = int(off[s]), int(off[s] + n_int[s]), int(off[s + 1])
-        n_i, n_g = mid - lo, hi - mid
-        # k is exactly symmetric, so the rows of K_II are its columns
-        k_ii = sps.csc_matrix(rows_of(cut_ii, lo, mid, lo), shape=(n_i, n_i))
-        k_ig = sps.csr_matrix(rows_of(cut_ig, lo, mid, mid), shape=(n_i, n_g))
-        val, col, ptr = rows_of(cut_gg, mid, hi, mid)
-        k_gg = np.zeros((n_g, n_g))
-        k_gg[np.repeat(np.arange(n_g), np.diff(ptr)), col] = val
-        try:
-            fact = factor_symmetric_indefinite(k_ii)
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"interior problem of substructure {s} is singular ({exc})"
-            ) from exc
-        w = fact.solve(-k_ig.toarray())
-        schur = -(k_gg + k_ig.T @ w)
-        defect = float(np.abs(schur - schur.T).max(initial=0.0))
-        scale = float(np.abs(schur).max(initial=0.0))
-        if defect > 1e-10 * scale:
-            raise SingularSystemError(
-                f"substructure {s}: local Schur complement symmetry defect "
-                f"{defect:.3e} exceeds tolerance; interior solve is unreliable"
-            )
-        # a solve of its own, so that the load cannot change W or S_i
-        lam_load = fact.solve(load[lo:mid])
-        return SubstructureOperator(
-            s,
-            interior[s],
-            layout.local_dofs[s],
-            schur=0.5 * (schur + schur.T),
-            w=w,
-            lam_load=lam_load,
-            rhs_share=k_ig.T @ lam_load - load[mid:hi],
+        return (
+            k.data[pick],
+            (k.indices[pick] - c0).astype(np.int32),
+            (ptr[r0 : r1 + 1] - ptr[r0]).astype(np.int32),
         )
 
-    return parallel_map(solve_interior, range(n_sub), threads)
+    def interior_matrix(r0: int, r1: int) -> sps.csc_matrix:
+        """``K_II`` of the interior copies ``r0:r1`` as a canonical CSC
+        matrix: k is exactly symmetric, so its rows are its columns."""
+        return sps.csc_matrix(rows_of(cut_ii, r0, r1, r0), shape=(r1 - r0,) * 2)
+
+    def solve_group(g: int) -> list[SubstructureOperator]:
+        """Cut group ``g``'s blocks, factor its block-diagonal ``K_II`` once,
+        and form every member's ``W``, dense local Schur complement and
+        interior load solution; the blocks and the factorization go on
+        return."""
+        members, n_g = groups[g], int(sizes[g])
+        lo, mid, hi = (int(e) for e in edge[2 * g : 2 * g + 3])
+        # member j's interior rows, less lo, are start[j]:start[j + 1]; its
+        # interface copies are columns j n_g : (j + 1) n_g of the group's K_IG
+        start = np.concatenate([[0], np.cumsum(n_int[members])])
+        try:
+            fact = factor_symmetric_indefinite(interior_matrix(lo, mid))
+        except SingularSystemError as exc:
+            # name the member whose own block is singular
+            for s, a, b in zip(members.tolist(), start, start[1:]):
+                try:
+                    factor_symmetric_indefinite(interior_matrix(lo + a, lo + b))
+                except SingularSystemError as own:
+                    raise SingularSystemError(
+                        f"interior problem of substructure {s} is singular ({own})"
+                    ) from own
+            raise SingularSystemError(
+                f"interior problem of substructures {members.tolist()} is "
+                f"singular ({exc})"
+            ) from exc
+        k_ig = sps.csr_matrix(
+            rows_of(cut_ig, lo, mid, mid), shape=(mid - lo, hi - mid)
+        )
+        # -K_IG with member j's columns on its own rows, one right-hand
+        # side per interface copy of a member
+        first = np.arange(len(members)) * n_g  # member j's first column
+        entry = np.repeat(np.arange(mid - lo), np.diff(k_ig.indptr))
+        rhs = np.zeros((mid - lo, n_g))
+        col = k_ig.indices - np.repeat(first, n_int[members])[entry]
+        rhs[entry, col] = -k_ig.data
+        w = fact.solve(rhs)
+        del rhs
+        val, col, ptr = rows_of(cut_gg, mid, hi, mid)
+        entry = np.repeat(np.arange(hi - mid), np.diff(ptr))
+        k_gg = np.zeros((hi - mid, n_g))
+        k_gg[entry, col - np.repeat(first, n_g)[entry]] = val
+        # row block j of K_GI W is member j's
+        schur = -(k_gg + k_ig.T @ w).reshape(len(members), n_g, n_g)
+        schur_t = schur.transpose(0, 2, 1)
+        defect = np.abs(schur - schur_t).max(axis=(1, 2), initial=0.0)
+        scale = np.abs(schur).max(axis=(1, 2), initial=0.0)
+        for s, d, a in zip(members.tolist(), defect, scale):
+            if d > 1e-10 * a:
+                raise SingularSystemError(
+                    f"substructure {s}: local Schur complement symmetry defect "
+                    f"{d:.3e} exceeds tolerance; interior solve is unreliable"
+                )
+        schur = 0.5 * (schur + schur_t)
+        # a solve of its own, so that the load cannot change W or S_i
+        lam_load = fact.solve(load[lo:mid])
+        share = k_ig.T @ lam_load - load[mid:hi]
+        return [
+            SubstructureOperator(
+                s,
+                interior[s],
+                layout.local_dofs[s],
+                schur=schur[j],
+                w=w[a:b],
+                lam_load=lam_load[a:b],
+                rhs_share=share[j * n_g : (j + 1) * n_g],
+            )
+            for j, (s, a, b) in enumerate(zip(members.tolist(), start, start[1:]))
+        ]
+
+    subs = [None] * n_sub
+    for group in parallel_map(solve_group, range(len(groups)), threads):
+        for sub in group:
+            subs[sub.sub_id] = sub
+    return subs
 
 
 class InterfaceOperator:

@@ -8,13 +8,21 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.typing import NDArray
 import scipy.linalg as sla
 import scipy.sparse as sps
 
 from darcydd.assembly import assemble
 from darcydd.bddc import BddcPreconditioner, build_constraints
 from darcydd.errors import ConfigurationError
-from darcydd.mesh import NATURAL, SIMPLEX_FACES, Cells, Mesh
+from darcydd.mesh import (
+    NATURAL,
+    SIMPLEX_FACES,
+    Cells,
+    Mesh,
+    simplex_measures,
+    tangent_frames,
+)
 from darcydd.partition import (
     SCHEMES,
     Glob,
@@ -550,3 +558,83 @@ def build_pipeline(
             subs, layout, ns.weights, ns.constraints, threads=threads
         )
     return ns
+
+
+# ---------------------------------------------------------------------------
+# single-element geometry and element matrices, and mesh identity: the
+# per-element forms that the batched library code is checked against
+
+
+def simplex_measure(coords: NDArray) -> float:
+    """Length, area or volume of the simplex spanned by ``coords``, shape
+    ``(d + 1, 3)``; see :func:`simplex_measures`."""
+    return float(simplex_measures(np.asarray(coords, dtype=float)[None])[0])
+
+
+def tangent_frame(coords: NDArray, dim: int) -> NDArray:
+    """Orthonormal basis of one element's tangent space, shape ``(3, dim)``;
+    see :func:`tangent_frames`."""
+    return tangent_frames(np.asarray(coords, dtype=float)[None, : dim + 1])[0]
+
+
+def meshes_equal(a: Mesh, b: Mesh) -> bool:
+    """Exact field-for-field identity of the input data, used by round-trip
+    tests."""
+    if (
+        not np.array_equal(a.node_coords, b.node_coords)
+        or a.simplices.keys() != b.simplices.keys()
+        or a.gravity_enabled != b.gravity_enabled
+        or a.transition_coefficient != b.transition_coefficient
+    ):
+        return False
+    for d, sa in a.simplices.items():
+        sb = b.simplices[d]
+        for name in Cells._fields:
+            if not np.array_equal(getattr(sa, name), getattr(sb, name)):
+                return False
+    return a.boundary_conditions == b.boundary_conditions
+
+
+def rt0_local(
+    dim: int,
+    coords: NDArray,
+    conductivity: NDArray,
+    cross_section: float = 1.0,
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Element matrices of the lowest-order flux basis on one simplex.
+
+    With the dof of face j defined as the total outward flux through face j,
+    the basis function is ``w_j(x) = (x - x_j) / (d |T|)``. Returns
+
+    * ``a_e``: the (d+1)x(d+1) weighted velocity mass matrix
+      ``(1/delta) integral of k^-1 w_i . w_j``, exactly symmetric and SPD;
+    * ``b_signs``: the divergence-row contribution, -1 per side, because the
+      total outward flux of w_j is one;
+    * ``g_rhs``: minus the integral of the vertical component of each basis
+      function, the gravity load when enabled.
+
+    The integral has the closed form
+    ``(|T| c_i^T k^-1 c_j + tr(k^-1 J)) / (delta d^2 |T|^2)`` with ``c_i``
+    the vector from vertex i to the centroid and J the second moment of the
+    simplex about its centroid.
+    """
+    pts = np.asarray(coords, dtype=float)
+    if pts.shape != (dim + 1, 3):
+        raise ValueError(f"expected {(dim + 1, 3)} coordinates, got {pts.shape}")
+    if dim == 3:
+        local = pts
+    else:
+        frame = tangent_frame(pts, dim)
+        local = (pts - pts[0]) @ frame
+    measure = simplex_measure(pts)
+    centroid = local.mean(axis=0)
+    c = local - centroid  # rows: centroid-to-vertex offsets (negated)
+    kinv = np.linalg.inv(np.asarray(conductivity, dtype=float))
+    second_moment = measure / ((dim + 1) * (dim + 2)) * (c.T @ c)
+    gram = measure * (c @ kinv @ c.T) + np.trace(kinv @ second_moment)
+    a_e = gram / (cross_section * dim**2 * measure**2)
+    a_e = 0.5 * (a_e + a_e.T)
+    b_signs = -np.ones(dim + 1)
+    z_centroid = pts[:, 2].mean()
+    g_rhs = -(z_centroid - pts[:, 2]) / dim
+    return a_e, b_signs, g_rhs

@@ -10,7 +10,6 @@ from darcydd.assembly import (
     assemble,
     full_solve_direct,
     mass_balance_residual,
-    rt0_local,
 )
 from darcydd.errors import InvalidMeshError, SingularSystemError
 from darcydd.ldlt import factor_symmetric_indefinite
@@ -22,14 +21,15 @@ from darcydd.mesh import (
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
-    simplex_measure,
 )
 
 from support import (
     coupling_links,
     mesh_from_elements,
     numbering_contract,
+    rt0_local,
     rt0_quadrature_oracle,
+    simplex_measure,
 )
 
 

@@ -21,13 +21,16 @@ from darcydd.mesh import (
     generate_cross_fracture_cube,
     generate_unit_cube,
     generate_unit_square,
-    meshes_equal,
     read_mesh,
-    simplex_measure,
     write_mesh,
 )
 
-from support import coupling_links, mesh_from_elements
+from support import (
+    coupling_links,
+    mesh_from_elements,
+    meshes_equal,
+    simplex_measure,
+)
 
 
 def facet_histogram(mesh, dim: int) -> Counter:

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.errors import ConfigurationError, SingularSystemError
@@ -273,9 +274,11 @@ def test_recover_backward_error(frac2, rng):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_interior_factorizations_released_after_setup(frac2, monkeypatch):
-    """No interior factorization outlives set-up, and the reduced
-    right-hand side, PCG and recovery still match the direct solve."""
+def test_interior_factorizations_released_after_setup(frac2, cube2, monkeypatch):
+    """Set-up makes one interior factorization per distinct interface size
+    (frac2: four sizes for four substructures; cube2: one size), none of
+    them outlives set-up, and the reduced right-hand side, PCG and recovery
+    still match the direct solve."""
     import darcydd.subsolve
 
     real = darcydd.subsolve.factor_symmetric_indefinite
@@ -287,28 +290,34 @@ def test_interior_factorizations_released_after_setup(frac2, monkeypatch):
         return fact
 
     monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", recording)
-    pipe = build_pipeline(frac2, 4)
-    gc.collect()
-    assert len(refs) == len(pipe.subs)
-    assert all(ref() is None for ref in refs)
-    lam, report = pcg(
-        pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
-        PcgConfig(rel_tol=1e-10),
-    )
-    assert report.converged
-    sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
-    sol = sol.concatenated()
-    ref = full_solve_direct(pipe.system).concatenated()
-    assert np.abs(sol - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+    for mesh, n_distinct in ((frac2, 4), (cube2, 1)):
+        refs.clear()
+        pipe = build_pipeline(mesh, 4)
+        gc.collect()
+        assert len({sub.n_gamma for sub in pipe.subs}) == n_distinct
+        assert len(refs) == n_distinct
+        assert all(ref() is None for ref in refs)
+        lam, report = pcg(
+            pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+            PcgConfig(rel_tol=1e-10),
+        )
+        assert report.converged
+        sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
+        sol = sol.concatenated()
+        ref = full_solve_direct(pipe.system).concatenated()
+        assert np.abs(sol - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("name,n_sub", [("frac2", 4), ("square6", 4), ("cube2", 4)])
-def test_interior_matrices_reach_the_factorization_as_canonical_csc(
-    fixtures, monkeypatch, name, n_sub
-):
-    """build_substructures hands each K_II to the module-level
-    factor_symmetric_indefinite, the binding a benchmark trace wraps, as a
-    canonical CSC matrix equal to the dense elimination's interior block."""
+def interface_size_groups(subs) -> list[list[int]]:
+    """The substructures that share one interior factorization: one list
+    per interface size, sizes descending, ids ascending in each."""
+    sizes = sorted({sub.n_gamma for sub in subs}, reverse=True)
+    return [[sub.sub_id for sub in subs if sub.n_gamma == n] for n in sizes]
+
+
+def record_interior_matrices(monkeypatch) -> list:
+    """Make build_substructures' factor_symmetric_indefinite append every
+    matrix it receives to the returned list."""
     import darcydd.subsolve
 
     real = darcydd.subsolve.factor_symmetric_indefinite
@@ -319,16 +328,132 @@ def test_interior_matrices_reach_the_factorization_as_canonical_csc(
         return real(matrix)
 
     monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", recording)
-    system, layout, subs, _ = setup_case(fixtures[name], n_sub)
-    assert len(seen) == len(subs)
-    for k_ii, blk in zip(seen, hybridized_substructure_blocks(system, layout)):
+    return seen
+
+
+def heterogeneous_square(n):
+    """``generate_unit_square(n)`` with a smooth conductivity field, so that
+    no two substructures have equal interior blocks."""
+    return generate_unit_square(
+        n, conductivity=lambda c, dim: 1.0 + 3.0 * c[0] + 7.0 * c[1] ** 2
+    )
+
+
+@pytest.mark.parametrize(
+    "name,n_sub", [("frac2", 4), ("square6", 4), ("cube2", 4), ("square12", 9)]
+)
+def test_interior_matrices_reach_the_factorization_as_canonical_csc(
+    fixtures, monkeypatch, name, n_sub
+):
+    """build_substructures hands one block-diagonal K_II per interface size
+    to the module-level factor_symmetric_indefinite, the binding a
+    benchmark trace wraps, as a canonical CSC matrix; its diagonal blocks
+    are the members' interior blocks of the dense elimination, every
+    substructure in exactly one of them, and nothing lies outside them."""
+    mesh = fixtures[name] if name in fixtures else heterogeneous_square(12)
+    seen = record_interior_matrices(monkeypatch)
+    system, layout, subs, _ = setup_case(mesh, n_sub)
+    groups = interface_size_groups(subs)
+    assert len(seen) == len(groups)
+    assert sorted(s for grp in groups for s in grp) == list(range(n_sub))
+    ref = hybridized_substructure_blocks(system, layout)
+    for k_ii, members in zip(seen, groups):
         assert k_ii.format == "csc"
         assert k_ii.has_canonical_format
         assert (k_ii != k_ii.T).nnz == 0
-        want = blk["k_ii"]
-        assert k_ii.shape == want.shape
-        scale = max(1.0, np.abs(want).max(initial=0.0))
-        assert np.abs(k_ii.toarray() - want).max(initial=0.0) <= 1e-12 * scale
+        sizes = [len(ref[s]["interior_mults"]) for s in members]
+        assert k_ii.shape == (sum(sizes),) * 2
+        dense = k_ii.toarray()
+        outside = np.ones(dense.shape, dtype=bool)
+        for s, a, b in zip(members, np.cumsum([0] + sizes), np.cumsum(sizes)):
+            want = ref[s]["k_ii"]
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            gap = np.abs(dense[a:b, a:b] - want).max(initial=0.0)
+            assert gap <= 1e-12 * scale, s
+            outside[a:b, a:b] = False
+        assert not dense[outside].any()
+
+
+def test_grouped_build_matches_oracle_and_separate_factorizations(monkeypatch):
+    """On a partition with repeated and unique interface sizes, every
+    member's W, K_II^-1 rhs_I, S_i and share of the reduced right-hand side
+    match the dense elimination, and W and K_II^-1 rhs_I equal, bit for bit,
+    solves with the member's own K_II factored alone."""
+    from darcydd.ldlt import factor_symmetric_indefinite
+
+    import darcydd.subsolve
+
+    real = darcydd.subsolve.factor_symmetric_indefinite
+    solves = []  # (matrix, right-hand side) of every solve, in order
+
+    class Recording:
+        def __init__(self, matrix):
+            self.matrix, self.inner = matrix, real(matrix)
+
+        def solve(self, rhs):
+            solves.append((self.matrix, rhs.copy()))
+            return self.inner.solve(rhs)
+
+    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", Recording)
+    system, layout, subs, _ = setup_case(heterogeneous_square(12), 9)
+    assert sorted(sub.n_gamma for sub in subs) == [10, 10, 12, 12, 16, 17, 18, 19, 20]
+    groups = interface_size_groups(subs)
+    # one solve for W and one for the interior load, per group
+    assert len(solves) == 2 * len(groups)
+    for members, (k_ii, rhs_w), (k_load, rhs_load) in zip(
+        groups, solves[::2], solves[1::2]
+    ):
+        assert k_load is k_ii and rhs_w.ndim == 2 and rhs_load.ndim == 1
+        sizes = [len(subs[s].interior_mults) for s in members]
+        for s, a, b in zip(members, np.cumsum([0] + sizes), np.cumsum(sizes)):
+            alone = factor_symmetric_indefinite(k_ii[a:b, a:b])
+            assert np.array_equal(subs[s].w, alone.solve(rhs_w[a:b]))
+            assert np.array_equal(subs[s].lam_load, alone.solve(rhs_load[a:b]))
+    for sub, want in zip(subs, hybridized_substructure_blocks(system, layout)):
+        assert np.array_equal(sub.interior_mults, want["interior_mults"])
+        want["w"] = -sla.solve(want["k_ii"], want["k_ig"])
+        want["lam_load"] = sla.solve(want["k_ii"], want["rhs_interior"])
+        want["rhs_share"] = want["k_ig"].T @ want["lam_load"] - want["rhs_gamma"]
+        for name in ("w", "lam_load", "rhs_share", "schur"):
+            assert _relative_gap(getattr(sub, name), want[name]) <= 1e-12, name
+
+
+def test_singular_member_of_a_group_is_named(monkeypatch):
+    """When a group's factorization fails, the error names the member whose
+    own interior block is singular, not the group."""
+    from darcydd.ldlt import factor_symmetric_indefinite as real
+
+    import darcydd.subsolve
+
+    mesh = heterogeneous_square(12)
+    seen = record_interior_matrices(monkeypatch)
+    system, layout, subs, _ = setup_case(mesh, 9)
+    groups = interface_size_groups(subs)
+    pair = next(grp for grp in groups if len(grp) == 2)
+    # the second member, so that a healthy member is refactored first
+    target = pair[1]
+    n_first = len(subs[pair[0]].interior_mults)
+    n_target = len(subs[target].interior_mults)
+    block = seen[groups.index(pair)].toarray()[n_first:, n_first:]
+    assert block.shape == (n_target, n_target)
+
+    def singular_target(matrix):
+        """Zero the rows and columns of the target's block wherever it
+        appears on the diagonal, which leaves the matrix symmetric."""
+        dense = matrix.toarray()
+        for o in range(len(dense) - n_target + 1):
+            if np.array_equal(dense[o : o + n_target, o : o + n_target], block):
+                dense[o : o + n_target] = 0.0
+                dense[:, o : o + n_target] = 0.0
+                return real(sps.csc_matrix(dense))
+        return real(matrix)
+
+    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", singular_target)
+    with pytest.raises(
+        SingularSystemError,
+        match=rf"^interior problem of substructure {target} is singular",
+    ):
+        build_substructures(system, layout)
 
 
 def test_operator_matches_summed_local_schur(square6):
