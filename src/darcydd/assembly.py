@@ -392,7 +392,7 @@ def full_solve_direct(system: BlockSystem) -> SolutionTriple:
     try:
         fact = factor_symmetric_indefinite(mat)
     except SingularSystemError as exc:
-        comps = system.mesh.components_without_natural_bc(include_couplings=True)
+        comps = system.mesh.components_without_natural_bc()
         if comps:
             raise SingularSystemError(
                 f"system is singular: {len(comps)} connected component(s) "

@@ -16,9 +16,10 @@ unknowns eliminated exactly, so its interface and constraint rows solve the
 same problems: the coarse basis, the local coarse matrix and the constrained
 (Neumann) correction. :func:`constrained_inverse` inverts it explicitly,
 once, and returns three blocks of the inverse: the interface block ``N_i``,
-the coarse basis ``Phi_i`` and the local coarse matrix. Set-up keeps
-``N_i`` and ``Phi_i`` and assembles the local coarse matrices into the
-coarse matrix, which it factors. An application of the preconditioner is
+the coarse basis ``Phi_i`` and the local coarse matrix. Set-up inverts the
+substructures one after another, in substructure order, keeps ``N_i`` and
+``Phi_i`` and assembles the local coarse matrices into the coarse matrix,
+which it factors last. An application of the preconditioner is
 then two dense products per substructure, ``N_i r_i`` and ``Phi_i^T r_i``,
 and one solve with the factored coarse matrix.
 
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .ldlt import factor_symmetric_indefinite
 from .partition import InterfaceLayout
-from .subsolve import SubstructureOperator, parallel_map
+from .subsolve import SubstructureOperator
 
 
 @dataclass
@@ -186,9 +187,7 @@ class BddcPreconditioner:
     Application: weight and restrict the residual to each substructure,
     apply the constrained local inverses, add the coarse component obtained
     from the assembled coarse matrix, weight again and scatter back, then
-    negate. The local inverses are built concurrently at set-up; both
-    reductions accumulate in substructure order so results do not depend on
-    the worker count.
+    negate. Both reductions accumulate in substructure order.
 
     Raises :class:`ConstraintDeficiencyError` when the assembled coarse
     matrix is singular or not negative definite: the coarse constraints
@@ -201,7 +200,6 @@ class BddcPreconditioner:
         layout: InterfaceLayout,
         weights: list[NDArray],
         constraints: ConstraintSet,
-        threads: int = 1,
     ):
         if layout.n_interface == 0:
             raise ConfigurationError(
@@ -212,13 +210,10 @@ class BddcPreconditioner:
         self.n_coarse = nc = constraints.n_coarse
         self.n_corners = constraints.n_corners
         ids = [constraints.coarse_ids[sub.sub_id] for sub in subs]
-        inverses = parallel_map(
-            lambda sub: constrained_inverse(
-                sub.schur, constraints.matrices[sub.sub_id], sub.sub_id
-            ),
-            subs,
-            threads,
-        )
+        inverses = [
+            constrained_inverse(sub.schur, constraints.matrices[sub.sub_id], sub.sub_id)
+            for sub in subs
+        ]
         # what apply reads, per substructure
         self.local = [
             (sub.local_gamma, weights[sub.sub_id], n_i, phi, idx)

@@ -192,9 +192,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         weights = compute_weights(system, layout, config.scaling)
         subs = build_substructures(system, layout, config.threads)
         operator = InterfaceOperator(subs, layout)
-        prec = BddcPreconditioner(
-            subs, layout, weights, constraints, config.threads
-        )
+        prec = BddcPreconditioner(subs, layout, weights, constraints)
         counts = layout.glob_counts()
         say(
             f"interface: {layout.n_interface} dofs in {len(layout.globs)} "
@@ -457,7 +455,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument(
         "--threads", type=int, metavar="N",
-        help=f"worker cap for substructure set-up (default {d.threads})",
+        help=f"worker cap for the interior solves of set-up (default {d.threads})",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress output"

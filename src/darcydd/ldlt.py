@@ -47,9 +47,6 @@ exceeds 1e-12.
 """
 from __future__ import annotations
 
-import ctypes
-import sys
-
 import numpy as np
 from scipy.linalg import lapack
 import scipy.sparse as sps
@@ -58,35 +55,6 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 
 _REFINE_TRIGGER = 1e-12
-_M_MMAP_THRESHOLD = -3  # glibc mallopt parameter
-
-
-def _pin_mmap_threshold() -> None:
-    """Fix glibc's mmap threshold at 32 MiB, the ceiling of its dynamic rule.
-
-    By default glibc raises the threshold to the size of each mapped block
-    that is freed, and the heap's trim threshold to twice that. Whether a
-    block of a few MiB, such as SuperLU's factor storage, is mapped or carved
-    from the heap, and how much freed heap stays resident, then depend on the
-    whole allocation history of the process, down to its string-hash seed
-    and address layout. SuperLU touches only part of the storage it
-    allocates, so the resident size of identical solves varied from one
-    process to the next: with glibc 2.36 on a 2-vCPU VM, the first
-    fracture-contrast benchmark solve peaked near 102 MB or near 120 MB.
-    A fixed threshold switches the dynamic rule off; heap blocks below
-    32 MiB are reused, and free heap above 128 KiB at its top is returned
-    to the system.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # a C library without mallopt
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-
-
-_pin_mmap_threshold()
 
 
 def _csc_symmetric(a: sps.csc_matrix) -> bool:

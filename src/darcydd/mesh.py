@@ -227,6 +227,14 @@ class Mesh:
     * ``bc_faces``, the face id of every boundary condition, or -1 when its
       nodes form no element face.
 
+    Model values that the solver cannot use raise
+    :class:`InvalidMeshError`, naming the first offending element or face:
+    conductivities that are not finite, symmetric and positive definite,
+    cross-sections
+    that are not positive and finite, sources and boundary values that are
+    not finite, and a transition coefficient that is not finite and
+    positive.
+
     Afterwards the mesh must not be mutated, which makes concurrent read
     access safe. The one exception is :attr:`elements`, a view that may be
     replaced to change what :func:`write_mesh` writes.
@@ -244,6 +252,11 @@ class Mesh:
         self.boundary_conditions = list(boundary_conditions)
         self.gravity_enabled = bool(gravity_enabled)
         self.transition_coefficient = float(transition_coefficient)
+        if not 0.0 < self.transition_coefficient < np.inf:
+            raise InvalidMeshError(
+                f"transition coefficient sigma must be finite and positive, "
+                f"got {self.transition_coefficient}"
+            )
         self._elements: list[Element] | None = None
         self._build(cells)
         self.couplings = detect_couplings(self)
@@ -332,6 +345,10 @@ class Mesh:
             f"got {cond[dim_of[e]].shape[1:]}",
         )
         _reject(
+            (gid[d][~np.isfinite(k).all(axis=(1, 2))] for d, k in cond.items()),
+            lambda e: f"element {e}: conductivity tensor is not finite",
+        )
+        _reject(
             (gid[d][~_symmetric(k)] for d, k in cond.items()),
             lambda e: f"element {e}: conductivity tensor is not symmetric",
         )
@@ -344,8 +361,15 @@ class Mesh:
             for d, c in blocks.items()
         }
         _reject(
-            (gid[d][~(c > 0.0)] for d, c in cross.items()),
-            lambda e: f"element {e}: cross-section must be positive",
+            (gid[d][~((c > 0.0) & (c < np.inf))] for d, c in cross.items()),
+            lambda e: f"element {e}: cross-section must be positive and finite",
+        )
+        source = {
+            d: np.ascontiguousarray(c.source, dtype=float) for d, c in blocks.items()
+        }
+        _reject(
+            (gid[d][~np.isfinite(f)] for d, f in source.items()),
+            lambda e: f"element {e}: source must be finite",
         )
         pts = {d: self.node_coords[v] for d, v in nodes.items()}
         measure = {d: simplex_measures(p) for d, p in pts.items()}
@@ -363,6 +387,11 @@ class Mesh:
                 raise InvalidMeshError(
                     f"boundary condition node tuple {bc.face_nodes} is not sorted"
                 )
+            if not np.isfinite(bc.value):
+                raise InvalidMeshError(
+                    f"boundary condition {bc.face_nodes}: value {bc.value} "
+                    f"is not finite"
+                )
         self.simplices: dict[int, Simplices] = {
             d: Simplices(
                 dim=d,
@@ -370,7 +399,7 @@ class Mesh:
                 nodes=nodes[d],
                 conductivity=cond[d],
                 cross_section=cross[d],
-                source=np.ascontiguousarray(c.source, dtype=float),
+                source=source[d],
                 measure=measure[d],
                 centroid=pts[d].mean(axis=1),
                 sides=side_at[d],
@@ -491,44 +520,38 @@ class Mesh:
     def has_natural_bc(self) -> bool:
         return any(bc.kind == NATURAL for bc in self.boundary_conditions)
 
-    def element_graph(self, include_couplings: bool) -> sps.csr_matrix:
+    def element_graph(self) -> sps.csr_matrix:
         """Symmetric adjacency matrix of the elements that share an unknown.
 
         Edges join same-dimension elements sharing an unoccupied face (those
-        share a pressure-trace unknown). With ``include_couplings`` the two
-        ends of every coupling link join as well. Each row lists every
-        neighbor once.
+        share a pressure-trace unknown) and the two ends of every coupling
+        link. Each row lists every neighbor once.
         """
         a, b = self.face_neighbors()
-        if include_couplings:
-            lower = self.sides.lower[self.couplings]
-            upper = self.sides.element[self.couplings]
-            a, b = np.concatenate((a, lower, upper)), np.concatenate((b, upper, lower))
+        lower = self.sides.lower[self.couplings]
+        upper = self.sides.element[self.couplings]
+        a, b = np.concatenate((a, lower, upper)), np.concatenate((b, upper, lower))
         n = self.n_elements
         return sps.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
 
-    def components(self, include_couplings: bool) -> list[list[int]]:
+    def components(self) -> list[list[int]]:
         """Connected components of :meth:`element_graph`, as ascending
-        element-id lists ordered by their first element.
-
-        With the coupling links, components are the right notion for
-        solvability diagnostics; without them, components separated by
-        fractures stay separate.
-        """
-        graph = self.element_graph(include_couplings)
+        element-id lists ordered by their first element; the notion of
+        connectedness that solvability diagnostics need."""
+        graph = self.element_graph()
         n_comp, labels = connected_components(graph, directed=False)
         order = np.argsort(labels, kind="stable")
         comps = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
         return sorted((c.tolist() for c in comps if len(c)), key=lambda c: c[0])
 
-    def components_without_natural_bc(self, include_couplings: bool) -> list[list[int]]:
+    def components_without_natural_bc(self) -> list[list[int]]:
         """Components whose boundary carries no natural condition."""
         natural = [bc.kind == NATURAL for bc in self.boundary_conditions]
         faces = self.bc_faces[np.array(natural, dtype=bool)]
         touched = set(self.sides.element[np.isin(self.sides.face, faces)].tolist())
         return [
             comp
-            for comp in self.components(include_couplings)
+            for comp in self.components()
             if not any(e in touched for e in comp)
         ]
 

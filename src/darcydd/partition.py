@@ -92,7 +92,7 @@ def partition_elements(mesh: Mesh, n_sub: int) -> Partition:
     assignment = np.full(n_el, -1, dtype=np.int64)
     _rcb(centroids, np.arange(n_el), n_sub, assignment, 0)
 
-    graph = mesh.element_graph(include_couplings=True)
+    graph = mesh.element_graph()
     for _ in range(20):
         moved = False
         labels = _pieces(graph, assignment)
@@ -147,7 +147,6 @@ class InterfaceLayout:
     """
 
     partition: Partition
-    mult_sharing: list[tuple[int, ...]]
     interface_mults: NDArray[np.int64]
     n_interface: int
     local_dofs: list[NDArray[np.int64]]
@@ -193,9 +192,6 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     pairs = np.unique(mult * n_sub + partition.assignment[element])
     pair_mult, pair_sub = pairs // n_sub, pairs % n_sub
     n_sharers = np.bincount(pair_mult, minlength=dm.n_multiplier)
-    ends = np.cumsum(n_sharers).tolist()
-    subs = pair_sub.tolist()
-    sharing_all = [tuple(subs[a:b]) for a, b in zip([0] + ends, ends)]
     interface_mults = np.flatnonzero(n_sharers > 1)
     n_interface = len(interface_mults)
     shared = n_sharers[pair_mult] > 1
@@ -203,9 +199,13 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     pair_gi, pair_sub = gi_of[pair_mult[shared]], pair_sub[shared]
     by_sub = np.argsort(pair_sub, kind="stable")
     cuts = np.cumsum(np.bincount(pair_sub, minlength=n_sub))[:-1]
+    # the pairs are sorted, so each interface dof's sharers are one
+    # ascending slice of them
+    ends = np.cumsum(n_sharers[interface_mults]).tolist()
+    subs = pair_sub.tolist()
     by_sharing: dict[tuple[int, ...], list[int]] = {}
-    for gi, m in enumerate(interface_mults.tolist()):
-        by_sharing.setdefault(sharing_all[m], []).append(gi)
+    for gi, (a, b) in enumerate(zip([0] + ends, ends)):
+        by_sharing.setdefault(tuple(subs[a:b]), []).append(gi)
     globs = []
     for tup, dofs in sorted(by_sharing.items(), key=lambda kv: kv[1][0]):
         if len(dofs) == 1:
@@ -220,7 +220,6 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     sub_has_natural[partition.assignment[natural_elements]] = True
     return InterfaceLayout(
         partition=partition,
-        mult_sharing=sharing_all,
         interface_mults=interface_mults,
         n_interface=n_interface,
         local_dofs=np.split(pair_gi[by_sub], cuts),

@@ -91,8 +91,9 @@ from .partition import InterfaceLayout
 def parallel_map(fn, items, threads: int = 1) -> list:
     """Map preserving order on a pool of at most ``threads`` workers that
     lives for this call only. Callers reduce the results in a fixed order,
-    so the worker count never changes any output. Only set-up uses it:
-    :func:`build_substructures` and the preconditioner's local inverses."""
+    so the worker count never changes any output. Only
+    :func:`build_substructures` uses it, for the interior solves of its
+    groups."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]

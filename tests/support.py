@@ -266,7 +266,7 @@ def sliced_substructure_blocks(system, layout) -> list[dict]:
     dm = system.dof_map
     part = layout.partition
     interior_of: list[list[int]] = [[] for _ in range(part.n_sub)]
-    for m, sharing in enumerate(layout.mult_sharing):
+    for m, sharing in enumerate(mult_sharing_loops(system, part)):
         if len(sharing) == 1:
             interior_of[sharing[0]].append(m)
     a = system.a.tocsr()
@@ -409,24 +409,31 @@ def numbering_contract(mesh) -> SimpleNamespace:
     )
 
 
-def classify_interface_loops(system, partition) -> InterfaceLayout:
-    """:func:`classify_interface` by a loop over multipliers, reading their
-    sides and links from :func:`numbering_contract`."""
-    dm = system.dof_map
+def mult_sharing_loops(system, partition) -> list[tuple[int, ...]]:
+    """The ascending sharing set of every multiplier: the substructures of
+    the elements whose sides carry it and of the lower-dimensional elements
+    linked to it, by a loop over :func:`numbering_contract`."""
     mesh = system.mesh
     contract = numbering_contract(mesh)
     lower = [link.lower_element for link in coupling_links(mesh)]
     assign = partition.assignment
     sharing_all: list[tuple[int, ...]] = []
-    interface: list[int] = []
-    for m in range(dm.n_multiplier):
+    for m in range(system.dof_map.n_multiplier):
         subs = {int(assign[e]) for e, _ in contract.mult_sides[m]}
         for li in contract.mult_links[m]:
             subs.add(int(assign[lower[li]]))
-        tup = tuple(sorted(subs))
-        sharing_all.append(tup)
-        if len(tup) > 1:
-            interface.append(m)
+        sharing_all.append(tuple(sorted(subs)))
+    return sharing_all
+
+
+def classify_interface_loops(system, partition) -> InterfaceLayout:
+    """:func:`classify_interface` by a loop over multipliers, reading their
+    sides and links from :func:`numbering_contract`."""
+    dm = system.dof_map
+    contract = numbering_contract(system.mesh)
+    assign = partition.assignment
+    sharing_all = mult_sharing_loops(system, partition)
+    interface = [m for m, tup in enumerate(sharing_all) if len(tup) > 1]
     local: list[list[int]] = [[] for _ in range(partition.n_sub)]
     by_sharing: dict[tuple[int, ...], list[int]] = {}
     for gi, m in enumerate(interface):
@@ -453,7 +460,6 @@ def classify_interface_loops(system, partition) -> InterfaceLayout:
         sub_has_natural[assign[e]] = True
     return InterfaceLayout(
         partition=partition,
-        mult_sharing=sharing_all,
         interface_mults=np.array(interface, dtype=np.int64),
         n_interface=len(interface),
         local_dofs=[np.array(v, dtype=np.int64) for v in local],
@@ -478,10 +484,11 @@ def compute_weights_loops(system, layout, scheme: str) -> list[np.ndarray]:
         el = mesh.elements[e]
         return el.dim / float(np.trace(np.linalg.inv(el.conductivity)))
 
+    sharing_all = mult_sharing_loops(system, layout.partition)
     weights = [np.zeros(len(v)) for v in layout.local_dofs]
     pos_of = [{int(g): i for i, g in enumerate(v)} for v in layout.local_dofs]
     for gi, m in enumerate(layout.interface_mults):
-        sharing = layout.mult_sharing[m]
+        sharing = sharing_all[m]
         sides = contract.mult_sides[m]
         links = [all_links[li] for li in contract.mult_links[m]]
         if scheme == "arithmetic":
@@ -530,7 +537,8 @@ def build_pipeline(
     threads: int = 1,
     with_prec: bool = True,
 ) -> SimpleNamespace:
-    """Assemble, partition and set up the interface solver for a mesh."""
+    """Assemble, partition and set up the interface solver for a mesh;
+    ``threads`` caps the workers of :func:`build_substructures`."""
     system = assemble(mesh)
     part = partition_elements(mesh, n_sub)
     layout = classify_interface(system, part)
@@ -554,9 +562,7 @@ def build_pipeline(
             layout, ns.corners, edge_averages=edge_averages
         )
         ns.weights = compute_weights(system, layout, scheme)
-        ns.prec = BddcPreconditioner(
-            subs, layout, ns.weights, ns.constraints, threads=threads
-        )
+        ns.prec = BddcPreconditioner(subs, layout, ns.weights, ns.constraints)
     return ns
 
 

@@ -322,7 +322,7 @@ def test_null_space_census_two_components():
 
     bcs = [BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0)]
     mesh = mesh_from_elements(coords, els, bcs)
-    assert [c for c in mesh.components_without_natural_bc(True)] == [[1]]
+    assert [c for c in mesh.components_without_natural_bc()] == [[1]]
     system = assemble(mesh)
     bbar = sps.vstack([system.b, system.b_f]).toarray()
     nullity = bbar.shape[0] - np.linalg.matrix_rank(bbar)

@@ -218,7 +218,6 @@ def synthetic_layout(globs, n_dofs, sub_has_natural):
         local.append(np.array(sorted(mine), dtype=np.int64))
     return InterfaceLayout(
         partition=Partition(n_sub, np.zeros(1, dtype=np.int64)),
-        mult_sharing=[g.sharing for g in globs for _ in g.dofs],
         interface_mults=np.arange(n_dofs),
         n_interface=n_dofs,
         local_dofs=local,

@@ -1,4 +1,5 @@
 """Command-line interface: flags, exit codes, reports and output files."""
+import re
 import subprocess
 import sys
 
@@ -198,6 +199,69 @@ def test_exit_three_on_bad_configuration(tmp_path):
     assert cli("--gen", "square", "--mesh", "x").returncode == 3
     assert cli("--frobnicate").returncode == 3
     assert cli("--mesh", str(tmp_path / "missing.msh")).returncode == 3
+
+
+def _edit_fracture_file(path, section: str, pick, position: int, value: str):
+    """Write generate_cross_fracture_cube(2) to ``path`` with token
+    ``position`` of the first line of ``section`` that ``pick`` accepts
+    set to ``value``."""
+    write_mesh(generate_cross_fracture_cube(2), str(path))
+    lines = path.read_text().splitlines()
+    start = lines.index(f"${section}") + 1
+    at = next(i for i in range(start, len(lines)) if pick(lines[i].split()))
+    tokens = lines[at].split()
+    tokens[position] = value
+    lines[at] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _sigma(tok):
+    return tok[0] == "sigma"
+
+
+def _element(e):
+    return lambda tok: tok[0] == str(e)
+
+
+def _natural(tok):
+    return tok[-2] == "natural"
+
+
+# Each case: a model value made non-finite or non-positive in a mesh file,
+# and the message that must name it. Unchecked, such a value crashes the
+# solver, passes for a singular system (exit 4) or, with one substructure,
+# gives a NaN solution with exit 0.
+@pytest.mark.parametrize("n_sub", ["1", "2"])
+@pytest.mark.parametrize(
+    "section,pick,position,value,message",
+    [
+        ("params", _sigma, 1, "nan", "transition coefficient sigma"),
+        ("params", _sigma, 1, "-1", "transition coefficient sigma"),
+        ("params", _sigma, 1, "inf", "transition coefficient sigma"),
+        ("elements", _element(5), -1, "nan", "element 5: source"),
+        ("elements", _element(60), -1, "-inf", "element 60: source"),
+        ("elements", _element(50), -2, "inf", "element 50: cross-section"),
+        ("boundary", _natural, -1, "nan", "boundary condition .*: value nan"),
+    ],
+    ids=[
+        "sigma-nan",
+        "sigma-negative",
+        "sigma-inf",
+        "source-nan",
+        "source-minus-inf",
+        "cross-section-inf",
+        "boundary-value-nan",
+    ],
+)
+def test_exit_three_on_non_finite_model_value(
+    tmp_path, capsys, section, pick, position, value, message, n_sub
+):
+    path = tmp_path / "mesh.msh"
+    _edit_fracture_file(path, section, pick, position, value)
+    assert main(["--mesh", str(path), "--nsub", n_sub, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(message, err), err
 
 
 def test_exit_four_on_singular_system(tmp_path):

@@ -13,6 +13,7 @@ from darcydd.mesh import (
     NATURAL,
     SIMPLEX_FACES,
     BCSpec,
+    BoundaryCondition,
     Cells,
     Element,
     Mesh,
@@ -157,11 +158,9 @@ def test_fracture_rejects_odd_n():
 
 
 def test_fracture_components(frac2):
-    # planes and matrix blocks are separated until couplings reconnect them:
-    # 4 tet quadrants, each fracture plane halved by the channel, 1 channel
-    assert len(frac2.components(include_couplings=False)) == 9
-    assert len(frac2.components(include_couplings=True)) == 1
-    assert frac2.components_without_natural_bc(include_couplings=True) == []
+    # the coupling links join the tet quadrants, fracture planes and channel
+    assert len(frac2.components()) == 1
+    assert frac2.components_without_natural_bc() == []
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +287,25 @@ def _square_with(changes: dict[int, dict]):
             {3: {"conductivity": np.diag([1.0, -1.0])}, 5: {"conductivity": -np.eye(2)}},
             "element 3: conductivity tensor is not positive definite",
         ),
+        (
+            {
+                3: {"conductivity": np.diag([np.inf, 1.0])},
+                5: {"conductivity": np.full((2, 2), np.nan)},
+            },
+            "element 3: conductivity tensor is not finite",
+        ),
+        (
+            {3: {"cross_section": np.inf}, 5: {"cross_section": np.nan}},
+            "element 3: cross-section must be positive and finite",
+        ),
+        (
+            {3: {"source": np.nan}, 5: {"source": np.inf}},
+            "element 3: source must be finite",
+        ),
+        (
+            {3: {"source": -np.inf}, 5: {"source": np.nan}},
+            "element 3: source must be finite",
+        ),
     ],
 )
 def test_validation_names_first_offending_element(changes, message):
@@ -319,6 +337,63 @@ def test_array_constructor_names_first_offending_element(changes, message):
     coords, cells = _square_cells(**changes)
     with pytest.raises(InvalidMeshError, match=message):
         Mesh(coords, cells, [])
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+def test_transition_coefficient_must_be_finite_and_positive(sigma):
+    coords, cells = _square_cells()
+    message = "transition coefficient sigma must be finite and positive"
+    with pytest.raises(InvalidMeshError, match=message):
+        Mesh(coords, cells, [], transition_coefficient=sigma)
+    with pytest.raises(InvalidMeshError, match=message):
+        generate_cross_fracture_cube(2, sigma=sigma)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_boundary_value_must_be_finite(value):
+    coords, cells = _square_cells()
+    bcs = [
+        BoundaryCondition((0, 1), NATURAL, 1.0),
+        BoundaryCondition((1, 2), NATURAL, value),
+    ]
+    with pytest.raises(InvalidMeshError, match=r"boundary condition \(1, 2\): value"):
+        Mesh(coords, cells, bcs)
+    spec = BCSpec(rules=(PlaneBC(axis=0, position=0.0, kind=NATURAL, value=value),))
+    with pytest.raises(InvalidMeshError, match=r"boundary condition \(0, 3\): value"):
+        generate_unit_square(2, bc_spec=spec)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: generate_unit_square(2, source=np.nan), "element 0: source"),
+        (
+            lambda: generate_unit_square(
+                2, source=lambda c: np.inf if c[0] > 0.5 else 0.0
+            ),
+            "element 2: source",
+        ),
+        (lambda: generate_unit_cube(1, source=-np.inf), "element 0: source"),
+        (
+            lambda: generate_unit_square(2, cross_section=np.inf),
+            "element 0: cross-section",
+        ),
+        (
+            lambda: generate_cross_fracture_cube(2, delta2=np.inf),
+            "element 48: cross-section",
+        ),
+    ],
+    ids=[
+        "square-source-nan",
+        "square-source-inf-right-half",
+        "cube-source-minus-inf",
+        "square-cross-section-inf",
+        "fracture-cross-section-inf",
+    ],
+)
+def test_generators_reject_non_finite_values(make, message):
+    with pytest.raises(InvalidMeshError, match=message):
+        make()
 
 
 def test_dimension_out_of_range_rejected():

@@ -201,7 +201,6 @@ def test_interface_and_weights_match_loop_oracles(make, n_sub):
     assert layout.interface_mults.dtype == ref.interface_mults.dtype
     assert np.array_equal(layout.interface_mults, ref.interface_mults)
     assert layout.n_interface == ref.n_interface > 0
-    assert layout.mult_sharing == ref.mult_sharing
     assert len(layout.local_dofs) == len(ref.local_dofs) == n_sub
     for got, want in zip(layout.local_dofs, ref.local_dofs):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -226,11 +225,12 @@ def test_fracture_quadrants(frac2):
 def test_local_dofs_sorted_and_consistent(cube2):
     _, _, layout = layout_of(cube2, 4)
     assert layout.n_interface == 16
+    sharing = {gi: g.sharing for g in layout.globs for gi in g.dofs}
+    assert sorted(sharing) == list(range(layout.n_interface))
     for s, loc in enumerate(layout.local_dofs):
         assert np.array_equal(loc, np.sort(loc))
         for gi in loc:
-            m = int(layout.interface_mults[gi])
-            assert s in layout.mult_sharing[m]
+            assert s in sharing[int(gi)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,6 @@ def synthetic_layout(points, globs):
     n = len(pts)
     return InterfaceLayout(
         partition=Partition(2, np.zeros(1, dtype=np.int64)),
-        mult_sharing=[(0, 1)] * n,
         interface_mults=np.arange(n),
         n_interface=n,
         local_dofs=[np.arange(n), np.arange(n)],

@@ -105,12 +105,24 @@ def test_reduced_solve_agrees_with_direct(name, n_sub, params, fixtures):
 
 
 def test_thread_count_does_not_change_results(frac2):
-    _, _, _, op1 = setup_case(frac2, 4, threads=1)
-    _, _, _, op4 = setup_case(frac2, 4, threads=4)
-    assert np.array_equal(
-        dense_operator(op1.apply, op1.n), dense_operator(op4.apply, op4.n)
-    )
-    assert np.array_equal(op1.reduced_rhs(), op4.reduced_rhs())
+    """Every result of set-up is bitwise independent of the worker count,
+    also where substructures share an interface size and are solved as one
+    group: the 9 substructures of the 12 x 12 square have repeated and
+    unique interface sizes."""
+    square = generate_unit_square(12)
+    _, _, subs, _ = setup_case(square, 9)
+    sizes = np.unique([sub.n_gamma for sub in subs], return_counts=True)[1]
+    assert 1 in sizes and (sizes > 1).any()
+    for mesh, n_sub, threads in ((frac2, 4, 4), (square, 9, 3)):
+        _, _, subs1, op1 = setup_case(mesh, n_sub, threads=1)
+        _, _, subs_t, op_t = setup_case(mesh, n_sub, threads=threads)
+        assert np.array_equal(
+            dense_operator(op1.apply, op1.n), dense_operator(op_t.apply, op_t.n)
+        )
+        assert np.array_equal(op1.reduced_rhs(), op_t.reduced_rhs())
+        for a, b in zip(subs1, subs_t, strict=True):
+            for name in ("schur", "w", "lam_load", "rhs_share"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_single_substructure_reduces_to_direct(square4):
