@@ -34,7 +34,14 @@ class SingularSystemError(DarcyError):
     The standard cause is a connected component whose boundary carries no
     natural (prescribed pressure) condition, leaving its constant pressure
     mode unconstrained.
+
+    ``member`` is the index of the singular matrix when a stack of matrices
+    was factored, and ``None`` otherwise.
     """
+
+    def __init__(self, message: str, member: int | None = None):
+        self.member = member
+        super().__init__(message)
 
 
 class ConstraintDeficiencyError(DarcyError):

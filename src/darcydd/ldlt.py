@@ -41,9 +41,20 @@ penalty, showed false zero pivots. The dense path factors the constrained
 local saddle matrices and the coarse matrix, whose inertia certifies that
 it is negative definite.
 
+The dense path takes a stack of ``m`` matrices of one size, an ``(m, n,
+n)`` array, as well as a single matrix, which it treats as a stack of one.
+The symmetry check, the equilibration, the inertia, the backward error and
+the refinement are array operations over the whole stack, decided member
+by member; ``dsytrf`` and ``dsytrs`` run once per member, on that member
+alone, in place on Fortran-ordered copies. A member's factor, inertia and
+solutions are therefore bit for bit those of factoring it alone. A singular
+member raises :class:`SingularSystemError` with its index in ``member``.
+The preconditioner inverts the constrained local saddle matrices of all
+substructures of one shape as one stack.
+
 Both paths meet the same accuracy contract: ``solve`` measures the normwise
 backward error and applies one step of iterative refinement whenever it
-exceeds 1e-12.
+exceeds 1e-12; in a stack, each member's error decides its own step.
 """
 from __future__ import annotations
 
@@ -76,14 +87,18 @@ def _csc_symmetric(a: sps.csc_matrix) -> bool:
 
 
 class IndefiniteFactorization:
-    """Factored symmetric matrix exposing ``solve`` and optional inertia.
+    """Factored symmetric matrix, or stack of matrices, exposing ``solve``
+    and the inertia.
 
-    ``inertia`` is ``(n_positive, n_negative, n_zero)`` on the dense path and
-    ``None`` on the sparse path. ``solve`` accepts one right-hand side or a
-    matrix of stacked right-hand sides.
+    ``inertia`` is ``(n_positive, n_negative, n_zero)`` on the dense path,
+    one such tuple per member for a stack, and ``None`` on the sparse path.
+    ``solve`` takes what the matrix acts on: for a matrix one right-hand
+    side or a matrix of stacked right-hand sides, and for a stack of ``m``
+    matrices the same with a leading axis of length ``m``.
     """
 
     def __init__(self, matrix):
+        self._stacked = False
         if sps.issparse(matrix):
             if matrix.format != "csc" or not matrix.has_canonical_format:
                 matrix = matrix.tocsc(copy=True)
@@ -93,13 +108,19 @@ class IndefiniteFactorization:
             symmetric = matrix.shape[0] == matrix.shape[1] and _csc_symmetric(matrix)
         else:
             mat = np.asarray(matrix, dtype=float)
-            self._mat = mat
-            n = mat.shape[0]
-            symmetric = mat.ndim == 2 and mat.shape[0] == mat.shape[1] and np.array_equal(mat, mat.T)
+            self._stacked = mat.ndim == 3
+            # a matrix is a stack of one
+            self._mat = mat if self._stacked else mat[None]
+            n = mat.shape[-1]
+            symmetric = (
+                self._mat.ndim == 3
+                and self._mat.shape[1] == n
+                and np.array_equal(self._mat, self._mat.transpose(0, 2, 1))
+            )
         if not symmetric:
             raise ValueError("matrix must be square and symmetric")
         self.n = n
-        self.inertia: tuple[int, int, int] | None = None
+        self.inertia: tuple[int, int, int] | list[tuple[int, int, int]] | None = None
         if sps.issparse(matrix):
             self.mode = "sparse"
             self._factor_sparse()
@@ -108,53 +129,88 @@ class IndefiniteFactorization:
             self._factor_dense()
         self._norm_inf = self._matrix_norm_inf()
 
-    # -- dense Bunch-Kaufman path ----------------------------------------
+    # -- dense Bunch-Kaufman path, member by member ----------------------
 
     def _factor_dense(self) -> None:
         a = self._mat
-        row_max = np.abs(a).max(axis=1, initial=0.0)
-        scale = np.ones(self.n)
+        m, n = len(a), self.n
+        row_max = np.abs(a).max(axis=2, initial=0.0)
+        scale = np.ones((m, n))
         scale[row_max > 0] = 1.0 / np.sqrt(row_max[row_max > 0])
-        self._scale = scale
-        self._ldu, self._ipiv, _ = lapack.dsytrf(
-            np.outer(scale, scale) * a, lower=1
-        )
+        self._scale = scale[:, :, None]
+        # every member of the scaled stack is exactly symmetric, so its
+        # transpose is itself in Fortran order, which LAPACK factors in place
+        scaled = self._scale * scale[:, None, :]
+        scaled *= a
+        factors = [
+            lapack.dsytrf(member.T, lower=1, overwrite_a=True) for member in scaled
+        ]
+        self._ldu = [ldu for ldu, _, _ in factors]
+        self._ipiv = [ipiv for _, ipiv, _ in factors]
         # In lower storage a 2x2 pivot block covers two consecutive negative
         # ipiv entries, and 1x1 pivots have positive ones. Blocks never
         # overlap, so the negative positions, left to right, pair up block
-        # by block; their values cannot be used, as two adjacent 2x2 blocks
-        # may carry the same one.
-        neg = self._ipiv < 0
-        two = np.flatnonzero(neg)[::2]
-        diag = np.diagonal(self._ldu)
+        # by block, and never across members; their values cannot be used,
+        # as two adjacent 2x2 blocks may carry the same one.
+        neg = np.array(self._ipiv).reshape(m, n) < 0
+        two = np.flatnonzero(neg)[::2]  # flat (member, row) of each block
+        diag = np.array([np.diagonal(ldu) for ldu in self._ldu]).reshape(m, n)
+        sub = np.array([np.diagonal(ldu, -1) for ldu in self._ldu])
+        off = sub.reshape(-1)[two - two // n]  # each block's off-diagonal
         blocks = np.empty((len(two), 2, 2))
-        blocks[:, 0, 0] = diag[two]
-        blocks[:, 1, 1] = diag[two + 1]
-        blocks[:, 0, 1] = blocks[:, 1, 0] = self._ldu[two + 1, two]
-        eigs = np.concatenate([diag[~neg], np.linalg.eigvalsh(blocks).ravel()])
-        d_max = max(
-            1.0,
-            float(np.abs(diag).max(initial=0.0)),
-            float(np.abs(blocks).max(initial=0.0)),
+        blocks[:, 0, 0] = diag.flat[two]
+        blocks[:, 1, 1] = diag.flat[two + 1]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = off
+        # the pivot eigenvalues, each in the row of its pivot
+        eigs = diag.copy()
+        eigs.flat[two[:, None] + [0, 1]] = np.linalg.eigvalsh(blocks)
+        d_max = np.maximum(1.0, np.abs(diag).max(axis=1, initial=0.0))
+        np.maximum.at(d_max, two // n, np.abs(off))
+        zero = np.abs(eigs) <= n * np.finfo(float).eps * d_max[:, None]
+        n_zero = zero.sum(axis=1)
+        n_pos = (~zero & (eigs > 0)).sum(axis=1)
+        inertia = list(
+            zip(n_pos.tolist(), (n - n_pos - n_zero).tolist(), n_zero.tolist())
         )
-        zero = np.abs(eigs) <= self.n * np.finfo(float).eps * d_max
-        n_zero = int(zero.sum())
-        n_pos = int((~zero & (eigs > 0)).sum())
-        n_neg = int((~zero & (eigs < 0)).sum())
-        self.inertia = (n_pos, n_neg, n_zero)
-        if n_zero:
-            raise SingularSystemError(
-                f"matrix is singular: inertia ({n_pos} positive, {n_neg} "
-                f"negative, {n_zero} zero pivots)"
-            )
+        self.inertia = inertia if self._stacked else inertia[0]
+        for j, (n_pos, n_neg, n_zero) in enumerate(inertia):
+            if n_zero:
+                which = f"matrix {j} of a stack of {m}" if self._stacked else "matrix"
+                raise SingularSystemError(
+                    f"{which} is singular: inertia ({n_pos} positive, "
+                    f"{n_neg} negative, {n_zero} zero pivots)",
+                    member=j if self._stacked else None,
+                )
 
-    def _solve_dense_raw(self, b: np.ndarray) -> np.ndarray:
-        # trailing axes broadcast the scaling over stacked right-hand sides
-        scale = self._scale.reshape((-1,) + (1,) * (b.ndim - 1))
-        x, _ = lapack.dsytrs(
-            self._ldu, self._ipiv, scale * b, lower=1
-        )
-        return scale * x
+    def _solve_members(self, b: np.ndarray, members=None) -> np.ndarray:
+        """Unrefined solutions for the given members, or for all, ``b`` of
+        shape ``(len(members), n, k)``. Each member's right-hand sides are
+        scaled into Fortran order, which ``dsytrs`` solves in place."""
+        scale = self._scale if members is None else self._scale[members]
+        if members is None:
+            members = range(len(b))
+        x = np.empty((len(b), b.shape[2], self.n)).transpose(0, 2, 1)
+        np.multiply(scale, b, out=x)
+        for i, j in enumerate(members):
+            x[i] = lapack.dsytrs(
+                self._ldu[j], self._ipiv[j], x[i], lower=1, overwrite_b=True
+            )[0]
+        x *= scale
+        return x
+
+    def _as_stack(self, b: np.ndarray) -> np.ndarray:
+        """``b`` as an ``(m, n, k)`` stack of right-hand-side blocks."""
+        b = b if self._stacked else b[None]
+        return b[..., None] if b.ndim == 2 else b
+
+    def _member_errors(self, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Each member's normwise backward error, from its residual ``r``."""
+
+        def amax(v: np.ndarray) -> np.ndarray:
+            return np.abs(v).max(axis=(1, 2), initial=0.0)
+
+        denom = self._norm_inf * amax(x) + amax(b)
+        return np.divide(amax(r), denom, out=np.zeros(len(b)), where=denom != 0.0)
 
     # -- sparse LU path ---------------------------------------------------
 
@@ -166,40 +222,57 @@ class IndefiniteFactorization:
 
     # -- shared solve with refinement -------------------------------------
 
-    def _matrix_norm_inf(self) -> float:
+    def _matrix_norm_inf(self) -> float | np.ndarray:
         if self.mode == "sparse":
             # row sums of |A|, accumulated in column order
             a = self._mat
             row_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=self.n)
             return float(row_sums.max(initial=0.0))
-        return float(np.abs(self._mat).sum(axis=1).max(initial=0.0))
+        return np.abs(self._mat).sum(axis=2).max(axis=1, initial=0.0)
 
-    def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        if self.mode == "dense":
-            return self._solve_dense_raw(b)
-        return self._splu.solve(b)
-
-    def backward_error(self, b: np.ndarray, x: np.ndarray) -> float:
-        r = b - self._mat @ x
-        denom = self._norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
-        if denom == 0.0:
-            return 0.0
-        return float(np.abs(r).max() / denom)
+    def backward_error(self, b: np.ndarray, x: np.ndarray):
+        """Normwise backward error of ``x``; one per member for a stack."""
+        if self.mode == "sparse":
+            r = b - self._mat @ x
+            denom = self._norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
+            if denom == 0.0:
+                return 0.0
+            return float(np.abs(r).max() / denom)
+        b, x = self._as_stack(b), self._as_stack(x)
+        r = self._mat @ x
+        err = self._member_errors(b, x, np.subtract(b, r, out=r))
+        return err if self._stacked else float(err[0])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve against one vector or a matrix of stacked right-hand sides."""
+        """Solve against one vector or a matrix of stacked right-hand sides;
+        for a stack, against one such block per member."""
         b = np.asarray(b, dtype=float)
-        x = self._raw_solve(b)
-        if self.backward_error(b, x) > _REFINE_TRIGGER:
-            x = x + self._raw_solve(b - self._mat @ x)
-        return x
+        if self.mode == "sparse":
+            x = self._splu.solve(b)
+            if self.backward_error(b, x) > _REFINE_TRIGGER:
+                x = x + self._splu.solve(b - self._mat @ x)
+            return x
+        bs = self._as_stack(b)
+        x = self._solve_members(bs)
+        r = self._mat @ x
+        np.subtract(bs, r, out=r)
+        # each member is refined on its own, as if factored alone
+        refine = self._member_errors(bs, x, r) > _REFINE_TRIGGER
+        if refine.any():
+            refine = np.flatnonzero(refine)
+            x[refine] += self._solve_members(r[refine], refine)
+        if b.ndim == 1 + self._stacked:  # one right-hand side per member
+            x = x[..., 0]
+        return x if self._stacked else x[0]
 
 
 def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization:
-    """Factor a symmetric (possibly indefinite) sparse or dense matrix.
+    """Factor a symmetric (possibly indefinite) sparse or dense matrix, or
+    a stack of dense matrices of one size.
 
     Raises :class:`SingularSystemError` on exact singularity; the dense-path
-    message includes the inertia. An ndarray takes the dense path, which
-    also gives the inertia; a sparse matrix takes the sparse path.
+    message includes the inertia, and for a stack the index of the first
+    singular member. An ndarray takes the dense path, which also gives the
+    inertia; a sparse matrix takes the sparse path.
     """
     return IndefiniteFactorization(matrix)

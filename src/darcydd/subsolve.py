@@ -66,10 +66,15 @@ of its group's solutions. Only those results are kept, in a
 factorization go. On the square-dense benchmark mesh, 64 substructures with
 three interface sizes, this makes three factorizations instead of 64.
 
-Applying the interface operator is one dense matrix-vector product per
-substructure, the preconditioner's local problems work on ``S_i`` alone,
-the reduced right-hand side is a sum of stored shares, and the interior
-multipliers of an interface trace ``x`` are ``K_II^-1 rhs_I + W x``.
+The members of a group keep their ``S_i`` as the group's one ``(m,
+n_gamma, n_gamma)`` array, a row each. :class:`InterfaceOperator` applies
+each group's stack in one batched matrix-vector product, after gathering
+the interface vector once in group order; :class:`GroupLayout` then adds
+the products up with one ``np.bincount`` in substructure order, exactly as
+one ``np.add.at`` per substructure would. The preconditioner's local
+problems work on ``S_i`` alone, the reduced right-hand side is a sum of
+stored shares, and the interior multipliers of an interface trace ``x``
+are ``K_II^-1 rhs_I + W x``.
 :func:`recover_solution` then gets every velocity and pressure from
 ``M^-1 ([g; f] - N^T lam)``.
 """
@@ -104,12 +109,16 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 @dataclass
 class SubstructureOperator:
     """One substructure's interface coupling on its copies of the
-    multipliers it touches, with its interior solved once at set-up."""
+    multipliers it touches, with its interior solved once at set-up.
+
+    The ``S_i`` of one interface-size group are one ``(m, n_gamma,
+    n_gamma)`` array, which every member holds; ``schur`` is its row."""
 
     sub_id: int
     interior_mults: NDArray[np.int64]  # global ids, ascending
     local_gamma: NDArray[np.int64]  # global interface indices, ascending
-    schur: NDArray = field(repr=False)  # S_i
+    schurs: NDArray = field(repr=False)  # S of every member of the group
+    row: int  # this substructure's row of ``schurs``
     w: NDArray = field(repr=False)  # -K_II^-1 K_IG
     lam_load: NDArray = field(repr=False)  # K_II^-1 rhs_I
     rhs_share: NDArray = field(repr=False)  # K_GI K_II^-1 rhs_I - rhs_G
@@ -117,6 +126,59 @@ class SubstructureOperator:
     @property
     def n_gamma(self) -> int:
         return len(self.local_gamma)
+
+    @property
+    def schur(self) -> NDArray:
+        """``S_i``."""
+        return self.schurs[self.row]
+
+
+def stacked_matvec(mats: NDArray, vec: NDArray) -> NDArray:
+    """The products of a stack of ``m`` matrices with the ``m`` consecutive
+    blocks of ``vec``, concatenated, in one batched product. numpy makes
+    the same BLAS call for each member as for its plain 2-D product, so
+    every product is bit for bit the member's own; a stack of one makes
+    the plain product."""
+    if len(mats) == 1:
+        return mats[0] @ vec
+    return np.matmul(mats, vec.reshape(len(mats), -1, 1)).ravel()
+
+
+class GroupLayout:
+    """Per-substructure index arrays laid out group by group, and the
+    scatter back in substructure order.
+
+    ``index[s]`` lists the positions in a vector of length ``size`` that
+    substructure ``s`` touches. ``gather`` concatenates them group by group,
+    members in group order, so ``v[gather]`` reads a vector for every group
+    at once, and group ``g``'s entries are its slice ``blocks[g]``.
+    ``scatter`` adds values in that layout into a vector of length ``size``
+    with one ``np.bincount`` over the substructures in order, which adds in
+    exactly the order that ``np.add.at`` substructure by substructure does.
+    """
+
+    def __init__(self, index: list[NDArray], groups: list[NDArray], size: int):
+        length = np.array([len(i) for i in index], dtype=np.int64)
+        order = np.concatenate(groups)
+        end = np.cumsum(length[order])  # of each member in the group layout
+        bounds = [0] + end[np.cumsum([len(g) for g in groups]) - 1].tolist()
+        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        # how far each substructure's entries move from substructure order
+        # to the group layout
+        shift = np.empty_like(length)
+        shift[order] = end - length[order]
+        shift -= np.cumsum(length) - length
+        self.index = np.concatenate(index)
+        # position in the group layout of every entry, in substructure order
+        self.to_sub = np.arange(len(self.index)) + np.repeat(shift, length)
+        self.gather = np.empty_like(self.index)
+        self.gather[self.to_sub] = self.index
+        self.size = size
+
+    def scatter(self, values: NDArray) -> NDArray:
+        """The sum of ``values``, given in the group layout, at their
+        positions."""
+        return np.bincount(self.index, weights=values[self.to_sub], minlength=self.size)
 
 
 def build_substructures(
@@ -290,7 +352,8 @@ def build_substructures(
                 s,
                 interior[s],
                 layout.local_dofs[s],
-                schur=schur[j],
+                schurs=schur,
+                row=j,
                 w=w[a:b],
                 lam_load=lam_load[a:b],
                 rhs_share=share[j * n_g : (j + 1) * n_g],
@@ -308,26 +371,46 @@ def build_substructures(
 class InterfaceOperator:
     """Assembled action of the reduced interface operator.
 
-    Applies every substructure's local contribution and scatter-adds the
-    results in substructure order, so the operator is deterministic for any
-    worker count of set-up.
+    The substructures of one interface-size group share one stack of
+    ``S_i``, as :func:`build_substructures` made it, and the operator
+    applies it in one batched product. It gathers the interface vector once
+    in group order and scatter-adds the products in substructure order, so
+    the operator is deterministic for any worker count of set-up.
     """
 
     def __init__(self, subs: list[SubstructureOperator], layout: InterfaceLayout):
         self.subs = subs
         self.n = layout.n_interface
+        by_stack: dict[int, list[int]] = {}
+        for i, sub in enumerate(subs):
+            by_stack.setdefault(id(sub.schurs), []).append(i)
+        groups = [np.array(g) for g in by_stack.values()]
+        self.stacks = []
+        for g in groups:
+            stack, rows = subs[g[0]].schurs, [subs[i].row for i in g]
+            # a whole group, in its order, is applied from its own stack;
+            # any other selection of rows is copied
+            whole = rows == list(range(len(stack)))
+            self.stacks.append(stack if whole else stack[rows])
+        self.layout = GroupLayout([sub.local_gamma for sub in subs], groups, self.n)
 
     def apply(self, x: NDArray) -> NDArray:
-        y = np.zeros(self.n)
-        for sub in self.subs:
-            np.add.at(y, sub.local_gamma, sub.schur @ x[sub.local_gamma])
-        return y
+        xg = x[self.layout.gather]
+        return self.layout.scatter(
+            np.concatenate(
+                [
+                    stacked_matvec(stack, xg[at])
+                    for stack, at in zip(self.stacks, self.layout.blocks)
+                ]
+            )
+        )
 
     def reduced_rhs(self) -> NDArray:
-        b = np.zeros(self.n)
-        for sub in self.subs:
-            np.add.at(b, sub.local_gamma, sub.rhs_share)
-        return b
+        return np.bincount(
+            self.layout.index,
+            weights=np.concatenate([sub.rhs_share for sub in self.subs]),
+            minlength=self.n,
+        )
 
 
 def recover_solution(

@@ -259,6 +259,61 @@ def implicit_bddc_apply(subs, weights, constraints, r: np.ndarray) -> np.ndarray
     return out
 
 
+# ---------------------------------------------------------------------------
+# the applies substructure by substructure: oracles for the grouped applies
+
+
+def interface_apply_loop(subs, n: int, x: np.ndarray) -> np.ndarray:
+    """``InterfaceOperator.apply`` as one product and one ``np.add.at`` per
+    substructure, in substructure order."""
+    y = np.zeros(n)
+    for sub in subs:
+        np.add.at(y, sub.local_gamma, sub.schur @ x[sub.local_gamma])
+    return y
+
+
+def reduced_rhs_loop(subs, n: int) -> np.ndarray:
+    """``InterfaceOperator.reduced_rhs`` as one ``np.add.at`` per
+    substructure."""
+    b = np.zeros(n)
+    for sub in subs:
+        np.add.at(b, sub.local_gamma, sub.rhs_share)
+    return b
+
+
+def local_inverses(prec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every substructure's ``(N_i, Phi_i)``, rows of its group's stacks,
+    in the order of the substructure list."""
+    out = [None] * sum(len(g.members) for g in prec.groups)
+    for g in prec.groups:
+        for i, n_i, phi in zip(g.members, g.neumann, g.phi):
+            out[i] = (n_i, phi)
+    return out
+
+
+def bddc_apply_loop(prec, subs, weights, constraints, r: np.ndarray) -> np.ndarray:
+    """``BddcPreconditioner.apply`` substructure by substructure, with the
+    preconditioner's own ``N_i``, ``Phi_i`` and coarse factorization: two
+    products and an ``np.add.at`` per substructure, the coarse solve, then
+    a product and an ``np.subtract.at`` per substructure."""
+    ids = constraints.coarse_ids
+    local = [
+        (sub.local_gamma, weights[sub.sub_id], n_i, phi, ids[sub.sub_id])
+        for sub, (n_i, phi) in zip(subs, local_inverses(prec))
+    ]
+    etas = []
+    r_c = np.zeros(prec.n_coarse)
+    for gamma, w, n_i, phi, ids in local:
+        r_i = w * r[gamma]
+        etas.append(n_i @ r_i)
+        np.add.at(r_c, ids, phi.T @ r_i)
+    eta_c = prec.coarse_fact.solve(r_c) if prec.n_coarse else np.zeros(0)
+    out = np.zeros(prec.n)
+    for (gamma, w, _, phi, ids), eta in zip(local, etas):
+        np.subtract.at(out, gamma, w * (eta + phi @ eta_c[ids]))
+    return out
+
+
 def sliced_substructure_blocks(system, layout) -> list[dict]:
     """Every substructure's interior ids, blocks and load, sliced from the
     assembled blocks one index set at a time; the oracle for the single

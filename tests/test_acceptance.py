@@ -102,7 +102,10 @@ def test_criterion_03_coarse_space_algebra():
         for sub, d, blk in zip(pipe.subs, pipe.constraints.matrices, blocks):
             if len(d) == 0:
                 continue
-            _, phi, s_cc = constrained_inverse(sub.schur, d, sub.sub_id)
+            _, phi, s_cc = (
+                x[0]
+                for x in constrained_inverse(sub.schur[None], d[None], [sub.sub_id])
+            )
             worst_interp = max(
                 worst_interp, np.abs(d @ phi - np.eye(len(d))).max()
             )

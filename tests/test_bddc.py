@@ -21,6 +21,7 @@ from darcydd.mesh import (
     BoundaryCondition,
     Element,
     generate_cross_fracture_cube,
+    generate_unit_square,
 )
 from darcydd.partition import (
     Glob,
@@ -32,11 +33,13 @@ from darcydd.partition import (
 from darcydd.subsolve import recover_solution
 
 from support import (
+    bddc_apply_loop,
     build_pipeline,
     dense_operator,
     full_constrained_saddle,
     hybridized_substructure_blocks,
     implicit_bddc_apply,
+    local_inverses,
     mesh_from_elements,
     sliced_substructure_blocks,
 )
@@ -80,7 +83,9 @@ def test_preconditioner_properties(name, n_sub, scheme, corners_on, edge_avg, me
     for sub, d, blk in zip(pipe.subs, pipe.constraints.matrices, blocks):
         if len(d) == 0:
             continue
-        _, phi, s_cc = constrained_inverse(sub.schur, d, sub.sub_id)
+        _, phi, s_cc = (
+            x[0] for x in constrained_inverse(sub.schur[None], d[None], [sub.sub_id])
+        )
         # the coarse basis interpolates its own constraints
         assert np.abs(d @ phi - np.eye(len(d))).max() <= 1e-10
         # the local coarse matrix is the constrained interface energy
@@ -150,13 +155,18 @@ def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypat
 
     real = darcydd.bddc.factor_symmetric_indefinite
     pipe = build_pipeline(square4, 2, with_prec=False)
-    # set-up factors one constrained matrix per substructure, in order
-    # with one thread, and then the coarse matrix
+    constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
+    # set-up factors one stack of constrained matrices per group of
+    # substructures with one interface size and constraint count, and then
+    # the coarse matrix
+    n_groups = len(
+        {(sub.n_gamma, len(constraints.matrices[sub.sub_id])) for sub in pipe.subs}
+    )
     calls = []
 
     def coarse_fails(matrix):
         calls.append(matrix.shape)
-        if len(calls) <= len(pipe.subs):  # the local constrained factorizations
+        if len(calls) <= n_groups:  # the local constrained factorizations
             return real(matrix)
         if breakdown == "singular":
             raise SingularSystemError("forced singular coarse matrix")
@@ -168,9 +178,9 @@ def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypat
             pipe.subs,
             pipe.layout,
             compute_weights(pipe.system, pipe.layout, "arithmetic"),
-            build_constraints(pipe.layout, select_corners(pipe.layout)),
+            constraints,
         )
-    assert len(calls) == len(pipe.subs) + 1
+    assert len(calls) == n_groups + 1
 
 
 def test_coarse_count_cross_check(frac2):
@@ -329,6 +339,8 @@ def test_empty_coarse_space(rng):
     r = rng.standard_normal(pipe.layout.n_interface)
     ref = implicit_bddc_apply(pipe.subs, pipe.weights, pipe.constraints, r)
     assert np.abs(prec.apply(r) - ref).max() <= 1e-12 * np.abs(ref).max()
+    loop = bddc_apply_loop(prec, pipe.subs, pipe.weights, pipe.constraints, r)
+    assert np.array_equal(prec.apply(r), loop)
     lam, report = pcg(
         pipe.op.apply, prec.apply, pipe.op.reduced_rhs(),
         PcgConfig(rel_tol=1e-10),
@@ -355,7 +367,9 @@ def test_interface_saddle_matches_full_saddle(name, n_sub, meshes, rng):
     pipe = build_pipeline(meshes[name], n_sub)
     blocks = sliced_substructure_blocks(pipe.system, pipe.layout)
     for sub, c, blk in zip(pipe.subs, pipe.constraints.matrices, blocks):
-        neumann, phi, s_cc = constrained_inverse(sub.schur, c, sub.sub_id)
+        neumann, phi, s_cc = (
+            x[0] for x in constrained_inverse(sub.schur[None], c[None], [sub.sub_id])
+        )
         n_i, n_g, nc = blk["k_ii"].shape[0], sub.n_gamma, len(c)
         full = full_constrained_saddle(blk, c)
         rhs = np.zeros((full.shape[0], nc))
@@ -424,12 +438,16 @@ def test_stiffest_penalties_substructured(sigma):
     assert np.abs(sol - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
-def test_asymmetric_neumann_block_rejected(frac2, monkeypatch):
+def test_asymmetric_neumann_block_rejected(square6, monkeypatch):
     """An explicit local inverse whose interface block is not symmetric to
-    rounding level is refused, as an unreliable constrained local solve."""
+    rounding level is refused, as an unreliable constrained local solve,
+    naming the substructure whose block it is: square6's four
+    substructures form one group, and its third member's block is
+    skewed."""
     import darcydd.bddc
 
     real = darcydd.bddc.factor_symmetric_indefinite
+    member = 2
 
     class Skewed:
         def __init__(self, matrix):
@@ -437,37 +455,127 @@ def test_asymmetric_neumann_block_rejected(frac2, monkeypatch):
 
         def solve(self, rhs):
             x = self.inner.solve(rhs)
-            x[0, 1] += 1e-6 * np.abs(x).max()  # break the symmetry of N_i
+            # break the symmetry of one member's N_i
+            x[member, 0, 1] += 1e-6 * np.abs(x[member]).max()
             return x
 
-    pipe = build_pipeline(frac2, 4, with_prec=False)
+    pipe = build_pipeline(square6, 4, with_prec=False)
+    constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
+    assert len({len(c) for c in constraints.matrices}) == 1
+    assert len({sub.n_gamma for sub in pipe.subs}) == 1
     monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", Skewed)
-    with pytest.raises(SingularSystemError, match="Neumann block symmetry defect"):
+    skewed = pipe.subs[member].sub_id
+    with pytest.raises(
+        SingularSystemError,
+        match=rf"substructure {skewed}: Neumann block symmetry defect",
+    ):
         BddcPreconditioner(
             pipe.subs,
             pipe.layout,
             compute_weights(pipe.system, pipe.layout, "arithmetic"),
-            build_constraints(pipe.layout, select_corners(pipe.layout)),
+            constraints,
         )
 
 
 @pytest.mark.parametrize("name,n_sub", [("frac2", 4), ("square6", 4), ("cube2", 4)])
 def test_kept_coarse_bases_own_their_data(meshes, rng, name, n_sub):
-    """Every kept ``Phi_i`` is a copy that owns its memory, so the whole
-    explicit local inverse it was cut from is freed; applying the
-    preconditioner with ``Phi_i`` read as a block of such an inverse, as
-    before the copy, gives the same result bit for bit."""
+    """Every group's kept ``Phi`` stack is a copy that owns its memory, so
+    the whole stack of explicit local inverses it was cut from is freed;
+    applying the preconditioner with each ``Phi`` stack read as a block of
+    such an inverse stack, as before the copy, gives the same result bit
+    for bit."""
     pipe = build_pipeline(meshes[name], n_sub)
     prec = pipe.prec
     r = rng.standard_normal(prec.n)
     z = prec.apply(r)
-    as_blocks = []
-    for gamma, weights, n_i, phi, ids in prec.local:
+    for grp in prec.groups:
+        phi = grp.phi
         assert phi.base is None and phi.flags.owndata
-        n_g, nc = phi.shape
-        order = "F" if phi.flags.f_contiguous else "C"
-        whole = np.zeros((n_g + nc, n_g + nc), order=order)
-        whole[:n_g, n_g:] = phi
-        as_blocks.append((gamma, weights, n_i, whole[:n_g, n_g:], ids))
-    prec.local = as_blocks
+        assert grp.neumann.base is None and grp.neumann.flags.owndata
+        m, n_g, nc = phi.shape
+        # each member's Phi_i in the memory layout of its block of the
+        # whole inverse, which LAPACK left in Fortran order
+        whole = np.zeros((m, n_g + nc, n_g + nc), order="C").transpose(0, 2, 1)
+        whole[:, :n_g, n_g:] = phi
+        grp.phi = whole[:, :n_g, n_g:]
     np.testing.assert_array_equal(prec.apply(r), z)
+
+
+GROUP_CASES = [
+    ("frac2", 4, True),
+    ("frac2", 4, False),
+    ("square6", 4, True),
+    ("square6", 4, False),
+    ("cube2", 4, True),
+    ("cube2", 4, False),
+    ("square16", 16, True),
+    ("square16", 16, False),
+]
+
+
+@pytest.mark.parametrize("name,n_sub,corners_on", GROUP_CASES)
+def test_grouped_apply_equals_substructure_loop(name, n_sub, corners_on, meshes, rng):
+    """The preconditioner groups its substructures by interface size and
+    constraint count; its apply equals the loop over the substructures in
+    order bit for bit, on meshes with one-member groups (frac2), one group
+    (square6, cube2) and several groups of several members (square16)."""
+    mesh = generate_unit_square(16) if name == "square16" else meshes[name]
+    pipe = build_pipeline(mesh, n_sub, corners_on=corners_on)
+    prec = pipe.prec
+    shapes = {
+        (sub.n_gamma, len(pipe.constraints.matrices[sub.sub_id])) for sub in pipe.subs
+    }
+    assert len(prec.groups) == len(shapes)
+    assert sorted(i for g in prec.groups for i in g.members) == list(range(n_sub))
+    for _ in range(3):
+        r = rng.standard_normal(prec.n)
+        loop = bddc_apply_loop(prec, pipe.subs, pipe.weights, pipe.constraints, r)
+        assert np.array_equal(prec.apply(r), loop)
+
+
+@pytest.mark.parametrize("name,n_sub,corners_on", GROUP_CASES)
+def test_group_inverse_equals_members_alone(name, n_sub, corners_on, meshes):
+    """Inverting a group's constrained saddle matrices as one stack gives
+    every member the ``N_i``, ``Phi_i`` and ``S_cc,i`` of its own group of
+    one, bit for bit."""
+    mesh = generate_unit_square(16) if name == "square16" else meshes[name]
+    pipe = build_pipeline(mesh, n_sub, corners_on=corners_on)
+    cs = pipe.constraints.matrices
+    for grp in pipe.prec.groups:
+        subs = [pipe.subs[i] for i in grp.members]
+        ids = [sub.sub_id for sub in subs]
+        stacks = constrained_inverse(
+            np.array([sub.schur for sub in subs]), np.array([cs[s] for s in ids]), ids
+        )
+        for j, sub in enumerate(subs):
+            alone = constrained_inverse(
+                sub.schur[None], cs[sub.sub_id][None], [sub.sub_id]
+            )
+            for stack, one in zip(stacks, alone):
+                assert np.array_equal(stack[j], one[0])
+        assert np.array_equal(stacks[0], grp.neumann)
+        assert np.array_equal(stacks[1], grp.phi)
+    for (n_i, phi), sub in zip(local_inverses(pipe.prec), pipe.subs):
+        assert n_i.shape == (sub.n_gamma, sub.n_gamma)
+        assert phi.shape == (sub.n_gamma, len(cs[sub.sub_id]))
+
+
+@pytest.mark.parametrize("member", [0, 2])
+def test_singular_group_member_named(member, square6):
+    """A constrained local problem made singular in one member of a group
+    (two equal constraint rows) raises ConstraintDeficiencyError naming
+    that substructure, not the group's first member."""
+    pipe = build_pipeline(square6, 4, with_prec=False)
+    constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
+    c = constraints.matrices[member]
+    c[1] = c[0]
+    with pytest.raises(
+        ConstraintDeficiencyError,
+        match=rf"substructure {member}: constrained local problem is singular",
+    ):
+        BddcPreconditioner(
+            pipe.subs,
+            pipe.layout,
+            compute_weights(pipe.system, pipe.layout, "arithmetic"),
+            constraints,
+        )

@@ -150,7 +150,8 @@ def test_mixed_pivots_match_loop_reference(rng):
     y = sla.solve_triangular(lu[perm].T, w, lower=False, unit_diagonal=True)
     ref = np.empty_like(y)
     ref[perm] = y
-    assert np.abs(fact._raw_solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+    x = fact._solve_members(b[None], [0])[0]
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_zero_pivots_beside_two_by_two_block_detected():
@@ -314,3 +315,81 @@ def test_canonical_csc_taken_as_is_other_input_converted_once():
     mat = factor_symmetric_indefinite(unsorted)._mat
     assert mat is not unsorted and mat.has_canonical_format
     assert not unsorted.has_sorted_indices  # the caller's matrix is unchanged
+
+
+# ---------------------------------------------------------------------------
+# stacks of dense matrices
+
+
+def _stack_of_saddles(rng, m: int, n_a: int, n_b: int) -> np.ndarray:
+    """``m`` symmetric indefinite matrices of one size, rows scaled over
+    four orders of magnitude, with 1x1 and 2x2 pivots."""
+    stack = np.array([_zero_diagonal_saddle(rng, n_a, n_b) for _ in range(m)])
+    stack[:, :3, :3] += np.diag([1.0, 2.0, 3.0])
+    d = np.logspace(-2, 2, n_a + n_b)
+    return np.outer(d, d) * stack
+
+
+@pytest.mark.parametrize("m,n_a,n_b", [(1, 9, 4), (5, 9, 4), (12, 30, 10)])
+def test_stack_equals_members_factored_alone(m, n_a, n_b, rng):
+    """A stack is factored and solved member by member exactly as each
+    member alone: the solutions against one and against many right-hand
+    sides and the inertia are bit for bit those of the member's own
+    factorization."""
+    stack = _stack_of_saddles(rng, m, n_a, n_b)
+    n = n_a + n_b
+    fact = factor_symmetric_indefinite(stack)
+    assert fact.mode == "dense" and fact.n == n
+    alone = [factor_symmetric_indefinite(a) for a in stack]
+    assert fact.inertia == [f.inertia for f in alone]
+    for b in (rng.standard_normal((m, n)), rng.standard_normal((m, n, 4))):
+        x = fact.solve(b)
+        assert x.shape == b.shape
+        for j, f in enumerate(alone):
+            assert np.array_equal(x[j], f.solve(b[j]))
+    # the identity for every member, as a broadcast view
+    x = fact.solve(np.broadcast_to(np.eye(n), (m, n, n)))
+    for j, f in enumerate(alone):
+        assert np.array_equal(x[j], f.solve(np.eye(n)))
+    errors = fact.backward_error(b, fact.solve(b))
+    assert errors.shape == (m,) and (errors <= 1e-12).all()
+
+
+@pytest.mark.parametrize("member", [0, 3])
+def test_singular_member_of_a_stack_named(member, rng):
+    stack = _stack_of_saddles(rng, 5, 9, 4)
+    stack[member, -1] = stack[member, -2]
+    stack[member, :, -1] = stack[member, :, -2]
+    with pytest.raises(
+        SingularSystemError, match=rf"matrix {member} of a stack of 5"
+    ) as err:
+        factor_symmetric_indefinite(stack)
+    assert err.value.member == member
+    # a single matrix names no member
+    with pytest.raises(SingularSystemError, match=r"^matrix is singular") as err:
+        factor_symmetric_indefinite(stack[member])
+    assert err.value.member is None
+
+
+def test_refinement_is_decided_per_member(rng):
+    """A member whose backward error exceeds 1e-12 gets its step of
+    iterative refinement alone: here one member's factor is perturbed, so
+    its unrefined solution is off by about 1e-9; every other member's
+    solution stays bit for bit that of its own factorization."""
+    stack = _stack_of_saddles(rng, 4, 9, 4)
+    fact = factor_symmetric_indefinite(stack)
+    alone = [factor_symmetric_indefinite(a) for a in stack]
+    fact._ldu[2] = fact._ldu[2] * (1.0 + 1e-9)
+    b = rng.standard_normal((4, 13, 2))
+    raw = fact._solve_members(b)
+    raw_errors = fact.backward_error(b, raw)
+    assert raw_errors[2] > 1e-12
+    assert (np.delete(raw_errors, 2) <= 1e-12).all()
+    x = fact.solve(b)
+    for j in (0, 1, 3):
+        assert np.array_equal(x[j], raw[j])
+        assert np.array_equal(x[j], alone[j].solve(b[j]))
+    r = b[2] - stack[2] @ raw[2]
+    step = fact._solve_members(r[None], np.array([2]))[0]
+    assert np.array_equal(x[2], raw[2] + step)
+    assert fact.backward_error(b, x)[2] < raw_errors[2]

@@ -27,11 +27,13 @@ from darcydd.subsolve import (
 
 from support import (
     build_pipeline,
+    interface_apply_loop,
     dense_multiplier_system,
     dense_operator,
     dense_schur_oracle,
     hybridized_substructure_blocks,
     mesh_from_elements,
+    reduced_rhs_loop,
 )
 
 
@@ -528,3 +530,30 @@ def test_element_inverse_formed_once_per_solve(frac2, monkeypatch):
     fresh = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
     assert len(calls) == 2
     assert np.array_equal(sol.concatenated(), fresh.concatenated())
+
+
+@pytest.mark.parametrize(
+    "name,n_sub",
+    [("frac2", 4), ("square6", 4), ("cube2", 4), ("square16", 16)],
+)
+def test_grouped_operator_equals_substructure_loop(name, n_sub, fixtures, rng):
+    """The operator applies each interface-size group's stack of ``S_i``
+    in one batched product, and the reduced right-hand side sums the shares
+    with one ``np.bincount``; both equal the loop over the substructures in
+    order bit for bit, with one-member groups (frac2), one group (square6,
+    cube2) and several groups of several members (square16)."""
+    mesh = generate_unit_square(16) if name == "square16" else fixtures[name]
+    pipe = build_pipeline(mesh, n_sub, with_prec=False)
+    op = pipe.op
+    assert len(op.stacks) == len({sub.n_gamma for sub in pipe.subs})
+    # the stacks are the storage of every S_i
+    for stack in op.stacks:
+        assert all(
+            np.shares_memory(sub.schur, stack)
+            for sub in pipe.subs
+            if sub.n_gamma == stack.shape[1]
+        )
+    for _ in range(3):
+        x = rng.standard_normal(op.n)
+        assert np.array_equal(op.apply(x), interface_apply_loop(pipe.subs, op.n, x))
+    assert np.array_equal(op.reduced_rhs(), reduced_rhs_loop(pipe.subs, op.n))
