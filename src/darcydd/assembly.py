@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigurationError, SingularSystemError
 from .ldlt import factor_symmetric_indefinite
-from .mesh import NATURAL, Mesh, tangent_frames
+from .mesh import Mesh, tangent_frames
 
 
 def rt0_blocks(
@@ -135,23 +135,21 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     n_side = len(s.face)
     coupled = s.lower >= 0
     boundary = ~coupled & (s.count == 1)
-    bcs = mesh.boundary_conditions
     # the last condition given for a face wins
     bc_of_face = np.full(s.n_faces, -1, dtype=np.int64)
-    named = np.flatnonzero(mesh.bc_faces >= 0)
-    np.maximum.at(bc_of_face, mesh.bc_faces[named], named)
+    np.maximum.at(bc_of_face, mesh.bc_faces, np.arange(len(mesh.bc_faces)))
     consumed = np.zeros(s.n_faces, dtype=bool)
     consumed[s.face[boundary]] = True
-    stray = (mesh.bc_faces < 0) | ~consumed[mesh.bc_faces]
-    if stray.any():
-        tuples = dict.fromkeys(bc.face_nodes for bc, bad in zip(bcs, stray) if bad)
-        raise ConfigurationError(
-            f"boundary conditions reference faces that are not unoccupied "
-            f"boundary faces: {list(tuples)[:5]}"
-        )
+    ends = np.cumsum([len(b.value) for b in mesh.boundary.values()], dtype=np.int64)
+    for b, faces in zip(mesh.boundary.values(), np.split(mesh.bc_faces, ends)):
+        stray = np.flatnonzero(~consumed[faces])
+        if len(stray):
+            raise ConfigurationError(
+                f"boundary condition {tuple(b.nodes[stray[0]].tolist())} "
+                f"references a face that is not an unoccupied boundary face"
+            )
     bc_of_side = np.where(boundary, bc_of_face[s.face], -1)
-    is_natural = np.array([bc.kind == NATURAL for bc in bcs] + [False])
-    natural = is_natural[bc_of_side]  # index -1 reads the trailing False
+    natural = np.append(mesh.bc_column("natural"), False)[bc_of_side]  # -1 reads False
     has_vel = ~boundary | natural
     side_vel = np.where(has_vel, np.cumsum(has_vel) - 1, -1)
     # A coupled side owns its multiplier; other sides share their face's.
@@ -175,9 +173,7 @@ def build_dof_map(mesh: Mesh) -> DofMap:
         side_vel=side_vel,
         side_mult=side_mult,
         natural_sides=natural_sides,
-        natural_values=np.array([bc.value for bc in bcs], dtype=float)[
-            bc_of_side[natural_sides]
-        ],
+        natural_values=mesh.bc_column("value")[bc_of_side[natural_sides]],
         mult_center=center[np.flatnonzero(has_mult)[np.sort(first)]],
     )
 

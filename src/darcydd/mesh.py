@@ -8,12 +8,13 @@ is exact, by shared node ids, and is discovered by :func:`detect_couplings`.
 
 Representation
 --------------
-A :class:`Mesh` is built from node coordinates and, for each element
-dimension, one :class:`Cells` record of arrays: element ids, node ids,
-conductivity tensors, cross-sections and sources. The constructor validates
-them and derives the per-dimension :class:`Simplices` arrays, the
-:class:`Sides` table and the coupling links. :func:`read_mesh`, the
-generators and every solver layer work on these arrays only.
+A :class:`Mesh` is built from node coordinates, one :class:`Cells` record
+of arrays per element dimension and one :class:`Boundary` record of arrays
+per face node count: the sorted face nodes, a natural mask and the values,
+rows in input order; files list them in ascending node count. The
+constructor validates them and derives the per-dimension :class:`Simplices`
+arrays, the :class:`Sides` table and the coupling links. :func:`read_mesh`,
+the generators and every solver layer work on these arrays only.
 ``Mesh.elements`` is a list of :class:`Element` records built from the
 arrays on first access; :func:`write_mesh` writes from it.
 
@@ -25,9 +26,10 @@ Conventions
 * Conductivity tensors are ``dim x dim`` and interpreted in the element's
   local tangent frame (Gram-Schmidt on its edge vectors); for isotropic
   tensors the frame is irrelevant.
-* Boundary conditions attach to faces by their sorted node tuple. ``natural``
+* Boundary conditions attach to faces by their sorted node ids. ``natural``
   prescribes the pressure on the face, ``essential`` prescribes zero normal
-  flux. Faces without an explicit condition default to essential.
+  flux. Faces without an explicit condition default to essential; the last
+  condition given for a face wins.
 """
 from __future__ import annotations
 
@@ -77,17 +79,13 @@ class Cells(NamedTuple):
     source: ArrayLike  # (E,)
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Condition on one boundary face, identified by sorted node tuple."""
+class Boundary(NamedTuple):
+    """The boundary conditions on faces of one node count, one row per
+    condition, in input order."""
 
-    face_nodes: tuple[int, ...]
-    kind: str
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (NATURAL, ESSENTIAL):
-            raise InvalidMeshError(f"unknown boundary kind {self.kind!r}")
+    nodes: ArrayLike  # (F, w), each row ascending
+    natural: ArrayLike  # (F,) True for natural, False for essential
+    value: ArrayLike  # (F,)
 
 
 # Local faces of a d-simplex: face j is opposite local vertex j.
@@ -215,7 +213,9 @@ class Mesh:
 
     ``cells`` maps each element dimension to a :class:`Cells` record. The
     ids of all dimensions together must be ``0 .. E-1``, ascending within
-    each dimension. Validation and derived data happen at construction:
+    each dimension. ``boundary`` maps face node counts to :class:`Boundary`
+    records; ``Mesh.boundary`` keeps them as arrays, in ascending node
+    count. Validation and derived data happen at construction:
 
     * ``n_elements`` and ``simplices``, the per-dimension
       :class:`Simplices` arrays, with each element's ``measure`` and
@@ -224,8 +224,8 @@ class Mesh:
     * ``couplings``, the positions in ``sides`` of the coupled sides in
       link order (see :func:`detect_couplings`), and ``coupling_weights``,
       the penalty weight σ·|F| of each link;
-    * ``bc_faces``, the face id of every boundary condition, or -1 when its
-      nodes form no element face.
+    * ``bc_faces``, the face id of every boundary condition, in ascending
+      node count and row order (the order of :meth:`bc_column`).
 
     Model values that the solver cannot use raise
     :class:`InvalidMeshError`, naming the first offending element or face:
@@ -244,12 +244,19 @@ class Mesh:
         self,
         node_coords: NDArray,
         cells: Mapping[int, Cells],
-        boundary_conditions: Sequence[BoundaryCondition] = (),
+        boundary: Mapping[int, Boundary] = {},
         gravity_enabled: bool = False,
         transition_coefficient: float = 1.0,
     ):
         self.node_coords = np.asarray(node_coords, dtype=float).reshape(-1, 3)
-        self.boundary_conditions = list(boundary_conditions)
+        self.boundary = {
+            w: Boundary(
+                np.asarray(b.nodes, dtype=np.int64).reshape(len(b.value), w),
+                np.asarray(b.natural, dtype=bool).reshape(len(b.value)),
+                np.asarray(b.value, dtype=float).reshape(len(b.value)),
+            )
+            for w, b in sorted(dict(boundary).items())
+        }
         self.gravity_enabled = bool(gravity_enabled)
         self.transition_coefficient = float(transition_coefficient)
         if not 0.0 < self.transition_coefficient < np.inf:
@@ -377,20 +384,20 @@ class Mesh:
             (gid[d][~((m > 0.0) & np.isfinite(m))] for d, m in measure.items()),
             lambda e: f"element {e}: degenerate simplex",
         )
-        for bc in self.boundary_conditions:
-            for nid in bc.face_nodes:
-                if not 0 <= nid < n_nodes:
-                    raise InvalidMeshError(
-                        f"boundary condition {bc.face_nodes}: dangling node {nid}"
-                    )
-            if tuple(sorted(bc.face_nodes)) != tuple(bc.face_nodes):
+        for b in self.boundary.values():
+            dangling = (b.nodes < 0) | (b.nodes >= n_nodes)
+            unsorted = (np.diff(b.nodes, axis=1) < 0).any(axis=1)
+            bad = np.flatnonzero(dangling.any(axis=1) | unsorted | ~np.isfinite(b.value))
+            if len(bad):
+                i = bad[0]
+                face = tuple(b.nodes[i].tolist())
                 raise InvalidMeshError(
-                    f"boundary condition node tuple {bc.face_nodes} is not sorted"
-                )
-            if not np.isfinite(bc.value):
-                raise InvalidMeshError(
-                    f"boundary condition {bc.face_nodes}: value {bc.value} "
-                    f"is not finite"
+                    f"boundary condition {face}: dangling node "
+                    f"{b.nodes[i][dangling[i]][0]}"
+                    if dangling[i].any()
+                    else f"boundary condition node tuple {face} is not sorted"
+                    if unsorted[i]
+                    else f"boundary condition {face}: value {b.value[i]} is not finite"
                 )
         self.simplices: dict[int, Simplices] = {
             d: Simplices(
@@ -419,21 +426,18 @@ class Mesh:
         elements ``(E_d,)`` per dimension, and the number of ids; sets
         ``bc_faces``.
         """
-        bcs = self.boundary_conditions
-        width = np.array([len(bc.face_nodes) for bc in bcs], dtype=np.int64)
-        self.bc_faces = np.full(len(bcs), -1, dtype=np.int64)
+        bc_faces = []
         sides: dict[int, NDArray] = {}
         cells: dict[int, NDArray] = {}
         n_faces = 0
-        for w in range(1, 5):
-            on_bc = np.flatnonzero(width == w)
+        for w in sorted({1, 2, 3, 4} | self.boundary.keys()):
             parts = []
             if w in nodes:
                 parts.append(nodes[w][:, _FACE_INDEX[w]].reshape(-1, w))
             if w - 1 in nodes:
                 parts.append(nodes[w - 1])
-            if len(on_bc):
-                parts.append(np.array([bcs[i].face_nodes for i in on_bc], dtype=np.int64))
+            if w in self.boundary:
+                parts.append(self.boundary[w].nodes)
             if not parts:
                 continue
             keys = face_keys(np.concatenate(parts)) + n_faces
@@ -444,7 +448,9 @@ class Mesh:
                 sides[w] = keys[:start].reshape(-1, w + 1)
             if w - 1 in nodes:
                 cells[w - 1] = keys[start : start + len(nodes[w - 1])]
-            self.bc_faces[on_bc] = keys[len(keys) - len(on_bc) :]
+            if w in self.boundary:
+                bc_faces.append(keys[len(keys) - len(self.boundary[w].value) :])
+        self.bc_faces = np.concatenate([np.zeros(0, dtype=np.int64), *bc_faces])
         return sides, cells, n_faces
 
     def _side_table(self, offset, gid, side_at, sides, cells, n_faces) -> Sides:
@@ -517,8 +523,14 @@ class Mesh:
         off = pairs.row != pairs.col
         return pairs.row[off].astype(np.int64), pairs.col[off].astype(np.int64)
 
+    def bc_column(self, name: str) -> NDArray:
+        """One :class:`Boundary` field, ``natural`` or ``value``, of every
+        condition, in the order of :attr:`bc_faces`."""
+        empty = {"natural": np.zeros(0, dtype=bool), "value": np.zeros(0)}[name]
+        return np.concatenate([empty, *(getattr(b, name) for b in self.boundary.values())])
+
     def has_natural_bc(self) -> bool:
-        return any(bc.kind == NATURAL for bc in self.boundary_conditions)
+        return bool(self.bc_column("natural").any())
 
     def element_graph(self) -> sps.csr_matrix:
         """Symmetric adjacency matrix of the elements that share an unknown.
@@ -546,14 +558,9 @@ class Mesh:
 
     def components_without_natural_bc(self) -> list[list[int]]:
         """Components whose boundary carries no natural condition."""
-        natural = [bc.kind == NATURAL for bc in self.boundary_conditions]
-        faces = self.bc_faces[np.array(natural, dtype=bool)]
-        touched = set(self.sides.element[np.isin(self.sides.face, faces)].tolist())
-        return [
-            comp
-            for comp in self.components()
-            if not any(e in touched for e in comp)
-        ]
+        faces = self.bc_faces[self.bc_column("natural")]
+        touched = self.sides.element[np.isin(self.sides.face, faces)]
+        return [comp for comp in self.components() if not np.isin(comp, touched).any()]
 
 
 def _symmetric(k: NDArray) -> NDArray[np.bool_]:
@@ -608,6 +615,10 @@ class PlaneBC:
     kind: str
     value: float | Callable[[NDArray], float] = 0.0
 
+    def __post_init__(self):
+        if self.kind not in (NATURAL, ESSENTIAL):
+            raise InvalidMeshError(f"unknown boundary kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class BCSpec:
@@ -615,15 +626,20 @@ class BCSpec:
 
     rules: tuple[PlaneBC, ...]
 
-    def resolve(self, face_nodes: tuple[int, ...], coords: NDArray) -> BoundaryCondition:
-        pts = coords[list(face_nodes)]
+    def resolve(self, faces: NDArray, coords: NDArray) -> Boundary:
+        """The conditions of the face rows ``faces`` ``(F, w)``; a callable
+        value is called once per face its rule takes, at its barycenter."""
+        pts = coords[faces]
+        natural = np.zeros(len(faces), dtype=bool)
+        taken = natural.copy()
+        value = np.zeros(len(faces))
         for rule in self.rules:
-            if np.all(np.abs(pts[:, rule.axis] - rule.position) <= _PLANE_TOL):
-                value = rule.value
-                if callable(value):
-                    value = float(value(pts.mean(axis=0)))
-                return BoundaryCondition(face_nodes, rule.kind, float(value))
-        return BoundaryCondition(face_nodes, ESSENTIAL, 0.0)
+            on_plane = np.abs(pts[:, :, rule.axis] - rule.position) <= _PLANE_TOL
+            hit = ~taken & on_plane.all(axis=1)
+            taken |= hit
+            natural[hit] = rule.kind == NATURAL
+            value[hit] = _values(rule.value, pts[hit].mean(axis=1))
+        return Boundary(faces, natural, value)
 
 
 def default_bc_spec() -> BCSpec:
@@ -634,28 +650,6 @@ def default_bc_spec() -> BCSpec:
             PlaneBC(axis=0, position=1.0, kind=NATURAL, value=0.0),
         )
     )
-
-
-def _boundary_conditions_for(
-    coords: NDArray, nodes: dict[int, NDArray], bc_spec: BCSpec
-) -> list[BoundaryCondition]:
-    """Apply a BCSpec to every face of exactly one element that no
-    lower-dimensional element occupies, ordered by the dimension of the
-    element, then by the face's sorted node ids."""
-    out = []
-    for d in sorted(nodes):
-        rows = [nodes[d][:, _FACE_INDEX[d]].reshape(-1, d)]
-        if d - 1 in nodes:
-            rows.append(nodes[d - 1])
-        rows = np.sort(np.concatenate(rows), axis=1)
-        keys = face_keys(rows)
-        n_side = nodes[d].size
-        count = np.bincount(keys[:n_side], minlength=len(rows))
-        count[keys[n_side:]] = 0
-        face = np.empty_like(rows)
-        face[keys] = rows
-        out += [bc_spec.resolve(tuple(f), coords) for f in face[count == 1].tolist()]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +679,9 @@ def _values(source, centroid: NDArray) -> NDArray:
 def _generated(coords: NDArray, parts, bc_spec: BCSpec | None, **options) -> Mesh:
     """A mesh of ``parts``, ``(nodes, conductivity, cross_section, source)``
     per element dimension, numbered consecutively in the order given, with
-    the fields evaluated on the element centroids and ``bc_spec`` applied
-    to the boundary."""
+    the fields evaluated on the element centroids. ``bc_spec`` is applied
+    to every face of exactly one element that no lower-dimensional element
+    occupies, rows ordered by the face's sorted node ids."""
     cells: dict[int, Cells] = {}
     start = 0
     for nodes, conductivity, cross_section, source in parts:
@@ -700,10 +695,20 @@ def _generated(coords: NDArray, parts, bc_spec: BCSpec | None, **options) -> Mes
             source=_values(source, centroid),
         )
         start += len(nodes)
-    bcs = _boundary_conditions_for(
-        coords, {d: c.nodes for d, c in cells.items()}, bc_spec or default_bc_spec()
-    )
-    return Mesh(coords, cells, bcs, **options)
+    boundary = {}
+    for d in sorted(cells):
+        rows = [cells[d].nodes[:, _FACE_INDEX[d]].reshape(-1, d)]
+        if d - 1 in cells:
+            rows.append(cells[d - 1].nodes)
+        rows = np.sort(np.concatenate(rows), axis=1)
+        keys = face_keys(rows)
+        n_side = cells[d].nodes.size
+        count = np.bincount(keys[:n_side], minlength=len(rows))
+        count[keys[n_side:]] = 0
+        face = np.empty_like(rows)
+        face[keys] = rows
+        boundary[d] = (bc_spec or default_bc_spec()).resolve(face[count == 1], coords)
+    return Mesh(coords, cells, boundary, **options)
 
 
 def generate_unit_square(
@@ -841,10 +846,8 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
-def _tensor_entries(k: NDArray) -> list[float]:
-    """Symmetric upper triangle, row-wise: 1, 3 or 6 numbers."""
-    dim = k.shape[0]
-    return [k[i, j] for i in range(dim) for j in range(i, dim)]
+# The upper triangle of a symmetric tensor, row-wise: 1, 3 or 6 entries.
+_UPPER = {d: np.triu_indices(d) for d in (1, 2, 3)}
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
@@ -852,9 +855,10 @@ def write_mesh(mesh: Mesh, path: str) -> None:
 
     Sections: ``$params`` (gravity flag, transition coefficient), ``$nodes``
     (id x y z), ``$elements`` (id dim nodes..., upper-triangle conductivity,
-    cross-section, source), ``$boundary`` (node tuple, kind, value), ``$end``.
-    Elements are written from :attr:`Mesh.elements`. Floats use 17
-    significant digits and round-trip exactly.
+    cross-section, source), ``$boundary`` (node tuple, kind, value, in
+    ascending node count), ``$end``. Elements are written from
+    :attr:`Mesh.elements`. Floats use 17 significant digits and round-trip
+    exactly.
     """
     lines = ["# mixed-dimensional mesh"]
     lines.append("$params")
@@ -865,22 +869,18 @@ def write_mesh(mesh: Mesh, path: str) -> None:
         lines.append(f"{i} {_fmt(c[0])} {_fmt(c[1])} {_fmt(c[2])}")
     lines.append("$elements")
     for el in mesh.elements:
-        fields = [str(el.id), str(el.dim)]
-        fields += [str(v) for v in el.node_ids]
-        fields += [_fmt(v) for v in _tensor_entries(el.conductivity)]
-        fields += [_fmt(el.cross_section), _fmt(el.source)]
-        lines.append(" ".join(fields))
+        ints = [el.id, el.dim, *el.node_ids]
+        floats = [*el.conductivity[_UPPER[el.dim]], el.cross_section, el.source]
+        lines.append(" ".join([*map(str, ints), *map(_fmt, floats)]))
     lines.append("$boundary")
-    for bc in mesh.boundary_conditions:
-        fields = [str(v) for v in bc.face_nodes]
-        fields += [bc.kind, _fmt(bc.value)]
-        lines.append(" ".join(fields))
+    for b in mesh.boundary.values():
+        kinds = np.where(b.natural, NATURAL, ESSENTIAL).tolist()
+        for face, kind, value in zip(b.nodes.tolist(), kinds, b.value.tolist()):
+            lines.append(" ".join([*map(str, face), kind, _fmt(value)]))
     lines.append("$end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-_TENSOR_SIZE = {1: 1, 2: 3, 3: 6}
 
 # A data line of a mesh file: its 1-based line number and its tokens.
 _Row = tuple[int, list[str]]
@@ -892,7 +892,8 @@ def read_mesh(path: str) -> Mesh:
     Raises :class:`MeshFormatError` with a 1-based line number on malformed
     input; structural problems surface as :class:`InvalidMeshError` from the
     mesh constructor. Lines are split one by one; each section's numbers
-    are converted and checked as whole arrays, one per element dimension.
+    are converted and checked as whole arrays, one per element dimension or
+    face node count.
     """
     section = None
     gravity = False
@@ -929,7 +930,7 @@ def read_mesh(path: str) -> Mesh:
                 raise MeshFormatError("data before any section header", lineno)
     coords = _parse_nodes(rows["nodes"])
     cells, ids = _parse_elements(rows["elements"], len(coords))
-    bcs = _parse_boundary(rows["boundary"], len(coords))
+    boundary = _parse_boundary(rows["boundary"], len(coords))
     if section != "end":
         raise MeshFormatError("missing $end marker")
     pos = np.flatnonzero(ids != np.arange(len(ids)))
@@ -941,7 +942,7 @@ def read_mesh(path: str) -> Mesh:
     return Mesh(
         coords,
         cells,
-        bcs,
+        boundary,
         gravity_enabled=gravity,
         transition_coefficient=sigma,
     )
@@ -1006,7 +1007,7 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
             raise MeshFormatError(str(exc), lineno) from exc
         if dim not in by_dim:
             raise MeshFormatError(f"element dimension {dim}", lineno)
-        expect = 2 + (dim + 1) + _TENSOR_SIZE[dim] + 2
+        expect = 2 + (dim + 1) + len(_UPPER[dim][0]) + 2
         if len(tok) != expect:
             raise MeshFormatError(
                 f"element line needs {expect} fields, got {len(tok)}", lineno
@@ -1018,11 +1019,11 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
         if not positions:
             continue
         group = [rows[p] for p in positions]
-        n_tensor = _TENSOR_SIZE[dim]
+        upper, lower = _UPPER[dim]
+        n_tensor = len(upper)
         ints, floats = _numbers(group, dim + 3, n_tensor + 2)
         _check_refs(group, ints[:, 2:], n_nodes)
         tensors = np.zeros((len(group), dim, dim))
-        upper, lower = np.triu_indices(dim)
         tensors[:, upper, lower] = floats[:, :n_tensor]
         tensors[:, lower, upper] = floats[:, :n_tensor]
         finite = np.isfinite(tensors).all(axis=(1, 2))
@@ -1046,7 +1047,9 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
     return cells, ids
 
 
-def _parse_boundary(rows: list[_Row], n_nodes: int) -> list[BoundaryCondition]:
+def _parse_boundary(rows: list[_Row], n_nodes: int) -> dict[int, Boundary]:
+    """The boundary lines as one :class:`Boundary` record per face node
+    count, rows in file order."""
     by_width: dict[int, list[int]] = {}
     for pos, (lineno, tok) in enumerate(rows):
         if len(tok) < 3:
@@ -1054,11 +1057,11 @@ def _parse_boundary(rows: list[_Row], n_nodes: int) -> list[BoundaryCondition]:
         if tok[-2] not in (NATURAL, ESSENTIAL):
             raise MeshFormatError(f"unknown boundary kind {tok[-2]!r}", lineno)
         by_width.setdefault(len(tok) - 2, []).append(pos)
-    bcs: list[BoundaryCondition] = [None] * len(rows)  # type: ignore[list-item]
+    boundary = {}
     for width, positions in by_width.items():
         group = [(rows[p][0], rows[p][1][:width] + rows[p][1][-1:]) for p in positions]
         nodes, values = _numbers(group, width, 1)
         _check_refs(group, nodes, n_nodes)
-        for pos, face, value in zip(positions, nodes.tolist(), values[:, 0].tolist()):
-            bcs[pos] = BoundaryCondition(tuple(face), rows[pos][1][-2], value)
-    return bcs
+        natural = [rows[p][1][-2] == NATURAL for p in positions]
+        boundary[width] = Boundary(nodes, natural, values[:, 0])
+    return boundary

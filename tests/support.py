@@ -18,6 +18,7 @@ from darcydd.errors import ConfigurationError
 from darcydd.mesh import (
     NATURAL,
     SIMPLEX_FACES,
+    Boundary,
     Cells,
     Mesh,
     simplex_measures,
@@ -49,9 +50,23 @@ def record_criterion(num: int, label: str, ok: bool, detail: str) -> None:
 # meshes from element records
 
 
-def mesh_from_elements(coords, elements, boundary_conditions=(), **options) -> Mesh:
+def boundary_records(conditions) -> dict[int, Boundary]:
+    """:class:`darcydd.mesh.Boundary` records of ``(face_nodes, kind,
+    value)`` triples, grouped per node count in list order."""
+    out = {}
+    for w in sorted({len(face) for face, _, _ in conditions}):
+        group = [c for c in conditions if len(c[0]) == w]
+        out[w] = Boundary(
+            nodes=[face for face, _, _ in group],
+            natural=[kind == NATURAL for _, kind, _ in group],
+            value=[value for _, _, value in group],
+        )
+    return out
+
+
+def mesh_from_elements(coords, elements, boundary=(), **options) -> Mesh:
     """A mesh of :class:`darcydd.mesh.Element` records, grouped per
-    dimension in list order."""
+    dimension in list order, with ``boundary`` as in :class:`Mesh`."""
     cells = {}
     for d in sorted({el.dim for el in elements}):
         group = [el for el in elements if el.dim == d]
@@ -62,7 +77,7 @@ def mesh_from_elements(coords, elements, boundary_conditions=(), **options) -> M
             cross_section=[el.cross_section for el in group],
             source=[el.source for el in group],
         )
-    return Mesh(coords, cells, boundary_conditions, **options)
+    return Mesh(coords, cells, boundary, **options)
 
 
 def coupling_links(mesh) -> list[SimpleNamespace]:
@@ -431,17 +446,24 @@ def numbering_contract(mesh) -> SimpleNamespace:
             groups[key] = groups.get(key, 0) + 1
     links = coupling_links(mesh)
     coupled = {(l.upper_element, l.upper_local_face) for l in links}
-    bcs = {bc.face_nodes: bc for bc in mesh.boundary_conditions}
+    # the last condition given for a face wins
+    bcs = {
+        tuple(face): (natural, value)
+        for b in mesh.boundary.values()
+        for face, natural, value in zip(
+            b.nodes.tolist(), b.natural.tolist(), b.value.tolist()
+        )
+    }
     side_of_vel, mult_of_side, natural, mult_sides, shared = [], {}, {}, [], {}
     for el in mesh.elements:
         for lf, locs in enumerate(SIMPLEX_FACES[el.dim]):
             side = (el.id, lf)
             key = (el.dim, tuple(sorted(el.node_ids[i] for i in locs)))
             if side not in coupled and groups[key] == 1:
-                bc = bcs.get(key[1])
-                if bc is not None and bc.kind == NATURAL:
+                is_natural, value = bcs.get(key[1], (False, 0.0))
+                if is_natural:
                     side_of_vel.append(side)
-                    natural[side] = bc.value
+                    natural[side] = value
                 continue
             side_of_vel.append(side)
             if side in coupled or key not in shared:
@@ -653,7 +675,11 @@ def meshes_equal(a: Mesh, b: Mesh) -> bool:
         for name in Cells._fields:
             if not np.array_equal(getattr(sa, name), getattr(sb, name)):
                 return False
-    return a.boundary_conditions == b.boundary_conditions
+    return a.boundary.keys() == b.boundary.keys() and all(
+        np.array_equal(x, y)
+        for w, ba in a.boundary.items()
+        for x, y in zip(ba, b.boundary[w])
+    )
 
 
 def rt0_local(

@@ -24,6 +24,7 @@ from darcydd.mesh import (
 )
 
 from support import (
+    boundary_records,
     coupling_links,
     mesh_from_elements,
     numbering_contract,
@@ -121,7 +122,7 @@ def _all_natural_fracture_cube(rng):
         for el in base.elements
     ]
     return mesh_from_elements(
-        base.node_coords, els, base.boundary_conditions, gravity_enabled=True
+        base.node_coords, els, base.boundary, gravity_enabled=True
     )
 
 
@@ -318,9 +319,7 @@ def test_null_space_census_two_components():
         Element(id=1, dim=2, node_ids=(3, 4, 5), conductivity=np.eye(2),
                 cross_section=1.0, source=0.0),
     ]
-    from darcydd.mesh import BoundaryCondition
-
-    bcs = [BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0)]
+    bcs = boundary_records([((0, 1), NATURAL, 1.0)])
     mesh = mesh_from_elements(coords, els, bcs)
     assert [c for c in mesh.components_without_natural_bc()] == [[1]]
     system = assemble(mesh)

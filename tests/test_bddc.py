@@ -18,7 +18,6 @@ from darcydd.errors import (
 from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import (
     NATURAL,
-    BoundaryCondition,
     Element,
     generate_cross_fracture_cube,
     generate_unit_square,
@@ -34,6 +33,7 @@ from darcydd.subsolve import recover_solution
 
 from support import (
     bddc_apply_loop,
+    boundary_records,
     build_pipeline,
     dense_operator,
     full_constrained_saddle,
@@ -326,10 +326,7 @@ def test_empty_coarse_space(rng):
                 cross_section=1.0, source=0.0)
         for i, nodes in enumerate([(0, 1, 2), (0, 2, 3)])
     ]
-    bcs = [
-        BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0),
-        BoundaryCondition(face_nodes=(2, 3), kind=NATURAL, value=0.0),
-    ]
+    bcs = boundary_records([((0, 1), NATURAL, 1.0), ((2, 3), NATURAL, 0.0)])
     pipe = build_pipeline(
         mesh_from_elements(coords, els, bcs), 2, corners_on=False
     )

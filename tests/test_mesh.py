@@ -1,19 +1,20 @@
 """Mesh generation, coupling detection and the text format."""
 import copy
 import dataclasses
+import re
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from darcydd.assembly import build_dof_map
 from darcydd.errors import ConfigurationError, InvalidMeshError, MeshFormatError
 from darcydd.mesh import (
     ESSENTIAL,
     NATURAL,
     SIMPLEX_FACES,
     BCSpec,
-    BoundaryCondition,
     Cells,
     Element,
     Mesh,
@@ -27,6 +28,7 @@ from darcydd.mesh import (
 )
 
 from support import (
+    boundary_records,
     coupling_links,
     mesh_from_elements,
     meshes_equal,
@@ -73,15 +75,14 @@ def test_square_face_counts_brute_force(square4):
 
 
 def test_square_default_boundary_conditions(square4):
-    kinds = Counter(bc.kind for bc in square4.boundary_conditions)
-    assert kinds[NATURAL] == 8
-    assert kinds[ESSENTIAL] == 8
-    coords = square4.node_coords
-    for bc in square4.boundary_conditions:
-        xs = coords[list(bc.face_nodes), 0]
-        if bc.kind == NATURAL:
-            assert np.all(xs == 0.0) or np.all(xs == 1.0)
-            assert bc.value == (1.0 if xs[0] == 0.0 else 0.0)
+    assert list(square4.boundary) == [2]
+    b = square4.boundary[2]
+    assert b.natural.sum() == 8
+    assert (~b.natural).sum() == 8
+    xs = square4.node_coords[b.nodes, 0]
+    assert ((xs == 0.0) | (xs == 1.0)).all(axis=1)[b.natural].all()
+    assert np.array_equal(b.value[b.natural], np.where(xs[b.natural, 0] == 0.0, 1.0, 0.0))
+    assert (b.value[~b.natural] == 0.0).all()
 
 
 def test_generators_reject_zero():
@@ -352,15 +353,27 @@ def test_transition_coefficient_must_be_finite_and_positive(sigma):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_boundary_value_must_be_finite(value):
     coords, cells = _square_cells()
-    bcs = [
-        BoundaryCondition((0, 1), NATURAL, 1.0),
-        BoundaryCondition((1, 2), NATURAL, value),
-    ]
+    bcs = boundary_records([((0, 1), NATURAL, 1.0), ((1, 2), NATURAL, value)])
     with pytest.raises(InvalidMeshError, match=r"boundary condition \(1, 2\): value"):
         Mesh(coords, cells, bcs)
     spec = BCSpec(rules=(PlaneBC(axis=0, position=0.0, kind=NATURAL, value=value),))
     with pytest.raises(InvalidMeshError, match=r"boundary condition \(0, 3\): value"):
         generate_unit_square(2, bc_spec=spec)
+
+
+@pytest.mark.parametrize(
+    "conditions,message",
+    [
+        ([((0, 1), NATURAL, 1.0), ((1, 9), ESSENTIAL, 0.0)], r"\(1, 9\): dangling node 9"),
+        ([((4,), NATURAL, 1.0), ((2, 1), NATURAL, 0.0)], r"node tuple \(2, 1\) is not sorted"),
+        ([((0, -1, 3), NATURAL, np.inf)], r"\(0, -1, 3\): dangling node -1"),
+    ],
+    ids=["dangling", "unsorted", "dangling-before-value"],
+)
+def test_boundary_faces_must_be_sorted_node_ids(conditions, message):
+    coords, cells = _square_cells()
+    with pytest.raises(InvalidMeshError, match=message):
+        Mesh(coords, cells, boundary_records(conditions))
 
 
 @pytest.mark.parametrize(
@@ -447,10 +460,8 @@ def test_by_id_gathers_every_dimension(frac2):
 
 
 def test_unknown_boundary_kind_rejected():
-    from darcydd.mesh import BoundaryCondition
-
-    with pytest.raises(InvalidMeshError):
-        BoundaryCondition(face_nodes=(0, 1), kind="robin", value=0.0)
+    with pytest.raises(InvalidMeshError, match="unknown boundary kind 'robin'"):
+        PlaneBC(axis=0, position=0.0, kind="robin", value=0.0)
 
 
 def test_node_ids_dense(square4):
@@ -551,11 +562,106 @@ def test_bc_value_callable_resolution():
         PlaneBC(axis=0, position=0.0, kind=NATURAL, value=lambda c: 2.0 + c[1]),
     ))
     m = generate_unit_square(2, bc_spec=spec)
-    naturals = [bc for bc in m.boundary_conditions if bc.kind == NATURAL]
-    assert len(naturals) == 2
-    for bc in naturals:
-        mid_y = m.node_coords[list(bc.face_nodes), 1].mean()
-        assert bc.value == pytest.approx(2.0 + mid_y)
+    b = m.boundary[2]
+    assert b.natural.sum() == 2
+    mid_y = m.node_coords[b.nodes[b.natural], 1].mean(axis=1)
+    assert b.value[b.natural] == pytest.approx(2.0 + mid_y)
+
+
+def _on_plane(mesh, w, axis, position):
+    """Which boundary faces of ``w`` nodes lie on the plane."""
+    pts = mesh.node_coords[mesh.boundary[w].nodes]
+    return (pts[:, :, axis] == position).all(axis=1)
+
+
+@pytest.mark.parametrize("floor_first", [True, False])
+def test_bc_spec_first_matching_rule_wins(floor_first):
+    """The planes z = 0 and x = 0.5 both hold the channel's end point and
+    the fracture edges on the floor. Those faces take the first rule's kind
+    and value, and a callable value is called once per face its rule
+    takes, at the face's barycenter."""
+    calls = []
+
+    def floor_value(c):
+        calls.append(tuple(c.tolist()))
+        return 3.0 + c[1]
+
+    floor = PlaneBC(axis=2, position=0.0, kind=NATURAL, value=floor_value)
+    plane = PlaneBC(axis=0, position=0.5, kind=ESSENTIAL, value=7.0)
+    rules = (floor, plane) if floor_first else (plane, floor)
+    mesh = generate_cross_fracture_cube(2, bc_spec=BCSpec(rules=rules))
+    assert list(mesh.boundary) == [1, 2, 3]
+    expected_calls = []
+    n_both = 0
+    for w, b in mesh.boundary.items():
+        on_floor = _on_plane(mesh, w, 2, 0.0)
+        on_plane = _on_plane(mesh, w, 0, 0.5)
+        n_both += int((on_floor & on_plane).sum())
+        by_floor = on_floor if floor_first else on_floor & ~on_plane
+        by_plane = on_plane & ~by_floor
+        center = mesh.node_coords[b.nodes[by_floor]].mean(axis=1)
+        expected_calls += [tuple(c) for c in center.tolist()]
+        assert b.natural[by_floor].all()
+        np.testing.assert_array_equal(b.value[by_floor], 3.0 + center[:, 1])
+        assert not b.natural[by_plane].any()
+        assert (b.value[by_plane] == 7.0).all()
+        rest = ~(on_floor | on_plane)
+        assert not b.natural[rest].any() and (b.value[rest] == 0.0).all()
+    assert n_both == 3  # the channel's end point and two fracture edges
+    assert sorted(calls) == sorted(expected_calls)
+
+
+def test_interleaved_boundary_section_reads_and_writes_by_node_count(tmp_path):
+    """Boundary lines of 1, 2 and 3 nodes in mixed order, one face given
+    twice: the later condition wins, and writing lists the conditions in
+    ascending node count."""
+    spec = BCSpec(rules=(
+        PlaneBC(axis=2, position=0.0, kind=NATURAL, value=lambda c: 1.0 + c[0]),
+        PlaneBC(axis=0, position=0.0, kind=NATURAL, value=2.0),
+    ))
+    mesh = generate_cross_fracture_cube(2, bc_spec=spec)
+    assert list(mesh.boundary) == [1, 2, 3]
+    path = tmp_path / "mesh.msh"
+    write_mesh(mesh, str(path))
+    head, rest = path.read_text().split("$boundary\n")
+    lines, tail = rest.split("$end\n")
+    lines = lines.splitlines()
+    shuffled = [lines[k] for k in np.random.default_rng(7).permutation(len(lines))]
+    twice = int(np.flatnonzero(mesh.boundary[3].natural)[0])
+    face = mesh.boundary[3].nodes[twice].tolist()
+    shuffled.append(" ".join([*map(str, face), NATURAL, "9.5"]))
+    widths = [len(line.split()) - 2 for line in shuffled]
+    assert set(widths) == {1, 2, 3} and widths != sorted(widths)
+    path.write_text(head + "$boundary\n" + "\n".join(shuffled) + "\n$end\n" + tail)
+
+    expected = build_dof_map(mesh)
+    face_id = mesh.bc_faces[len(mesh.bc_faces) - len(mesh.boundary[3].nodes) + twice]
+    hit = mesh.sides.face[expected.natural_sides] == face_id
+    assert hit.sum() == 1
+    values = np.where(hit, 9.5, expected.natural_values)
+    for _ in range(2):  # the interleaved file, then the file written from it
+        back = read_mesh(str(path))
+        got = build_dof_map(back)
+        np.testing.assert_array_equal(got.natural_sides, expected.natural_sides)
+        np.testing.assert_array_equal(got.natural_values, values)
+        write_mesh(back, str(path))
+    section = path.read_text().split("$boundary\n")[1].split("$end\n")[0]
+    widths = [len(line.split()) - 2 for line in section.splitlines()]
+    assert widths == sorted(widths) and len(widths) == len(shuffled)
+
+
+def test_stray_boundary_condition_names_its_face():
+    """A condition on an interior face or on a face a fracture occupies is
+    refused, naming the face."""
+    square = generate_unit_square(2)
+    interior = boundary_records([((1, 4), NATURAL, 1.0)])  # between two triangles
+    frac = generate_cross_fracture_cube(2)
+    fracture = tuple(frac.simplices[2].nodes[0].tolist())
+    occupied = boundary_records([(fracture, ESSENTIAL, 0.0)])
+    for mesh, stray, face in ((square, interior, (1, 4)), (frac, occupied, fracture)):
+        boundary = {**mesh.boundary, **stray}
+        with pytest.raises(ConfigurationError, match=re.escape(f"condition {face} ")):
+            build_dof_map(mesh_from_elements(mesh.node_coords, mesh.elements, boundary))
 
 
 def _element_line(lines, k):

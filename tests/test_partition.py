@@ -170,8 +170,8 @@ def _without_intersection_line(mesh):
     sides of an interface multiplier."""
     kept = [el for el in mesh.elements if el.dim > 1]
     elements = [dataclasses.replace(el, id=i) for i, el in enumerate(kept)]
-    bcs = [bc for bc in mesh.boundary_conditions if len(bc.face_nodes) > 1]
-    return mesh_from_elements(mesh.node_coords, elements, bcs)
+    boundary = {w: b for w, b in mesh.boundary.items() if w > 1}
+    return mesh_from_elements(mesh.node_coords, elements, boundary)
 
 
 @pytest.mark.parametrize(

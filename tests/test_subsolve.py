@@ -12,7 +12,6 @@ from darcydd.errors import ConfigurationError, SingularSystemError
 from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import (
     NATURAL,
-    BoundaryCondition,
     Element,
     generate_cross_fracture_cube,
     generate_unit_square,
@@ -26,6 +25,7 @@ from darcydd.subsolve import (
 )
 
 from support import (
+    boundary_records,
     build_pipeline,
     interface_apply_loop,
     dense_multiplier_system,
@@ -243,7 +243,7 @@ def test_sealed_element_is_singular():
                 cross_section=1.0, source=0.0)
         for i, nodes in enumerate([(0, 1, 2), (3, 4, 5)])
     ]
-    bcs = [BoundaryCondition(face_nodes=(0, 1), kind=NATURAL, value=1.0)]
+    bcs = boundary_records([((0, 1), NATURAL, 1.0)])
     system = assemble(mesh_from_elements(coords, els, bcs))
     layout = classify_interface(system, Partition(2, np.array([0, 1])))
     with pytest.raises(SingularSystemError, match=r"element\(s\) \[1\]"):
