@@ -140,16 +140,14 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     np.maximum.at(bc_of_face, mesh.bc_faces, np.arange(len(mesh.bc_faces)))
     consumed = np.zeros(s.n_faces, dtype=bool)
     consumed[s.face[boundary]] = True
-    ends = np.cumsum([len(b.value) for b in mesh.boundary.values()], dtype=np.int64)
-    for b, faces in zip(mesh.boundary.values(), np.split(mesh.bc_faces, ends)):
-        stray = np.flatnonzero(~consumed[faces])
-        if len(stray):
-            raise ConfigurationError(
-                f"boundary condition {tuple(b.nodes[stray[0]].tolist())} "
-                f"references a face that is not an unoccupied boundary face"
-            )
+    stray = np.flatnonzero(~consumed[mesh.bc_faces])
+    if len(stray):
+        raise ConfigurationError(
+            f"boundary condition {mesh.bc_face_nodes(int(stray[0]))} "
+            f"references a face that is not an unoccupied boundary face"
+        )
     bc_of_side = np.where(boundary, bc_of_face[s.face], -1)
-    natural = np.append(mesh.bc_column("natural"), False)[bc_of_side]  # -1 reads False
+    natural = np.append(mesh.bc_natural, False)[bc_of_side]  # -1 reads False
     has_vel = ~boundary | natural
     side_vel = np.where(has_vel, np.cumsum(has_vel) - 1, -1)
     # A coupled side owns its multiplier; other sides share their face's.
@@ -173,7 +171,7 @@ def build_dof_map(mesh: Mesh) -> DofMap:
         side_vel=side_vel,
         side_mult=side_mult,
         natural_sides=natural_sides,
-        natural_values=mesh.bc_column("value")[bc_of_side[natural_sides]],
+        natural_values=mesh.bc_value[bc_of_side[natural_sides]],
         mult_center=center[np.flatnonzero(has_mult)[np.sort(first)]],
     )
 

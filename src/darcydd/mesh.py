@@ -8,15 +8,14 @@ is exact, by shared node ids, and is discovered by :func:`detect_couplings`.
 
 Representation
 --------------
-A :class:`Mesh` is built from node coordinates, one :class:`Cells` record
-of arrays per element dimension and one :class:`Boundary` record of arrays
-per face node count: the sorted face nodes, a natural mask and the values,
-rows in input order; files list them in ascending node count. The
-constructor validates them and derives the per-dimension :class:`Simplices`
-arrays, the :class:`Sides` table and the coupling links. :func:`read_mesh`,
-the generators and every solver layer work on these arrays only.
-``Mesh.elements`` is a list of :class:`Element` records built from the
-arrays on first access; :func:`write_mesh` writes from it.
+A :class:`Mesh` is built from node coordinates, one :class:`Cells` record of
+arrays per element dimension and one :class:`Boundary` record of arrays per
+face node count (sorted face nodes, natural mask, values; rows in input order,
+written by ascending node count). The constructor validates them and derives
+the per-dimension :class:`Simplices` arrays, the :class:`Sides` table and the
+coupling links. :func:`read_mesh`, the generators and every solver layer work
+on these arrays only. ``Mesh.elements`` is a list of :class:`Element` records
+built from the arrays on first access; :func:`write_mesh` writes from it.
 
 Conventions
 -----------
@@ -224,8 +223,8 @@ class Mesh:
     * ``couplings``, the positions in ``sides`` of the coupled sides in
       link order (see :func:`detect_couplings`), and ``coupling_weights``,
       the penalty weight σ·|F| of each link;
-    * ``bc_faces``, the face id of every boundary condition, in ascending
-      node count and row order (the order of :meth:`bc_column`).
+    * ``bc_faces``, ``bc_natural`` and ``bc_value``: the face id, natural
+      mask and value of each boundary condition, by node count, then row.
 
     Model values that the solver cannot use raise
     :class:`InvalidMeshError`, naming the first offending element or face:
@@ -249,14 +248,6 @@ class Mesh:
         transition_coefficient: float = 1.0,
     ):
         self.node_coords = np.asarray(node_coords, dtype=float).reshape(-1, 3)
-        self.boundary = {
-            w: Boundary(
-                np.asarray(b.nodes, dtype=np.int64).reshape(len(b.value), w),
-                np.asarray(b.natural, dtype=bool).reshape(len(b.value)),
-                np.asarray(b.value, dtype=float).reshape(len(b.value)),
-            )
-            for w, b in sorted(dict(boundary).items())
-        }
         self.gravity_enabled = bool(gravity_enabled)
         self.transition_coefficient = float(transition_coefficient)
         if not 0.0 < self.transition_coefficient < np.inf:
@@ -265,14 +256,14 @@ class Mesh:
                 f"got {self.transition_coefficient}"
             )
         self._elements: list[Element] | None = None
-        self._build(cells)
+        self._build(cells, boundary)
         self.couplings = detect_couplings(self)
         measure = self.by_id("measure")[self.sides.lower[self.couplings]]
         self.coupling_weights = self.transition_coefficient * measure
 
     # -- validation and derived arrays -----------------------------------
 
-    def _build(self, cells: Mapping[int, Cells]) -> None:
+    def _build(self, cells: Mapping[int, Cells], boundary: Mapping[int, Boundary]) -> None:
         n_nodes = len(self.node_coords)
         blocks = {d: c for d, c in sorted(cells.items()) if np.size(c.ids)}
         gid = {
@@ -325,6 +316,24 @@ class Mesh:
             ),
             lambda e: f"element {e}: repeated node",
         )
+        self.boundary: dict[int, Boundary] = {}
+        for w, b in sorted(dict(boundary).items()):
+            value = np.asarray(b.value, dtype=float).reshape(-1)
+            rows = np.asarray(b.nodes, dtype=np.int64).reshape(len(value), w)
+            natural = np.asarray(b.natural, dtype=bool).reshape(len(value))
+            self.boundary[w] = Boundary(rows, natural, value)
+            dangling = (rows < 0) | (rows >= n_nodes)
+            unsorted = (np.diff(rows, axis=1) < 0).any(axis=1)
+            bad = np.flatnonzero(dangling.any(axis=1) | unsorted | ~np.isfinite(value))
+            if len(bad):
+                i, face = bad[0], tuple(rows[bad[0]].tolist())
+                raise InvalidMeshError(
+                    f"boundary condition {face}: dangling node {rows[i][dangling[i]][0]}"
+                    if dangling[i].any()
+                    else f"boundary condition node tuple {face} is not sorted"
+                    if unsorted[i]
+                    else f"boundary condition {face}: value {value[i]} is not finite"
+                )
         sides, occupied, n_faces = self._number_faces(nodes)
         first_of: dict[int, NDArray] = {}
         for d, cell in occupied.items():
@@ -384,21 +393,6 @@ class Mesh:
             (gid[d][~((m > 0.0) & np.isfinite(m))] for d, m in measure.items()),
             lambda e: f"element {e}: degenerate simplex",
         )
-        for b in self.boundary.values():
-            dangling = (b.nodes < 0) | (b.nodes >= n_nodes)
-            unsorted = (np.diff(b.nodes, axis=1) < 0).any(axis=1)
-            bad = np.flatnonzero(dangling.any(axis=1) | unsorted | ~np.isfinite(b.value))
-            if len(bad):
-                i = bad[0]
-                face = tuple(b.nodes[i].tolist())
-                raise InvalidMeshError(
-                    f"boundary condition {face}: dangling node "
-                    f"{b.nodes[i][dangling[i]][0]}"
-                    if dangling[i].any()
-                    else f"boundary condition node tuple {face} is not sorted"
-                    if unsorted[i]
-                    else f"boundary condition {face}: value {b.value[i]} is not finite"
-                )
         self.simplices: dict[int, Simplices] = {
             d: Simplices(
                 dim=d,
@@ -424,9 +418,9 @@ class Mesh:
         conditions with d nodes are numbered together, so equal ids mean
         coincidence. Returns the ids of the faces ``(E_d, d + 1)`` and of the
         elements ``(E_d,)`` per dimension, and the number of ids; sets
-        ``bc_faces``.
+        ``bc_faces``, ``bc_natural`` and ``bc_value``.
         """
-        bc_faces = []
+        bc_faces = [np.zeros(0, dtype=np.int64)]
         sides: dict[int, NDArray] = {}
         cells: dict[int, NDArray] = {}
         n_faces = 0
@@ -450,7 +444,10 @@ class Mesh:
                 cells[w - 1] = keys[start : start + len(nodes[w - 1])]
             if w in self.boundary:
                 bc_faces.append(keys[len(keys) - len(self.boundary[w].value) :])
-        self.bc_faces = np.concatenate([np.zeros(0, dtype=np.int64), *bc_faces])
+        self.bc_faces = np.concatenate(bc_faces)
+        records = self.boundary.values()
+        self.bc_natural = np.concatenate([np.zeros(0, bool), *(b.natural for b in records)])
+        self.bc_value = np.concatenate([np.zeros(0), *(b.value for b in records)])
         return sides, cells, n_faces
 
     def _side_table(self, offset, gid, side_at, sides, cells, n_faces) -> Sides:
@@ -523,14 +520,16 @@ class Mesh:
         off = pairs.row != pairs.col
         return pairs.row[off].astype(np.int64), pairs.col[off].astype(np.int64)
 
-    def bc_column(self, name: str) -> NDArray:
-        """One :class:`Boundary` field, ``natural`` or ``value``, of every
-        condition, in the order of :attr:`bc_faces`."""
-        empty = {"natural": np.zeros(0, dtype=bool), "value": np.zeros(0)}[name]
-        return np.concatenate([empty, *(getattr(b, name) for b in self.boundary.values())])
+    def bc_face_nodes(self, i: int) -> tuple[int, ...]:
+        """The nodes of the ``i``-th condition in :attr:`bc_faces` order."""
+        for b in self.boundary.values():
+            if i < len(b.value):
+                return tuple(b.nodes[i].tolist())
+            i -= len(b.value)
+        raise IndexError(i)
 
     def has_natural_bc(self) -> bool:
-        return bool(self.bc_column("natural").any())
+        return bool(self.bc_natural.any())
 
     def element_graph(self) -> sps.csr_matrix:
         """Symmetric adjacency matrix of the elements that share an unknown.
@@ -558,7 +557,7 @@ class Mesh:
 
     def components_without_natural_bc(self) -> list[list[int]]:
         """Components whose boundary carries no natural condition."""
-        faces = self.bc_faces[self.bc_column("natural")]
+        faces = self.bc_faces[self.bc_natural]
         touched = self.sides.element[np.isin(self.sides.face, faces)]
         return [comp for comp in self.components() if not np.isin(comp, touched).any()]
 
@@ -701,12 +700,10 @@ def _generated(coords: NDArray, parts, bc_spec: BCSpec | None, **options) -> Mes
         if d - 1 in cells:
             rows.append(cells[d - 1].nodes)
         rows = np.sort(np.concatenate(rows), axis=1)
-        keys = face_keys(rows)
+        face, keys = np.unique(rows, axis=0, return_inverse=True)
         n_side = cells[d].nodes.size
-        count = np.bincount(keys[:n_side], minlength=len(rows))
+        count = np.bincount(keys[:n_side], minlength=len(face))
         count[keys[n_side:]] = 0
-        face = np.empty_like(rows)
-        face[keys] = rows
         boundary[d] = (bc_spec or default_bc_spec()).resolve(face[count == 1], coords)
     return Mesh(coords, cells, boundary, **options)
 
@@ -846,8 +843,10 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
-# The upper triangle of a symmetric tensor, row-wise: 1, 3 or 6 entries.
-_UPPER = {d: np.triu_indices(d) for d in (1, 2, 3)}
+def _tensor_entries(k: NDArray) -> list[float]:
+    """Symmetric upper triangle, row-wise: 1, 3 or 6 numbers."""
+    dim = k.shape[0]
+    return [k[i, j] for i in range(dim) for j in range(i, dim)]
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
@@ -869,9 +868,11 @@ def write_mesh(mesh: Mesh, path: str) -> None:
         lines.append(f"{i} {_fmt(c[0])} {_fmt(c[1])} {_fmt(c[2])}")
     lines.append("$elements")
     for el in mesh.elements:
-        ints = [el.id, el.dim, *el.node_ids]
-        floats = [*el.conductivity[_UPPER[el.dim]], el.cross_section, el.source]
-        lines.append(" ".join([*map(str, ints), *map(_fmt, floats)]))
+        fields = [str(el.id), str(el.dim)]
+        fields += [str(v) for v in el.node_ids]
+        fields += [_fmt(v) for v in _tensor_entries(el.conductivity)]
+        fields += [_fmt(el.cross_section), _fmt(el.source)]
+        lines.append(" ".join(fields))
     lines.append("$boundary")
     for b in mesh.boundary.values():
         kinds = np.where(b.natural, NATURAL, ESSENTIAL).tolist()
@@ -881,6 +882,8 @@ def write_mesh(mesh: Mesh, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
+
+_TENSOR_SIZE = {1: 1, 2: 3, 3: 6}
 
 # A data line of a mesh file: its 1-based line number and its tokens.
 _Row = tuple[int, list[str]]
@@ -1007,7 +1010,7 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
             raise MeshFormatError(str(exc), lineno) from exc
         if dim not in by_dim:
             raise MeshFormatError(f"element dimension {dim}", lineno)
-        expect = 2 + (dim + 1) + len(_UPPER[dim][0]) + 2
+        expect = 2 + (dim + 1) + _TENSOR_SIZE[dim] + 2
         if len(tok) != expect:
             raise MeshFormatError(
                 f"element line needs {expect} fields, got {len(tok)}", lineno
@@ -1019,11 +1022,11 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
         if not positions:
             continue
         group = [rows[p] for p in positions]
-        upper, lower = _UPPER[dim]
-        n_tensor = len(upper)
+        n_tensor = _TENSOR_SIZE[dim]
         ints, floats = _numbers(group, dim + 3, n_tensor + 2)
         _check_refs(group, ints[:, 2:], n_nodes)
         tensors = np.zeros((len(group), dim, dim))
+        upper, lower = np.triu_indices(dim)
         tensors[:, upper, lower] = floats[:, :n_tensor]
         tensors[:, lower, upper] = floats[:, :n_tensor]
         finite = np.isfinite(tensors).all(axis=(1, 2))
@@ -1048,8 +1051,7 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
 
 
 def _parse_boundary(rows: list[_Row], n_nodes: int) -> dict[int, Boundary]:
-    """The boundary lines as one :class:`Boundary` record per face node
-    count, rows in file order."""
+    """One :class:`Boundary` record per face node count, rows in file order."""
     by_width: dict[int, list[int]] = {}
     for pos, (lineno, tok) in enumerate(rows):
         if len(tok) < 3:

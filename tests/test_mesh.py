@@ -80,7 +80,7 @@ def test_square_default_boundary_conditions(square4):
     assert b.natural.sum() == 8
     assert (~b.natural).sum() == 8
     xs = square4.node_coords[b.nodes, 0]
-    assert ((xs == 0.0) | (xs == 1.0)).all(axis=1)[b.natural].all()
+    assert ((xs == 0.0).all(axis=1) | (xs == 1.0).all(axis=1))[b.natural].all()
     assert np.array_equal(b.value[b.natural], np.where(xs[b.natural, 0] == 0.0, 1.0, 0.0))
     assert (b.value[~b.natural] == 0.0).all()
 
