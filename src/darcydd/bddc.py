@@ -3,9 +3,9 @@
 The preconditioner combines independent substructure corrections with a
 global coarse correction. Both are derived from a small set of interface
 constraints per substructure: point constraints at selected corner dofs and
-arithmetic averages over globs. The coarse basis functions are energy
-minimizers subject to those constraints, and the coarse matrix is the
-assembly of the substructure-local coarse energies.
+one arithmetic average over every face and edge glob. The coarse basis
+functions are energy minimizers subject to those constraints, and the
+coarse matrix is the assembly of the substructure-local coarse energies.
 
 Every local problem lives on the interface. With the explicit local Schur
 complement ``S_i`` of :class:`~darcydd.subsolve.SubstructureOperator` and
@@ -80,18 +80,14 @@ class ConstraintSet:
     coarse_ids: list[NDArray[np.int64]]
 
 
-def build_constraints(
-    layout: InterfaceLayout,
-    corners: list[int],
-    edge_averages: bool = True,
-) -> ConstraintSet:
+def build_constraints(layout: InterfaceLayout, corners: list[int]) -> ConstraintSet:
     """Assemble the constraint rows for every substructure.
 
     ``corners`` lists global interface dof indices. Every face glob and
-    (optionally) every edge glob contributes one average row, except globs
-    whose dofs are all corners: their average would be linearly dependent
-    on the corner rows. Vertex globs carry no average; with corner
-    constraints disabled they are simply unconstrained.
+    every edge glob contributes one average row, except globs whose dofs
+    are all corners: their average would be linearly dependent on the
+    corner rows. Vertex globs carry no average; with no corners they are
+    simply unconstrained.
 
     Raises :class:`ConfigurationError` for a corner id that is not an
     interface dof index, and :class:`ConstraintDeficiencyError` for a
@@ -112,8 +108,7 @@ def build_constraints(
     averaged = [
         g
         for g in layout.globs
-        if (g.kind == "face" or g.kind == "edge" and edge_averages)
-        and not is_corner[list(g.dofs)].all()
+        if g.kind != "vertex" and not is_corner[list(g.dofs)].all()
     ]
     # averages of substructure s, in glob order
     avg_of: list[list[int]] = [[] for _ in range(layout.partition.n_sub)]

@@ -69,7 +69,6 @@ class RunConfig:
     n_sub: int = 4
     scaling: str = "arithmetic"
     corners: bool = True
-    edge_averages: bool = True
     rel_tol: float = PcgConfig.rel_tol
     max_iter: int = PcgConfig.max_iter
     oracle: bool = False
@@ -122,7 +121,6 @@ class RunConfig:
         return (
             f"{source}{extras} nsub={self.n_sub} "
             f"scaling={self.scaling} corners={'on' if self.corners else 'off'} "
-            f"edge-averages={'on' if self.edge_averages else 'off'} "
             f"tol={self.rel_tol:g} threads={self.threads}"
         )
 
@@ -186,9 +184,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
         say("solver: single substructure, direct factorization")
     else:
         corners = select_corners(layout) if config.corners else []
-        constraints = build_constraints(
-            layout, corners, edge_averages=config.edge_averages
-        )
+        constraints = build_constraints(layout, corners)
         weights = compute_weights(system, layout, config.scaling)
         subs = build_substructures(system, layout, config.threads)
         operator = InterfaceOperator(subs, layout)
@@ -426,13 +422,6 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--corners", type=_switch, metavar="{on,off}",
         help=f"corner constraints (default {'on' if d.corners else 'off'})",
-    )
-    parser.add_argument(
-        "--edge-averages", type=_switch, metavar="{on,off}",
-        help=(
-            "average constraints on edge globs "
-            f"(default {'on' if d.edge_averages else 'off'})"
-        ),
     )
     parser.add_argument(
         "--tol", dest="rel_tol", type=float, metavar="X",

@@ -82,7 +82,7 @@ class Boundary(NamedTuple):
     """The boundary conditions on faces of one node count, one row per
     condition, in input order."""
 
-    nodes: ArrayLike  # (F, w), each row ascending
+    nodes: ArrayLike  # (F, w), each row strictly ascending
     natural: ArrayLike  # (F,) True for natural, False for essential
     value: ArrayLike  # (F,)
 
@@ -323,15 +323,18 @@ class Mesh:
             natural = np.asarray(b.natural, dtype=bool).reshape(len(value))
             self.boundary[w] = Boundary(rows, natural, value)
             dangling = (rows < 0) | (rows >= n_nodes)
-            unsorted = (np.diff(rows, axis=1) < 0).any(axis=1)
-            bad = np.flatnonzero(dangling.any(axis=1) | unsorted | ~np.isfinite(value))
+            step = np.diff(rows, axis=1)
+            not_strict = (step <= 0).any(axis=1)
+            bad = np.flatnonzero(dangling.any(axis=1) | not_strict | ~np.isfinite(value))
             if len(bad):
                 i, face = bad[0], tuple(rows[bad[0]].tolist())
                 raise InvalidMeshError(
                     f"boundary condition {face}: dangling node {rows[i][dangling[i]][0]}"
                     if dangling[i].any()
                     else f"boundary condition node tuple {face} is not sorted"
-                    if unsorted[i]
+                    if (step[i] < 0).any()
+                    else f"boundary condition {face}: repeated node"
+                    if not_strict[i]
                     else f"boundary condition {face}: value {value[i]} is not finite"
                 )
         sides, occupied, n_faces = self._number_faces(nodes)
@@ -617,6 +620,8 @@ class PlaneBC:
     def __post_init__(self):
         if self.kind not in (NATURAL, ESSENTIAL):
             raise InvalidMeshError(f"unknown boundary kind {self.kind!r}")
+        if self.axis not in (0, 1, 2):
+            raise InvalidMeshError(f"plane axis must be 0, 1 or 2, got {self.axis!r}")
 
 
 @dataclass(frozen=True)

@@ -610,7 +610,6 @@ def build_pipeline(
     n_sub: int,
     scheme: str = "arithmetic",
     corners_on: bool = True,
-    edge_averages: bool = True,
     threads: int = 1,
     with_prec: bool = True,
 ) -> SimpleNamespace:
@@ -635,9 +634,7 @@ def build_pipeline(
     )
     if with_prec and layout.n_interface:
         ns.corners = select_corners(layout) if corners_on else []
-        ns.constraints = build_constraints(
-            layout, ns.corners, edge_averages=edge_averages
-        )
+        ns.constraints = build_constraints(layout, ns.corners)
         ns.weights = compute_weights(system, layout, scheme)
         ns.prec = BddcPreconditioner(subs, layout, ns.weights, ns.constraints)
     return ns

@@ -46,17 +46,20 @@ from support import (
 
 
 CASES = [
-    ("square4", 2, "arithmetic", True, True),
-    ("square6", 4, "arithmetic", True, True),
-    ("square6", 4, "arithmetic", False, True),
-    ("square6", 4, "rho", True, True),
-    ("square6", 4, "diag", True, True),
-    ("cube2", 4, "arithmetic", True, True),
-    ("cube2", 4, "arithmetic", True, False),
-    ("frac2", 4, "arithmetic", True, True),
-    ("frac2", 4, "diag", True, True),
-    ("frac-hetero", 4, "rho", True, True),
+    ("square4", 2, "arithmetic", True),
+    ("square6", 4, "arithmetic", True),
+    ("square6", 4, "arithmetic", False),
+    ("square6", 4, "rho", True),
+    ("square6", 4, "diag", True),
+    ("cube2", 4, "arithmetic", True),
+    ("frac2", 4, "arithmetic", True),
+    ("frac2", 4, "diag", True),
+    ("frac-hetero", 4, "rho", True),
 ]
+
+# ``mesh-nsub-scheme-corners-True``: the last field says that every face
+# and edge glob carries an average, as it always does.
+CASE_IDS = ["-".join(map(str, (*case, True))) for case in CASES]
 
 
 @pytest.fixture
@@ -70,12 +73,9 @@ def meshes(square4, square6, cube2, frac2):
     }
 
 
-@pytest.mark.parametrize("name,n_sub,scheme,corners_on,edge_avg", CASES)
-def test_preconditioner_properties(name, n_sub, scheme, corners_on, edge_avg, meshes):
-    pipe = build_pipeline(
-        meshes[name], n_sub, scheme=scheme, corners_on=corners_on,
-        edge_averages=edge_avg,
-    )
+@pytest.mark.parametrize("name,n_sub,scheme,corners_on", CASES, ids=CASE_IDS)
+def test_preconditioner_properties(name, n_sub, scheme, corners_on, meshes):
+    pipe = build_pipeline(meshes[name], n_sub, scheme=scheme, corners_on=corners_on)
     prec = pipe.prec
     n = pipe.layout.n_interface
 
@@ -111,16 +111,13 @@ def test_preconditioner_properties(name, n_sub, scheme, corners_on, edge_avg, me
     assert eigs.real.min() > 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("name,n_sub,scheme,corners_on,edge_avg", CASES)
+@pytest.mark.parametrize("name,n_sub,scheme,corners_on", CASES, ids=CASE_IDS)
 def test_explicit_apply_matches_implicit_oracle(
-    name, n_sub, scheme, corners_on, edge_avg, meshes, rng
+    name, n_sub, scheme, corners_on, meshes, rng
 ):
     """The apply through the precomputed local inverses equals the apply
     that solves every constrained local saddle problem afresh."""
-    pipe = build_pipeline(
-        meshes[name], n_sub, scheme=scheme, corners_on=corners_on,
-        edge_averages=edge_avg,
-    )
+    pipe = build_pipeline(meshes[name], n_sub, scheme=scheme, corners_on=corners_on)
     for _ in range(3):
         r = rng.standard_normal(pipe.layout.n_interface)
         ref = implicit_bddc_apply(pipe.subs, pipe.weights, pipe.constraints, r)
@@ -272,27 +269,32 @@ def test_fully_promoted_glob_drops_average():
 
 
 def test_floating_substructure_needs_constraints():
-    globs = [Glob(kind="edge", sharing=(0, 1, 2), dofs=(0, 1, 2))]
-    layout = synthetic_layout(globs, 3, [True, False, True])
-    with pytest.raises(ConstraintDeficiencyError, match="floating"):
-        build_constraints(layout, [], edge_averages=False)
-    cs = build_constraints(layout, [], edge_averages=True)
+    """Without corners a vertex glob constrains nothing, so a substructure
+    with no natural condition floats; an edge glob over the same
+    substructures gives each of them its average."""
+    natural = [True, False, True]
+    vertex = synthetic_layout(
+        [Glob(kind="vertex", sharing=(0, 1, 2), dofs=(0,))], 1, natural
+    )
+    with pytest.raises(ConstraintDeficiencyError, match="substructure 1 .* floating"):
+        build_constraints(vertex, [])
+    edge = synthetic_layout(
+        [Glob(kind="edge", sharing=(0, 1, 2), dofs=(0, 1, 2))], 3, natural
+    )
+    cs = build_constraints(edge, [])
     assert cs.n_coarse == 1
     assert all(m.shape == (1, 3) for m in cs.matrices)
 
 
-def test_edge_average_toggle_row_counts():
+def test_face_and_edge_globs_each_get_one_average():
     globs = [
         Glob(kind="face", sharing=(0, 1), dofs=(0, 1, 2)),
         Glob(kind="edge", sharing=(0, 1), dofs=(3, 4)),
     ]
     layout = synthetic_layout(globs, 5, [True, True])
-    on = build_constraints(layout, [0], edge_averages=True)
-    off = build_constraints(layout, [0], edge_averages=False)
-    assert on.matrices[0].shape[0] == 3  # corner + face avg + edge avg
-    assert off.matrices[0].shape[0] == 2
-    assert on.n_coarse == 3
-    assert off.n_coarse == 2
+    cs = build_constraints(layout, [0])
+    assert cs.matrices[0].shape[0] == 3  # corner + face avg + edge avg
+    assert cs.n_coarse == 3
 
 
 def test_vertex_globs_have_no_average():

@@ -60,7 +60,6 @@ def test_parser_defaults():
     assert (config.n, config.n_sub) == (8, 4)
     assert config.scaling == "arithmetic"
     assert config.corners is True
-    assert config.edge_averages is True
     assert config.rel_tol == 1e-7
     assert config.max_iter == 5000
     assert not config.oracle
@@ -71,7 +70,7 @@ def test_parser_defaults():
 def test_parser_full_flags(tmp_path):
     given = vars(build_parser().parse_args([
         "--gen", "fracture-cube", "--n", "4", "--nsub", "8",
-        "--scaling", "diag", "--corners", "off", "--edge-averages", "off",
+        "--scaling", "diag", "--corners", "off",
         "--tol", "1e-9", "--max-iter", "100", "--oracle",
         "--csv", str(tmp_path / "t.csv"), "--solution", str(tmp_path / "s.txt"),
         "--threads", "2", "--quiet",
@@ -80,7 +79,7 @@ def test_parser_full_flags(tmp_path):
     config = RunConfig(**given)
     assert config.n_sub == 8
     assert config.scaling == "diag"
-    assert config.corners is False and config.edge_averages is False
+    assert config.corners is False
     assert config.rel_tol == 1e-9 and config.max_iter == 100
     assert config.oracle
     assert config.csv_path == str(tmp_path / "t.csv")
@@ -103,7 +102,6 @@ def test_suite_excludes_other_mesh_sources(capsys):
         ("--nsub", "3"),
         ("--scaling", "diag"),
         ("--corners", "off"),
-        ("--edge-averages", "off"),
         ("--tol", "0.5"),
         ("--max-iter", "10"),
         ("--oracle",),
@@ -199,6 +197,14 @@ def test_exit_three_on_bad_configuration(tmp_path):
     assert cli("--gen", "square", "--mesh", "x").returncode == 3
     assert cli("--frobnicate").returncode == 3
     assert cli("--mesh", str(tmp_path / "missing.msh")).returncode == 3
+
+
+def test_exit_three_on_edge_average_switch():
+    """Every face and edge glob is always averaged: there is no switch to
+    turn edge averages off, and the parser refuses one."""
+    proc = cli("--gen", "square", "--edge-averages", "off")
+    assert proc.returncode == 3
+    assert "unrecognized arguments: --edge-averages off" in proc.stderr
 
 
 def _edit_fracture_file(path, section: str, pick, position: int, value: str):

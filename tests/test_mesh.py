@@ -367,8 +367,9 @@ def test_boundary_value_must_be_finite(value):
         ([((0, 1), NATURAL, 1.0), ((1, 9), ESSENTIAL, 0.0)], r"\(1, 9\): dangling node 9"),
         ([((4,), NATURAL, 1.0), ((2, 1), NATURAL, 0.0)], r"node tuple \(2, 1\) is not sorted"),
         ([((0, -1, 3), NATURAL, np.inf)], r"\(0, -1, 3\): dangling node -1"),
+        ([((0, 1), NATURAL, 1.0), ((1, 1), NATURAL, 0.0)], r"\(1, 1\): repeated node"),
     ],
-    ids=["dangling", "unsorted", "dangling-before-value"],
+    ids=["dangling", "unsorted", "dangling-before-value", "repeated"],
 )
 def test_boundary_faces_must_be_sorted_node_ids(conditions, message):
     coords, cells = _square_cells()
@@ -462,6 +463,13 @@ def test_by_id_gathers_every_dimension(frac2):
 def test_unknown_boundary_kind_rejected():
     with pytest.raises(InvalidMeshError, match="unknown boundary kind 'robin'"):
         PlaneBC(axis=0, position=0.0, kind="robin", value=0.0)
+
+
+@pytest.mark.parametrize("axis", [-1, 3])
+def test_plane_axis_out_of_range_rejected(axis):
+    """-1 would pick the z plane and 3 would index past it."""
+    with pytest.raises(InvalidMeshError, match=f"plane axis must be 0, 1 or 2, got {axis}"):
+        PlaneBC(axis=axis, position=0.0, kind=NATURAL, value=1.0)
 
 
 def test_node_ids_dense(square4):
@@ -744,6 +752,7 @@ def _swap_elements(lines):
         (_no_end, MeshFormatError),
         (_set_token(lambda ls: _boundary_line(ls, 3), -2, "robin"), MeshFormatError),
         (_set_token(lambda ls: _boundary_line(ls, 1), 0, "99"), MeshFormatError),
+        (_set_token(lambda ls: _boundary_line(ls, 0), 0, "1"), InvalidMeshError),
         (_swap_elements, InvalidMeshError),
         (_set_token(lambda ls: _node_line(ls, 4), 0, "99999999999999999999"), MeshFormatError),
     ],
@@ -759,6 +768,7 @@ def _swap_elements(lines):
         "missing-end",
         "unknown-boundary-kind",
         "dangling-boundary-node",
+        "repeated-boundary-node",
         "elements-out-of-order",
         "node-id-overflows-int64",
     ],
