@@ -1,23 +1,21 @@
 """Symmetric indefinite factorization with a dense and a sparse path.
 
-The systems factored here are symmetric. The full saddle matrix and the
-constrained local saddle matrices are indefinite, so plain Cholesky does not
-apply to them, and the definite ones take the same paths. The input type
-alone picks the path; there is no size threshold and no option. Sparse
-input takes a sparse LU with partial pivoting and the ``MMD_ATA`` column
-ordering, whatever its size: the interior multiplier matrices of the
-substructures (negative definite, as the velocities and pressures are
-eliminated element by element before they are formed), one block-diagonal
-matrix per group of substructures with one interface size, and the full
-saddle matrix of the direct solve. On a fracture cube with 22k unknowns
-(the fracture-contrast benchmark mesh, 16 substructures) the 16 interior
-blocks hold 329-364 unknowns each and 201k L+U entries in all, in 15
-matrices, as two substructures share an interface size; the 64 blocks of
-the square-dense mesh (65 unknowns each, 45k L+U entries) make 3 matrices.
-SuperLU factors a block-diagonal matrix block by block, with the same fill
-as its blocks alone. For the full saddle matrix ``MMD_ATA`` keeps 1.8M
-entries where the default COLAMD keeps 3.9M. The sparse path gives no
-inertia.
+The systems factored here are symmetric; the constrained local saddle
+matrices are indefinite, so plain Cholesky does not apply to them, and the
+definite ones take the same paths. The input type alone picks the path;
+there is no size threshold and no option. Sparse input takes a sparse LU
+with partial pivoting and the ``MMD_ATA`` column ordering. In this package
+it is always a negative definite multiplier matrix, left when velocities
+and pressures are eliminated element by element: one block-diagonal matrix
+of interior blocks per group of substructures with one interface size, and
+the global multiplier matrix of the direct solve. The path checks symmetry,
+not definiteness, and gives no inertia. SuperLU factors a block-diagonal
+matrix block by block, with the same fill as its blocks alone. On the
+fracture-contrast benchmark mesh (22k unknowns, 16 substructures) the
+interior blocks hold 329-364 unknowns each and 201k L+U entries in 15
+matrices, and the global multiplier matrix (6,391 unknowns) 2.04M; on the
+square-dense mesh, 64 blocks of 65 unknowns hold 45k in 3 matrices, and
+the global matrix (4,720 unknowns) 221k.
 
 Sparse input is taken as it is when it is a CSC matrix in canonical format
 (sorted row indices, no duplicates), which is what SuperLU reads; any other
@@ -25,9 +23,7 @@ sparse matrix is converted to one once, and the caller's matrix is never
 changed. Its checks work on those arrays: the matrix is symmetric when its
 nonzero ``(row, col, value)`` triplets, in column-major order, equal its
 transpose's triplets sorted the same way (``np.lexsort``), which is exactly
-``(A != A.T).nnz == 0``; the infinity norm used by the backward error is an
-``np.bincount`` of ``|a_ij|`` over the row indices, the row sums of
-``|A|`` accumulated in column order.
+``(A != A.T).nnz == 0``; its infinity norm is :func:`csc_norm_inf`.
 
 Dense (ndarray) input takes LAPACK's Bunch-Kaufman ``dsytrf``/``dsytrs``
 on the symmetrically equilibrated matrix ``S A S``, ``S = diag(s)`` with
@@ -54,7 +50,9 @@ substructures of one shape as one stack.
 
 Both paths meet the same accuracy contract: ``solve`` measures the normwise
 backward error and applies one step of iterative refinement whenever it
-exceeds 1e-12; in a stack, each member's error decides its own step.
+exceeds 1e-12; in a stack, each member's error decides its own step. The
+sparse path's error is :func:`sparse_backward_error`, which the direct solve
+also applies to the unreduced saddle matrix.
 """
 from __future__ import annotations
 
@@ -84,6 +82,23 @@ def _csc_symmetric(a: sps.csc_matrix) -> bool:
         and np.array_equal(row[order], col)
         and np.array_equal(val[order], val)
     )
+
+
+def csc_norm_inf(a: sps.csc_matrix) -> float:
+    """The infinity norm of a CSC matrix: the largest row sum of ``|A|``,
+    the sums accumulated in column order."""
+    row_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0])
+    return float(row_sums.max(initial=0.0))
+
+
+def sparse_backward_error(a: sps.csc_matrix, b, x, norm_inf: float) -> float:
+    """Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` of ``x`` in
+    the infinity norm, given ``|A|``; stacked right-hand sides as a whole."""
+    r = b - a @ x
+    denom = norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
+    if denom == 0.0:
+        return 0.0
+    return float(np.abs(r).max() / denom)
 
 
 class IndefiniteFactorization:
@@ -123,11 +138,15 @@ class IndefiniteFactorization:
         self.inertia: tuple[int, int, int] | list[tuple[int, int, int]] | None = None
         if sps.issparse(matrix):
             self.mode = "sparse"
-            self._factor_sparse()
+            try:
+                self._splu = spla.splu(self._mat, permc_spec="MMD_ATA")
+            except RuntimeError as exc:  # SuperLU reports exact singularity this way
+                raise SingularSystemError(f"matrix is singular: {exc}") from exc
+            self._norm_inf = csc_norm_inf(self._mat)
         else:
             self.mode = "dense"
             self._factor_dense()
-        self._norm_inf = self._matrix_norm_inf()
+            self._norm_inf = np.abs(self._mat).sum(axis=2).max(axis=1, initial=0.0)
 
     # -- dense Bunch-Kaufman path, member by member ----------------------
 
@@ -212,32 +231,12 @@ class IndefiniteFactorization:
         denom = self._norm_inf * amax(x) + amax(b)
         return np.divide(amax(r), denom, out=np.zeros(len(b)), where=denom != 0.0)
 
-    # -- sparse LU path ---------------------------------------------------
-
-    def _factor_sparse(self) -> None:
-        try:
-            self._splu = spla.splu(self._mat, permc_spec="MMD_ATA")
-        except RuntimeError as exc:  # SuperLU reports exact singularity this way
-            raise SingularSystemError(f"matrix is singular: {exc}") from exc
-
     # -- shared solve with refinement -------------------------------------
-
-    def _matrix_norm_inf(self) -> float | np.ndarray:
-        if self.mode == "sparse":
-            # row sums of |A|, accumulated in column order
-            a = self._mat
-            row_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=self.n)
-            return float(row_sums.max(initial=0.0))
-        return np.abs(self._mat).sum(axis=2).max(axis=1, initial=0.0)
 
     def backward_error(self, b: np.ndarray, x: np.ndarray):
         """Normwise backward error of ``x``; one per member for a stack."""
         if self.mode == "sparse":
-            r = b - self._mat @ x
-            denom = self._norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
-            if denom == 0.0:
-                return 0.0
-            return float(np.abs(r).max() / denom)
+            return sparse_backward_error(self._mat, b, x, self._norm_inf)
         b, x = self._as_stack(b), self._as_stack(x)
         r = self._mat @ x
         err = self._member_errors(b, x, np.subtract(b, r, out=r))

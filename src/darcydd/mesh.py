@@ -998,7 +998,9 @@ def _parse_nodes(rows: list[_Row]) -> NDArray:
     first[np.unique(ids, return_index=True)[1]] = True
     bad = np.flatnonzero((ids < 0) | (ids >= n) | ~first)
     if len(bad):
-        raise MeshFormatError(f"node ids must be dense and unique, got {ids[bad[0]]}")
+        raise MeshFormatError(
+            f"node ids must be dense and unique, got {ids[bad[0]]}", rows[bad[0]][0]
+        )
     coords = np.zeros((n, 3))
     coords[ids] = xyz
     return coords

@@ -5,37 +5,27 @@ In the assembled saddle system the velocity-pressure block
 element's own flux dofs, and the penalty ``C`` sits on the diagonal of the
 lower-dimensional pressures. ``BlockSystem.element_inverse`` inverts every
 element block once, batched per element dimension, and keeps the result for
-recovery. With ``N = [B_F, -C_F]`` the rows of the multipliers, eliminating
-velocities and pressures (hybridization) leaves the multiplier system
+recovery. With ``N = [B_F, -C_F]`` the rows of the multipliers
+(``BlockSystem.multiplier_rows``), eliminating velocities and pressures
+(hybridization) leaves the multiplier system
 
     -(C_T + N M^-1 N^T) lam = -N M^-1 [g; f],
 
-whose matrix is negative definite. :func:`build_substructures` relabels the
-rows of ``N`` so that every substructure gets its own copy of each
-multiplier it touches. The substructures with one interface size
-``n_gamma`` form a group, and the copies are numbered group by group: the
-interior copies of every member (ascending multipliers), then the
-interface copies of every member (in ``layout.local_dofs`` order). A row of
-``N`` goes to the copy of the substructure owning the element of its
-column, and a
-coupling link's penalty on ``C_T`` to the copy of its lower element's
-substructure, the same one that receives the link's ``C_F`` entry. One
-sparse product then gives the block-diagonal matrix of all substructures'
-local multiplier problems, which sum to the global one. Each group's
-``K_II``, ``K_IG``, ``K_GG`` and its interior and interface loads are cut
-from that matrix and its load vector; the group's ``K_II`` is the
-block-diagonal matrix of its members' interior blocks.
-
-The blocks are cut from the ``indptr``/``indices``/``data`` arrays of that
-CSR matrix, with no sparse slicing. The entries of the ``II``, ``IG`` and
-``GG`` blocks are listed once, by whether their row and column are
-interface copies; each list keeps the matrix's row order, so the rows of
-one group's block are one slice of it. The matrix is exactly symmetric, so
-the rows of ``K_II`` are also its columns: they go to the factorization as
-a canonical CSC matrix with int32 indices, which SuperLU reads without a
-conversion. ``K_IG`` stays a CSR matrix of its rows, member ``j``'s
-interface copy ``c`` in column ``j n_gamma + c`` (``K_GI`` is used as its
-transpose), and ``K_GG`` is scattered into a dense array.
+whose matrix is negative definite. ``full_solve_direct`` factors it whole;
+:func:`build_substructures` relabels the rows of ``N`` so that every
+substructure gets its own copy of each multiplier it touches. The
+substructures with one interface size ``n_gamma`` form a group, and the
+copies are numbered group by group: the interior copies of every member
+(ascending multipliers), then the interface copies of every member (in
+``layout.local_dofs`` order). A row of ``N`` goes to the copy of the
+substructure owning the element of its column, and a coupling link's
+penalty on ``C_T`` to the copy of its lower element's substructure, the
+same one that receives the link's ``C_F`` entry. One sparse product then
+gives the block-diagonal matrix of all substructures' local multiplier
+problems, which sum to the global one. Each group's ``K_II``, ``K_IG``,
+``K_GG`` and its interior and interface loads are cut from that matrix and
+its load vector, from its CSR arrays with no sparse slicing; the group's
+``K_II`` is the block-diagonal matrix of its members' interior blocks.
 
 With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
 of one substructure, the local interface contribution is the Schur
@@ -51,32 +41,24 @@ interior unknowns in another order does not change it. The sign convention
 keeps the reduced problem SPD so conjugate gradients applies unchanged.
 
 :func:`build_substructures` does all interior work at set-up, one group
-at a time: it cuts the group's blocks and factors its sparse block-diagonal
-``K_II`` once. One solve against ``n_gamma`` right-hand sides, whose row
-block ``j`` is member ``j``'s ``-K_IG``, gives every member's ``W``;
-one product ``K_GI W`` of the group's ``K_IG`` gives every ``S_i`` (dense,
-``n_gamma x n_gamma``), each checked for symmetry on its own; a second
-solve gives ``K_II^-1`` times the interior load. SuperLU factors a
-block-diagonal matrix block by block, and on the benchmark meshes every
-member's results equal those of factoring its own ``K_II`` bit for bit; the
-backward error that decides on iterative refinement is measured over the
-whole group. A member's ``W`` and ``K_II^-1 rhs_I`` are views of row blocks
-of its group's solutions. Only those results are kept, in a
+at a time: one factorization of the group's ``K_II``, one solve for every
+member's ``W``, one product for every ``S_i`` (dense, ``n_gamma x
+n_gamma``, each checked for symmetry on its own) and one solve for the
+interior loads. SuperLU factors a block-diagonal matrix block by block,
+and on the benchmark meshes every member's results equal those of
+factoring its own ``K_II`` bit for bit. Only the results are kept, in a
 :class:`SubstructureOperator` per substructure; the blocks and the
-factorization go. On the square-dense benchmark mesh, 64 substructures with
-three interface sizes, this makes three factorizations instead of 64.
+factorization go. On the square-dense benchmark mesh, 64 substructures
+with three interface sizes, this makes three factorizations instead of 64.
 
-The members of a group keep their ``S_i`` as the group's one ``(m,
-n_gamma, n_gamma)`` array, a row each. :class:`InterfaceOperator` applies
-each group's stack in one batched matrix-vector product, after gathering
-the interface vector once in group order; :class:`GroupLayout` then adds
-the products up with one ``np.bincount`` in substructure order, exactly as
-one ``np.add.at`` per substructure would. The preconditioner's local
-problems work on ``S_i`` alone, the reduced right-hand side is a sum of
-stored shares, and the interior multipliers of an interface trace ``x``
-are ``K_II^-1 rhs_I + W x``.
+The members of a group keep their ``S_i`` as one ``(m, n_gamma,
+n_gamma)`` array, which :class:`InterfaceOperator` applies in one batched
+product. The preconditioner's local problems work on ``S_i`` alone, the
+reduced right-hand side is a sum of stored shares, and the interior
+multipliers of an interface trace ``x`` are ``K_II^-1 rhs_I + W x``.
 :func:`recover_solution` then gets every velocity and pressure from
-``M^-1 ([g; f] - N^T lam)``.
+``M^-1 ([g; f] - N^T lam)`` with ``BlockSystem.back_substitute``, as the
+direct solve does.
 """
 from __future__ import annotations
 
@@ -87,7 +69,7 @@ import numpy as np
 import scipy.sparse as sps
 from numpy.typing import NDArray
 
-from .assembly import BlockSystem, SolutionTriple
+from .assembly import BlockSystem, SolutionTriple, multiplier_matrix
 from .errors import ConfigurationError, SingularSystemError
 from .ldlt import factor_symmetric_indefinite
 from .partition import InterfaceLayout
@@ -239,7 +221,7 @@ def build_substructures(
 
     # substructure of every velocity and pressure, through its element
     up_sub = np.concatenate([assign[sides.element[dm.side_vel >= 0]], assign])
-    n_mat = sps.hstack([system.b_f, -system.c_f], format="coo")
+    n_mat = system.multiplier_rows().tocoo()
     n_tilde = sps.csr_matrix(
         (n_mat.data, (copy_of(up_sub[n_mat.col], n_mat.row), n_mat.col)),
         shape=(n_copy, n_mat.shape[1]),
@@ -253,10 +235,7 @@ def build_substructures(
         shape=(n_copy, n_copy),
     )
     m_inv = system.element_inverse()
-    k = n_tilde @ m_inv @ n_tilde.T + penalty
-    # the sum of k and its transpose is exactly symmetric, as the symmetry
-    # check of factor_symmetric_indefinite requires
-    k = (-0.5 * (k + k.T)).tocsr()
+    k = multiplier_matrix(n_tilde, m_inv, penalty).tocsr()
     k.sum_duplicates()  # sorted columns in every row
     load = -(n_tilde @ (m_inv @ np.concatenate([system.g, system.f])))
     # Every entry of k lies in its substructure's diagonal block; whether
@@ -425,10 +404,6 @@ def recover_solution(
     lam[layout.interface_mults] = lam_gamma
     for sub in subs:
         lam[sub.interior_mults] = sub.lam_load + sub.w @ lam_gamma[sub.local_gamma]
-    n_mat = sps.hstack([system.b_f, -system.c_f], format="csr")
-    up = system.element_inverse() @ (
-        np.concatenate([system.g, system.f]) - n_mat.T @ lam
-    )
-    return SolutionTriple(
-        u=up[: system.n_velocity], p=up[system.n_velocity :], lam=lam
-    )
+    up = system.back_substitute(lam, np.concatenate([system.g, system.f]))
+    u, p = np.split(up, [system.n_velocity])
+    return SolutionTriple(u=u, p=p, lam=lam)

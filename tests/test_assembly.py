@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
 
+import darcydd.assembly
 from darcydd.assembly import (
+    BlockSystem,
     assemble,
     full_solve_direct,
     mass_balance_residual,
@@ -283,13 +285,58 @@ def test_hydrostatic_equilibrium():
     assert np.abs(sol.p + centroids[:, 2]).max() <= 1e-10
 
 
+def _assert_solves_saddle(system, sol):
+    r = system.full_rhs() - system.full_matrix() @ sol.concatenated()
+    assert np.linalg.norm(r) <= 1e-10 * max(1.0, np.linalg.norm(system.full_rhs()))
+    assert mass_balance_residual(system, sol).max() <= 1e-10
+
+
 def test_direct_solve_residual(square4, cube2, frac2):
     for mesh in (square4, cube2, frac2):
         system = assemble(mesh)
-        sol = full_solve_direct(system)
-        r = system.full_rhs() - system.full_matrix() @ sol.concatenated()
-        assert np.linalg.norm(r) <= 1e-10 * max(1.0, np.linalg.norm(system.full_rhs()))
-        assert mass_balance_residual(system, sol).max() <= 1e-10
+        _assert_solves_saddle(system, full_solve_direct(system))
+
+
+def test_direct_solve_refines_past_a_perturbed_element_inverse(
+    square4, frac2, monkeypatch
+):
+    """The direct solve eliminates through the same ``M^-1`` as the
+    substructured path; its refinement on the unreduced saddle matrix,
+    which does not use ``M^-1``, still meets the residual bound when every
+    entry of ``M^-1`` is off by a relative 1e-6."""
+    real = BlockSystem.element_inverse
+    calls = []
+
+    def skewed(self):
+        m_inv = real(self).copy()
+        m_inv.data *= 1 + 1e-6
+        calls.append(1)
+        return m_inv
+
+    monkeypatch.setattr(BlockSystem, "element_inverse", skewed)
+    for mesh in (square4, frac2):
+        system = assemble(mesh)
+        _assert_solves_saddle(system, full_solve_direct(system))
+    assert calls
+
+
+def test_direct_solve_factors_only_the_multiplier_matrix(frac2, monkeypatch):
+    """The one matrix the direct solve factors is the global multiplier
+    matrix, and it is negative definite: no factorization sees the
+    indefinite saddle matrix."""
+    seen = []
+    real = darcydd.assembly.factor_symmetric_indefinite
+
+    def recording(matrix):
+        seen.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(darcydd.assembly, "factor_symmetric_indefinite", recording)
+    system = assemble(frac2)
+    full_solve_direct(system)
+    assert len(seen) == 1
+    assert seen[0].shape == (system.n_multiplier, system.n_multiplier)
+    np.linalg.cholesky(-seen[0].toarray())
 
 
 def test_penalty_limit_scaling():

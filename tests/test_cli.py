@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import darcydd.cli as cli_module
-from darcydd.assembly import assemble
+from darcydd.assembly import assemble, full_solve_direct
 from darcydd.cli import (
     CSV_HEADER,
     RunConfig,
@@ -372,12 +372,21 @@ def test_oracle_smoke():
     assert result.discrepancy <= 1e-6
 
 
-def test_single_substructure_direct_path():
-    result = run(RunConfig(gen="square", n=4, n_sub=1), quiet=True)
+@pytest.mark.parametrize(
+    "gen, generate",
+    [("square", generate_unit_square), ("fracture-cube", generate_cross_fracture_cube)],
+    ids=["square", "fracture-cube"],
+)
+def test_single_substructure_direct_path(gen, generate):
+    result = run(RunConfig(gen=gen, n=4, n_sub=1), quiet=True)
     assert result.report.iterations == 0
     assert result.report.condition == 1.0
     assert result.report.converged
     assert result.residual <= 1e-10
+    want = full_solve_direct(assemble(generate(4)))
+    np.testing.assert_array_equal(
+        result.solution.concatenated(), want.concatenated(), strict=True
+    )
 
 
 def test_suites_are_well_formed():

@@ -712,7 +712,7 @@ def _extra_field(lines):
 
 
 def _duplicate_node(lines):
-    _set_token(lambda ls: _node_line(ls, 3), 0, "2")(lines)
+    return _set_token(lambda ls: _node_line(ls, 3), 0, "2")(lines)
 
 
 def _unknown_param(lines):
@@ -747,6 +747,7 @@ def _swap_elements(lines):
         (_extra_field, MeshFormatError),
         (_set_token(lambda ls: _element_line(ls, 1), 1, "4"), MeshFormatError),
         (_duplicate_node, MeshFormatError),
+        (_set_token(lambda ls: _node_line(ls, 3), 0, "99"), MeshFormatError),
         (_unknown_param, MeshFormatError),
         (_data_first, MeshFormatError),
         (_no_end, MeshFormatError),
@@ -763,6 +764,7 @@ def _swap_elements(lines):
         "element-field-count",
         "element-dim-4",
         "duplicate-node-id",
+        "node-id-out-of-range",
         "unknown-param",
         "data-before-header",
         "missing-end",
