@@ -10,18 +10,27 @@ class DarcyError(Exception):
     """Base class for all package errors."""
 
 
-class MeshFormatError(DarcyError):
-    """Malformed mesh file. Carries the 1-based line number when known."""
+class InvalidMeshError(DarcyError):
+    """Mesh data that violates a model requirement.
 
-    def __init__(self, message: str, line: int | None = None):
+    ``rejected`` names the item at fault, when there is one: ``("element",
+    id)``, ``("condition", i)`` for the ``i``-th condition in ``Mesh.bc_faces``
+    order, or ``("sigma", 0)``. ``line`` is the 1-based line of the mesh file
+    that holds it, when known.
+    """
+
+    def __init__(
+        self, message: str, line: int | None = None, rejected: tuple[str, int] | None = None
+    ):
         self.line = line
+        self.rejected = rejected
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
 
 
-class InvalidMeshError(DarcyError):
-    """Mesh data that parses but violates a structural requirement."""
+class MeshFormatError(InvalidMeshError):
+    """A mesh file that does not follow the text format."""
 
 
 class ConfigurationError(DarcyError):

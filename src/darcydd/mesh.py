@@ -204,7 +204,8 @@ def _reject(hits: Iterable[NDArray], message: Callable[[int], str]) -> None:
     """Raise for the lowest element id among ``hits``, if there is one."""
     bad = [h for h in hits if len(h)]
     if bad:
-        raise InvalidMeshError(message(int(min(h.min() for h in bad))))
+        e = int(min(h.min() for h in bad))
+        raise InvalidMeshError(message(e), rejected=("element", e))
 
 
 class Mesh:
@@ -226,13 +227,13 @@ class Mesh:
     * ``bc_faces``, ``bc_natural`` and ``bc_value``: the face id, natural
       mask and value of each boundary condition, by node count, then row.
 
-    Model values that the solver cannot use raise
-    :class:`InvalidMeshError`, naming the first offending element or face:
-    conductivities that are not finite, symmetric and positive definite,
-    cross-sections
-    that are not positive and finite, sources and boundary values that are
-    not finite, and a transition coefficient that is not finite and
-    positive.
+    A model the solver cannot use raises :class:`InvalidMeshError`, which
+    names the element, condition or coefficient at fault (``rejected``).
+    Each element needs ``d + 1`` distinct existing nodes, a simplex of its
+    own with positive measure, a finite, symmetric, positive definite
+    conductivity, a positive finite cross-section and a finite source; each
+    condition needs strictly ascending existing nodes and a finite value;
+    the transition coefficient must be finite and positive.
 
     Afterwards the mesh must not be mutated, which makes concurrent read
     access safe. The one exception is :attr:`elements`, a view that may be
@@ -253,7 +254,8 @@ class Mesh:
         if not 0.0 < self.transition_coefficient < np.inf:
             raise InvalidMeshError(
                 f"transition coefficient sigma must be finite and positive, "
-                f"got {self.transition_coefficient}"
+                f"got {self.transition_coefficient}",
+                rejected=("sigma", 0),
             )
         self._elements: list[Element] | None = None
         self._build(cells, boundary)
@@ -317,6 +319,7 @@ class Mesh:
             lambda e: f"element {e}: repeated node",
         )
         self.boundary: dict[int, Boundary] = {}
+        n_conditions = 0
         for w, b in sorted(dict(boundary).items()):
             value = np.asarray(b.value, dtype=float).reshape(-1)
             rows = np.asarray(b.nodes, dtype=np.int64).reshape(len(value), w)
@@ -335,8 +338,10 @@ class Mesh:
                     if (step[i] < 0).any()
                     else f"boundary condition {face}: repeated node"
                     if not_strict[i]
-                    else f"boundary condition {face}: value {value[i]} is not finite"
+                    else f"boundary condition {face}: value {value[i]} is not finite",
+                    rejected=("condition", n_conditions + i),
                 )
+            n_conditions += len(value)
         sides, occupied, n_faces = self._number_faces(nodes)
         first_of: dict[int, NDArray] = {}
         for d, cell in occupied.items():
@@ -897,15 +902,15 @@ _Row = tuple[int, list[str]]
 def read_mesh(path: str) -> Mesh:
     """Parse the plain-text mesh format written by :func:`write_mesh`.
 
-    Raises :class:`MeshFormatError` with a 1-based line number on malformed
-    input; structural problems surface as :class:`InvalidMeshError` from the
-    mesh constructor. Lines are split one by one; each section's numbers
-    are converted and checked as whole arrays, one per element dimension or
-    face node count.
+    The reader checks the format and raises :class:`MeshFormatError` with
+    the 1-based line at fault. :class:`Mesh` checks the model; its
+    :class:`InvalidMeshError` is raised again with the line of the element,
+    boundary condition or ``sigma`` that it rejected. Each section's numbers
+    are converted as whole arrays, one per element dimension or node count.
     """
     section = None
     gravity = False
-    sigma = 1.0
+    sigma, sigma_line = 1.0, None
     rows: dict[str, list[_Row]] = {"nodes": [], "elements": [], "boundary": []}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -929,7 +934,7 @@ def read_mesh(path: str) -> Mesh:
                     if tok[0] == "gravity":
                         gravity = bool(int(tok[1]))
                     elif tok[0] == "sigma":
-                        sigma = float(tok[1])
+                        sigma, sigma_line = float(tok[1]), lineno
                     else:
                         raise MeshFormatError(f"unknown parameter {tok[0]!r}", lineno)
                 except (ValueError, IndexError) as exc:
@@ -937,23 +942,19 @@ def read_mesh(path: str) -> Mesh:
             else:
                 raise MeshFormatError("data before any section header", lineno)
     coords = _parse_nodes(rows["nodes"])
-    cells, ids = _parse_elements(rows["elements"], len(coords))
-    boundary = _parse_boundary(rows["boundary"], len(coords))
+    cells = _parse_elements(rows["elements"])
+    boundary, condition_lines = _parse_boundary(rows["boundary"])
     if section != "end":
         raise MeshFormatError("missing $end marker")
-    pos = np.flatnonzero(ids != np.arange(len(ids)))
-    if len(pos):
-        raise InvalidMeshError(
-            f"element ids must be dense and ordered; "
-            f"got id {ids[pos[0]]} at position {pos[0]}"
-        )
-    return Mesh(
-        coords,
-        cells,
-        boundary,
-        gravity_enabled=gravity,
-        transition_coefficient=sigma,
-    )
+    lines = {"condition": condition_lines, "sigma": [sigma_line]}
+    lines["element"] = [lineno for lineno, _ in rows["elements"]]
+    try:
+        return Mesh(coords, cells, boundary, gravity, sigma)
+    except InvalidMeshError as exc:
+        if exc.rejected is None:
+            raise
+        kind, i = exc.rejected
+        raise InvalidMeshError(str(exc), lines[kind][i], exc.rejected) from exc
 
 
 def _numbers(rows: list[_Row], n_int: int, n_float: int) -> tuple[NDArray, NDArray]:
@@ -979,14 +980,6 @@ def _numbers(rows: list[_Row], n_int: int, n_float: int) -> tuple[NDArray, NDArr
     return ints.reshape(len(rows), n_int), floats.reshape(len(rows), n_float)
 
 
-def _check_refs(rows: list[_Row], refs: NDArray, n_nodes: int) -> None:
-    """Reject the first row referencing a node id outside ``[0, n_nodes)``."""
-    bad = (refs < 0) | (refs >= n_nodes)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise MeshFormatError(f"dangling node reference {refs[r, c]}", rows[r][0])
-
-
 def _parse_nodes(rows: list[_Row]) -> NDArray:
     for lineno, tok in rows:
         if len(tok) != 4:
@@ -1006,9 +999,9 @@ def _parse_nodes(rows: list[_Row]) -> NDArray:
     return coords
 
 
-def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], NDArray]:
-    """The element lines as one :class:`Cells` record per dimension, and
-    the element ids in file order."""
+def _parse_elements(rows: list[_Row]) -> dict[int, Cells]:
+    """The element lines as one :class:`Cells` record per dimension; the
+    ids must run 0, 1, 2, ... in file order."""
     by_dim: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for pos, (lineno, tok) in enumerate(rows):
         try:
@@ -1031,21 +1024,10 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
         group = [rows[p] for p in positions]
         n_tensor = _TENSOR_SIZE[dim]
         ints, floats = _numbers(group, dim + 3, n_tensor + 2)
-        _check_refs(group, ints[:, 2:], n_nodes)
         tensors = np.zeros((len(group), dim, dim))
         upper, lower = np.triu_indices(dim)
         tensors[:, upper, lower] = floats[:, :n_tensor]
         tensors[:, lower, upper] = floats[:, :n_tensor]
-        finite = np.isfinite(tensors).all(axis=(1, 2))
-        lowest = np.full(len(group), np.nan)
-        lowest[finite] = np.linalg.eigvalsh(tensors[finite]).min(axis=1)
-        bad = np.flatnonzero(~(lowest > 0.0))
-        if len(bad):
-            raise MeshFormatError(
-                f"element {ints[bad[0], 0]}: conductivity tensor is not "
-                f"positive definite",
-                group[bad[0]][0],
-            )
         ids[positions] = ints[:, 0]
         cells[dim] = Cells(
             ids=ints[:, 0],
@@ -1054,11 +1036,19 @@ def _parse_elements(rows: list[_Row], n_nodes: int) -> tuple[dict[int, Cells], N
             cross_section=floats[:, -2],
             source=floats[:, -1],
         )
-    return cells, ids
+    pos = np.flatnonzero(ids != np.arange(len(ids)))
+    if len(pos):
+        raise MeshFormatError(
+            f"element ids must be dense and ordered; "
+            f"got id {ids[pos[0]]} at position {pos[0]}",
+            rows[pos[0]][0],
+        )
+    return cells
 
 
-def _parse_boundary(rows: list[_Row], n_nodes: int) -> dict[int, Boundary]:
-    """One :class:`Boundary` record per face node count, rows in file order."""
+def _parse_boundary(rows: list[_Row]) -> tuple[dict[int, Boundary], list[int]]:
+    """One :class:`Boundary` record per face node count, rows in file order,
+    and the line of each condition in ``Mesh.bc_faces`` order."""
     by_width: dict[int, list[int]] = {}
     for pos, (lineno, tok) in enumerate(rows):
         if len(tok) < 3:
@@ -1066,11 +1056,11 @@ def _parse_boundary(rows: list[_Row], n_nodes: int) -> dict[int, Boundary]:
         if tok[-2] not in (NATURAL, ESSENTIAL):
             raise MeshFormatError(f"unknown boundary kind {tok[-2]!r}", lineno)
         by_width.setdefault(len(tok) - 2, []).append(pos)
-    boundary = {}
-    for width, positions in by_width.items():
+    boundary, lines = {}, []
+    for width, positions in sorted(by_width.items()):
         group = [(rows[p][0], rows[p][1][:width] + rows[p][1][-1:]) for p in positions]
         nodes, values = _numbers(group, width, 1)
-        _check_refs(group, nodes, n_nodes)
         natural = [rows[p][1][-2] == NATURAL for p in positions]
         boundary[width] = Boundary(nodes, natural, values[:, 0])
-    return boundary
+        lines += [lineno for lineno, _ in group]
+    return boundary, lines

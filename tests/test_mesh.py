@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from darcydd.assembly import build_dof_map
+from darcydd.cli import main
 from darcydd.errors import ConfigurationError, InvalidMeshError, MeshFormatError
 from darcydd.mesh import (
     ESSENTIAL,
@@ -524,39 +525,6 @@ def _tampered(tmp_path, mutate):
     return str(path)
 
 
-def test_dangling_node_reference_reports_line(tmp_path):
-    lineno = {}
-
-    def mutate(lines):
-        start = lines.index("$elements")
-        idx = start + 1
-        toks = lines[idx].split()
-        toks[2] = "99"
-        lines[idx] = " ".join(toks)
-        lineno["n"] = idx + 1
-
-    path = _tampered(tmp_path, mutate)
-    with pytest.raises(MeshFormatError) as exc:
-        read_mesh(path)
-    assert exc.value.line == lineno["n"]
-
-
-def test_non_spd_conductivity_rejected(tmp_path):
-    lineno = {}
-
-    def mutate(lines):
-        start = lines.index("$elements")
-        idx = start + 3  # element 2, after two valid ones
-        toks = lines[idx].split()
-        toks[5:8] = ["1", "2", "1"]  # eigenvalues -1 and 3
-        lines[idx] = " ".join(toks)
-        lineno["n"] = idx + 1
-
-    with pytest.raises(MeshFormatError) as exc:
-        read_mesh(_tampered(tmp_path, mutate))
-    assert exc.value.line == lineno["n"]
-
-
 def test_malformed_section_header(tmp_path):
     def mutate(lines):
         lines[lines.index("$nodes")] = "$vertices"
@@ -685,18 +653,34 @@ def _boundary_line(lines, k):
     return lines.index("$boundary") + 1 + k
 
 
-def _set_token(index_of, pos, value):
-    """A mutation replacing token ``pos`` of one line; returns its 1-based
-    line number."""
+def _edit(index_of, change):
+    """A mutation applying ``change`` to the tokens of one line; returns its
+    1-based line number."""
 
     def mutate(lines):
         idx = index_of(lines)
         toks = lines[idx].split()
-        toks[pos] = value
+        change(toks)
         lines[idx] = " ".join(toks)
         return idx + 1
 
     return mutate
+
+
+def _set_token(index_of, pos, value):
+    """A mutation replacing token ``pos`` of one line."""
+
+    def change(toks):
+        toks[pos] = value
+
+    return _edit(index_of, change)
+
+
+def _copy_token(index_of, source, target):
+    def change(toks):
+        toks[target] = toks[source]
+
+    return _edit(index_of, change)
 
 
 def _drop_token(lines):
@@ -733,29 +717,66 @@ def _no_end(lines):
 def _swap_elements(lines):
     a, b = _element_line(lines, 0), _element_line(lines, 1)
     lines[a], lines[b] = lines[b], lines[a]
+    return a + 1
 
 
-# Each case: how to tamper with generate_unit_square(2)'s file, and the
-# exception type it raises. The mutation returns the line number the error
-# must carry, or None when the error names no line.
+# Each case: how to tamper with generate_unit_square(2)'s file, the exception
+# type it raises and a pattern of its message. The mutation returns the line
+# number the error must carry, or None when the error names no line.
 @pytest.mark.parametrize(
-    "mutate,error",
+    "mutate,error,message",
     [
-        (_set_token(lambda ls: _element_line(ls, 2), 3, "1.5"), MeshFormatError),
-        (_set_token(lambda ls: _node_line(ls, 5), 2, "north"), MeshFormatError),
-        (_drop_token, MeshFormatError),
-        (_extra_field, MeshFormatError),
-        (_set_token(lambda ls: _element_line(ls, 1), 1, "4"), MeshFormatError),
-        (_duplicate_node, MeshFormatError),
-        (_set_token(lambda ls: _node_line(ls, 3), 0, "99"), MeshFormatError),
-        (_unknown_param, MeshFormatError),
-        (_data_first, MeshFormatError),
-        (_no_end, MeshFormatError),
-        (_set_token(lambda ls: _boundary_line(ls, 3), -2, "robin"), MeshFormatError),
-        (_set_token(lambda ls: _boundary_line(ls, 1), 0, "99"), MeshFormatError),
-        (_set_token(lambda ls: _boundary_line(ls, 0), 0, "1"), InvalidMeshError),
-        (_swap_elements, InvalidMeshError),
-        (_set_token(lambda ls: _node_line(ls, 4), 0, "99999999999999999999"), MeshFormatError),
+        (
+            _set_token(lambda ls: _element_line(ls, 2), 3, "1.5"),
+            MeshFormatError,
+            "invalid literal for int",
+        ),
+        (
+            _set_token(lambda ls: _node_line(ls, 5), 2, "north"),
+            MeshFormatError,
+            "could not convert string to float: 'north'",
+        ),
+        (_drop_token, MeshFormatError, "node line needs: id x y z"),
+        (_extra_field, MeshFormatError, "element line needs 10 fields, got 11"),
+        (
+            _set_token(lambda ls: _element_line(ls, 1), 1, "4"),
+            MeshFormatError,
+            "element dimension 4",
+        ),
+        (_duplicate_node, MeshFormatError, "node ids must be dense and unique, got 2"),
+        (
+            _set_token(lambda ls: _node_line(ls, 3), 0, "99"),
+            MeshFormatError,
+            "node ids must be dense and unique, got 99",
+        ),
+        (_unknown_param, MeshFormatError, "unknown parameter 'viscosity'"),
+        (_data_first, MeshFormatError, "data before any section header"),
+        (_no_end, MeshFormatError, "missing \\$end marker"),
+        (
+            _set_token(lambda ls: _boundary_line(ls, 3), -2, "robin"),
+            MeshFormatError,
+            "unknown boundary kind 'robin'",
+        ),
+        (
+            _set_token(lambda ls: _boundary_line(ls, 1), 0, "99"),
+            InvalidMeshError,
+            r"boundary condition \(99, 3\): dangling node 99",
+        ),
+        (
+            _set_token(lambda ls: _boundary_line(ls, 0), 0, "1"),
+            InvalidMeshError,
+            r"boundary condition \(1, 1\): repeated node",
+        ),
+        (
+            _swap_elements,
+            MeshFormatError,
+            "element ids must be dense and ordered; got id 1 at position 0",
+        ),
+        (
+            _set_token(lambda ls: _node_line(ls, 4), 0, "99999999999999999999"),
+            MeshFormatError,
+            "too large",
+        ),
     ],
     ids=[
         "element-node-not-int",
@@ -775,16 +796,137 @@ def _swap_elements(lines):
         "node-id-overflows-int64",
     ],
 )
-def test_reader_error_contract(tmp_path, mutate, error):
+def test_reader_error_contract(tmp_path, mutate, error, message):
     path = tmp_path / "mesh.msh"
     write_mesh(generate_unit_square(2), str(path))
     lines = path.read_text().splitlines()
     line = mutate(lines)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(error) as exc:
+    with pytest.raises(error, match=message) as exc:
         read_mesh(str(path))
-    if error is MeshFormatError:
-        assert exc.value.line == line
+    assert type(exc.value) is error
+    assert exc.value.line == line
+
+
+def _condition_line(width, k):
+    """Index of the ``k``-th boundary line of ``width`` nodes."""
+
+    def index_of(lines):
+        at = range(lines.index("$boundary") + 1, lines.index("$end"))
+        return [i for i in at if len(lines[i].split()) == width + 2][k]
+
+    return index_of
+
+
+def _same_simplex(lines):
+    """Element 50 gets the nodes of element 49, in reverse order."""
+    nodes = lines[_element_line(lines, 49)].split()[2:5]
+
+    def change(toks):
+        toks[2:5] = nodes[::-1]
+
+    return _edit(lambda ls: _element_line(ls, 50), change)(lines)
+
+
+def _flatten(toks):
+    """Tetrahedron nodes 0, 1, 3 and 4, which all lie in the plane z = 0."""
+    toks[2:6] = ["0", "1", "3", "4"]
+
+
+def _swap_face_nodes(toks):
+    toks[0], toks[1] = toks[1], toks[0]
+
+
+# Each case breaks one model rule in one line of generate_cross_fracture_cube(2)'s
+# file, and gives a pattern of the message that must name it. Elements 0-47 are
+# tetrahedra, 48-63 triangles and 64-65 segments. The boundary lines are written
+# in reverse, so their file order is not Mesh's (ascending node count).
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (
+            _set_token(lambda ls: ls.index("$params") + 2, 1, "0"),
+            "transition coefficient sigma must be finite and positive, got 0.0",
+        ),
+        (
+            _set_token(lambda ls: _element_line(ls, 5), 2, "999"),
+            "element 5: dangling node reference 999",
+        ),
+        (
+            _copy_token(lambda ls: _element_line(ls, 64), 2, 3),
+            "element 64: repeated node",
+        ),
+        (_same_simplex, "elements 49 and 50 occupy the same simplex"),
+        (
+            _set_token(lambda ls: _element_line(ls, 7), 7, "nan"),
+            "element 7: conductivity tensor is not finite",
+        ),
+        (
+            _set_token(lambda ls: _element_line(ls, 9), 6, "-1"),
+            "element 9: conductivity tensor is not positive definite",
+        ),
+        (
+            _set_token(lambda ls: _element_line(ls, 50), -2, "-1"),
+            "element 50: cross-section must be positive and finite",
+        ),
+        (
+            _set_token(lambda ls: _element_line(ls, 65), -1, "inf"),
+            "element 65: source must be finite",
+        ),
+        (
+            _edit(lambda ls: _element_line(ls, 11), _flatten),
+            "element 11: degenerate simplex",
+        ),
+        (
+            _set_token(_condition_line(3, 4), 2, "999"),
+            r"boundary condition \(\d+, \d+, 999\): dangling node 999",
+        ),
+        (
+            _edit(_condition_line(2, 3), _swap_face_nodes),
+            r"boundary condition node tuple \(\d+, \d+\) is not sorted",
+        ),
+        (
+            _copy_token(_condition_line(2, 1), 0, 1),
+            r"boundary condition \((\d+), \1\): repeated node",
+        ),
+        (
+            _set_token(_condition_line(1, 1), -1, "nan"),
+            r"boundary condition \(\d+,\): value nan is not finite",
+        ),
+    ],
+    ids=[
+        "sigma",
+        "element-dangling-node",
+        "element-repeated-node",
+        "elements-on-one-simplex",
+        "conductivity-not-finite",
+        "conductivity-not-positive-definite",
+        "cross-section",
+        "source",
+        "degenerate-simplex",
+        "condition-dangling-node",
+        "condition-unsorted",
+        "condition-repeated-node",
+        "condition-value",
+    ],
+)
+def test_model_rule_names_its_line(tmp_path, capsys, mutate, message):
+    """Mesh checks the model; read_mesh names the line of what it rejected,
+    and the command line exits 3 with that line."""
+    path = tmp_path / "mesh.msh"
+    write_mesh(generate_cross_fracture_cube(2), str(path))
+    lines = path.read_text().splitlines()
+    first, end = lines.index("$boundary") + 1, lines.index("$end")
+    lines[first:end] = lines[first:end][::-1]
+    line = mutate(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidMeshError, match=message) as exc:
+        read_mesh(str(path))
+    assert type(exc.value) is InvalidMeshError
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+    assert main(["--mesh", str(path), "--nsub", "1", "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 def _unique_numbering(rows):
