@@ -230,7 +230,9 @@ def run(config: RunConfig, quiet: bool = False) -> RunResult:
     residual = _full_residual(system, sol)
     say(f"residual: full-system relative residual {residual:.3e}")
     discrepancy: float | None = None
-    if config.oracle and system.n_total <= ORACLE_DOF_LIMIT:
+    if config.oracle and config.n_sub == 1:
+        say("oracle: skipped, this run is the direct solve")
+    elif config.oracle and system.n_total <= ORACLE_DOF_LIMIT:
         reference = full_solve_direct(system)
         scale = float(np.abs(reference.concatenated()).max(initial=0.0))
         diff = float(

@@ -895,6 +895,9 @@ def write_mesh(mesh: Mesh, path: str) -> None:
 
 _TENSOR_SIZE = {1: 1, 2: 3, 3: 6}
 
+# The value each ``$params`` line must give after its name.
+_PARAMS = {"gravity": "0 or 1", "sigma": "one number"}
+
 # A data line of a mesh file: its 1-based line number and its tokens.
 _Row = tuple[int, list[str]]
 
@@ -917,28 +920,31 @@ def read_mesh(path: str) -> Mesh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            if section == "end":
+                raise MeshFormatError("content after $end", lineno)
             if line.startswith("$"):
-                name = line[1:].strip()
-                if name == "end":
-                    section = "end"
-                    break
-                if name not in ("params", "nodes", "elements", "boundary"):
-                    raise MeshFormatError(f"unknown section ${name}", lineno)
-                section = name
+                section = line[1:].strip()
+                if section not in ("params", "nodes", "elements", "boundary", "end"):
+                    raise MeshFormatError(f"unknown section ${section}", lineno)
                 continue
             tok = line.split()
             if section in rows:
                 rows[section].append((lineno, tok))
             elif section == "params":
+                name, value = tok[0], " ".join(tok[1:])
+                if name not in _PARAMS:
+                    raise MeshFormatError(f"unknown parameter {name!r}", lineno)
                 try:
-                    if tok[0] == "gravity":
-                        gravity = bool(int(tok[1]))
-                    elif tok[0] == "sigma":
-                        sigma, sigma_line = float(tok[1]), lineno
+                    if name == "gravity" and value in ("0", "1"):
+                        gravity = value == "1"
+                    elif name == "sigma" and len(tok) == 2:
+                        sigma, sigma_line = float(value), lineno
                     else:
-                        raise MeshFormatError(f"unknown parameter {tok[0]!r}", lineno)
-                except (ValueError, IndexError) as exc:
-                    raise MeshFormatError(str(exc), lineno) from exc
+                        raise ValueError(value)
+                except ValueError:
+                    raise MeshFormatError(
+                        f"parameter {name!r} needs {_PARAMS[name]}, got {value!r}", lineno
+                    ) from None
             else:
                 raise MeshFormatError("data before any section header", lineno)
     coords = _parse_nodes(rows["nodes"])

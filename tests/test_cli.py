@@ -377,8 +377,20 @@ def test_oracle_smoke():
     [("square", generate_unit_square), ("fracture-cube", generate_cross_fracture_cube)],
     ids=["square", "fracture-cube"],
 )
-def test_single_substructure_direct_path(gen, generate):
-    result = run(RunConfig(gen=gen, n=4, n_sub=1), quiet=True)
+def test_single_substructure_direct_path(gen, generate, monkeypatch, capsys):
+    """One substructure is the direct solve, so the oracle only says so:
+    comparing the solve with itself would report a discrepancy of 0."""
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return full_solve_direct(system)
+
+    monkeypatch.setattr(cli_module, "full_solve_direct", counted)
+    result = run(RunConfig(gen=gen, n=4, n_sub=1, oracle=True))
+    assert len(calls) == 1
+    assert result.discrepancy is None
+    assert "oracle: skipped, this run is the direct solve" in capsys.readouterr().out
     assert result.report.iterations == 0
     assert result.report.condition == 1.0
     assert result.report.converged

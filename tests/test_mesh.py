@@ -714,6 +714,27 @@ def _no_end(lines):
     lines.remove("$end")
 
 
+def _replace(old, new):
+    """A mutation replacing the line ``old`` with ``new``."""
+
+    def mutate(lines):
+        idx = lines.index(old)
+        lines[idx] = new
+        return idx + 1
+
+    return mutate
+
+
+def _after_end(*extra):
+    """A mutation appending lines after ``$end``; the first is at fault."""
+
+    def mutate(lines):
+        lines += ["# the end", *extra]
+        return len(lines) - len(extra) + 1
+
+    return mutate
+
+
 def _swap_elements(lines):
     a, b = _element_line(lines, 0), _element_line(lines, 1)
     lines[a], lines[b] = lines[b], lines[a]
@@ -777,6 +798,33 @@ def _swap_elements(lines):
             MeshFormatError,
             "too large",
         ),
+        (
+            _replace("sigma 1", "sigma 1 5"),
+            MeshFormatError,
+            "parameter 'sigma' needs one number, got '1 5'",
+        ),
+        (
+            _replace("gravity 0", "gravity 2"),
+            MeshFormatError,
+            "parameter 'gravity' needs 0 or 1, got '2'",
+        ),
+        (
+            _replace("gravity 0", "gravity -1"),
+            MeshFormatError,
+            "parameter 'gravity' needs 0 or 1, got '-1'",
+        ),
+        (
+            _replace("gravity 0", "gravity 1 0"),
+            MeshFormatError,
+            "parameter 'gravity' needs 0 or 1, got '1 0'",
+        ),
+        (
+            _replace("gravity 0", "gravity"),
+            MeshFormatError,
+            "parameter 'gravity' needs 0 or 1, got ''",
+        ),
+        (_after_end("9 2 2 0"), MeshFormatError, "content after \\$end"),
+        (_after_end("$nodes", "9 2 2 0"), MeshFormatError, "content after \\$end"),
     ],
     ids=[
         "element-node-not-int",
@@ -794,6 +842,13 @@ def _swap_elements(lines):
         "repeated-boundary-node",
         "elements-out-of-order",
         "node-id-overflows-int64",
+        "sigma-two-values",
+        "gravity-2",
+        "gravity-minus-1",
+        "gravity-two-values",
+        "gravity-no-value",
+        "node-after-end",
+        "section-after-end",
     ],
 )
 def test_reader_error_contract(tmp_path, mutate, error, message):
@@ -991,6 +1046,7 @@ def test_reader_comments_blank_lines_and_section_order(tmp_path):
         + annotate(elements)
         + "$end\n"
         + end
+        + "\n   # a comment after the end\n"
     )
     back = read_mesh(str(path))
     assert meshes_equal(mesh, back)
