@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sps
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError, SingularSystemError
+from .errors import SingularSystemError
 from .ldlt import csc_norm_inf, factor_symmetric_indefinite, sparse_backward_error
 from .mesh import Mesh, tangent_frames
 
@@ -126,10 +126,7 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     a multiplier of its own. A side sharing its face with others gets a
     velocity dof and the face's multiplier. A side alone on its face is a
     boundary side: natural ones get a velocity dof, essential ones nothing.
-
-    Raises :class:`ConfigurationError` when an explicit boundary condition
-    targets a face that is not an unoccupied boundary face (interior faces
-    and fracture-coupled faces cannot carry one).
+    :class:`Mesh` has checked that every condition lies on such a side.
     """
     s = mesh.sides
     n_side = len(s.face)
@@ -138,14 +135,6 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     # the last condition given for a face wins
     bc_of_face = np.full(s.n_faces, -1, dtype=np.int64)
     np.maximum.at(bc_of_face, mesh.bc_faces, np.arange(len(mesh.bc_faces)))
-    consumed = np.zeros(s.n_faces, dtype=bool)
-    consumed[s.face[boundary]] = True
-    stray = np.flatnonzero(~consumed[mesh.bc_faces])
-    if len(stray):
-        raise ConfigurationError(
-            f"boundary condition {mesh.bc_face_nodes(int(stray[0]))} "
-            f"references a face that is not an unoccupied boundary face"
-        )
     bc_of_side = np.where(boundary, bc_of_face[s.face], -1)
     natural = np.append(mesh.bc_natural, False)[bc_of_side]  # -1 reads False
     has_vel = ~boundary | natural

@@ -25,18 +25,21 @@ solves each member with its own LAPACK calls, and decides inertia and
 refinement member by member, so each member's blocks are those of its own
 factorization bit for bit. Each group keeps its ``N_i`` and ``Phi_i`` as
 one stack each. The local coarse matrices are assembled, in substructure
-order, into the coarse matrix, which is factored last. The square-dense
-benchmark mesh has 64 substructures in three shapes, so set-up makes four
-dense factorizations instead of 65; the 16 substructures of the
-fracture-contrast mesh are 16 groups of one.
+order, into the sparse coarse matrix, which is factored last, by Cholesky
+(:func:`~darcydd.ldlt.factor_negative_definite`): its success certifies
+that the coarse matrix is negative definite. The square-dense benchmark
+mesh has 64 substructures in three shapes, so set-up makes three indefinite
+factorizations instead of 64, and one Cholesky factorization; the 16
+substructures of the fracture-contrast mesh are 16 groups of one.
 
 An application of the preconditioner gathers the weighted residual once,
 in group order, and makes two batched products per group, ``N_i r_i`` and
-``Phi_i^T r_i`` for every member at once, then one solve with the factored
-coarse matrix and one batched ``Phi_i`` product per group. The products go
-back to substructure order and are added with one ``np.bincount`` per
-reduction, which adds in exactly the order of a loop over the
-substructures.
+``Phi_i^T r_i`` for every member at once, then one coarse solve (two
+triangular solves) and one batched ``Phi_i`` product per group. Each
+product is written into its place in a buffer in the group layout, kept
+from set-up. The products go back to substructure order and are added with
+one ``np.bincount`` per reduction, which adds in exactly the order of a
+loop over the substructures.
 
 Sign conventions: each local saddle matrix has a negative semidefinite
 interface energy, so the local coarse matrices are negative semidefinite
@@ -58,7 +61,7 @@ from .errors import (
     ConstraintDeficiencyError,
     SingularSystemError,
 )
-from .ldlt import factor_symmetric_indefinite
+from .ldlt import factor_negative_definite, factor_symmetric_indefinite
 from .partition import InterfaceLayout
 from .subsolve import GroupLayout, SubstructureOperator, stacked_matvec
 
@@ -223,14 +226,16 @@ class BddcPreconditioner:
 
     Application: weight and restrict the residual to each substructure,
     apply the constrained local inverses, add the coarse component obtained
-    from the assembled coarse matrix, weight again and scatter back, then
-    negate. The residual is gathered once, in group order, and each group
-    applies its stacks in batched products; both reductions accumulate in
-    substructure order.
+    from the Cholesky factor of the assembled coarse matrix, weight again
+    and scatter back, then negate. The residual is gathered once, in group
+    order, and each group applies its stacks in batched products into
+    buffers kept from set-up; both reductions accumulate in substructure
+    order.
 
-    Raises :class:`ConstraintDeficiencyError` when the assembled coarse
-    matrix is singular or not negative definite: the coarse constraints
-    are insufficient.
+    Raises :class:`ConstraintDeficiencyError` when the Cholesky
+    factorization of the assembled coarse matrix fails, because it is
+    singular or not negative definite: the coarse constraints are
+    insufficient.
     """
 
     def __init__(
@@ -282,43 +287,44 @@ class BddcPreconditioner:
             ),
             shape=(nc, nc),
         )
+        # apply's products, in the group layouts
+        self._r_w = np.empty(len(self.weights))
+        self._eta = np.empty(len(self.weights))
+        self._coarse = np.empty(len(self.weights))
+        self._r_c = np.empty(len(self.coarse.index))
         self.coarse_fact = None
         if nc == 0:
             return
         try:
-            # dense, so that the inertia is available
-            self.coarse_fact = factor_symmetric_indefinite(
-                self.coarse_matrix.toarray()
-            )
+            self.coarse_fact = factor_negative_definite(self.coarse_matrix)
         except SingularSystemError as exc:
             raise ConstraintDeficiencyError(
-                f"assembled coarse matrix is singular: constraints are "
-                f"insufficient or no natural boundary condition exists "
-                f"({exc})"
+                f"assembled coarse matrix is not negative definite: "
+                f"constraints are insufficient or no natural boundary "
+                f"condition exists ({exc})"
             ) from exc
-        n_pos, n_neg, n_zero = self.coarse_fact.inertia
-        if (n_pos, n_neg, n_zero) != (0, nc, 0):
-            raise ConstraintDeficiencyError(
-                f"assembled coarse matrix must be negative definite but has "
-                f"inertia ({n_pos} positive, {n_neg} negative, {n_zero} "
-                f"zero); constraints are insufficient or no natural "
-                f"boundary condition exists"
-            )
 
     def apply(self, r: NDArray) -> NDArray:
-        """Preconditioned residual, positive definite in exact arithmetic."""
-        r_w = self.weights * r[self.gamma.gather]
-        eta, r_c = [], []
-        for grp, at in zip(self.groups, self.gamma.blocks):
-            eta.append(stacked_matvec(grp.neumann, r_w[at]))
-            r_c.append(stacked_matvec(grp.phi.transpose(0, 2, 1), r_w[at]))
-        r_c = self.coarse.scatter(np.concatenate(r_c))
+        """Preconditioned residual, positive definite in exact arithmetic.
+
+        Every product is written into its place in a buffer in the group
+        layout, kept from set-up, in the same arithmetic order as a loop
+        over the substructures; the coarse solve is two triangular solves
+        with the Cholesky factor. Not reentrant: concurrent calls would
+        share the buffers.
+        """
+        r_w, eta, coarse, r_c = self._r_w, self._eta, self._coarse, self._r_c
+        np.take(r, self.gamma.gather, out=r_w)
+        r_w *= self.weights
+        for grp, at, at_c in zip(self.groups, self.gamma.blocks, self.coarse.blocks):
+            stacked_matvec(grp.neumann, r_w[at], out=eta[at])
+            stacked_matvec(grp.phi.transpose(0, 2, 1), r_w[at], out=r_c[at_c])
+        r_c = self.coarse.scatter(r_c)
         eta_c = self.coarse_fact.solve(r_c) if self.n_coarse else np.zeros(0)
         e_c = eta_c[self.coarse.gather]
-        coarse = [
-            stacked_matvec(grp.phi, e_c[at_c])
-            for grp, at_c in zip(self.groups, self.coarse.blocks)
-        ]
-        z = self.weights * (np.concatenate(eta) + np.concatenate(coarse))
+        for grp, at, at_c in zip(self.groups, self.gamma.blocks, self.coarse.blocks):
+            stacked_matvec(grp.phi, e_c[at_c], out=coarse[at])
+        z = np.add(eta, coarse, out=eta)
+        z *= self.weights
         # subtracting each substructure's share is adding its negation
         return self.gamma.scatter(np.negative(z, out=z))

@@ -17,8 +17,9 @@ keeps the recursive residual history and the last true residual. The
 scalar recurrence
 coefficients define a symmetric tridiagonal matrix whose extreme
 eigenvalues estimate the spectrum of the preconditioned operator; LAPACK's
-tridiagonal bisection (``scipy.linalg.eigvalsh_tridiagonal``) computes only
-those two.
+tridiagonal bisection ``dstebz`` computes only those two, called directly
+with the arguments that ``scipy.linalg.eigvalsh_tridiagonal`` passes it, so
+the estimate is the same bit for bit without that function's checks.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, IndefiniteOperatorError
 
@@ -175,14 +176,11 @@ def _tridiagonal_from_scalars(
 ) -> tuple[NDArray, NDArray]:
     """Main and off diagonal of the tridiagonal matrix implied by the
     conjugate-gradient scalars."""
-    k = len(alphas)
-    d = np.empty(k)
-    e = np.empty(max(k - 1, 0))
-    d[0] = 1.0 / alphas[0]
-    for j in range(1, k):
-        d[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
-        e[j - 1] = np.sqrt(betas[j - 1]) / alphas[j - 1]
-    return d, e
+    a = np.array(alphas, dtype=float)
+    b = np.array(betas[: len(a) - 1], dtype=float)
+    d = 1.0 / a
+    d[1:] += b / a[:-1]
+    return d, np.sqrt(b) / a[:-1]
 
 
 def extreme_tridiagonal_eigenvalues(
@@ -197,11 +195,18 @@ def extreme_tridiagonal_eigenvalues(
         raise ConfigurationError(
             f"off-diagonal length {len(e)} does not match size {len(d)}"
         )
-    lam_min, lam_max = (
-        float(eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0])
-        for i in (0, len(d) - 1)
-    )
-    return lam_min, lam_max
+    if len(d) == 1:
+        return float(d[0]), float(d[0])
+
+    def eigenvalue(i: int) -> float:
+        # the i-th smallest (1-based) by bisection: range "I", tolerance 0,
+        # eigenvalues in matrix order
+        _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "E")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
+        return float(w[0])
+
+    return eigenvalue(1), eigenvalue(len(d))
 
 
 def lanczos_condition(alphas: list[float], betas: list[float]) -> float:

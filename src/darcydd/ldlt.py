@@ -1,8 +1,10 @@
-"""Symmetric indefinite factorization with a dense and a sparse path.
+"""Symmetric factorizations: an indefinite one with a dense and a sparse
+path, and a dense Cholesky one for negative definite matrices.
 
-The systems factored here are symmetric; the constrained local saddle
-matrices are indefinite, so plain Cholesky does not apply to them, and the
-definite ones take the same paths. The input type alone picks the path;
+The systems factored here are symmetric. The constrained local saddle
+matrices are indefinite, so plain Cholesky does not apply to them; they and
+the definite multiplier matrices go through
+:func:`factor_symmetric_indefinite`, whose input type alone picks the path;
 there is no size threshold and no option. Sparse input takes a sparse LU
 with partial pivoting and the ``MMD_ATA`` column ordering. In this package
 it is always a negative definite multiplier matrix, left when velocities
@@ -34,8 +36,7 @@ eigenvalue counts as zero below ``n eps max|D|``. Without the scaling that
 test would be absolute: a matrix whose rows differ in scale by many orders
 of magnitude, such as a constrained local problem at a stiff fracture
 penalty, showed false zero pivots. The dense path factors the constrained
-local saddle matrices and the coarse matrix, whose inertia certifies that
-it is negative definite.
+local saddle matrices.
 
 The dense path takes a stack of ``m`` matrices of one size, an ``(m, n,
 n)`` array, as well as a single matrix, which it treats as a stack of one.
@@ -52,18 +53,34 @@ Both paths meet the same accuracy contract: ``solve`` measures the normwise
 backward error and applies one step of iterative refinement whenever it
 exceeds 1e-12; in a stack, each member's error decides its own step. The
 sparse path's error is :func:`sparse_backward_error`, which the direct solve
-also applies to the unreduced saddle matrix.
+also applies to the unreduced saddle matrix. It forms the residual 32
+columns at a time, so that no temporary holds more than a block of
+SuperLU's multi-column solution.
+
+:func:`factor_negative_definite` factors the preconditioner's coarse matrix
+``A``, which must be negative definite: LAPACK's Cholesky ``dpotrf``
+factors ``-A = L L^T``, in place on a dense copy built in Fortran order,
+so only ``L`` is kept. The factorization certifies definiteness: it fails
+on a pivot that is not positive, and a pivot ``l_kk^2`` at or below
+``n eps (-A)_kk`` counts as zero. That ratio does not change when ``A`` is
+scaled symmetrically by a diagonal matrix, so no equilibration is needed.
+Either way it raises :class:`SingularSystemError`. ``solve`` is two
+triangular solves (``dtrsv``), for one right-hand side, and meets the same
+accuracy contract against the sparse matrix it was given, with
+:func:`sparse_backward_error`; no dense copy of ``A`` is kept for that.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError
 
 _REFINE_TRIGGER = 1e-12
+# columns of a multi-column residual formed at a time
+_RESIDUAL_COLUMNS = 32
 
 
 def _csc_symmetric(a: sps.csc_matrix) -> bool:
@@ -91,14 +108,39 @@ def csc_norm_inf(a: sps.csc_matrix) -> float:
     return float(row_sums.max(initial=0.0))
 
 
-def sparse_backward_error(a: sps.csc_matrix, b, x, norm_inf: float) -> float:
+def _residual_maxima(a: sps.spmatrix, b, x) -> tuple[float, float, float]:
+    """The largest entries of ``|b - A x|``, ``|x|`` and ``|b|``."""
+    return (
+        np.abs(b - a @ x).max(initial=0.0),
+        np.abs(x).max(initial=0.0),
+        np.abs(b).max(initial=0.0),
+    )
+
+
+def sparse_backward_error(a: sps.spmatrix, b, x, norm_inf: float) -> float:
     """Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` of ``x`` in
-    the infinity norm, given ``|A|``; stacked right-hand sides as a whole."""
-    r = b - a @ x
-    denom = norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
+    the infinity norm, given ``|A|``; stacked right-hand sides as a whole.
+
+    Stacked right-hand sides are taken 32 columns at a time. ``A @ x`` adds
+    each entry's terms in the same order whatever the number of columns,
+    and a maximum does not depend on the order it is taken in, so the error
+    is that of the whole residual bit for bit.
+    """
+    cols = _RESIDUAL_COLUMNS
+    if x.ndim == 1 or x.shape[1] <= cols:
+        r_max, x_max, b_max = _residual_maxima(a, b, x)
+    else:
+        r_max, x_max, b_max = np.max(
+            [
+                _residual_maxima(a, b[:, j : j + cols], x[:, j : j + cols])
+                for j in range(0, x.shape[1], cols)
+            ],
+            axis=0,
+        )
+    denom = norm_inf * x_max + b_max
     if denom == 0.0:
         return 0.0
-    return float(np.abs(r).max() / denom)
+    return float(r_max / denom)
 
 
 class IndefiniteFactorization:
@@ -275,3 +317,69 @@ def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization:
     inertia; a sparse matrix takes the sparse path.
     """
     return IndefiniteFactorization(matrix)
+
+
+class NegativeDefiniteFactorization:
+    """Cholesky factor ``L`` of ``-A`` for a symmetric negative definite
+    sparse matrix ``A``; ``solve`` takes one right-hand side.
+
+    The factorization exists only for a matrix that it certified negative
+    definite, so ``inertia`` is always ``(0, n, 0)``.
+    """
+
+    def __init__(self, matrix):
+        self._mat = matrix if sps.issparse(matrix) else sps.csr_matrix(matrix)
+        n = self._mat.shape[0]
+        factor = self._mat.toarray(order="F")
+        if factor.shape != (n, n) or not np.array_equal(factor, factor.T):
+            raise ValueError("matrix must be square and symmetric")
+        self.n = n
+        np.negative(factor, out=factor)
+        diag = np.diagonal(factor).copy()
+        factor, info = lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise SingularSystemError(
+                f"matrix is not negative definite: pivot {info} of {n} is "
+                f"not negative"
+            )
+        ratio = np.diagonal(factor) ** 2 / diag
+        zero = np.flatnonzero(ratio <= n * np.finfo(float).eps)
+        if len(zero):
+            raise SingularSystemError(
+                f"matrix is singular: pivot {zero[0] + 1} of {n} is "
+                f"{ratio[zero[0]]:.3e} times its diagonal entry"
+            )
+        self._factor = factor
+        # |A|'s largest column sum, which for a symmetric A is its largest
+        # row sum; the transpose of a CSR matrix is a CSC one
+        self._norm_inf = csc_norm_inf(self._mat.T.tocsc(copy=False))
+        self.inertia = (0, n, 0)
+
+    def _solve_unrefined(self, b: np.ndarray) -> np.ndarray:
+        """``x = -L^-T L^-1 b``, the two triangular solves in place on
+        ``-b``."""
+        y = blas.dtrsv(self._factor, np.negative(b), lower=1, overwrite_x=1)
+        return blas.dtrsv(self._factor, y, lower=1, trans=1, overwrite_x=1)
+
+    def backward_error(self, b: np.ndarray, x: np.ndarray) -> float:
+        """Normwise backward error of ``x`` against the sparse matrix."""
+        return sparse_backward_error(self._mat, b, x, self._norm_inf)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve against one vector, refined once when its backward error
+        exceeds 1e-12."""
+        b = np.asarray(b, dtype=float)
+        x = self._solve_unrefined(b)
+        if self.backward_error(b, x) > _REFINE_TRIGGER:
+            x += self._solve_unrefined(b - self._mat @ x)
+        return x
+
+
+def factor_negative_definite(matrix) -> NegativeDefiniteFactorization:
+    """Factor a symmetric negative definite sparse matrix by Cholesky.
+
+    Raises :class:`SingularSystemError` when the matrix is singular or not
+    negative definite, and ``ValueError`` when it is not square and
+    symmetric.
+    """
+    return NegativeDefiniteFactorization(matrix)

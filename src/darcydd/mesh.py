@@ -232,8 +232,10 @@ class Mesh:
     Each element needs ``d + 1`` distinct existing nodes, a simplex of its
     own with positive measure, a finite, symmetric, positive definite
     conductivity, a positive finite cross-section and a finite source; each
-    condition needs strictly ascending existing nodes and a finite value;
-    the transition coefficient must be finite and positive.
+    condition needs strictly ascending existing nodes, a finite value and
+    an unoccupied boundary face: the side of one element, which no
+    lower-dimensional element occupies; the transition coefficient must be
+    finite and positive.
 
     Afterwards the mesh must not be mutated, which makes concurrent read
     access safe. The one exception is :attr:`elements`, a view that may be
@@ -401,6 +403,17 @@ class Mesh:
             (gid[d][~((m > 0.0) & np.isfinite(m))] for d, m in measure.items()),
             lambda e: f"element {e}: degenerate simplex",
         )
+        # a condition needs a face that is the side of one element only and
+        # that no lower-dimensional element occupies
+        free = np.zeros(n_faces, dtype=bool)
+        free[self.sides.face[(self.sides.lower < 0) & (self.sides.count == 1)]] = True
+        stray = np.flatnonzero(~free[self.bc_faces])
+        if len(stray):
+            raise InvalidMeshError(
+                f"boundary condition {self.bc_face_nodes(int(stray[0]))} "
+                f"references a face that is not an unoccupied boundary face",
+                rejected=("condition", int(stray[0])),
+            )
         self.simplices: dict[int, Simplices] = {
             d: Simplices(
                 dim=d,
@@ -963,9 +976,14 @@ def read_mesh(path: str) -> Mesh:
         raise InvalidMeshError(str(exc), lines[kind][i], exc.rejected) from exc
 
 
-def _numbers(rows: list[_Row], n_int: int, n_float: int) -> tuple[NDArray, NDArray]:
-    """Convert rows of ``n_int`` integer tokens followed by ``n_float``
-    float tokens into an int and a float array, naming the first bad line."""
+def _numbers(
+    rows: list[_Row], section: str, int_fields: Sequence[str], float_fields: Sequence[str]
+) -> tuple[NDArray, NDArray]:
+    """Convert rows of integer tokens followed by float tokens, one field
+    name each, into an int and a float array. A bad token raises
+    :class:`MeshFormatError` with its line, naming the section and the
+    field: "node coordinate 'north' is not a number"."""
+    n_int, n_float = len(int_fields), len(float_fields)
     try:
         ints = np.array(
             list(map(int, chain.from_iterable(t[:n_int] for _, t in rows))),
@@ -976,12 +994,26 @@ def _numbers(rows: list[_Row], n_int: int, n_float: int) -> tuple[NDArray, NDArr
             dtype=float,
         )
     except (ValueError, OverflowError):
+        int64 = np.iinfo(np.int64)
         for lineno, tok in rows:
-            try:
-                np.array([int(v) for v in tok[:n_int]], dtype=np.int64)
-                [float(v) for v in tok[n_int:]]
-            except (ValueError, OverflowError) as exc:
-                raise MeshFormatError(str(exc), lineno) from exc
+            for field, v in zip(int_fields, tok[:n_int]):
+                try:
+                    fits = int64.min <= int(v) <= int64.max
+                except ValueError:
+                    raise MeshFormatError(
+                        f"{section} {field} {v!r} is not an integer", lineno
+                    ) from None
+                if not fits:
+                    raise MeshFormatError(
+                        f"{section} {field} {v!r} does not fit a 64-bit integer", lineno
+                    )
+            for field, v in zip(float_fields, tok[n_int:]):
+                try:
+                    float(v)
+                except ValueError:
+                    raise MeshFormatError(
+                        f"{section} {field} {v!r} is not a number", lineno
+                    ) from None
         raise
     return ints.reshape(len(rows), n_int), floats.reshape(len(rows), n_float)
 
@@ -990,7 +1022,7 @@ def _parse_nodes(rows: list[_Row]) -> NDArray:
     for lineno, tok in rows:
         if len(tok) != 4:
             raise MeshFormatError("node line needs: id x y z", lineno)
-    ids, xyz = _numbers(rows, 1, 3)
+    ids, xyz = _numbers(rows, "node", ["id"], ["coordinate"] * 3)
     ids = ids[:, 0]
     n = len(rows)
     first = np.zeros(n, dtype=bool)
@@ -1029,7 +1061,12 @@ def _parse_elements(rows: list[_Row]) -> dict[int, Cells]:
             continue
         group = [rows[p] for p in positions]
         n_tensor = _TENSOR_SIZE[dim]
-        ints, floats = _numbers(group, dim + 3, n_tensor + 2)
+        ints, floats = _numbers(
+            group,
+            "element",
+            ["id", "dimension"] + ["node"] * (dim + 1),
+            ["conductivity"] * n_tensor + ["cross-section", "source"],
+        )
         tensors = np.zeros((len(group), dim, dim))
         upper, lower = np.triu_indices(dim)
         tensors[:, upper, lower] = floats[:, :n_tensor]
@@ -1065,7 +1102,7 @@ def _parse_boundary(rows: list[_Row]) -> tuple[dict[int, Boundary], list[int]]:
     boundary, lines = {}, []
     for width, positions in sorted(by_width.items()):
         group = [(rows[p][0], rows[p][1][:width] + rows[p][1][-1:]) for p in positions]
-        nodes, values = _numbers(group, width, 1)
+        nodes, values = _numbers(group, "boundary", ["node"] * width, ["value"])
         natural = [rows[p][1][-2] == NATURAL for p in positions]
         boundary[width] = Boundary(nodes, natural, values[:, 0])
         lines += [lineno for lineno, _ in group]

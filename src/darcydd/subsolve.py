@@ -115,15 +115,18 @@ class SubstructureOperator:
         return self.schurs[self.row]
 
 
-def stacked_matvec(mats: NDArray, vec: NDArray) -> NDArray:
+def stacked_matvec(mats: NDArray, vec: NDArray, out: NDArray | None = None) -> NDArray:
     """The products of a stack of ``m`` matrices with the ``m`` consecutive
-    blocks of ``vec``, concatenated, in one batched product. numpy makes
-    the same BLAS call for each member as for its plain 2-D product, so
-    every product is bit for bit the member's own; a stack of one makes
-    the plain product."""
-    if len(mats) == 1:
-        return mats[0] @ vec
-    return np.matmul(mats, vec.reshape(len(mats), -1, 1)).ravel()
+    blocks of ``vec``, concatenated, in one batched product, written into
+    the contiguous vector ``out`` when given. numpy makes the same BLAS
+    call for each member as for its plain 2-D product, so every product is
+    bit for bit the member's own; a stack of one makes the plain product."""
+    m = len(mats)
+    if m == 1:
+        return np.matmul(mats[0], vec, out=out)
+    if out is not None:
+        out = out.reshape(m, -1, 1)
+    return np.matmul(mats, vec.reshape(m, -1, 1), out=out).ravel()
 
 
 class GroupLayout:

@@ -150,26 +150,18 @@ def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypat
     constraints, reported as ConstraintDeficiencyError (exit code 4)."""
     import darcydd.bddc
 
-    real = darcydd.bddc.factor_symmetric_indefinite
+    real = darcydd.bddc.factor_negative_definite
     pipe = build_pipeline(square4, 2, with_prec=False)
     constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
-    # set-up factors one stack of constrained matrices per group of
-    # substructures with one interface size and constraint count, and then
-    # the coarse matrix
-    n_groups = len(
-        {(sub.n_gamma, len(constraints.matrices[sub.sub_id])) for sub in pipe.subs}
-    )
     calls = []
 
     def coarse_fails(matrix):
         calls.append(matrix.shape)
-        if len(calls) <= n_groups:  # the local constrained factorizations
-            return real(matrix)
         if breakdown == "singular":
             raise SingularSystemError("forced singular coarse matrix")
         return real(-matrix)  # positive definite instead
 
-    monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", coarse_fails)
+    monkeypatch.setattr(darcydd.bddc, "factor_negative_definite", coarse_fails)
     with pytest.raises(ConstraintDeficiencyError, match="coarse matrix"):
         BddcPreconditioner(
             pipe.subs,
@@ -177,7 +169,7 @@ def test_coarse_breakdown_is_constraint_deficiency(breakdown, square4, monkeypat
             compute_weights(pipe.system, pipe.layout, "arithmetic"),
             constraints,
         )
-    assert len(calls) == n_groups + 1
+    assert calls == [(4, 4)]
 
 
 def test_coarse_count_cross_check(frac2):

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from darcydd.errors import ConfigurationError, IndefiniteOperatorError
 from darcydd.krylov import (
@@ -171,6 +172,33 @@ def test_lanczos_condition_edge_cases():
     assert lanczos_condition([], []) == 1.0
     assert lanczos_condition([-1.0], []) == float("inf")
     assert lanczos_condition([0.5], []) == 1.0
+
+
+def _condition_oracle(alphas, betas) -> float:
+    """The condition estimate as a loop over the scalars and
+    ``scipy.linalg.eigvalsh_tridiagonal``, one eigenvalue per call."""
+    k = len(alphas)
+    d, e = np.empty(k), np.empty(k - 1)
+    d[0] = 1.0 / alphas[0]
+    for j in range(1, k):
+        d[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
+        e[j - 1] = np.sqrt(betas[j - 1]) / alphas[j - 1]
+    lo, hi = (
+        float(eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0])
+        for i in (0, k - 1)
+    )
+    return float("inf") if lo <= 0.0 else max(1.0, hi / lo)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 40])
+def test_lanczos_condition_equals_scipy_oracle(k, rng):
+    """The vectorized tridiagonal matrix and the direct ``dstebz`` calls
+    give the oracle's estimate bit for bit, with ``k - 1`` scalars
+    ``beta`` (converged) or ``k`` (the last one unused)."""
+    for trial in range(20):
+        alphas = rng.uniform(0.05, 2.0, k).tolist()
+        betas = rng.uniform(0.0, 1.0, k - 1 + trial % 2).tolist()
+        assert lanczos_condition(alphas, betas) == _condition_oracle(alphas, betas)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 
 from darcydd.errors import SingularSystemError
-from darcydd.ldlt import IndefiniteFactorization, factor_symmetric_indefinite
+from darcydd.ldlt import (
+    IndefiniteFactorization,
+    csc_norm_inf,
+    factor_negative_definite,
+    factor_symmetric_indefinite,
+    sparse_backward_error,
+)
 
 
 def test_saddle_two_by_two():
@@ -393,3 +399,86 @@ def test_refinement_is_decided_per_member(rng):
     step = fact._solve_members(r[None], np.array([2]))[0]
     assert np.array_equal(x[2], raw[2] + step)
     assert fact.backward_error(b, x)[2] < raw_errors[2]
+
+
+@pytest.mark.parametrize("k", [None, 1, 31, 32, 33, 70])
+def test_blocked_backward_error_equals_whole_residual(k, rng):
+    """The sparse backward error, formed 32 columns at a time, is the
+    whole-residual formula's bit for bit, for one vector and for SuperLU's
+    Fortran-ordered multi-column solutions."""
+    a = (_laplacian(200) + sps.diags(rng.uniform(0.0, 1e-3, 200))).tocsc()
+    fact = factor_symmetric_indefinite(a)
+    shape = 200 if k is None else (200, k)
+    b = rng.standard_normal(shape)
+    x = fact._splu.solve(b)
+    if k is not None:
+        x = x + 1e-9 * rng.standard_normal(shape)  # an error to measure
+        x = np.asfortranarray(x)
+    norm = csc_norm_inf(a)
+    r = b - a @ x
+    whole = float(
+        np.abs(r).max() / (norm * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0))
+    )
+    assert sparse_backward_error(a, b, x, norm) == whole
+    assert fact.backward_error(b, x) == whole
+
+
+# ---------------------------------------------------------------------------
+# negative definite matrices by Cholesky
+
+
+def _negative_definite(rng, n: int, cond: float) -> sps.csr_matrix:
+    """A dense-pattern symmetric negative definite matrix with condition
+    number ``cond``, as CSR."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = -(q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    return sps.csr_matrix(0.5 * (a + a.T))
+
+
+def test_negative_definite_solve_meets_contract(rng):
+    """On an ill-conditioned negative definite matrix (condition 1e10) the
+    factorization certifies the inertia, keeps the caller's sparse matrix
+    for its residuals, and solves to a backward error below 1e-12."""
+    a = _negative_definite(rng, 80, 1e10)
+    fact = factor_negative_definite(a)
+    assert fact.inertia == (0, 80, 0) and fact.n == 80
+    assert fact._mat is a
+    dense = a.toarray()
+    for _ in range(5):
+        b = rng.standard_normal(80)
+        x = fact.solve(b)
+        assert fact.backward_error(b, x) <= 1e-12
+        ref = np.linalg.solve(dense, b)
+        assert np.abs(x - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
+def test_negative_definite_refines_once(rng):
+    """A solution whose backward error exceeds 1e-12 gets exactly one step
+    of iterative refinement: here every entry of the factor is perturbed
+    by about 1e-9, and so is the unrefined solution's backward error."""
+    a = _negative_definite(rng, 60, 1e6)
+    fact = factor_negative_definite(a)
+    fact._factor = fact._factor * (1.0 + 1e-9 * rng.standard_normal((60, 60)))
+    b = rng.standard_normal(60)
+    raw = fact._solve_unrefined(b)
+    assert fact.backward_error(b, raw) > 1e-12
+    x = fact.solve(b)
+    assert np.array_equal(x, raw + fact._solve_unrefined(b - a @ raw))
+    assert fact.backward_error(b, x) < 1e-3 * fact.backward_error(b, raw)
+
+
+def test_negative_definite_refuses_singular_and_positive_definite():
+    """Real matrices, no stand-ins: a negated graph Laplacian (singular,
+    its constants are its kernel), a negated rank-one matrix and a
+    positive definite matrix are refused with SingularSystemError; an
+    unsymmetric one with ValueError."""
+    lap = _laplacian(40).tolil()
+    lap[0, 0] = lap[39, 39] = 1.0  # free ends: every row sums to zero
+    v = np.arange(1.0, 7.0)
+    for singular in (-lap.tocsr(), sps.csr_matrix(-np.outer(v, v))):
+        with pytest.raises(SingularSystemError):
+            factor_negative_definite(singular)
+    with pytest.raises(SingularSystemError, match="not negative definite"):
+        factor_negative_definite(_laplacian(40) + sps.eye(40))
+    with pytest.raises(ValueError):
+        factor_negative_definite(sps.csr_matrix([[-2.0, 1.0], [0.0, -2.0]]))

@@ -628,7 +628,7 @@ def test_interleaved_boundary_section_reads_and_writes_by_node_count(tmp_path):
 
 def test_stray_boundary_condition_names_its_face():
     """A condition on an interior face or on a face a fracture occupies is
-    refused, naming the face."""
+    refused by the mesh, naming the face and the condition."""
     square = generate_unit_square(2)
     interior = boundary_records([((1, 4), NATURAL, 1.0)])  # between two triangles
     frac = generate_cross_fracture_cube(2)
@@ -636,8 +636,11 @@ def test_stray_boundary_condition_names_its_face():
     occupied = boundary_records([(fracture, ESSENTIAL, 0.0)])
     for mesh, stray, face in ((square, interior, (1, 4)), (frac, occupied, fracture)):
         boundary = {**mesh.boundary, **stray}
-        with pytest.raises(ConfigurationError, match=re.escape(f"condition {face} ")):
-            build_dof_map(mesh_from_elements(mesh.node_coords, mesh.elements, boundary))
+        with pytest.raises(InvalidMeshError, match=re.escape(f"condition {face} ")) as exc:
+            mesh_from_elements(mesh.node_coords, mesh.elements, boundary)
+        # the stray record replaces the conditions of its node count
+        before = sum(len(b.value) for w, b in boundary.items() if w < len(face))
+        assert exc.value.rejected == ("condition", before)
 
 
 def _element_line(lines, k):
@@ -735,6 +738,17 @@ def _after_end(*extra):
     return mutate
 
 
+def _before_end(line):
+    """A mutation adding ``line`` as the last line before ``$end``."""
+
+    def mutate(lines):
+        idx = lines.index("$end")
+        lines.insert(idx, line)
+        return idx + 1
+
+    return mutate
+
+
 def _swap_elements(lines):
     a, b = _element_line(lines, 0), _element_line(lines, 1)
     lines[a], lines[b] = lines[b], lines[a]
@@ -750,12 +764,12 @@ def _swap_elements(lines):
         (
             _set_token(lambda ls: _element_line(ls, 2), 3, "1.5"),
             MeshFormatError,
-            "invalid literal for int",
+            "element node '1.5' is not an integer",
         ),
         (
             _set_token(lambda ls: _node_line(ls, 5), 2, "north"),
             MeshFormatError,
-            "could not convert string to float: 'north'",
+            "node coordinate 'north' is not a number",
         ),
         (_drop_token, MeshFormatError, "node line needs: id x y z"),
         (_extra_field, MeshFormatError, "element line needs 10 fields, got 11"),
@@ -796,7 +810,7 @@ def _swap_elements(lines):
         (
             _set_token(lambda ls: _node_line(ls, 4), 0, "99999999999999999999"),
             MeshFormatError,
-            "too large",
+            "node id '99999999999999999999' does not fit a 64-bit integer",
         ),
         (
             _replace("sigma 1", "sigma 1 5"),
@@ -823,6 +837,12 @@ def _swap_elements(lines):
             MeshFormatError,
             "parameter 'gravity' needs 0 or 1, got ''",
         ),
+        (
+            _before_end("1 4 natural 1"),
+            InvalidMeshError,
+            r"boundary condition \(1, 4\) references a face that is not an "
+            r"unoccupied boundary face",
+        ),
         (_after_end("9 2 2 0"), MeshFormatError, "content after \\$end"),
         (_after_end("$nodes", "9 2 2 0"), MeshFormatError, "content after \\$end"),
     ],
@@ -847,6 +867,7 @@ def _swap_elements(lines):
         "gravity-minus-1",
         "gravity-two-values",
         "gravity-no-value",
+        "condition-on-interior-face",
         "node-after-end",
         "section-after-end",
     ],
