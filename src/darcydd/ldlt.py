@@ -328,9 +328,9 @@ class NegativeDefiniteFactorization:
     """
 
     def __init__(self, matrix):
-        self._mat = matrix if sps.issparse(matrix) else sps.csr_matrix(matrix)
-        n = self._mat.shape[0]
-        factor = self._mat.toarray(order="F")
+        self._mat = matrix
+        n = matrix.shape[0]
+        factor = matrix.toarray(order="F")
         if factor.shape != (n, n) or not np.array_equal(factor, factor.T):
             raise ValueError("matrix must be square and symmetric")
         self.n = n
@@ -339,8 +339,8 @@ class NegativeDefiniteFactorization:
         factor, info = lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularSystemError(
-                f"matrix is not negative definite: pivot {info} of {n} is "
-                f"not negative"
+                f"matrix is not negative definite: its leading block of "
+                f"order {info} (of {n}) is not"
             )
         ratio = np.diagonal(factor) ** 2 / diag
         zero = np.flatnonzero(ratio <= n * np.finfo(float).eps)

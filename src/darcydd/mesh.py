@@ -1042,10 +1042,14 @@ def _parse_elements(rows: list[_Row]) -> dict[int, Cells]:
     ids must run 0, 1, 2, ... in file order."""
     by_dim: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for pos, (lineno, tok) in enumerate(rows):
+        if len(tok) < 2:
+            raise MeshFormatError("element line needs: id dim nodes...", lineno)
         try:
             dim = int(tok[1])
-        except (ValueError, IndexError) as exc:
-            raise MeshFormatError(str(exc), lineno) from exc
+        except ValueError:
+            raise MeshFormatError(
+                f"element dimension {tok[1]!r} is not an integer", lineno
+            ) from None
         if dim not in by_dim:
             raise MeshFormatError(f"element dimension {dim}", lineno)
         expect = 2 + (dim + 1) + _TENSOR_SIZE[dim] + 2

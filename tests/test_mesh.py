@@ -778,6 +778,11 @@ def _swap_elements(lines):
             MeshFormatError,
             "element dimension 4",
         ),
+        (
+            _set_token(lambda ls: _element_line(ls, 1), 1, "two"),
+            MeshFormatError,
+            "element dimension 'two' is not an integer",
+        ),
         (_duplicate_node, MeshFormatError, "node ids must be dense and unique, got 2"),
         (
             _set_token(lambda ls: _node_line(ls, 3), 0, "99"),
@@ -852,6 +857,7 @@ def _swap_elements(lines):
         "node-three-fields",
         "element-field-count",
         "element-dim-4",
+        "element-dim-not-int",
         "duplicate-node-id",
         "node-id-out-of-range",
         "unknown-param",
