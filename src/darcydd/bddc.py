@@ -290,7 +290,7 @@ class BddcPreconditioner:
         # apply's products, in the group layouts
         self._r_w = np.empty(len(self.weights))
         self._eta = np.empty(len(self.weights))
-        self._coarse = np.empty(len(self.weights))
+        self._phi_e = np.empty(len(self.weights))
         self._r_c = np.empty(len(self.coarse.index))
         self.coarse_fact = None
         if nc == 0:
@@ -313,7 +313,7 @@ class BddcPreconditioner:
         with the Cholesky factor. Not reentrant: concurrent calls would
         share the buffers.
         """
-        r_w, eta, coarse, r_c = self._r_w, self._eta, self._coarse, self._r_c
+        r_w, eta, phi_e, r_c = self._r_w, self._eta, self._phi_e, self._r_c
         np.take(r, self.gamma.gather, out=r_w)
         r_w *= self.weights
         for grp, at, at_c in zip(self.groups, self.gamma.blocks, self.coarse.blocks):
@@ -323,8 +323,8 @@ class BddcPreconditioner:
         eta_c = self.coarse_fact.solve(r_c) if self.n_coarse else np.zeros(0)
         e_c = eta_c[self.coarse.gather]
         for grp, at, at_c in zip(self.groups, self.gamma.blocks, self.coarse.blocks):
-            stacked_matvec(grp.phi, e_c[at_c], out=coarse[at])
-        z = np.add(eta, coarse, out=eta)
+            stacked_matvec(grp.phi, e_c[at_c], out=phi_e[at])
+        z = np.add(eta, phi_e, out=eta)
         z *= self.weights
         # subtracting each substructure's share is adding its negation
         return self.gamma.scatter(np.negative(z, out=z))

@@ -413,6 +413,7 @@ def test_blocked_backward_error_equals_whole_residual(k, rng):
     x = fact._splu.solve(b)
     if k is not None:
         x = x + 1e-9 * rng.standard_normal(shape)  # an error to measure
+        x[:, -1] += 1e-6 * rng.standard_normal(200)  # largest in the last block
         x = np.asfortranarray(x)
     norm = csc_norm_inf(a)
     r = b - a @ x
@@ -469,15 +470,21 @@ def test_negative_definite_refines_once(rng):
 
 def test_negative_definite_refuses_singular_and_positive_definite():
     """Real matrices, no stand-ins: a negated graph Laplacian (singular,
-    its constants are its kernel), a negated rank-one matrix and a
-    positive definite matrix are refused with SingularSystemError; an
-    unsymmetric one with ValueError."""
+    its constants are its kernel), a negated rank-one matrix, a matrix
+    whose last pivot is at rounding level and a positive definite matrix
+    are refused with SingularSystemError; an unsymmetric one with
+    ValueError."""
     lap = _laplacian(40).tolil()
     lap[0, 0] = lap[39, 39] = 1.0  # free ends: every row sums to zero
     v = np.arange(1.0, 7.0)
     for singular in (-lap.tocsr(), sps.csr_matrix(-np.outer(v, v))):
         with pytest.raises(SingularSystemError):
             factor_negative_definite(singular)
+    # dpotrf succeeds here, with last pivot 2^-52 against the diagonal
+    # entry 1 + 2^-52: numerically zero
+    tiny = sps.csr_matrix(-np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+    with pytest.raises(SingularSystemError, match="matrix is singular: pivot 2 of 2"):
+        factor_negative_definite(tiny)
     with pytest.raises(SingularSystemError, match="not negative definite"):
         factor_negative_definite(_laplacian(40) + sps.eye(40))
     with pytest.raises(ValueError):
