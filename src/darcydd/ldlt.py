@@ -268,7 +268,12 @@ class IndefiniteFactorization:
         """Each member's normwise backward error, from its residual ``r``."""
 
         def amax(v: np.ndarray) -> np.ndarray:
-            return np.abs(v).max(axis=(1, 2), initial=0.0)
+            # max |v| per member without a full-size |v| temporary, so a
+            # broadcast right-hand side stays a view; the last abs turns a
+            # signed zero into the +0.0 that |v| gives
+            hi = v.max(axis=(1, 2), initial=0.0)
+            np.maximum(hi, -v.min(axis=(1, 2), initial=0.0), out=hi)
+            return np.abs(hi, out=hi)
 
         denom = self._norm_inf * amax(x) + amax(b)
         return np.divide(amax(r), denom, out=np.zeros(len(b)), where=denom != 0.0)

@@ -188,7 +188,16 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     """
     dm = system.dof_map
     n_sub = partition.n_sub
-    mult, element, _ = _touches(system)
+    mult, element, at = _touches(system)
+    dim = np.empty(system.mesh.n_elements, dtype=np.int64)
+    for blk in system.mesh.simplices.values():
+        dim[blk.ids] = blk.dim
+    # twice the dimension of the elements whose sides carry the multiplier,
+    # plus one if a lower-dimensional element is linked to it
+    n_links = len(mult) - len(at)
+    carrier = np.zeros(dm.n_multiplier, dtype=np.int64)
+    carrier[mult[n_links:]] = 2 * dim[element[n_links:]]
+    carrier[mult[:n_links]] += 1
     pairs = np.unique(mult * n_sub + partition.assignment[element])
     pair_mult, pair_sub = pairs // n_sub, pairs % n_sub
     n_sharers = np.bincount(pair_mult, minlength=dm.n_multiplier)
@@ -203,11 +212,12 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     # ascending slice of them
     ends = np.cumsum(n_sharers[interface_mults]).tolist()
     subs = pair_sub.tolist()
-    by_sharing: dict[tuple[int, ...], list[int]] = {}
+    carriers = carrier[interface_mults].tolist()
+    by_key: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for gi, (a, b) in enumerate(zip([0] + ends, ends)):
-        by_sharing.setdefault(tuple(subs[a:b]), []).append(gi)
+        by_key.setdefault((tuple(subs[a:b]), carriers[gi]), []).append(gi)
     globs = []
-    for tup, dofs in sorted(by_sharing.items(), key=lambda kv: kv[1][0]):
+    for (tup, _), dofs in sorted(by_key.items(), key=lambda kv: kv[1][0]):
         if len(dofs) == 1:
             kind = "vertex"
         elif len(tup) == 2:

@@ -505,21 +505,28 @@ def mult_sharing_loops(system, partition) -> list[tuple[int, ...]]:
 
 def classify_interface_loops(system, partition) -> InterfaceLayout:
     """:func:`classify_interface` by a loop over multipliers, reading their
-    sides and links from :func:`numbering_contract`."""
+    sides and links from :func:`numbering_contract`: a glob holds the
+    interface dofs of one sharing set whose sides belong to elements of one
+    dimension and which are all linked, or all not linked, to a
+    lower-dimensional element."""
     dm = system.dof_map
-    contract = numbering_contract(system.mesh)
+    mesh = system.mesh
+    contract = numbering_contract(mesh)
     assign = partition.assignment
     sharing_all = mult_sharing_loops(system, partition)
     interface = [m for m, tup in enumerate(sharing_all) if len(tup) > 1]
     local: list[list[int]] = [[] for _ in range(partition.n_sub)]
-    by_sharing: dict[tuple[int, ...], list[int]] = {}
+    by_key: dict[tuple, list[int]] = {}
     for gi, m in enumerate(interface):
         tup = sharing_all[m]
         for s in tup:
             local[s].append(gi)
-        by_sharing.setdefault(tup, []).append(gi)
+        dims = {mesh.elements[e].dim for e, _ in contract.mult_sides[m]}
+        assert len(dims) == 1, "the sides of a multiplier have one dimension"
+        linked = len(contract.mult_links[m]) > 0
+        by_key.setdefault((tup, dims.pop(), linked), []).append(gi)
     globs = []
-    for tup, dofs in sorted(by_sharing.items(), key=lambda kv: kv[1][0]):
+    for (tup, _, _), dofs in sorted(by_key.items(), key=lambda kv: kv[1][0]):
         if len(dofs) == 1:
             kind = "vertex"
         elif len(tup) == 2:

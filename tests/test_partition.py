@@ -149,14 +149,21 @@ def test_fracture_interface(frac2):
     system, partition, layout = layout_of(frac2, 2)
     assert partition.sizes().tolist() == [33, 33]
     assert layout.n_interface == 15
-    assert layout.glob_counts() == {"vertex": 0, "face": 1, "edge": 0}
-    assert layout.globs[0].sharing == (0, 1)
+    # one sharing set, split by the carrying sides' dimension and the link
+    # flag: 3D sides linked to fracture elements, 2D sides linked to the
+    # intersection line, and 2D sides that meet in an unoccupied face
+    assert layout.glob_counts() == {"vertex": 0, "face": 3, "edge": 0}
+    assert [g.sharing for g in layout.globs] == [(0, 1)] * 3
+    assert [len(g.dofs) for g in layout.globs] == [8, 5, 2]
     assert layout.sub_has_natural.tolist() == [True, True]
     # most of this interface runs along fracture planes, so the sharing
     # sets must have been traced through coupling links, not just faces
     dm = system.dof_map
     linked = np.isin(layout.interface_mults, dm.side_mult[frac2.couplings])
     assert linked.sum() == 13
+    assert [linked[list(g.dofs)].tolist() for g in layout.globs] == [
+        [True] * 8, [True] * 5, [False] * 2
+    ]
 
 
 def _layered(centroid, dim):
@@ -219,7 +226,8 @@ def test_fracture_quadrants(frac2):
     _, partition, layout = layout_of(frac2, 4)
     assert partition.sizes().tolist() == [16, 17, 16, 17]
     assert layout.n_interface == 26
-    assert layout.glob_counts() == {"vertex": 0, "face": 5, "edge": 0}
+    # a split glob left with one dof is a vertex glob
+    assert layout.glob_counts() == {"vertex": 5, "face": 6, "edge": 0}
 
 
 def test_local_dofs_sorted_and_consistent(cube2):
