@@ -4,7 +4,12 @@ Elements of every dimension are divided into substructures by recursive
 coordinate bisection of their centroids. Pressure-trace multipliers shared
 by elements of different substructures form the interface; the rest of each
 substructure's unknowns (fluxes, pressures, its private multipliers) stay
-interior. Interface dofs are grouped into globs by their sharing set:
+interior. Interface dofs are grouped into globs by three things: their
+sharing set, the dimension of the elements whose sides carry them, and
+whether a lower-dimensional element is linked to them. One average then
+never spans 3D face multipliers, fracture multipliers and the
+penalty-coupled multipliers of fracture-occupied faces, whose energies
+differ widely. By its size and sharing set, each glob is one of:
 
 * vertex: a glob containing a single dof;
 * face: a glob whose dofs are shared by exactly two substructures;
@@ -129,7 +134,10 @@ def partition_elements(mesh: Mesh, n_sub: int) -> Partition:
 
 @dataclass(frozen=True)
 class Glob:
-    """Maximal set of interface dofs with one common sharing set."""
+    """Maximal set of interface dofs with one common sharing set, carried
+    by sides of elements of one dimension, and all linked, or all not
+    linked, to a lower-dimensional element. Several globs can have the same
+    sharing set."""
 
     kind: str  # vertex | face | edge
     sharing: tuple[int, ...]
@@ -184,17 +192,21 @@ def classify_interface(system: BlockSystem, partition: Partition) -> InterfaceLa
     """Find interface multipliers, their sharing sets and glob structure.
 
     A multiplier's sharing set holds the substructures of the elements whose
-    sides carry it and of the lower-dimensional elements linked to it.
+    sides carry it and of the lower-dimensional elements linked to it. The
+    dofs of a glob share their sharing set, the dimension of the elements
+    whose sides carry them, and whether a lower-dimensional element is
+    linked to them. Globs are listed by their lowest dof; a glob of one dof
+    is a vertex glob.
     """
     dm = system.dof_map
     n_sub = partition.n_sub
-    mult, element, at = _touches(system)
+    mult, element, _ = _touches(system)
     dim = np.empty(system.mesh.n_elements, dtype=np.int64)
     for blk in system.mesh.simplices.values():
         dim[blk.ids] = blk.dim
     # twice the dimension of the elements whose sides carry the multiplier,
     # plus one if a lower-dimensional element is linked to it
-    n_links = len(mult) - len(at)
+    n_links = len(system.mesh.couplings)
     carrier = np.zeros(dm.n_multiplier, dtype=np.int64)
     carrier[mult[n_links:]] = 2 * dim[element[n_links:]]
     carrier[mult[:n_links]] += 1

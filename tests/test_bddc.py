@@ -429,6 +429,64 @@ def test_stiffest_penalties_substructured(sigma):
     assert np.abs(sol - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
+# ---------------------------------------------------------------------------
+# condition estimates on the fractured cube
+
+FRACTURE_COEFFS = {
+    "default": {},
+    "contrast": dict(k1=1e3, k2=1.0, k3=1e-3),
+    "stiff": dict(sigma=1e9),
+}
+FRACTURE_GRID = [
+    (n, n_sub, coeffs)
+    for n in (6, 8, 10)
+    for n_sub in (8, 16)
+    for coeffs in ("default", "contrast")
+] + [(4, 8, "stiff")]
+
+
+def _fracture_pipeline(n, n_sub, coeffs):
+    mesh = generate_cross_fracture_cube(n, **FRACTURE_COEFFS[coeffs])
+    pipe = build_pipeline(mesh, n_sub, scheme="diag")
+    _, report = pcg(
+        pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
+        PcgConfig(rel_tol=1e-8),
+    )
+    assert report.converged
+    return pipe, report
+
+
+@pytest.mark.parametrize(
+    "n,n_sub,coeffs", FRACTURE_GRID, ids=["-".join(map(str, c)) for c in FRACTURE_GRID]
+)
+def test_fracture_condition_bounded(n, n_sub, coeffs):
+    """The condition estimate stays bounded as the fractured cube is refined
+    at a fixed substructure count, with fracture contrast and at a stiff
+    penalty. Each glob averages multipliers of one carrying dimension and
+    one link flag; globs keyed by sharing set alone, whose averages spanned
+    3D face and fracture multipliers, gave up to 13,776 here, and above 10
+    in 9 of these 13 cases."""
+    _, report = _fracture_pipeline(n, n_sub, coeffs)
+    assert report.condition <= 10.0
+
+
+def test_fracture_condition_matches_exact_spectrum():
+    """The Lanczos estimate of one grid case against the exact spectrum of
+    the dense preconditioned operator ``M S``, whose eigenvalues are those
+    of ``Lᵀ S L`` for the Cholesky factor ``L`` of ``M``."""
+    pipe, report = _fracture_pipeline(6, 8, "default")
+    n = pipe.layout.n_interface
+    m = dense_operator(pipe.prec.apply, n)
+    s = dense_operator(pipe.op.apply, n)
+    lower = np.linalg.cholesky(0.5 * (m + m.T))
+    eigs = np.linalg.eigvalsh(lower.T @ (0.5 * (s + s.T)) @ lower)
+    assert eigs.min() > 1.0 - 1e-8
+    exact = eigs.max() / eigs.min()
+    assert exact <= 10.0
+    # Lanczos approaches the extreme eigenvalues from inside
+    assert 0.99 * exact <= report.condition <= exact * (1.0 + 1e-8)
+
+
 def test_asymmetric_neumann_block_rejected(square6, monkeypatch):
     """An explicit local inverse whose interface block is not symmetric to
     rounding level is refused, as an unreliable constrained local solve,

@@ -401,6 +401,58 @@ def test_refinement_is_decided_per_member(rng):
     assert fact.backward_error(b, x)[2] < raw_errors[2]
 
 
+def test_member_errors_equal_absolute_value_formula(rng):
+    """Each member's largest magnitude, taken as ``max(v.max(), -v.min())``
+    with no ``|v|`` copy, gives the backward errors of the ``|v|`` formula
+    bit for bit: against the broadcast identity, with an all-zero, a
+    signed-zero and a non-positive member, and with no right-hand side."""
+    stack = _stack_of_saddles(rng, 4, 9, 4)
+    fact = factor_symmetric_indefinite(stack)
+
+    def amax(v):
+        return np.abs(v).max(axis=(1, 2), initial=0.0)
+
+    def reference(b, x, r):
+        denom = fact._norm_inf * amax(x) + amax(b)
+        return np.divide(amax(r), denom, out=np.zeros(len(b)), where=denom != 0.0)
+
+    signed = rng.standard_normal((4, 13, 3))
+    signed[1] = 0.0
+    signed[2] = -0.0
+    signed[3] = -np.abs(signed[3])
+    for b in (
+        np.broadcast_to(np.eye(13), (4, 13, 13)),
+        signed,
+        np.zeros((4, 13, 0)),
+    ):
+        x = fact._solve_members(b)
+        x[1:3] = signed[1:3, :, :1]  # exact zeros of both signs in x too
+        r = b - stack @ x
+        got = fact._member_errors(b, x, r)
+        assert got.view(np.int64).tolist() == reference(b, x, r).view(np.int64).tolist()
+
+
+def test_stacked_solve_makes_no_full_size_absolute_copies(rng):
+    """Solving a stack against the broadcast identity, as the constrained
+    local inverses are formed, peaks at the solution plus its residual
+    (tracemalloc); ``|v|`` copies of the residual, the solution and the
+    materialized identity took it to 3x the solution."""
+    import tracemalloc
+
+    m, n = 4, 120
+    fact = factor_symmetric_indefinite(_stack_of_saddles(rng, m, 90, 30))
+    eye = np.broadcast_to(np.eye(n), (m, n, n))
+    fact.solve(eye)
+    tracemalloc.start()
+    try:
+        x = fact.solve(eye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fact.backward_error(eye, x).max() <= 1e-12  # no refinement step
+    assert peak <= 2.25 * x.nbytes
+
+
 @pytest.mark.parametrize("k", [None, 1, 31, 32, 33, 70])
 def test_blocked_backward_error_equals_whole_residual(k, rng):
     """The sparse backward error, formed 32 columns at a time, is the
