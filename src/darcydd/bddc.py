@@ -9,28 +9,32 @@ coarse matrix is the assembly of the substructure-local coarse energies.
 
 Every local problem lives on the interface. With the explicit local Schur
 complement ``S_i`` of :class:`~darcydd.subsolve.SubstructureOperator` and
-the constraint matrix ``C_i``, each substructure has one dense
-``(n_gamma + n_c)`` saddle matrix ``[[-S_i, C_i^T], [C_i, 0]]``. It is the
-constrained local saddle matrix ``[[K, D^T], [D, 0]]`` with the interior
-unknowns eliminated exactly, so its interface and constraint rows solve the
-same problems: the coarse basis, the local coarse matrix and the constrained
-(Neumann) correction. :func:`constrained_inverse` inverts it explicitly,
-once, and returns three blocks of the inverse: the interface block ``N_i``,
-the coarse basis ``Phi_i`` and the local coarse matrix.
+the constraint matrix ``C_i``, each substructure's constrained problem is
+the energy minimization ``min 1/2 x^T S_i x`` subject to ``C_i x = d``:
+the constrained saddle matrix ``[[K, D^T], [D, 0]]`` with the interior
+unknowns eliminated exactly, ``[[-S_i, C_i^T], [C_i, 0]]``. It gives the
+coarse basis, the local coarse matrix and the constrained (Neumann)
+correction. :func:`constrained_inverse` solves it once, on the null space
+``Z`` of ``C_i``, and returns three blocks of the saddle matrix's inverse:
+the interface block ``N_i``, the coarse basis ``Phi_i`` and the local
+coarse matrix. ``-Z^T S_i Z`` is negative definite exactly when the
+constraints remove every floating mode of ``S_i``, so its Cholesky
+factorization certifies the local problem; no saddle matrix is formed.
 
 Set-up groups the substructures by their shape ``(n_gamma, n_c)``, members
-in substructure order, and inverts each group's saddle matrices as one
-``(m, n, n)`` stack: one call of the dense factorization, which factors and
-solves each member with its own LAPACK calls, and decides inertia and
-refinement member by member, so each member's blocks are those of its own
-factorization bit for bit. Each group keeps its ``N_i`` and ``Phi_i`` as
-one stack each. The local coarse matrices are assembled, in substructure
-order, into the sparse coarse matrix, which is factored last, by Cholesky
+in substructure order, and solves each group's local problems as one
+``(m, n, n)`` stack: one batched QR of the ``C_i^T`` and one call of the
+dense Cholesky factorization, which factors and solves each member with
+its own LAPACK calls and decides refinement member by member, so each
+member's blocks are those of its own group of one bit for bit. Each group
+keeps its ``N_i`` and ``Phi_i`` as one stack each. The local coarse
+matrices are assembled, in substructure order, into the sparse coarse
+matrix, which is factored last, by Cholesky
 (:func:`~darcydd.ldlt.factor_negative_definite`): its success certifies
 that the coarse matrix is negative definite. The square-dense benchmark
-mesh has 64 substructures in three shapes, so set-up makes three indefinite
-factorizations instead of 64, and one Cholesky factorization; the 16
-substructures of the fracture-contrast mesh are 16 groups of one.
+mesh has 64 substructures in three shapes, so set-up makes three local
+factorizations instead of 64, and one coarse one; the 16 substructures of
+the fracture-contrast mesh are 16 groups of one.
 
 An application of the preconditioner gathers the weighted residual once,
 in group order, and makes two batched products per group, ``N_i r_i`` and
@@ -41,12 +45,13 @@ from set-up. The products go back to substructure order and are added with
 one ``np.bincount`` per reduction, which adds in exactly the order of a
 loop over the substructures.
 
-Sign conventions: each local saddle matrix has a negative semidefinite
-interface energy, so the local coarse matrices are negative semidefinite
-and their assembly is negative definite whenever any substructure touches a
-natural boundary condition. The preconditioner negates the combined
-corrections at the end, which makes its action symmetric positive definite
-on the assembled interface space, matching the reduced operator.
+Sign conventions: each local problem has the negative semidefinite
+interface energy ``-S_i``, so the local coarse matrices are negative
+semidefinite and their assembly is negative definite whenever any
+substructure touches a natural boundary condition. The preconditioner
+negates the combined corrections at the end, which makes its action
+symmetric positive definite on the assembled interface space, matching the
+reduced operator.
 """
 from __future__ import annotations
 
@@ -162,42 +167,63 @@ def _symmetrized(blocks: NDArray, sub_ids: list[int], what: str) -> NDArray:
 def constrained_inverse(
     schurs: NDArray, cs: NDArray, sub_ids: list[int]
 ) -> tuple[NDArray, NDArray, NDArray]:
-    """Invert the constrained saddle matrices ``[[-S_i, C_i^T], [C_i, 0]]``
-    of a group of substructures with one interface size ``n_gamma`` and one
-    constraint count ``n_c``; returns the stacks of ``N_i``, ``Phi_i`` and
-    the local coarse matrices ``S_cc,i``.
+    """Solve the constrained local problems of a group of substructures
+    with one interface size ``n_gamma`` and one constraint count ``n_c`` on
+    the null spaces of their constraints; returns the stacks of ``N_i``,
+    ``Phi_i`` and the local coarse matrices ``S_cc,i``.
 
     ``schurs`` holds the members' ``S_i`` and ``cs`` their ``C_i``, each a
     stack or a sequence of the members' matrices, and ``sub_ids`` names the
-    members in errors; one substructure is a group of one. One
-    factorization of the stack and one solve against the identity give
-    every member's whole inverse. Its interface block is ``N_i``, which
-    maps an interface residual to the constrained (Neumann) correction; its
-    columns for the constraint rows hold the coarse basis on the interface
-    rows and the local coarse matrix (negated) on the constraint rows.
+    members in errors; one substructure is a group of one. The complete QR
+    ``C_i^T = [Q1 Z][R1; 0]`` gives ``C^+ = Q1 R1^-T``, a right inverse of
+    ``C_i``, and an orthonormal basis ``Z`` of its null space. One
+    Cholesky factorization of the stack of ``A_i = -Z^T S_i Z`` and one
+    solve against ``[Z^T, Z^T S_i C^+]`` then give ``N_i = Z A_i^-1 Z^T``,
+    which maps an interface residual to the constrained (Neumann)
+    correction, and the coarse basis ``Phi_i = C^+ + Z A_i^-1 Z^T S_i C^+``;
+    ``S_cc,i = -Phi_i^T S_i Phi_i``. These are the blocks of the inverse of
+    ``[[-S_i, C_i^T], [C_i, 0]]``.
+
+    Raises :class:`ConstraintDeficiencyError` naming the first member whose
+    constraint rows are linearly dependent (an ``R1`` diagonal entry at or
+    below ``n_gamma eps`` times its row's norm) or whose ``A_i`` the
+    Cholesky factorization does not certify negative definite: its
+    constraints leave a floating mode of ``S_i``.
     """
-    cs = np.asarray(cs)
-    m, nc, n_g = cs.shape
-    aug = np.zeros((m, n_g + nc, n_g + nc))
-    np.negative(schurs, out=aug[:, :n_g, :n_g])
-    aug[:, n_g:, :n_g] = cs
-    aug[:, :n_g, n_g:] = cs.transpose(0, 2, 1)
+    schurs, cs = np.asarray(schurs), np.asarray(cs)
+    nc, n_g = cs.shape[1:]
+    q, r = np.linalg.qr(cs.transpose(0, 2, 1), mode="complete")
+    r1 = r[:, :nc]
+    pivots = np.abs(np.diagonal(r1, axis1=1, axis2=2))
+    dependent = pivots <= n_g * np.finfo(float).eps * np.linalg.norm(cs, axis=2)
+    for j in np.flatnonzero(dependent.any(axis=1)):
+        raise ConstraintDeficiencyError(
+            f"substructure {sub_ids[j]}: constrained local problem is "
+            f"singular; its constraint rows are linearly dependent"
+        )
+    # C^+ = Q1 R1^-T, from R1 C^+^T = Q1^T: an upper triangular R1 takes no
+    # row exchanges, so this is the triangular solve
+    c_plus = np.linalg.solve(r1, q[:, :, :nc].transpose(0, 2, 1)).transpose(0, 2, 1)
+    z = q[:, :, nc:]
+    zt_s = z.transpose(0, 2, 1) @ schurs
+    a = zt_s @ z
+    a = -0.5 * (a + a.transpose(0, 2, 1))
     try:
-        fact = factor_symmetric_indefinite(aug)
+        fact = factor_symmetric_indefinite(a)
     except SingularSystemError as exc:
         raise ConstraintDeficiencyError(
             f"substructure {sub_ids[exc.member]}: constrained local problem "
             f"is singular; its constraints do not remove every floating "
             f"pressure mode ({exc})"
         ) from exc
-    x = fact.solve(np.broadcast_to(np.eye(n_g + nc), aug.shape))
-    # the saddle matrices and their factors go before the inverse is cut
-    del aug, fact
-    neumann = _symmetrized(x[:, :n_g, :n_g], sub_ids, "Neumann block")
-    # a copy, so that the whole inverse is freed; "K" keeps the memory
-    # layout that the products in ``apply`` see
-    phi = x[:, :n_g, n_g:].copy(order="K")
-    s_cc = _symmetrized(-x[:, n_g:, n_g:], sub_ids, "coarse matrix")
+    y = fact.solve(np.concatenate([z.transpose(0, 2, 1), zt_s @ c_plus], axis=2))
+    del a, fact, zt_s
+    zy = z @ y
+    neumann = _symmetrized(zy[:, :, :n_g], sub_ids, "Neumann block")
+    phi = c_plus + zy[:, :, n_g:]
+    s_cc = _symmetrized(
+        -(phi.transpose(0, 2, 1) @ (schurs @ phi)), sub_ids, "coarse matrix"
+    )
     defect = np.abs(cs @ phi - np.eye(nc)).max(axis=(1, 2), initial=0.0)
     for j in np.flatnonzero(defect > 1e-8):
         raise SingularSystemError(
@@ -221,7 +247,7 @@ class BddcPreconditioner:
     """Substructure corrections plus a coarse correction, SPD as an operator.
 
     Set-up groups the substructures by interface size and constraint count
-    and inverts each group's constrained saddle matrices as one stack; the
+    and solves each group's constrained local problems as one stack; the
     group's ``N_i`` and ``Phi_i`` stay as one stack each.
 
     Application: weight and restrict the residual to each substructure,

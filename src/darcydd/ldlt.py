@@ -1,23 +1,23 @@
-"""Symmetric factorizations: an indefinite one with a dense and a sparse
-path, and a dense Cholesky one for negative definite matrices.
+"""Symmetric factorizations: a sparse LU path and a dense Cholesky path for
+stacks of negative definite matrices, and a Cholesky one for the sparse
+coarse matrix.
 
-The systems factored here are symmetric. The constrained local saddle
-matrices are indefinite, so plain Cholesky does not apply to them; they and
-the definite multiplier matrices go through
-:func:`factor_symmetric_indefinite`, whose input type alone picks the path;
-there is no size threshold and no option. Sparse input takes a sparse LU
-with partial pivoting and the ``MMD_ATA`` column ordering. In this package
-it is always a negative definite multiplier matrix, left when velocities
-and pressures are eliminated element by element: one block-diagonal matrix
-of interior blocks per group of substructures with one interface size, and
-the global multiplier matrix of the direct solve. The path checks symmetry,
-not definiteness, and gives no inertia. SuperLU factors a block-diagonal
-matrix block by block, with the same fill as its blocks alone. On the
-fracture-contrast benchmark mesh (22k unknowns, 16 substructures) the
-interior blocks hold 329-364 unknowns each and 201k L+U entries in 15
-matrices, and the global multiplier matrix (6,391 unknowns) 2.04M; on the
-square-dense mesh, 64 blocks of 65 unknowns hold 45k in 3 matrices, and
-the global matrix (4,720 unknowns) 221k.
+Every matrix factored here is symmetric, and every one this package
+factors is negative definite. :func:`factor_symmetric_indefinite` takes
+sparse and dense input, and its input type alone picks the path; there is
+no size threshold and no option. Sparse input takes a sparse LU with
+partial pivoting and the ``MMD_ATA`` column ordering. In this package it
+is always a negative definite multiplier matrix, left when velocities and
+pressures are eliminated element by element: one block-diagonal matrix of
+interior blocks per group of substructures with one interface size, and
+the global multiplier matrix of the direct solve. The path checks
+symmetry, not definiteness. SuperLU factors a block-diagonal matrix block
+by block, with the same fill as its blocks alone. On the fracture-contrast
+benchmark mesh (22k unknowns, 16 substructures) the interior blocks hold
+329-364 unknowns each and 201k L+U entries in 15 matrices, and the global
+multiplier matrix (6,391 unknowns) 2.04M; on the square-dense mesh, 64
+blocks of 65 unknowns hold 45k in 3 matrices, and the global matrix (4,720
+unknowns) 221k.
 
 Sparse input is taken as it is when it is a CSC matrix in canonical format
 (sorted row indices, no duplicates), which is what SuperLU reads; any other
@@ -27,27 +27,27 @@ nonzero ``(row, col, value)`` triplets, in column-major order, equal its
 transpose's triplets sorted the same way (``np.lexsort``), which is exactly
 ``(A != A.T).nnz == 0``; its infinity norm is :func:`csc_norm_inf`.
 
-Dense (ndarray) input takes LAPACK's Bunch-Kaufman ``dsytrf``/``dsytrs``
-on the symmetrically equilibrated matrix ``S A S``, ``S = diag(s)`` with
-``s_i = 1/sqrt(max_j |a_ij|)``, which brings every row's largest entry near
-one. The inertia is read from the 1x1 and 2x2 pivot blocks of the scaled
-factor (it equals that of ``A``, by Sylvester's law), and a pivot
-eigenvalue counts as zero below ``n eps max|D|``. Without the scaling that
-test would be absolute: a matrix whose rows differ in scale by many orders
-of magnitude, such as a constrained local problem at a stiff fracture
-penalty, showed false zero pivots. The dense path factors the constrained
-local saddle matrices.
+Dense (ndarray) input must be negative definite: LAPACK's Cholesky
+``dpotrf`` factors ``-A = L L^T``, and ``dpotrs`` solves with ``L``. The
+factorization certifies definiteness: it fails on a pivot that is not
+positive, and a pivot ``l_kk^2`` at or below ``n eps (-A)_kk`` counts as
+zero. That ratio does not change when ``A`` is scaled symmetrically by a
+diagonal matrix, so rows of very different scale need no rescaling first.
+Either way it raises :class:`SingularSystemError`. The preconditioner's
+constrained local problems are solved on the null space of their
+constraints, where they are negative definite exactly when the constraints
+remove every floating mode; this path factors them.
 
 The dense path takes a stack of ``m`` matrices of one size, an ``(m, n,
 n)`` array, as well as a single matrix, which it treats as a stack of one.
-The symmetry check, the equilibration, the inertia, the backward error and
-the refinement are array operations over the whole stack, decided member
-by member; ``dsytrf`` and ``dsytrs`` run once per member, on that member
-alone, in place on Fortran-ordered copies. A member's factor, inertia and
-solutions are therefore bit for bit those of factoring it alone. A singular
-member raises :class:`SingularSystemError` with its index in ``member``.
-The preconditioner inverts the constrained local saddle matrices of all
-substructures of one shape as one stack.
+The symmetry check, the backward error and the refinement are array
+operations over the whole stack, decided member by member; ``dpotrf`` and
+``dpotrs`` run once per member, on that member alone, in place on
+Fortran-ordered arrays. A member's factor and solutions are therefore bit
+for bit those of factoring it alone, and a member that is not certified
+raises :class:`SingularSystemError` with its index in ``member``. The
+preconditioner factors the projected local matrices of all substructures
+of one shape as one stack.
 
 Both paths meet the same accuracy contract: ``solve`` measures the normwise
 backward error and applies one step of iterative refinement whenever it
@@ -57,14 +57,9 @@ also applies to the unreduced saddle matrix. It forms the residual 32
 columns at a time, so that no temporary holds more than a block of
 SuperLU's multi-column solution.
 
-:func:`factor_negative_definite` factors the preconditioner's coarse matrix
-``A``, which must be negative definite: LAPACK's Cholesky ``dpotrf``
-factors ``-A = L L^T``, in place on a dense copy built in Fortran order,
-so only ``L`` is kept. The factorization certifies definiteness: it fails
-on a pivot that is not positive, and a pivot ``l_kk^2`` at or below
-``n eps (-A)_kk`` counts as zero. That ratio does not change when ``A`` is
-scaled symmetrically by a diagonal matrix, so no equilibration is needed.
-Either way it raises :class:`SingularSystemError`. ``solve`` is two
+:func:`factor_negative_definite` factors the preconditioner's sparse coarse
+matrix ``A`` with the same certified Cholesky, in place on a dense copy of
+``-A`` built in Fortran order, so only ``L`` is kept. ``solve`` is two
 triangular solves (``dtrsv``), for one right-hand side, and meets the same
 accuracy contract against the sparse matrix it was given, with
 :func:`sparse_backward_error`; no dense copy of ``A`` is kept for that.
@@ -143,12 +138,42 @@ def sparse_backward_error(a: sps.spmatrix, b, x, norm_inf: float) -> float:
     return float(r_max / denom)
 
 
-class IndefiniteFactorization:
-    """Factored symmetric matrix, or stack of matrices, exposing ``solve``
-    and the inertia.
+def _certified_cholesky(neg: np.ndarray, stacked: bool = False) -> None:
+    """Factor every member of ``neg``, a stack of Fortran-ordered symmetric
+    matrices ``-A``, in place by ``dpotrf``: ``-A = L L^T``, with ``L``
+    left in the member's lower triangle.
 
-    ``inertia`` is ``(n_positive, n_negative, n_zero)`` on the dense path,
-    one such tuple per member for a stack, and ``None`` on the sparse path.
+    Raises :class:`SingularSystemError` for the first member whose ``A`` is
+    not negative definite or has a pivot ``l_kk^2`` at or below
+    ``n eps (-A)_kk``; for a ``stacked`` input it names the member and
+    sets ``member``.
+    """
+    m, n = len(neg), neg.shape[-1]
+    diag = np.diagonal(neg, axis1=1, axis2=2).copy()
+    info = [lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)[1] for a in neg]
+    pivots = np.diagonal(neg, axis1=1, axis2=2) ** 2
+    zero = pivots <= n * np.finfo(float).eps * diag
+    for j in np.flatnonzero(np.greater(info, 0) | zero.any(axis=1)):
+        which = f"matrix {j} of a stack of {m}" if stacked else "matrix"
+        member = j if stacked else None
+        if info[j] > 0:
+            raise SingularSystemError(
+                f"{which} is not negative definite: its leading block of "
+                f"order {info[j]} (of {n}) is not",
+                member=member,
+            )
+        k = np.flatnonzero(zero[j])[0]
+        raise SingularSystemError(
+            f"{which} is singular: pivot {k + 1} of {n} is "
+            f"{pivots[j, k] / diag[j, k]:.3e} times its diagonal entry",
+            member=member,
+        )
+
+
+class IndefiniteFactorization:
+    """Factored symmetric matrix, or stack of negative definite matrices,
+    exposing ``solve``.
+
     ``solve`` takes what the matrix acts on: for a matrix one right-hand
     side or a matrix of stacked right-hand sides, and for a stack of ``m``
     matrices the same with a leading axis of length ``m``.
@@ -177,7 +202,6 @@ class IndefiniteFactorization:
         if not symmetric:
             raise ValueError("matrix must be square and symmetric")
         self.n = n
-        self.inertia: tuple[int, int, int] | list[tuple[int, int, int]] | None = None
         if sps.issparse(matrix):
             self.mode = "sparse"
             try:
@@ -187,76 +211,23 @@ class IndefiniteFactorization:
             self._norm_inf = csc_norm_inf(self._mat)
         else:
             self.mode = "dense"
-            self._factor_dense()
+            # every member of -A is exactly symmetric, so its transpose is
+            # itself in Fortran order, which dpotrf factors in place
+            self._factors = np.negative(self._mat)
+            _certified_cholesky(self._factors.transpose(0, 2, 1), self._stacked)
             self._norm_inf = np.abs(self._mat).sum(axis=2).max(axis=1, initial=0.0)
 
-    # -- dense Bunch-Kaufman path, member by member ----------------------
-
-    def _factor_dense(self) -> None:
-        a = self._mat
-        m, n = len(a), self.n
-        row_max = np.abs(a).max(axis=2, initial=0.0)
-        scale = np.ones((m, n))
-        scale[row_max > 0] = 1.0 / np.sqrt(row_max[row_max > 0])
-        self._scale = scale[:, :, None]
-        # every member of the scaled stack is exactly symmetric, so its
-        # transpose is itself in Fortran order, which LAPACK factors in place
-        scaled = self._scale * scale[:, None, :]
-        scaled *= a
-        factors = [
-            lapack.dsytrf(member.T, lower=1, overwrite_a=True) for member in scaled
-        ]
-        self._ldu = [ldu for ldu, _, _ in factors]
-        self._ipiv = [ipiv for _, ipiv, _ in factors]
-        # In lower storage a 2x2 pivot block covers two consecutive negative
-        # ipiv entries, and 1x1 pivots have positive ones. Blocks never
-        # overlap, so the negative positions, left to right, pair up block
-        # by block, and never across members; their values cannot be used,
-        # as two adjacent 2x2 blocks may carry the same one.
-        neg = np.array(self._ipiv).reshape(m, n) < 0
-        two = np.flatnonzero(neg)[::2]  # flat (member, row) of each block
-        diag = np.array([np.diagonal(ldu) for ldu in self._ldu]).reshape(m, n)
-        sub = np.array([np.diagonal(ldu, -1) for ldu in self._ldu])
-        off = sub.reshape(-1)[two - two // n]  # each block's off-diagonal
-        blocks = np.empty((len(two), 2, 2))
-        blocks[:, 0, 0] = diag.flat[two]
-        blocks[:, 1, 1] = diag.flat[two + 1]
-        blocks[:, 0, 1] = blocks[:, 1, 0] = off
-        # the pivot eigenvalues, each in the row of its pivot
-        eigs = diag.copy()
-        eigs.flat[two[:, None] + [0, 1]] = np.linalg.eigvalsh(blocks)
-        d_max = np.maximum(1.0, np.abs(diag).max(axis=1, initial=0.0))
-        np.maximum.at(d_max, two // n, np.abs(off))
-        zero = np.abs(eigs) <= n * np.finfo(float).eps * d_max[:, None]
-        n_zero = zero.sum(axis=1)
-        n_pos = (~zero & (eigs > 0)).sum(axis=1)
-        inertia = list(
-            zip(n_pos.tolist(), (n - n_pos - n_zero).tolist(), n_zero.tolist())
-        )
-        self.inertia = inertia if self._stacked else inertia[0]
-        for j, (n_pos, n_neg, n_zero) in enumerate(inertia):
-            if n_zero:
-                which = f"matrix {j} of a stack of {m}" if self._stacked else "matrix"
-                raise SingularSystemError(
-                    f"{which} is singular: inertia ({n_pos} positive, "
-                    f"{n_neg} negative, {n_zero} zero pivots)",
-                    member=j if self._stacked else None,
-                )
-
-    def _solve_members(self, b: np.ndarray, members=None) -> np.ndarray:
-        """Unrefined solutions for the given members, or for all, ``b`` of
-        shape ``(len(members), n, k)``. Each member's right-hand sides are
-        scaled into Fortran order, which ``dsytrs`` solves in place."""
-        scale = self._scale if members is None else self._scale[members]
+    def _solve_unrefined(self, b: np.ndarray, members=None) -> np.ndarray:
+        """Unrefined solutions ``-(L L^T)^-1 b`` for the given members, or
+        for all, ``b`` of shape ``(len(members), n, k)``. Each member's
+        ``-b`` is put in Fortran order, which ``dpotrs`` solves in place."""
         if members is None:
             members = range(len(b))
         x = np.empty((len(b), b.shape[2], self.n)).transpose(0, 2, 1)
-        np.multiply(scale, b, out=x)
-        for i, j in enumerate(members):
-            x[i] = lapack.dsytrs(
-                self._ldu[j], self._ipiv[j], x[i], lower=1, overwrite_b=True
-            )[0]
-        x *= scale
+        np.negative(b, out=x)
+        # dpotrs refuses right-hand sides for a matrix of order 0
+        for i, j in enumerate(members if self.n else ()):
+            lapack.dpotrs(self._factors[j].T, x[i], lower=1, overwrite_b=1)
         return x
 
     def _as_stack(self, b: np.ndarray) -> np.ndarray:
@@ -278,8 +249,6 @@ class IndefiniteFactorization:
         denom = self._norm_inf * amax(x) + amax(b)
         return np.divide(amax(r), denom, out=np.zeros(len(b)), where=denom != 0.0)
 
-    # -- shared solve with refinement -------------------------------------
-
     def backward_error(self, b: np.ndarray, x: np.ndarray):
         """Normwise backward error of ``x``; one per member for a stack."""
         if self.mode == "sparse":
@@ -299,27 +268,30 @@ class IndefiniteFactorization:
                 x = x + self._splu.solve(b - self._mat @ x)
             return x
         bs = self._as_stack(b)
-        x = self._solve_members(bs)
+        x = self._solve_unrefined(bs)
         r = self._mat @ x
         np.subtract(bs, r, out=r)
         # each member is refined on its own, as if factored alone
         refine = self._member_errors(bs, x, r) > _REFINE_TRIGGER
         if refine.any():
             refine = np.flatnonzero(refine)
-            x[refine] += self._solve_members(r[refine], refine)
+            x[refine] += self._solve_unrefined(r[refine], refine)
         if b.ndim == 1 + self._stacked:  # one right-hand side per member
             x = x[..., 0]
         return x if self._stacked else x[0]
 
 
 def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization:
-    """Factor a symmetric (possibly indefinite) sparse or dense matrix, or
-    a stack of dense matrices of one size.
+    """Factor a symmetric sparse matrix, or a dense negative definite
+    matrix or stack of such matrices of one size.
 
-    Raises :class:`SingularSystemError` on exact singularity; the dense-path
-    message includes the inertia, and for a stack the index of the first
-    singular member. An ndarray takes the dense path, which also gives the
-    inertia; a sparse matrix takes the sparse path.
+    A sparse matrix takes the sparse LU path, which checks symmetry, not
+    definiteness, and raises :class:`SingularSystemError` on exact
+    singularity. An ndarray takes the dense Cholesky path, which raises
+    :class:`SingularSystemError` for a matrix that it does not certify
+    negative definite, and for a stack names the first such member.
+    Either path raises ``ValueError`` for a matrix that is not square and
+    symmetric.
     """
     return IndefiniteFactorization(matrix)
 
@@ -340,20 +312,7 @@ class NegativeDefiniteFactorization:
             raise ValueError("matrix must be square and symmetric")
         self.n = n
         np.negative(factor, out=factor)
-        diag = np.diagonal(factor).copy()
-        factor, info = lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
-        if info > 0:
-            raise SingularSystemError(
-                f"matrix is not negative definite: its leading block of "
-                f"order {info} (of {n}) is not"
-            )
-        ratio = np.diagonal(factor) ** 2 / diag
-        zero = np.flatnonzero(ratio <= n * np.finfo(float).eps)
-        if len(zero):
-            raise SingularSystemError(
-                f"matrix is singular: pivot {zero[0] + 1} of {n} is "
-                f"{ratio[zero[0]]:.3e} times its diagonal entry"
-            )
+        _certified_cholesky(factor[None])
         self._factor = factor
         # |A|'s largest column sum, which for a symmetric A is its largest
         # row sum; the transpose of a CSR matrix is a CSC one

@@ -56,10 +56,14 @@ CASES = [
     ("frac2", 4, "diag", True),
     ("frac-hetero", 4, "rho", True),
 ]
+# the stiff penalty limit, where cond S_i reaches 5e10: the dense saddle
+# solves of the implicit apply oracle are themselves ill-conditioned there
+PROPERTY_CASES = CASES + [("frac-stiff", 8, "diag", True)]
 
 # ``mesh-nsub-scheme-corners-True``: the last field says that every face
 # and edge glob carries an average, as it always does.
 CASE_IDS = ["-".join(map(str, (*case, True))) for case in CASES]
+PROPERTY_IDS = ["-".join(map(str, (*case, True))) for case in PROPERTY_CASES]
 
 
 @pytest.fixture
@@ -70,10 +74,13 @@ def meshes(square4, square6, cube2, frac2):
         "cube2": cube2,
         "frac2": frac2,
         "frac-hetero": generate_cross_fracture_cube(2, k1=1e3, k2=1e2, k3=1e-1),
+        "frac-stiff": generate_cross_fracture_cube(4, sigma=1e9),
     }
 
 
-@pytest.mark.parametrize("name,n_sub,scheme,corners_on", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize(
+    "name,n_sub,scheme,corners_on", PROPERTY_CASES, ids=PROPERTY_IDS
+)
 def test_preconditioner_properties(name, n_sub, scheme, corners_on, meshes):
     pipe = build_pipeline(meshes[name], n_sub, scheme=scheme, corners_on=corners_on)
     prec = pipe.prec
@@ -416,8 +423,9 @@ def test_stiff_penalty_substructured_matches_direct(sigma):
 @pytest.mark.parametrize("sigma", [1e8, 1e9])
 def test_stiffest_penalties_substructured(sigma):
     """At sigma = 1e8 and 1e9 every constrained local problem factors: the
-    equilibrated pivot test finds no false zero pivot. The solve converges
-    to rel_tol 1e-8 and lies within 1e-6 of the direct solve."""
+    Cholesky certificate on the constraint null space, whose pivot test is
+    relative to each diagonal entry, finds no false zero pivot. The solve
+    converges to rel_tol 1e-8 and lies within 1e-6 of the direct solve."""
     pipe = build_pipeline(generate_cross_fracture_cube(4, sigma=sigma), 8, scheme="diag")
     lam, report = pcg(
         pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
@@ -487,12 +495,12 @@ def test_fracture_condition_matches_exact_spectrum():
     assert 0.99 * exact <= report.condition <= exact * (1.0 + 1e-8)
 
 
-def test_asymmetric_neumann_block_rejected(square6, monkeypatch):
+def test_asymmetric_neumann_block_rejected(monkeypatch):
     """An explicit local inverse whose interface block is not symmetric to
     rounding level is refused, as an unreliable constrained local solve,
-    naming the substructure whose block it is: square6's four
-    substructures form one group, and its third member's block is
-    skewed."""
+    naming the substructure whose block it is: a 10x10 square's four
+    substructures form one group whose constraints leave a null space of
+    dimension two, and the solve on it is skewed in its third member."""
     import darcydd.bddc
 
     real = darcydd.bddc.factor_symmetric_indefinite
@@ -504,14 +512,15 @@ def test_asymmetric_neumann_block_rejected(square6, monkeypatch):
 
         def solve(self, rhs):
             x = self.inner.solve(rhs)
-            # break the symmetry of one member's N_i
+            # break the symmetry of one member's N_i = Z A^-1 Z^T
             x[member, 0, 1] += 1e-6 * np.abs(x[member]).max()
             return x
 
-    pipe = build_pipeline(square6, 4, with_prec=False)
+    pipe = build_pipeline(generate_unit_square(10), 4, with_prec=False)
     constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
     assert len({len(c) for c in constraints.matrices}) == 1
     assert len({sub.n_gamma for sub in pipe.subs}) == 1
+    assert pipe.subs[0].n_gamma > len(constraints.matrices[0])
     monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", Skewed)
     skewed = pipe.subs[member].sub_id
     with pytest.raises(
@@ -528,11 +537,10 @@ def test_asymmetric_neumann_block_rejected(square6, monkeypatch):
 
 @pytest.mark.parametrize("name,n_sub", [("frac2", 4), ("square6", 4), ("cube2", 4)])
 def test_kept_coarse_bases_own_their_data(meshes, rng, name, n_sub):
-    """Every group's kept ``Phi`` stack is a copy that owns its memory, so
-    the whole stack of explicit local inverses it was cut from is freed;
-    applying the preconditioner with each ``Phi`` stack read as a block of
-    such an inverse stack, as before the copy, gives the same result bit
-    for bit."""
+    """Every group's kept ``Phi`` and ``N`` stacks own their memory, so the
+    stack of products ``Z A^-1 [Z^T, Z^T S C^+]`` they are formed from is
+    freed; applying the preconditioner with each ``Phi`` stack read as a
+    block of such a product stack gives the same result bit for bit."""
     pipe = build_pipeline(meshes[name], n_sub)
     prec = pipe.prec
     r = rng.standard_normal(prec.n)
@@ -543,10 +551,10 @@ def test_kept_coarse_bases_own_their_data(meshes, rng, name, n_sub):
         assert grp.neumann.base is None and grp.neumann.flags.owndata
         m, n_g, nc = phi.shape
         # each member's Phi_i in the memory layout of its block of the
-        # whole inverse, which LAPACK left in Fortran order
-        whole = np.zeros((m, n_g + nc, n_g + nc), order="C").transpose(0, 2, 1)
-        whole[:, :n_g, n_g:] = phi
-        grp.phi = whole[:, :n_g, n_g:]
+        # row-major product stack, (m, n_gamma, n_gamma + n_c)
+        whole = np.zeros((m, n_g, n_g + nc))
+        whole[:, :, n_g:] = phi
+        grp.phi = whole[:, :, n_g:]
     np.testing.assert_array_equal(prec.apply(r), z)
 
 
@@ -621,6 +629,31 @@ def test_singular_group_member_named(member, square6):
     with pytest.raises(
         ConstraintDeficiencyError,
         match=rf"substructure {member}: constrained local problem is singular",
+    ):
+        BddcPreconditioner(
+            pipe.subs,
+            pipe.layout,
+            compute_weights(pipe.system, pipe.layout, "arithmetic"),
+            constraints,
+        )
+
+
+@pytest.mark.parametrize("member", [0, 2])
+def test_floating_mode_in_constraint_null_space_named(member):
+    """A member whose ``S_i`` keeps a null vector inside the null space of
+    its constraints, so that ``-Z^T S_i Z`` is singular, fails the Cholesky
+    certificate; the ConstraintDeficiencyError names that substructure, not
+    the group's first member."""
+    pipe = build_pipeline(generate_unit_square(10), 4, with_prec=False)
+    constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
+    sub = pipe.subs[member]
+    v = sla.null_space(constraints.matrices[sub.sub_id])[:, 0]
+    p = np.eye(sub.n_gamma) - np.outer(v, v)
+    projected = p @ sub.schur @ p
+    sub.schurs[sub.row] = 0.5 * (projected + projected.T)
+    with pytest.raises(
+        ConstraintDeficiencyError,
+        match=rf"substructure {sub.sub_id}: constrained local problem is singular",
     ):
         BddcPreconditioner(
             pipe.subs,

@@ -1,4 +1,5 @@
-"""Symmetric-indefinite factorization, dense and sparse paths."""
+"""Symmetric factorizations: the sparse LU path, the dense Cholesky path
+for stacks of negative definite matrices, and the coarse Cholesky one."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,11 +16,16 @@ from darcydd.ldlt import (
 
 
 def test_saddle_two_by_two():
-    fact = factor_symmetric_indefinite(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    assert fact.mode == "dense"
-    assert fact.inertia == (1, 1, 0)
+    """A 2x2 saddle matrix is indefinite: the dense Cholesky path refuses
+    it, and the sparse LU path, which does not check definiteness, solves
+    it."""
+    m = np.array([[1.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SingularSystemError, match="not negative definite"):
+        factor_symmetric_indefinite(m)
+    fact = factor_symmetric_indefinite(sps.csc_matrix(m))
+    assert fact.mode == "sparse"
     b = np.array([3.0, 1.0])
-    assert np.allclose(fact.solve(b), sla.solve([[1, 1], [1, 0]], b), atol=1e-14)
+    assert np.allclose(fact.solve(b), sla.solve(m, b), atol=1e-14)
 
 
 def test_exact_singularity_reported():
@@ -30,27 +36,35 @@ def test_exact_singularity_reported():
 def test_spd_matches_cholesky(rng):
     a = rng.standard_normal((60, 60))
     a = a @ a.T + 60 * np.eye(60)
-    fact = factor_symmetric_indefinite(a)
-    assert fact.inertia == (60, 0, 0)
+    fact = factor_symmetric_indefinite(-a)
+    assert fact.mode == "dense"
     b = rng.standard_normal(60)
-    ref = sla.cho_solve(sla.cho_factor(a), b)
+    ref = -sla.cho_solve(sla.cho_factor(a), b)
     assert np.abs(fact.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_indefinite_inertia_matches_eigenvalues(rng):
-    a = rng.standard_normal((30, 30))
-    a = 0.5 * (a + a.T)
-    w = np.linalg.eigvalsh(a)
-    fact = factor_symmetric_indefinite(a)
-    assert fact.inertia == (int((w > 0).sum()), int((w < 0).sum()), 0)
-    b = rng.standard_normal(30)
-    x = fact.solve(b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+    """The dense path certifies a matrix exactly when its inertia is
+    ``(0, n, 0)``: of symmetric matrices with 0 to 3 positive eigenvalues
+    among 30, it factors and solves the first and refuses the others."""
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    for n_pos in range(4):
+        w = -np.logspace(0.0, 3.0, 30)
+        w[:n_pos] *= -1.0
+        a = (q * w) @ q.T
+        a = 0.5 * (a + a.T)
+        if n_pos:
+            with pytest.raises(SingularSystemError, match="not negative definite"):
+                factor_symmetric_indefinite(a)
+            continue
+        b = rng.standard_normal(30)
+        x = factor_symmetric_indefinite(a).solve(b)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_multi_rhs_dense(rng):
     a = rng.standard_normal((40, 40))
-    a = 0.5 * (a + a.T) + 40 * np.eye(40)
+    a = -(0.5 * (a + a.T) + 40 * np.eye(40))
     fact = factor_symmetric_indefinite(a)
     b = rng.standard_normal((40, 5))
     x = fact.solve(b)
@@ -68,16 +82,22 @@ def test_sparse_path(rng):
     a = _laplacian(600)
     fact = factor_symmetric_indefinite(a)
     assert fact.mode == "sparse"
-    assert fact.inertia is None
     b = rng.standard_normal((600, 3))
     x = fact.solve(b)
     assert np.abs(a @ x - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_force_dense_keeps_inertia():
-    fact = factor_symmetric_indefinite(_laplacian(600).toarray())
-    assert fact.mode == "dense"
-    assert fact.inertia == (600, 0, 0)
+    """The negated Laplacian, given as an ndarray, takes the dense path and
+    is certified negative definite, inertia ``(0, n, 0)``; with free ends
+    its constants are a null vector, and it is refused."""
+    lap = _laplacian(600)
+    fact = factor_symmetric_indefinite(-lap.toarray())
+    assert fact.mode == "dense" and fact.n == 600
+    free = lap.tolil()
+    free[0, 0] = free[599, 599] = 1.0
+    with pytest.raises(SingularSystemError):
+        factor_symmetric_indefinite(-free.toarray())
 
 
 def test_backward_error_contract(rng):
@@ -103,103 +123,52 @@ def test_sparse_singularity_detected():
         IndefiniteFactorization(a)
 
 
-def _zero_diagonal_saddle(rng, n_a: int, n_b: int) -> np.ndarray:
-    """``[[A, B^T], [B, 0]]`` with a zero-diagonal symmetric ``A``: every
-    diagonal entry is zero, so Bunch-Kaufman must take 2x2 pivots."""
-    a = rng.standard_normal((n_a, n_a))
-    a = a + a.T
-    np.fill_diagonal(a, 0.0)
-    b = rng.standard_normal((n_b, n_a))
-    return np.block([[a, b.T], [b, np.zeros((n_b, n_b))]])
-
-
-@pytest.mark.parametrize("n_a,n_b", [(2, 2), (9, 4), (40, 15), (120, 60)])
-def test_two_by_two_pivots_solve_and_inertia(n_a, n_b):
-    rng = np.random.default_rng(7 * n_a + n_b)
-    m = _zero_diagonal_saddle(rng, n_a, n_b)
-    fact = factor_symmetric_indefinite(m)
-    assert fact.mode == "dense"
-    _, d, _ = sla.ldl(m, lower=True)
-    assert np.count_nonzero(np.diagonal(d, -1)) > 0  # 2x2 pivots were taken
-    w = np.linalg.eigvalsh(m)
-    assert fact.inertia == (int((w > 0).sum()), int((w < 0).sum()), 0)
-    n = n_a + n_b
-    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        ref = np.linalg.solve(m, b)
-        x = fact.solve(b)
-        assert x.shape == b.shape
-        assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-
-
-def test_mixed_pivots_match_loop_reference(rng):
-    """1x1 and 2x2 pivots in one matrix; the block-diagonal solve agrees
-    with a per-block loop over the same factors."""
-    m = _zero_diagonal_saddle(rng, 30, 10)
-    m[:5, :5] += np.diag(np.arange(1.0, 6.0))
-    fact = factor_symmetric_indefinite(m)
-    lu, d, perm = sla.ldl(m, lower=True)
-    sizes = []
-    i = 0
-    while i < len(d):
-        size = 2 if i + 1 < len(d) and d[i + 1, i] != 0.0 else 1
-        sizes.append(size)
-        i += size
-    assert 1 in sizes and 2 in sizes
-    b = rng.standard_normal((40, 2))
-    z = sla.solve_triangular(lu[perm], b[perm], lower=True, unit_diagonal=True)
-    w = np.empty_like(z)
-    off = 0
-    for size in sizes:
-        blk = slice(off, off + size)
-        w[blk] = np.linalg.solve(d[blk, blk], z[blk])
-        off += size
-    y = sla.solve_triangular(lu[perm].T, w, lower=False, unit_diagonal=True)
-    ref = np.empty_like(y)
-    ref[perm] = y
-    x = fact._solve_members(b[None], [0])[0]
-    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
 def test_zero_pivots_beside_two_by_two_block_detected():
+    """A definite 2x2 block beside a block whose last pivot is at rounding
+    level: Cholesky succeeds, with pivot 2^-52 against the diagonal entry
+    1 + 2^-52, and the certificate counts that pivot as zero; a zero
+    diagonal entry fails the factorization itself."""
     a = np.zeros((4, 4))
-    a[0, 1] = a[1, 0] = 1.0  # one 2x2 pivot, then two zero 1x1 pivots
-    with pytest.raises(SingularSystemError, match="2 zero"):
+    a[:2, :2] = -np.array([[2.0, 1.0], [1.0, 2.0]])
+    a[2:, 2:] = -np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+    with pytest.raises(SingularSystemError, match="matrix is singular: pivot 4 of 4"):
+        factor_symmetric_indefinite(a)
+    a[2:, 2:] = 0.0
+    with pytest.raises(SingularSystemError, match="block of order 3 .of 4. is not"):
         factor_symmetric_indefinite(a)
 
 
 def test_dense_input_always_takes_dense_path():
-    a = np.diag(np.linspace(1.0, 2.0, 600))
+    a = -np.diag(np.linspace(1.0, 2.0, 600))
     fact = factor_symmetric_indefinite(a)
     assert fact.mode == "dense"
-    assert fact.inertia == (600, 0, 0)
 
 
 @pytest.mark.parametrize("n", [2, 7, 120])
 def test_input_type_alone_picks_the_path(n, rng):
     """Sparse input of any size goes to the sparse LU, an ndarray of any
-    size to the dense LDL^T; no size threshold is involved."""
-    a = _laplacian(n) + sps.eye(n)
+    size to the dense Cholesky; no size threshold is involved."""
+    a = -(_laplacian(n) + sps.eye(n))
     sparse = factor_symmetric_indefinite(a)
     assert sparse.mode == "sparse"
-    assert sparse.inertia is None
     dense = factor_symmetric_indefinite(a.toarray())
     assert dense.mode == "dense"
-    assert dense.inertia == (n, 0, 0)
     b = rng.standard_normal(n)
     assert np.abs(sparse.solve(b) - dense.solve(b)).max() <= 1e-12 * np.abs(dense.solve(b)).max()
 
 
 def test_badly_scaled_rows_keep_inertia(rng):
-    """``D A D`` with row scales spread over twelve orders of magnitude:
-    the equilibrated factorization finds no false zero pivot, and its
-    inertia is that of ``A``."""
+    """``D A D`` with row scales spread over twelve orders of magnitude and
+    ``A`` negative definite: the Cholesky pivot test, relative to each
+    diagonal entry, does not change under the scaling, so it finds no
+    false zero pivot and certifies ``D A D`` negative definite, as ``A``
+    is, with no equilibration."""
     a = rng.standard_normal((40, 40))
-    a = 0.5 * (a + a.T)
+    a = -(a @ a.T + 0.1 * np.eye(40))
     d = np.logspace(-6, 6, 40)
     m = np.outer(d, d) * a
-    w = np.linalg.eigvalsh(a)
     fact = factor_symmetric_indefinite(m)
-    assert fact.inertia == (int((w > 0).sum()), int((w < 0).sum()), 0)
+    assert fact.mode == "dense"
     b = rng.standard_normal((40, 3))
     assert fact.backward_error(b, fact.solve(b)) <= 1e-12
 
@@ -327,28 +296,25 @@ def test_canonical_csc_taken_as_is_other_input_converted_once():
 # stacks of dense matrices
 
 
-def _stack_of_saddles(rng, m: int, n_a: int, n_b: int) -> np.ndarray:
-    """``m`` symmetric indefinite matrices of one size, rows scaled over
-    four orders of magnitude, with 1x1 and 2x2 pivots."""
-    stack = np.array([_zero_diagonal_saddle(rng, n_a, n_b) for _ in range(m)])
-    stack[:, :3, :3] += np.diag([1.0, 2.0, 3.0])
-    d = np.logspace(-2, 2, n_a + n_b)
-    return np.outer(d, d) * stack
+def _negative_definite_stack(rng, m: int, n: int) -> np.ndarray:
+    """``m`` symmetric negative definite matrices of one size, rows scaled
+    over four orders of magnitude."""
+    g = rng.standard_normal((m, n, n))
+    stack = -(g @ g.transpose(0, 2, 1) + np.eye(n))
+    d = np.logspace(-2, 2, n)
+    return np.outer(d, d) * 0.5 * (stack + stack.transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("m,n_a,n_b", [(1, 9, 4), (5, 9, 4), (12, 30, 10)])
-def test_stack_equals_members_factored_alone(m, n_a, n_b, rng):
+@pytest.mark.parametrize("m,n,k", [(1, 9, 4), (5, 9, 4), (12, 30, 10)])
+def test_stack_equals_members_factored_alone(m, n, k, rng):
     """A stack is factored and solved member by member exactly as each
-    member alone: the solutions against one and against many right-hand
-    sides and the inertia are bit for bit those of the member's own
-    factorization."""
-    stack = _stack_of_saddles(rng, m, n_a, n_b)
-    n = n_a + n_b
+    member alone: the solutions against one and against ``k`` right-hand
+    sides are bit for bit those of the member's own factorization."""
+    stack = _negative_definite_stack(rng, m, n)
     fact = factor_symmetric_indefinite(stack)
     assert fact.mode == "dense" and fact.n == n
     alone = [factor_symmetric_indefinite(a) for a in stack]
-    assert fact.inertia == [f.inertia for f in alone]
-    for b in (rng.standard_normal((m, n)), rng.standard_normal((m, n, 4))):
+    for b in (rng.standard_normal((m, n)), rng.standard_normal((m, n, k))):
         x = fact.solve(b)
         assert x.shape == b.shape
         for j, f in enumerate(alone):
@@ -363,7 +329,7 @@ def test_stack_equals_members_factored_alone(m, n_a, n_b, rng):
 
 @pytest.mark.parametrize("member", [0, 3])
 def test_singular_member_of_a_stack_named(member, rng):
-    stack = _stack_of_saddles(rng, 5, 9, 4)
+    stack = _negative_definite_stack(rng, 5, 13)
     stack[member, -1] = stack[member, -2]
     stack[member, :, -1] = stack[member, :, -2]
     with pytest.raises(
@@ -372,22 +338,25 @@ def test_singular_member_of_a_stack_named(member, rng):
         factor_symmetric_indefinite(stack)
     assert err.value.member == member
     # a single matrix names no member
-    with pytest.raises(SingularSystemError, match=r"^matrix is singular") as err:
+    with pytest.raises(
+        SingularSystemError, match=r"^matrix is (singular|not negative definite)"
+    ) as err:
         factor_symmetric_indefinite(stack[member])
     assert err.value.member is None
 
 
 def test_refinement_is_decided_per_member(rng):
     """A member whose backward error exceeds 1e-12 gets its step of
-    iterative refinement alone: here one member's factor is perturbed, so
-    its unrefined solution is off by about 1e-9; every other member's
-    solution stays bit for bit that of its own factorization."""
-    stack = _stack_of_saddles(rng, 4, 9, 4)
+    iterative refinement alone: here the entries of one member's factor
+    are perturbed by about 1e-6, which takes its backward error past
+    1e-12; every other member's solution stays bit for bit that of its own
+    factorization."""
+    stack = _negative_definite_stack(rng, 4, 13)
     fact = factor_symmetric_indefinite(stack)
     alone = [factor_symmetric_indefinite(a) for a in stack]
-    fact._ldu[2] = fact._ldu[2] * (1.0 + 1e-9)
+    fact._factors[2] *= 1.0 + 1e-6 * rng.standard_normal((13, 13))
     b = rng.standard_normal((4, 13, 2))
-    raw = fact._solve_members(b)
+    raw = fact._solve_unrefined(b)
     raw_errors = fact.backward_error(b, raw)
     assert raw_errors[2] > 1e-12
     assert (np.delete(raw_errors, 2) <= 1e-12).all()
@@ -396,7 +365,7 @@ def test_refinement_is_decided_per_member(rng):
         assert np.array_equal(x[j], raw[j])
         assert np.array_equal(x[j], alone[j].solve(b[j]))
     r = b[2] - stack[2] @ raw[2]
-    step = fact._solve_members(r[None], np.array([2]))[0]
+    step = fact._solve_unrefined(r[None], np.array([2]))[0]
     assert np.array_equal(x[2], raw[2] + step)
     assert fact.backward_error(b, x)[2] < raw_errors[2]
 
@@ -406,7 +375,7 @@ def test_member_errors_equal_absolute_value_formula(rng):
     with no ``|v|`` copy, gives the backward errors of the ``|v|`` formula
     bit for bit: against the broadcast identity, with an all-zero, a
     signed-zero and a non-positive member, and with no right-hand side."""
-    stack = _stack_of_saddles(rng, 4, 9, 4)
+    stack = _negative_definite_stack(rng, 4, 13)
     fact = factor_symmetric_indefinite(stack)
 
     def amax(v):
@@ -425,7 +394,7 @@ def test_member_errors_equal_absolute_value_formula(rng):
         signed,
         np.zeros((4, 13, 0)),
     ):
-        x = fact._solve_members(b)
+        x = fact._solve_unrefined(b)
         x[1:3] = signed[1:3, :, :1]  # exact zeros of both signs in x too
         r = b - stack @ x
         got = fact._member_errors(b, x, r)
@@ -433,14 +402,13 @@ def test_member_errors_equal_absolute_value_formula(rng):
 
 
 def test_stacked_solve_makes_no_full_size_absolute_copies(rng):
-    """Solving a stack against the broadcast identity, as the constrained
-    local inverses are formed, peaks at the solution plus its residual
-    (tracemalloc); ``|v|`` copies of the residual, the solution and the
-    materialized identity took it to 3x the solution."""
+    """Solving a stack against the broadcast identity peaks at the solution
+    plus its residual (tracemalloc); ``|v|`` copies of the residual, the
+    solution and the materialized identity took it to 3x the solution."""
     import tracemalloc
 
     m, n = 4, 120
-    fact = factor_symmetric_indefinite(_stack_of_saddles(rng, m, 90, 30))
+    fact = factor_symmetric_indefinite(_negative_definite_stack(rng, m, n))
     eye = np.broadcast_to(np.eye(n), (m, n, n))
     fact.solve(eye)
     tracemalloc.start()
