@@ -252,9 +252,13 @@ def _element_inverse(system: BlockSystem) -> sps.csr_matrix:
     inverted element by element, one batched inverse per element dimension.
 
     Each element block spans the element's sides that carry a velocity and
-    its pressure. A side without one gets a unit diagonal entry, which
-    keeps the blocks of one dimension equally sized and drops out again.
-    Every inverse is symmetrized, so the result is bitwise symmetric.
+    its pressure. It is filled from three sources: ``A``'s CSR data, where
+    the rows of an element's velocities, which are numbered consecutively,
+    hold its velocity block row by row; the divergence entries -1; and
+    ``-C``'s diagonal. A side without a velocity gets a unit diagonal
+    entry, which keeps the blocks of one dimension equally sized and drops
+    out again. Every inverse is symmetrized, so the result is bitwise
+    symmetric.
 
     Raises :class:`SingularSystemError` when an element block is singular,
     as for an element with neither a velocity nor a coupling penalty.
@@ -262,7 +266,9 @@ def _element_inverse(system: BlockSystem) -> sps.csr_matrix:
     n_u = system.n_velocity
     n_up = n_u + system.n_pressure
     side_vel = system.dof_map.side_vel
-    m = sps.bmat([[system.a, system.b.T], [system.b, -system.c]], format="csr")
+    indptr, data = system.a.indptr, system.a.data
+    # 0.0 - c reads +0.0 where C holds no entry, as M's missing entries do
+    pressure = 0.0 - system.c.diagonal()
     vals, rows, cols = [], [], []
     for blk in system.mesh.simplices.values():
         dofs = np.concatenate([side_vel[blk.sides], n_u + blk.ids[:, None]], axis=1)
@@ -271,7 +277,13 @@ def _element_inverse(system: BlockSystem) -> sps.csr_matrix:
         row = np.broadcast_to(dofs[:, :, None], pair.shape)[pair]
         col = np.broadcast_to(dofs[:, None, :], pair.shape)[pair]
         local = np.zeros(pair.shape)
-        local[pair] = np.asarray(m[row, col]).ravel()
+        vel = dofs[:, :-1][kept[:, :-1]]
+        lo, count = indptr[vel], indptr[vel + 1] - indptr[vel]
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        local[:, :-1, :-1][pair[:, :-1, :-1]] = data[at]
+        local[:, :-1, -1][kept[:, :-1]] = -1.0
+        local[:, -1, :-1][kept[:, :-1]] = -1.0
+        local[:, -1, -1] = pressure[blk.ids]
         el, face = np.nonzero(~kept)
         local[el, face, face] = 1.0
         try:

@@ -102,6 +102,10 @@ def build_constraints(layout: InterfaceLayout, corners: list[int]) -> Constraint
     substructure that ends up with no constraints and no natural boundary
     condition; its local problem would have a floating pressure mode that
     nothing removes.
+
+    Every row comes from one set of (substructure, averaged glob) pairs and
+    the corner dofs of the substructures' concatenated ``local_dofs``, and
+    the matrices are views of one buffer.
     """
     n_gamma = layout.n_interface
     corners = np.unique(np.asarray(corners, dtype=np.int64))
@@ -113,40 +117,79 @@ def build_constraints(layout: InterfaceLayout, corners: list[int]) -> Constraint
         )
     is_corner = np.zeros(n_gamma, dtype=bool)
     is_corner[corners] = True
-    averaged = [
-        g
-        for g in layout.globs
-        if g.kind != "vertex" and not is_corner[list(g.dofs)].all()
-    ]
-    # averages of substructure s, in glob order
-    avg_of: list[list[int]] = [[] for _ in range(layout.partition.n_sub)]
-    for k, g in enumerate(averaged):
-        for s in g.sharing:
-            avg_of[s].append(k)
-    matrices: list[NDArray] = []
-    coarse_ids: list[NDArray[np.int64]] = []
-    for s, local in enumerate(layout.local_dofs):
-        at = np.flatnonzero(is_corner[local])
-        avg_ids = len(corners) + np.array(avg_of[s], dtype=np.int64)
-        ids = np.concatenate([np.searchsorted(corners, local[at]), avg_ids])
-        if not len(ids) and not layout.sub_has_natural[s]:
-            raise ConstraintDeficiencyError(
-                f"substructure {s} has no natural boundary condition and no "
-                f"coarse constraints; its local problem keeps a floating "
-                f"pressure mode"
-            )
-        c = np.zeros((len(ids), len(local)))
-        c[np.arange(len(at)), at] = 1.0
-        for row, k in enumerate(avg_of[s], len(at)):
-            c[row, np.searchsorted(local, averaged[k].dofs)] = 1.0
-        matrices.append(c)
-        coarse_ids.append(ids)
+    # every face and edge glob carries an average, unless all its dofs are
+    # corners
+    spanning = [g for g in layout.globs if g.kind != "vertex"]
+    glob_size = np.array([len(g.dofs) for g in spanning], dtype=np.int64)
+    glob_dofs = np.array([d for g in spanning for d in g.dofs], dtype=np.int64)
+    owner = np.repeat(np.arange(len(spanning)), glob_size)
+    keep = np.bincount(owner[~is_corner[glob_dofs]], minlength=len(spanning)) > 0
+    averaged = [g for g, k in zip(spanning, keep.tolist()) if k]
+    glob_dofs = glob_dofs[np.repeat(keep, glob_size)]
+    glob_size = glob_size[keep]
+    n_sub, n_corners = layout.partition.n_sub, len(corners)
+    # every (substructure, interface dof) pair, by substructure, then dof
+    sizes = np.array([len(v) for v in layout.local_dofs], dtype=np.int64)
+    offset = np.cumsum(sizes) - sizes
+    pair_sub = np.repeat(np.arange(n_sub), sizes)
+    pair_gi = np.concatenate([np.zeros(0, dtype=np.int64), *layout.local_dofs])
+    # corner rows: the pairs of corner dofs
+    at = np.flatnonzero(is_corner[pair_gi])
+    corner_sub = pair_sub[at]
+    # average rows: one (substructure, averaged glob) pair per sharer, by
+    # substructure, then glob
+    n_sharers = np.array([len(g.sharing) for g in averaged], dtype=np.int64)
+    avg_glob = np.repeat(np.arange(len(averaged)), n_sharers)
+    avg_sub = np.array([s for g in averaged for s in g.sharing], dtype=np.int64)
+    order = np.lexsort((avg_glob, avg_sub))
+    avg_sub, avg_glob = avg_sub[order], avg_glob[order]
+    n_corner_rows = np.bincount(corner_sub, minlength=n_sub)
+    n_avg_rows = np.bincount(avg_sub, minlength=n_sub)
+    n_rows = n_corner_rows + n_avg_rows
+    bad = np.flatnonzero((n_rows == 0) & ~layout.sub_has_natural)
+    if len(bad):
+        raise ConstraintDeficiencyError(
+            f"substructure {bad[0]} has no natural boundary condition and no "
+            f"coarse constraints; its local problem keeps a floating "
+            f"pressure mode"
+        )
+    # each substructure's rows: its corners in dof order, then its averages
+    corner_row = _rank(corner_sub, n_corner_rows)
+    avg_row = n_corner_rows[avg_sub] + _rank(avg_sub, n_avg_rows)
+    row_start = np.cumsum(n_rows) - n_rows
+    ids = np.empty(int(n_rows.sum()), dtype=np.int64)
+    ids[row_start[corner_sub] + corner_row] = np.searchsorted(corners, pair_gi[at])
+    ids[row_start[avg_sub] + avg_row] = n_corners + avg_glob
+    # one unit entry per corner row and per member of each averaged glob,
+    # its column found by one search of the ascending pair keys
+    glob_start = np.cumsum(glob_size) - glob_size
+    count = glob_size[avg_glob]
+    entry = np.repeat(np.arange(len(avg_sub)), count)
+    dof = glob_dofs[glob_start[avg_glob][entry] + _rank(entry, count)]
+    sub = avg_sub[entry]
+    pos = np.searchsorted(pair_sub * n_gamma + pair_gi, sub * n_gamma + dof)
+    row = np.concatenate((corner_row, avg_row[entry]))
+    sub = np.concatenate((corner_sub, sub))
+    col = np.concatenate((at, pos)) - offset[sub]
+    # all matrices in one buffer, each C-ordered
+    base = np.cumsum(n_rows * sizes) - n_rows * sizes
+    flat = np.zeros(int((n_rows * sizes).sum()))
+    flat[base[sub] + row * sizes[sub] + col] = 1.0
     return ConstraintSet(
-        n_coarse=len(corners) + len(averaged),
-        n_corners=len(corners),
-        matrices=matrices,
-        coarse_ids=coarse_ids,
+        n_coarse=n_corners + len(averaged),
+        n_corners=n_corners,
+        matrices=[
+            flat[b : b + r * c].reshape(r, c)
+            for b, r, c in zip(base.tolist(), n_rows.tolist(), sizes.tolist())
+        ],
+        coarse_ids=[ids[a : a + r] for a, r in zip(row_start.tolist(), n_rows.tolist())],
     )
+
+
+def _rank(groups: NDArray, counts: NDArray) -> NDArray[np.int64]:
+    """The rank of every item within its group, for items sorted by group
+    and ``counts`` items per group."""
+    return np.arange(len(groups)) - (np.cumsum(counts) - counts)[groups]
 
 
 def _symmetrized(blocks: NDArray, sub_ids: list[int], what: str) -> NDArray:

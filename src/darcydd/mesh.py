@@ -911,6 +911,8 @@ _TENSOR_SIZE = {1: 1, 2: 3, 3: 6}
 # The value each ``$params`` line must give after its name.
 _PARAMS = {"gravity": "0 or 1", "sigma": "one number"}
 
+_SECTIONS = ("params", "nodes", "elements", "boundary", "end")
+
 # A data line of a mesh file: its 1-based line number and its tokens.
 _Row = tuple[int, list[str]]
 
@@ -921,59 +923,186 @@ def read_mesh(path: str) -> Mesh:
     The reader checks the format and raises :class:`MeshFormatError` with
     the 1-based line at fault. :class:`Mesh` checks the model; its
     :class:`InvalidMeshError` is raised again with the line of the element,
-    boundary condition or ``sigma`` that it rejected. Each section's numbers
-    are converted as whole arrays, one per element dimension or node count.
+    boundary condition or ``sigma`` that it rejected.
+
+    The file is read once. A file whose sections come in the written order,
+    each at most once, is parsed section by section: one ``np.loadtxt``
+    call for the nodes, one per element dimension and one per face node
+    count, with the integer fields as ``int64`` and the others as floats.
+    numpy's parsers take no token that ``int()`` or ``float()`` refuses and
+    give the same values. Any other file, a section numpy refuses and a
+    model :class:`Mesh` rejects are read again line by line, as
+    :func:`_read_lines` does; that scan names the line at fault.
     """
-    section = None
-    gravity = False
-    sigma, sigma_line = 1.0, None
-    rows: dict[str, list[_Row]] = {"nodes": [], "elements": [], "boundary": []}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        lines = fh.read().split("\n")
+    tables = _read_tables(lines)
+    if tables is not None:
+        try:
+            return Mesh(*tables)
+        except InvalidMeshError:
+            pass  # the per-line scan names the line
+    return _read_lines(lines)
+
+
+def _param(tok: list[str]) -> tuple[str, bool | float]:
+    """The name and value of one ``$params`` line; ``ValueError`` says what
+    is wrong with it."""
+    name, value = tok[0], " ".join(tok[1:])
+    if name not in _PARAMS:
+        raise ValueError(f"unknown parameter {name!r}")
+    if name == "gravity" and value in ("0", "1"):
+        return name, value == "1"
+    if name == "sigma" and len(tok) == 2:
+        try:
+            return name, float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"parameter {name!r} needs {_PARAMS[name]}, got {value!r}")
+
+
+def _data(lines: list[str]) -> list[str]:
+    """The lines that carry data, each cut at its comment."""
+    cut = [raw.partition("#")[0] for raw in lines]
+    return [d for d in cut if d and not d.isspace()]
+
+
+def _table(rows: list[str], fields: list[tuple]) -> NDArray:
+    """Whitespace-separated ``rows`` as one structured array of ``fields``;
+    raises ``ValueError`` for a token numpy cannot convert or a row of the
+    wrong length."""
+    dtype = np.dtype(fields)
+    if not rows:
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+
+
+def _read_tables(lines: list[str]) -> tuple | None:
+    """The arguments of :class:`Mesh` from the lines of a mesh file, each
+    section converted as a whole; ``None`` when the file's sections are not
+    in the written order, each at most once, or a section is not regular:
+    a bad ``$params`` line, a token numpy cannot convert, a line of the
+    wrong length, an element dimension that is not written as ``1``, ``2``
+    or ``3``, or ids out of order."""
+    cut = {i: raw.partition("#")[0].strip() for i, raw in enumerate(lines) if "$" in raw}
+    heads = [i for i, line in cut.items() if line.startswith("$")]
+    names = [cut[i][1:].strip() for i in heads]
+    if names[-1:] != ["end"] or not set(names) <= set(_SECTIONS):
+        return None
+    rank = [_SECTIONS.index(name) for name in names]
+    if any(b <= a for a, b in zip(rank, rank[1:])):
+        return None
+    body = {
+        name: lines[a + 1 : b] for name, a, b in zip(names, heads, heads[1:] + [len(lines)])
+    }
+    if _data(lines[: heads[0]]) or _data(body["end"]):
+        return None
+    params: dict = {"gravity": False, "sigma": 1.0}
+    try:
+        for row in _data(body.get("params", [])):
+            name, value = _param(row.split())
+            params[name] = value
+        nodes = _table(
+            _data(body.get("nodes", [])), [("id", np.int64), ("xyz", float, (3,))]
+        )
+        rows = _data(body.get("elements", []))
+        dims = np.array([row.split(None, 2)[1] for row in rows], dtype=str)
+        ids = np.full(len(rows), -1, dtype=np.int64)
+        cells: dict[int, Cells] = {}
+        for dim, n_tensor in _TENSOR_SIZE.items():
+            at = np.flatnonzero(dims == str(dim))
+            if not len(at):
                 continue
-            if section == "end":
-                raise MeshFormatError("content after $end", lineno)
-            if line.startswith("$"):
-                section = line[1:].strip()
-                if section not in ("params", "nodes", "elements", "boundary", "end"):
-                    raise MeshFormatError(f"unknown section ${section}", lineno)
-                continue
-            tok = line.split()
-            if section in rows:
-                rows[section].append((lineno, tok))
-            elif section == "params":
-                name, value = tok[0], " ".join(tok[1:])
-                if name not in _PARAMS:
-                    raise MeshFormatError(f"unknown parameter {name!r}", lineno)
-                try:
-                    if name == "gravity" and value in ("0", "1"):
-                        gravity = value == "1"
-                    elif name == "sigma" and len(tok) == 2:
-                        sigma, sigma_line = float(value), lineno
-                    else:
-                        raise ValueError(value)
-                except ValueError:
-                    raise MeshFormatError(
-                        f"parameter {name!r} needs {_PARAMS[name]}, got {value!r}", lineno
-                    ) from None
-            else:
-                raise MeshFormatError("data before any section header", lineno)
+            el = _table(
+                [rows[i] for i in at],
+                [
+                    ("id", np.int64),
+                    ("dim", np.int64),
+                    ("nodes", np.int64, (dim + 1,)),
+                    ("conductivity", float, (n_tensor,)),
+                    ("cross_section", float),
+                    ("source", float),
+                ],
+            )
+            ids[at] = el["id"]
+            cells[dim] = Cells(
+                ids=el["id"],
+                nodes=el["nodes"],
+                conductivity=_tensors_from_upper(el["conductivity"], dim),
+                cross_section=el["cross_section"],
+                source=el["source"],
+            )
+        rows = _data(body.get("boundary", []))
+        widths = np.array([len(row.split()) - 2 for row in rows], dtype=np.int64)
+        boundary = {}
+        for width in np.unique(widths).tolist():
+            b = _table(
+                [rows[i] for i in np.flatnonzero(widths == width)],
+                [("nodes", np.int64, (width,)), ("kind", "U10"), ("value", float)],
+            )
+            if not np.isin(b["kind"], (NATURAL, ESSENTIAL)).all():
+                return None
+            boundary[width] = Boundary(b["nodes"], b["kind"] == NATURAL, b["value"])
+    except (ValueError, IndexError):
+        # a bad parameter, a token or line length numpy refused, or an
+        # element line of one token: the line scan names the line
+        return None
+    n_nodes = len(nodes)
+    if not np.array_equal(np.sort(nodes["id"]), np.arange(n_nodes)):
+        return None
+    if not np.array_equal(ids, np.arange(len(ids))):
+        return None
+    coords = np.zeros((n_nodes, 3))
+    coords[nodes["id"]] = nodes["xyz"]
+    return coords, cells, boundary, params["gravity"], params["sigma"]
+
+
+def _read_lines(lines: list[str]) -> Mesh:
+    """The mesh of the lines of a mesh file, scanned line by line: the
+    reference that :func:`read_mesh` follows, and the scan that names the
+    line of every error."""
+    section = None
+    params: dict = {"gravity": False, "sigma": 1.0}
+    sigma_line = None
+    rows: dict[str, list[_Row]] = {"nodes": [], "elements": [], "boundary": []}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if section == "end":
+            raise MeshFormatError("content after $end", lineno)
+        if line.startswith("$"):
+            section = line[1:].strip()
+            if section not in _SECTIONS:
+                raise MeshFormatError(f"unknown section ${section}", lineno)
+            continue
+        tok = line.split()
+        if section in rows:
+            rows[section].append((lineno, tok))
+        elif section == "params":
+            try:
+                name, value = _param(tok)
+            except ValueError as exc:
+                raise MeshFormatError(str(exc), lineno) from None
+            params[name] = value
+            if name == "sigma":
+                sigma_line = lineno
+        else:
+            raise MeshFormatError("data before any section header", lineno)
     coords = _parse_nodes(rows["nodes"])
     cells = _parse_elements(rows["elements"])
     boundary, condition_lines = _parse_boundary(rows["boundary"])
     if section != "end":
         raise MeshFormatError("missing $end marker")
-    lines = {"condition": condition_lines, "sigma": [sigma_line]}
-    lines["element"] = [lineno for lineno, _ in rows["elements"]]
+    lines_of = {"condition": condition_lines, "sigma": [sigma_line]}
+    lines_of["element"] = [lineno for lineno, _ in rows["elements"]]
     try:
-        return Mesh(coords, cells, boundary, gravity, sigma)
+        return Mesh(coords, cells, boundary, params["gravity"], params["sigma"])
     except InvalidMeshError as exc:
         if exc.rejected is None:
             raise
         kind, i = exc.rejected
-        raise InvalidMeshError(str(exc), lines[kind][i], exc.rejected) from exc
+        raise InvalidMeshError(str(exc), lines_of[kind][i], exc.rejected) from exc
 
 
 def _numbers(
@@ -1037,6 +1166,16 @@ def _parse_nodes(rows: list[_Row]) -> NDArray:
     return coords
 
 
+def _tensors_from_upper(entries: NDArray, dim: int) -> NDArray:
+    """Symmetric ``(n, dim, dim)`` tensors from their upper triangles,
+    row-wise, as :func:`write_mesh` writes them."""
+    tensors = np.zeros((len(entries), dim, dim))
+    upper, lower = np.triu_indices(dim)
+    tensors[:, upper, lower] = entries
+    tensors[:, lower, upper] = entries
+    return tensors
+
+
 def _parse_elements(rows: list[_Row]) -> dict[int, Cells]:
     """The element lines as one :class:`Cells` record per dimension; the
     ids must run 0, 1, 2, ... in file order."""
@@ -1071,15 +1210,11 @@ def _parse_elements(rows: list[_Row]) -> dict[int, Cells]:
             ["id", "dimension"] + ["node"] * (dim + 1),
             ["conductivity"] * n_tensor + ["cross-section", "source"],
         )
-        tensors = np.zeros((len(group), dim, dim))
-        upper, lower = np.triu_indices(dim)
-        tensors[:, upper, lower] = floats[:, :n_tensor]
-        tensors[:, lower, upper] = floats[:, :n_tensor]
         ids[positions] = ints[:, 0]
         cells[dim] = Cells(
             ids=ints[:, 0],
             nodes=ints[:, 2:],
-            conductivity=tensors,
+            conductivity=_tensors_from_upper(floats[:, :n_tensor], dim),
             cross_section=floats[:, -2],
             source=floats[:, -1],
         )

@@ -15,8 +15,8 @@ differ widely. By its size and sharing set, each glob is one of:
 * face: a glob whose dofs are shared by exactly two substructures;
 * edge: a glob shared by three or more substructures.
 
-Corner selection follows a farthest-point heuristic per face glob, one
-``argmax`` over the row norms of the glob's barycenters per chosen point,
+Corner selection follows a farthest-point heuristic per face glob, with
+all face globs handled at once as segments of one array of barycenters,
 and three diagonal weight schemes distribute interface values among
 sharers.
 """
@@ -257,6 +257,13 @@ def _row_norms(v: NDArray) -> NDArray:
     return np.sqrt(_dot(v, v))
 
 
+def _first_max(values: NDArray, seg: NDArray, start: NDArray) -> NDArray[np.int64]:
+    """Position of the first maximum of every segment of ``values``; the
+    segments are the runs of ``seg``, which is ascending and starts them at
+    ``start``. A stable sort keeps tied values in position order."""
+    return np.lexsort((-values, seg))[start]
+
+
 def select_corners(layout: InterfaceLayout) -> list[int]:
     """Choose corner dofs: every vertex glob, plus up to three
     well-distributed dofs per face glob.
@@ -264,31 +271,42 @@ def select_corners(layout: InterfaceLayout) -> list[int]:
     Per face glob: the dof farthest from the glob centroid, the dof farthest
     from the first, and the dof farthest from the line through the first
     two (selected even when collinearity makes the distance zero). All ties
-    resolve to the lowest dof index, so selection is deterministic.
+    resolve to the lowest dof index, so selection is deterministic. Every
+    face glob of more than two dofs is handled in one pass, as a segment of
+    one array: its centroid by ``np.bincount``, its farthest dof by one
+    ``lexsort`` of all segments.
     """
-    corners = {g.dofs[0] for g in layout.globs if g.kind == "vertex"}
-    for glob in layout.globs:
-        if glob.kind != "face":
-            continue
-        if len(glob.dofs) <= 2:
-            corners.update(glob.dofs)
-            continue
-        pts = layout.barycenters[list(glob.dofs)]
-        # argmax takes the first, lowest-index dof on ties
-        c1 = np.argmax(_row_norms(pts - pts.mean(axis=0)))
-        v = pts - pts[c1]
+    corners = [g.dofs[0] for g in layout.globs if g.kind == "vertex"]
+    faces = [g.dofs for g in layout.globs if g.kind == "face"]
+    corners += [dof for dofs in faces if len(dofs) <= 2 for dof in dofs]
+    faces = [dofs for dofs in faces if len(dofs) > 2]
+    if faces:
+        sizes = np.array([len(dofs) for dofs in faces])
+        start = np.cumsum(sizes) - sizes
+        seg = np.repeat(np.arange(len(faces)), sizes)
+        dofs = np.concatenate(faces)
+        pts = layout.barycenters[dofs]
+        # bincount adds in position order, as the mean of one glob does;
+        # np.add.reduceat adds in another order and rounds differently
+        total = [np.bincount(seg, weights=x) for x in pts.T]
+        center = np.column_stack(total) / sizes[:, None]
+        c1 = _first_max(_row_norms(pts - center[seg]), seg, start)
+        v = pts - pts[c1][seg]
         dist = _row_norms(v)
         dist[c1] = -np.inf
-        c2 = np.argmax(dist)
-        nt = np.linalg.norm(v[c2])
-        if nt > 0:  # distance to the line through c1 and c2
-            that = v[c2] / nt
-            v = v - _dot(v, that[None])[:, None] * that
+        c2 = _first_max(dist, seg, start)
+        nt = _row_norms(v[c2])
+        line = nt > 0  # distance to the line through c1 and c2
+        that = np.zeros((len(faces), 3))
+        that[line] = v[c2][line] / nt[line, None]
+        on = line[seg]
+        that = that[seg][on]
+        v[on] -= _dot(v[on], that)[:, None] * that
         dist = _row_norms(v)
-        dist[[c1, c2]] = -np.inf
-        c3 = np.argmax(dist)
-        corners.update(glob.dofs[c] for c in (c1, c2, c3))
-    return sorted(corners)
+        dist[c1] = dist[c2] = -np.inf
+        c3 = _first_max(dist, seg, start)
+        corners += dofs[np.concatenate((c1, c2, c3))].tolist()
+    return sorted(set(corners))
 
 
 # ---------------------------------------------------------------------------

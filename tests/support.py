@@ -7,13 +7,14 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 from numpy.typing import NDArray
 import scipy.linalg as sla
 import scipy.sparse as sps
 
 from darcydd.assembly import assemble
-from darcydd.bddc import BddcPreconditioner, build_constraints
+from darcydd.bddc import BddcPreconditioner, ConstraintSet, build_constraints
 from darcydd.errors import ConfigurationError
 from darcydd.mesh import (
     NATURAL,
@@ -21,6 +22,7 @@ from darcydd.mesh import (
     Boundary,
     Cells,
     Mesh,
+    _dot,
     simplex_measures,
     tangent_frames,
 )
@@ -28,6 +30,7 @@ from darcydd.partition import (
     SCHEMES,
     Glob,
     InterfaceLayout,
+    _row_norms,
     classify_interface,
     compute_weights,
     partition_elements,
@@ -241,37 +244,77 @@ def full_constrained_saddle(blocks: dict, c: np.ndarray) -> np.ndarray:
     )
 
 
-def implicit_bddc_apply(subs, weights, constraints, r: np.ndarray) -> np.ndarray:
+def mp_solve(a: np.ndarray, b: np.ndarray, digits: int = 50) -> np.ndarray:
+    """``a x = b`` by Gaussian elimination with partial pivoting in
+    ``digits``-digit arithmetic (mpmath), rounded to float64 at the end.
+    Its rounding errors stay far below float64's even where the condition
+    number of ``a`` approaches 1/eps, where float64 elimination does not."""
+    n = len(a)
+    with mpmath.workdps(digits):
+        rows = [
+            [mpmath.mpf(x) for x in ra + rb]
+            for ra, rb in zip(a.tolist(), b.reshape(n, -1).tolist())
+        ]
+        for k in range(n):
+            pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            top = rows[k]
+            for row in rows[k + 1 :]:
+                f = row[k] / top[k]
+                for j in range(k + 1, len(top)):
+                    row[j] -= f * top[j]
+        x = [None] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            x[i] = [
+                (row[c] - mpmath.fsum(row[j] * x[j][c - n] for j in range(i + 1, n)))
+                / row[i]
+                for c in range(n, len(row))
+            ]
+        return np.array([[float(v) for v in xi] for xi in x]).reshape(b.shape)
+
+
+def implicit_bddc_apply(
+    subs, weights, constraints, r: np.ndarray, solve=sla.solve, coarse_solve=None
+) -> np.ndarray:
     """The preconditioner's action with every constrained local problem
     solved afresh: each substructure's ``[[-S_i, C_i^T], [C_i, 0]]`` solved
     densely against ``[r_i; 0]`` and against ``[0; I]``, which gives the
     coarse basis and the local coarse matrix, and the assembled coarse
     problem solved densely; a reference for the precomputed ``N_i``,
-    ``Phi_i`` and factored coarse matrix of ``BddcPreconditioner.apply``."""
+    ``Phi_i`` and factored coarse matrix of ``BddcPreconditioner.apply``.
+
+    ``r`` is one vector or several as columns. ``solve`` solves the dense
+    systems: ``sla.solve``, or :func:`mp_solve` in the stiff penalty limit,
+    where the saddle matrices are too ill-conditioned for float64.
+    ``coarse_solve(coarse, r_c)``, by default ``solve``, solves the
+    assembled coarse problem."""
+    cols = r.reshape(len(r), -1)
+    k = cols.shape[1]
     n_c = constraints.n_coarse
     coarse = np.zeros((n_c, n_c))
-    r_c = np.zeros(n_c)
+    r_c = np.zeros((n_c, k))
     parts = []
     for sub in subs:
         c = constraints.matrices[sub.sub_id]
         ids = constraints.coarse_ids[sub.sub_id]
-        w = weights[sub.sub_id]
+        w = weights[sub.sub_id][:, None]
         n_g, nc = sub.n_gamma, len(c)
         aug = np.block([[-sub.schur, c.T], [c, np.zeros((nc, nc))]])
-        r_i = w * r[sub.local_gamma]
-        rhs = np.zeros((n_g + nc, 1 + nc))
-        rhs[:n_g, 0] = r_i
-        rhs[n_g:, 1:] = np.eye(nc)
-        x = sla.solve(aug, rhs)
-        phi = x[:n_g, 1:]
-        coarse[np.ix_(ids, ids)] -= x[n_g:, 1:]
+        r_i = w * cols[sub.local_gamma]
+        rhs = np.zeros((n_g + nc, k + nc))
+        rhs[:n_g, :k] = r_i
+        rhs[n_g:, k:] = np.eye(nc)
+        x = solve(aug, rhs)
+        phi = x[:n_g, k:]
+        coarse[np.ix_(ids, ids)] -= x[n_g:, k:]
         r_c[ids] += phi.T @ r_i
-        parts.append((sub.local_gamma, w, x[:n_g, 0], phi, ids))
-    eta_c = np.linalg.solve(coarse, r_c) if n_c else np.zeros(0)
-    out = np.zeros(len(r))
+        parts.append((sub.local_gamma, w, x[:n_g, :k], phi, ids))
+    eta_c = (coarse_solve or solve)(coarse, r_c) if n_c else np.zeros((0, k))
+    out = np.zeros((len(r), k))
     for gamma, w, eta, phi, ids in parts:
         np.subtract.at(out, gamma, w * (eta + phi @ eta_c[ids]))
-    return out
+    return out.reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +644,95 @@ def compute_weights_loops(system, layout, scheme: str) -> list[np.ndarray]:
         for s in sharing:
             weights[s][pos_of[s][gi]] = scores[s] / total
     return weights
+
+
+def select_corners_loop(layout) -> list[int]:
+    """:func:`select_corners` by a loop over the face globs: per glob, the
+    barycenters' mean and one ``argmax`` per chosen dof."""
+    corners = {g.dofs[0] for g in layout.globs if g.kind == "vertex"}
+    for glob in layout.globs:
+        if glob.kind != "face":
+            continue
+        if len(glob.dofs) <= 2:
+            corners.update(glob.dofs)
+            continue
+        pts = layout.barycenters[list(glob.dofs)]
+        # argmax takes the first, lowest-index dof on ties
+        c1 = np.argmax(_row_norms(pts - pts.mean(axis=0)))
+        v = pts - pts[c1]
+        dist = _row_norms(v)
+        dist[c1] = -np.inf
+        c2 = np.argmax(dist)
+        nt = np.linalg.norm(v[c2])
+        if nt > 0:  # distance to the line through c1 and c2
+            that = v[c2] / nt
+            v = v - _dot(v, that[None])[:, None] * that
+        dist = _row_norms(v)
+        dist[[c1, c2]] = -np.inf
+        c3 = np.argmax(dist)
+        corners.update(glob.dofs[c] for c in (c1, c2, c3))
+    return sorted(corners)
+
+
+def build_constraints_loop(layout, corners) -> ConstraintSet:
+    """:func:`build_constraints` by a loop over the substructures: per
+    substructure, its corner rows, then one average row per averaged glob
+    it shares, each located by its own ``searchsorted``."""
+    n_gamma = layout.n_interface
+    corners = np.unique(np.asarray(corners, dtype=np.int64))
+    is_corner = np.zeros(n_gamma, dtype=bool)
+    is_corner[corners] = True
+    averaged = [
+        g
+        for g in layout.globs
+        if g.kind != "vertex" and not is_corner[list(g.dofs)].all()
+    ]
+    avg_of: list[list[int]] = [[] for _ in range(layout.partition.n_sub)]
+    for k, g in enumerate(averaged):
+        for s in g.sharing:
+            avg_of[s].append(k)
+    matrices, coarse_ids = [], []
+    for s, local in enumerate(layout.local_dofs):
+        at = np.flatnonzero(is_corner[local])
+        avg_ids = len(corners) + np.array(avg_of[s], dtype=np.int64)
+        ids = np.concatenate([np.searchsorted(corners, local[at]), avg_ids])
+        c = np.zeros((len(ids), len(local)))
+        c[np.arange(len(at)), at] = 1.0
+        for row, k in enumerate(avg_of[s], len(at)):
+            c[row, np.searchsorted(local, averaged[k].dofs)] = 1.0
+        matrices.append(c)
+        coarse_ids.append(ids)
+    return ConstraintSet(len(corners) + len(averaged), len(corners), matrices, coarse_ids)
+
+
+def element_inverse_lookup(system) -> sps.csr_matrix:
+    """``M^-1`` of the velocity-pressure block as ``_element_inverse``
+    forms it, with every element block read from the assembled
+    ``M = [[A, B^T], [B, -C]]`` by sparse fancy indexing."""
+    n_u = system.n_velocity
+    n_up = n_u + system.n_pressure
+    side_vel = system.dof_map.side_vel
+    m = sps.bmat([[system.a, system.b.T], [system.b, -system.c]], format="csr")
+    vals, rows, cols = [], [], []
+    for blk in system.mesh.simplices.values():
+        dofs = np.concatenate([side_vel[blk.sides], n_u + blk.ids[:, None]], axis=1)
+        kept = dofs >= 0
+        pair = kept[:, :, None] & kept[:, None, :]
+        row = np.broadcast_to(dofs[:, :, None], pair.shape)[pair]
+        col = np.broadcast_to(dofs[:, None, :], pair.shape)[pair]
+        local = np.zeros(pair.shape)
+        local[pair] = np.asarray(m[row, col]).ravel()
+        el, face = np.nonzero(~kept)
+        local[el, face, face] = 1.0
+        inv = np.linalg.inv(local)
+        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        vals.append(inv[pair])
+        rows.append(row)
+        cols.append(col)
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_up, n_up),
+    )
 
 
 def dense_operator(apply_fn, n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from darcydd.mesh import (
 from support import (
     boundary_records,
     coupling_links,
+    element_inverse_lookup,
     mesh_from_elements,
     numbering_contract,
     rt0_local,
@@ -296,6 +297,36 @@ def test_direct_solve_residual(square4, cube2, frac2):
     for mesh in (square4, cube2, frac2):
         system = assemble(mesh)
         _assert_solves_saddle(system, full_solve_direct(system))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_unit_square(5),
+        lambda: generate_unit_cube(2, gravity=True),
+        lambda: generate_cross_fracture_cube(4),
+        lambda: generate_cross_fracture_cube(4, sigma=1e9),
+        lambda: generate_cross_fracture_cube(2, k1=1e3, k2=1e2, k3=1e-1),
+    ],
+    ids=[
+        "square-5",
+        "cube-2-gravity",
+        "fracture-cube-4",
+        "fracture-cube-4-stiff",
+        "fracture-cube-2-contrast",
+    ],
+)
+def test_element_inverse_matches_sparse_lookup(make):
+    """The element blocks filled from A's CSR data, the divergence entries
+    and -C's diagonal give the inverse that reading them from the
+    assembled velocity-pressure matrix by sparse indexing gives, bit for
+    bit; the meshes have sides without a velocity (essential boundary
+    faces) and elements with and without coupling penalties."""
+    system = assemble(make())
+    got, want = system.element_inverse(), element_inverse_lookup(system)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_direct_solve_refines_past_a_perturbed_element_inverse(

@@ -1,13 +1,17 @@
 """Mesh generation, coupling detection and the text format."""
 import copy
 import dataclasses
+import importlib.util
 import re
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import darcydd.mesh
 from darcydd.assembly import build_dof_map
 from darcydd.cli import main
 from darcydd.errors import ConfigurationError, InvalidMeshError, MeshFormatError
@@ -16,10 +20,12 @@ from darcydd.mesh import (
     NATURAL,
     SIMPLEX_FACES,
     BCSpec,
+    Boundary,
     Cells,
     Element,
     Mesh,
     PlaneBC,
+    _read_lines,
     face_keys,
     generate_cross_fracture_cube,
     generate_unit_cube,
@@ -888,6 +894,164 @@ def test_reader_error_contract(tmp_path, mutate, error, message):
         read_mesh(str(path))
     assert type(exc.value) is error
     assert exc.value.line == line
+
+
+def _mesh_arrays(mesh) -> dict:
+    """Every array and scalar a :class:`Mesh` holds, by name."""
+    out = {
+        name: getattr(mesh, name)
+        for name in (
+            "node_coords",
+            "n_elements",
+            "gravity_enabled",
+            "transition_coefficient",
+            "couplings",
+            "coupling_weights",
+            "bc_faces",
+            "bc_natural",
+            "bc_value",
+        )
+    }
+    for d, blk in mesh.simplices.items():
+        for f in dataclasses.fields(blk):
+            out[f"simplices[{d}].{f.name}"] = getattr(blk, f.name)
+    for f in dataclasses.fields(mesh.sides):
+        out[f"sides.{f.name}"] = getattr(mesh.sides, f.name)
+    for w, b in mesh.boundary.items():
+        for name, x in zip(Boundary._fields, b):
+            out[f"boundary[{w}].{name}"] = x
+    return out
+
+
+def _assert_same_mesh(got, want):
+    """The two meshes hold the same arrays, bit for bit, with one dtype."""
+    a, b = _mesh_arrays(got), _mesh_arrays(want)
+    assert a.keys() == b.keys()
+    for name in a:
+        x, y = np.asarray(a[name]), np.asarray(b[name])
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def _lines(path) -> list[str]:
+    """A file's lines as :func:`read_mesh` splits them."""
+    with open(path) as fh:
+        return fh.read().split("\n")
+
+
+def _load_workloads():
+    """perfbench's workload module, which writes the benchmark's files."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spaced(path):
+    """Rewrite a written file with comment lines, blank lines, trailing
+    comments, tabs between tokens and CRLF line ends."""
+    out = []
+    for k, line in enumerate(Path(path).read_text().splitlines()):
+        if k % 7 == 3:
+            out += ["", "   # a comment line", "\t"]
+        if k % 5 == 1:
+            line = "\t" + line.replace(" ", " \t ") + "\t# trailing comment"
+        out.append(line)
+    Path(path).write_bytes(("\r\n".join(out) + "\r\n").encode())
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["fracture-contrast", "square-dense", "fracture-cube-4", "spaced-crlf"],
+)
+def test_section_parse_matches_line_scan(tmp_path, monkeypatch, source):
+    """Every Mesh array that read_mesh builds from whole-section parses
+    equals the one of the per-line scan: on the benchmark's files as
+    perfbench writes them, on a cube whose elements have three dimensions
+    and whose boundary faces have 1, 2 and 3 nodes, and on a file with
+    comments, blank lines, tabs and CRLF line ends. Each of them takes
+    the section parse."""
+    path = tmp_path / "mesh.msh"
+    if source in ("fracture-contrast", "square-dense"):
+        workloads = _load_workloads()
+        wl = workloads.WORKLOADS[source]
+        (path,) = workloads.write_meshes(wl, wl.n, 2401, 1, tmp_path, source)
+    elif source == "fracture-cube-4":
+        write_mesh(generate_cross_fracture_cube(4), str(path))
+    else:
+        mesh = generate_cross_fracture_cube(2, sigma=3.0, gravity=True)
+        write_mesh(mesh, str(path))
+        _spaced(path)
+        assert meshes_equal(read_mesh(str(path)), mesh)
+    want = _read_lines(_lines(path))
+
+    def no_line_scan(lines):
+        raise AssertionError("the file went to the per-line scan")
+
+    monkeypatch.setattr(darcydd.mesh, "_read_lines", no_line_scan)
+    _assert_same_mesh(read_mesh(str(path)), want)
+
+
+def _outcome(read, arg):
+    """The mesh ``read(arg)`` returns, or the type, text and line of the
+    error it raises. An infinite coordinate makes the element measures
+    NaN, with numpy's warning, before the element is rejected."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return read(arg)
+    except InvalidMeshError as exc:
+        return type(exc), str(exc), exc.line
+
+
+INT_TOKENS = ["1.5", "1e3", "+7", "0x10", "99999999999999999999"]
+FLOAT_TOKENS = ["nan", "inf", "1e400", "1_0", "north"]
+
+
+# (section header, row, token position) of one field in generate_unit_square(2)'s file
+@pytest.mark.parametrize(
+    "field,token",
+    [
+        (field, token)
+        for fields, tokens in (
+            (
+                [("$nodes", 7, 0), ("$elements", 7, 0), ("$elements", 2, 1),
+                 ("$elements", 3, 2), ("$boundary", 1, 0)],
+                INT_TOKENS,
+            ),
+            (
+                [("$nodes", 5, 2), ("$elements", 4, 5), ("$elements", 4, 8),
+                 ("$elements", 4, 9), ("$boundary", 2, -1)],
+                FLOAT_TOKENS,
+            ),
+        )
+        for field in fields
+        for token in tokens
+    ],
+    ids=lambda v: v if isinstance(v, str) else "{}-{}-{}".format(v[0][1:], *v[1:]),
+)
+def test_section_parse_tokens_match_line_scan(tmp_path, field, token):
+    """A token in an integer or a float field gives through read_mesh the
+    value, or the error and line, that the per-line scan gives: numpy's
+    parsers take no token that int() or float() refuses, and a token that
+    only Python's parsers take (``1_0``) sends the file to the scan."""
+    header, row, pos = field
+    path = tmp_path / "mesh.msh"
+    write_mesh(generate_unit_square(2), str(path))
+    lines = path.read_text().splitlines()
+    idx = lines.index(header) + 1 + row
+    toks = lines[idx].split()
+    toks[pos] = token
+    lines[idx] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    got = _outcome(read_mesh, str(path))
+    want = _outcome(_read_lines, _lines(path))
+    if isinstance(want, Mesh):
+        assert isinstance(got, Mesh)
+        _assert_same_mesh(got, want)
+    else:
+        assert got == want
 
 
 def _condition_line(width, k):

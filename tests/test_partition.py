@@ -28,6 +28,7 @@ from support import (
     compute_weights_loops,
     coupling_links,
     mesh_from_elements,
+    select_corners_loop,
 )
 
 
@@ -291,6 +292,46 @@ def test_edge_globs_yield_no_corners():
         pts, [Glob(kind="edge", sharing=(0, 1, 2), dofs=(0, 1, 2, 3))]
     )
     assert select_corners(layout) == []
+
+
+@pytest.mark.parametrize(
+    "make,n_sub",
+    [
+        (lambda: generate_cross_fracture_cube(4), 8),
+        (lambda: generate_cross_fracture_cube(6), 16),
+        (lambda: generate_unit_square(16), 16),
+        (lambda: generate_unit_cube(4), 5),
+        (lambda: generate_unit_cube(4), 8),
+    ],
+    ids=["fracture-cube-4-8", "fracture-cube-6-16", "square-16-16", "cube-4-5", "cube-4-8"],
+)
+def test_corners_match_loop_oracle(make, n_sub):
+    """All face globs at once choose the corners that a loop over the globs
+    chooses. The cube cases have globs whose segment sums round
+    differently in another order of addition."""
+    _, _, layout = layout_of(make(), n_sub)
+    got = select_corners(layout)
+    assert got == select_corners_loop(layout)
+    assert all(type(c) is int for c in got)
+
+
+def test_corners_ties_and_coincident_points_match_loop_oracle(rng):
+    """Face globs on a coarse integer lattice, where distances tie often,
+    some with all points coincident (no line through the first two),
+    between vertex, edge and two-dof face globs."""
+    for _ in range(20):
+        sizes = rng.integers(1, 9, size=12)
+        kinds = rng.choice(["face", "face", "edge", "vertex"], size=len(sizes))
+        sizes[kinds == "vertex"] = 1
+        pts = rng.integers(0, 3, size=(int(sizes.sum()), 3)).astype(float)
+        ends = np.cumsum(sizes)
+        globs = []
+        for k, (kind, a, b) in enumerate(zip(kinds, ends - sizes, ends)):
+            if kind == "face" and k % 4 == 0:
+                pts[a:b] = pts[a]
+            globs.append(Glob(kind=str(kind), sharing=(0, 1), dofs=tuple(range(a, b))))
+        layout = synthetic_layout(pts, globs)
+        assert select_corners(layout) == select_corners_loop(layout)
 
 
 # ---------------------------------------------------------------------------
