@@ -8,8 +8,8 @@ functions are energy minimizers subject to those constraints, and the
 coarse matrix is the assembly of the substructure-local coarse energies.
 
 Every local problem lives on the interface. With the explicit local Schur
-complement ``S_i`` of :class:`~darcydd.subsolve.SubstructureOperator` and
-the constraint matrix ``C_i``, each substructure's constrained problem is
+complement ``S_i`` of :class:`~darcydd.subsolve.SubstructureGroup` and the
+constraint matrix ``C_i``, each substructure's constrained problem is
 the energy minimization ``min 1/2 x^T S_i x`` subject to ``C_i x = d``:
 the constrained saddle matrix ``[[K, D^T], [D, 0]]`` with the interior
 unknowns eliminated exactly, ``[[-S_i, C_i^T], [C_i, 0]]``. It gives the
@@ -21,29 +21,31 @@ coarse matrix. ``-Z^T S_i Z`` is negative definite exactly when the
 constraints remove every floating mode of ``S_i``, so its Cholesky
 factorization certifies the local problem; no saddle matrix is formed.
 
-Set-up groups the substructures by their shape ``(n_gamma, n_c)``, members
-in substructure order, and solves each group's local problems as one
-``(m, n, n)`` stack: one batched QR of the ``C_i^T`` and one call of the
-dense Cholesky factorization, which factors and solves each member with
+Set-up splits each interface-size group of
+:func:`~darcydd.subsolve.build_substructures` into its runs of consecutive
+members with one constraint count ``n_c``. It solves each run's local problems as one ``(m, n, n)`` stack, a view of
+the group's ``S_i`` stack: one batched QR of the ``C_i^T`` and one call of
+the dense Cholesky factorization, which factors and solves each member with
 its own LAPACK calls and decides refinement member by member, so each
-member's blocks are those of its own group of one bit for bit. Each group
+member's blocks are those of its own run of one bit for bit. Each run
 keeps its ``N_i`` and ``Phi_i`` as one stack each. The local coarse
 matrices are assembled, in substructure order, into the sparse coarse
 matrix, which is factored last, by Cholesky
 (:func:`~darcydd.ldlt.factor_negative_definite`): its success certifies
 that the coarse matrix is negative definite. The square-dense benchmark
-mesh has 64 substructures in three shapes, so set-up makes three local
+mesh has 64 substructures in three runs, so set-up makes three local
 factorizations instead of 64, and one coarse one; the 16 substructures of
-the fracture-contrast mesh are 16 groups of one.
+the fracture-contrast mesh form 15 interface-size groups and 16 runs, as
+its two substructures with 137 interface dofs have 41 and 40 constraints.
 
 An application of the preconditioner gathers the weighted residual once,
-in group order, and makes two batched products per group, ``N_i r_i`` and
-``Phi_i^T r_i`` for every member at once, then one coarse solve (two
-triangular solves) and one batched ``Phi_i`` product per group. Each
-product is written into its place in a buffer in the group layout, kept
-from set-up. The products go back to substructure order and are added with
-one ``np.bincount`` per reduction, which adds in exactly the order of a
-loop over the substructures.
+in the groups' layout, and makes two batched products per run, ``N_i r_i``
+and ``Phi_i^T r_i`` for every member at once, then one coarse solve (two
+triangular solves) and one batched ``Phi_i`` product per run. Each product
+is written into its place in a buffer in the group layout, kept from
+set-up. The products go back to substructure order and are added with one
+``np.bincount`` per reduction, which adds in exactly the order of a loop
+over the substructures.
 
 Sign conventions: each local problem has the negative semidefinite
 interface energy ``-S_i``, so the local coarse matrices are negative
@@ -68,7 +70,7 @@ from .errors import (
 )
 from .ldlt import factor_negative_definite, factor_symmetric_indefinite
 from .partition import InterfaceLayout
-from .subsolve import GroupLayout, SubstructureOperator, stacked_matvec
+from .subsolve import GroupLayout, Substructures, stacked_matvec
 
 
 @dataclass
@@ -278,28 +280,31 @@ def constrained_inverse(
 
 @dataclass
 class LocalGroup:
-    """The substructures of one interface size and one constraint count,
-    with their constrained local inverses as one stack each."""
+    """A run of consecutive members of one interface-size group with one
+    constraint count, with their constrained local inverses as one stack
+    each."""
 
-    members: NDArray[np.int64]  # positions in the substructure list
+    members: NDArray[np.int64]  # substructure ids, ascending
     neumann: NDArray  # N_i, (m, n_gamma, n_gamma)
     phi: NDArray  # Phi_i, (m, n_gamma, n_c)
+    block: slice  # the members' entries in the interface group layout
 
 
 class BddcPreconditioner:
     """Substructure corrections plus a coarse correction, SPD as an operator.
 
-    Set-up groups the substructures by interface size and constraint count
-    and solves each group's constrained local problems as one stack; the
-    group's ``N_i`` and ``Phi_i`` stay as one stack each.
+    Set-up splits each interface-size group into runs of consecutive members
+    with one constraint count and solves each run's constrained local
+    problems as one stack; the run's ``N_i`` and ``Phi_i`` stay as one
+    stack each.
 
     Application: weight and restrict the residual to each substructure,
     apply the constrained local inverses, add the coarse component obtained
     from the Cholesky factor of the assembled coarse matrix, weight again
-    and scatter back, then negate. The residual is gathered once, in group
-    order, and each group applies its stacks in batched products into
-    buffers kept from set-up; both reductions accumulate in substructure
-    order.
+    and scatter back, then negate. The residual is gathered once, through
+    the interface layout of set-up, and each run applies its stacks in
+    batched products into buffers kept from set-up; both reductions
+    accumulate in substructure order.
 
     Raises :class:`ConstraintDeficiencyError` when the Cholesky
     factorization of the assembled coarse matrix fails, because it is
@@ -309,7 +314,7 @@ class BddcPreconditioner:
 
     def __init__(
         self,
-        subs: list[SubstructureOperator],
+        subs: Substructures,
         layout: InterfaceLayout,
         weights: list[NDArray],
         constraints: ConstraintSet,
@@ -322,30 +327,28 @@ class BddcPreconditioner:
         self.n = layout.n_interface
         self.n_coarse = nc = constraints.n_coarse
         self.n_corners = constraints.n_corners
-        ids = [constraints.coarse_ids[sub.sub_id] for sub in subs]
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, sub in enumerate(subs):
-            by_shape.setdefault((sub.n_gamma, len(ids[i])), []).append(i)
-        # what apply reads: the groups' stacks, members in list order
+        ids = constraints.coarse_ids
+        n_rows = np.array([len(i) for i in ids])
+        # what apply reads: the runs' stacks, in the groups' order
         self.groups: list[LocalGroup] = []
-        s_cc = [None] * len(subs)
-        for key in sorted(by_shape):
-            members = np.array(by_shape[key])
-            sub_ids = [subs[i].sub_id for i in members]
-            neumann, phi, s_cc_g = constrained_inverse(
-                [subs[i].schur for i in members],
-                [constraints.matrices[s] for s in sub_ids],
-                sub_ids,
-            )
-            self.groups.append(LocalGroup(members, neumann, phi))
-            for i, block in zip(members, s_cc_g):
-                s_cc[i] = block
+        s_cc = [None] * len(ids)
+        for grp, block in zip(subs.groups, subs.gamma.blocks):
+            n_g = grp.schurs.shape[1]
+            cut = (np.flatnonzero(np.diff(n_rows[grp.members])) + 1).tolist()
+            for a, b in zip([0, *cut], [*cut, len(grp.members)]):
+                members = grp.members[a:b]
+                sub_ids = members.tolist()
+                neumann, phi, s_cc_run = constrained_inverse(
+                    grp.schurs[a:b], [constraints.matrices[s] for s in sub_ids], sub_ids
+                )
+                at = slice(block.start + a * n_g, block.start + b * n_g)
+                self.groups.append(LocalGroup(members, neumann, phi, at))
+                for s, local in zip(sub_ids, s_cc_run):
+                    s_cc[s] = local
+        self.gamma = subs.gamma
         members = [g.members for g in self.groups]
-        self.gamma = GroupLayout([sub.local_gamma for sub in subs], members, self.n)
         self.coarse = GroupLayout(ids, members, nc)
-        self.weights = np.concatenate(
-            [weights[subs[i].sub_id] for i in np.concatenate(members)]
-        )
+        self.weights = np.concatenate([weights[s] for s in np.concatenate(members)])
         self.coarse_matrix = sps.csr_matrix(
             (
                 np.concatenate([block.ravel() for block in s_cc]),
@@ -385,14 +388,14 @@ class BddcPreconditioner:
         r_w, eta, phi_e, r_c = self._r_w, self._eta, self._phi_e, self._r_c
         np.take(r, self.gamma.gather, out=r_w)
         r_w *= self.weights
-        for grp, at, at_c in zip(self.groups, self.gamma.blocks, self.coarse.blocks):
-            stacked_matvec(grp.neumann, r_w[at], out=eta[at])
-            stacked_matvec(grp.phi.transpose(0, 2, 1), r_w[at], out=r_c[at_c])
+        for grp, at_c in zip(self.groups, self.coarse.blocks):
+            stacked_matvec(grp.neumann, r_w[grp.block], out=eta[grp.block])
+            stacked_matvec(grp.phi.transpose(0, 2, 1), r_w[grp.block], out=r_c[at_c])
         r_c = self.coarse.scatter(r_c)
         eta_c = self.coarse_fact.solve(r_c) if self.n_coarse else np.zeros(0)
         e_c = eta_c[self.coarse.gather]
-        for grp, at, at_c in zip(self.groups, self.gamma.blocks, self.coarse.blocks):
-            stacked_matvec(grp.phi, e_c[at_c], out=phi_e[at])
+        for grp, at_c in zip(self.groups, self.coarse.blocks):
+            stacked_matvec(grp.phi, e_c[at_c], out=phi_e[grp.block])
         z = np.add(eta, phi_e, out=eta)
         z *= self.weights
         # subtracting each substructure's share is adding its negation

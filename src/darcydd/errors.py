@@ -13,10 +13,10 @@ class DarcyError(Exception):
 class InvalidMeshError(DarcyError):
     """Mesh data that violates a model requirement.
 
-    ``rejected`` names the item at fault, when there is one: ``("element",
-    id)``, ``("condition", i)`` for the ``i``-th condition in ``Mesh.bc_faces``
-    order, or ``("sigma", 0)``. ``line`` is the 1-based line of the mesh file
-    that holds it, when known.
+    ``rejected`` names the item at fault, when there is one: ``("node",
+    id)``, ``("element", id)``, ``("condition", i)`` for the ``i``-th
+    condition in ``Mesh.bc_faces`` order, or ``("sigma", 0)``. ``line`` is
+    the 1-based line of the mesh file that holds it, when known.
     """
 
     def __init__(

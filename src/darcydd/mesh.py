@@ -228,14 +228,15 @@ class Mesh:
       mask and value of each boundary condition, by node count, then row.
 
     A model the solver cannot use raises :class:`InvalidMeshError`, which
-    names the element, condition or coefficient at fault (``rejected``).
-    Each element needs ``d + 1`` distinct existing nodes, a simplex of its
-    own with positive measure, a finite, symmetric, positive definite
-    conductivity, a positive finite cross-section and a finite source; each
-    condition needs strictly ascending existing nodes, a finite value and
-    an unoccupied boundary face: the side of one element, which no
-    lower-dimensional element occupies; the transition coefficient must be
-    finite and positive.
+    names the node, element, condition or coefficient at fault
+    (``rejected``). Each node needs finite coordinates, checked before any
+    element geometry is formed from them. Each element needs ``d + 1``
+    distinct existing nodes, a simplex of its own with positive measure, a
+    finite, symmetric, positive definite conductivity, a positive finite
+    cross-section and a finite source; each condition needs strictly
+    ascending existing nodes, a finite value and an unoccupied boundary
+    face: the side of one element, which no lower-dimensional element
+    occupies; the transition coefficient must be finite and positive.
 
     Afterwards the mesh must not be mutated, which makes concurrent read
     access safe. The one exception is :attr:`elements`, a view that may be
@@ -258,6 +259,12 @@ class Mesh:
                 f"transition coefficient sigma must be finite and positive, "
                 f"got {self.transition_coefficient}",
                 rejected=("sigma", 0),
+            )
+        bad = np.flatnonzero(~np.isfinite(self.node_coords).all(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            raise InvalidMeshError(
+                f"node {i}: coordinates are not finite", rejected=("node", i)
             )
         self._elements: list[Element] | None = None
         self._build(cells, boundary)
@@ -922,8 +929,8 @@ def read_mesh(path: str) -> Mesh:
 
     The reader checks the format and raises :class:`MeshFormatError` with
     the 1-based line at fault. :class:`Mesh` checks the model; its
-    :class:`InvalidMeshError` is raised again with the line of the element,
-    boundary condition or ``sigma`` that it rejected.
+    :class:`InvalidMeshError` is raised again with the line of the node,
+    element, boundary condition or ``sigma`` that it rejected.
 
     The file is read once. A file whose sections come in the written order,
     each at most once, is parsed section by section: one ``np.loadtxt``
@@ -1089,12 +1096,12 @@ def _read_lines(lines: list[str]) -> Mesh:
                 sigma_line = lineno
         else:
             raise MeshFormatError("data before any section header", lineno)
-    coords = _parse_nodes(rows["nodes"])
+    coords, node_lines = _parse_nodes(rows["nodes"])
     cells = _parse_elements(rows["elements"])
     boundary, condition_lines = _parse_boundary(rows["boundary"])
     if section != "end":
         raise MeshFormatError("missing $end marker")
-    lines_of = {"condition": condition_lines, "sigma": [sigma_line]}
+    lines_of = {"condition": condition_lines, "sigma": [sigma_line], "node": node_lines}
     lines_of["element"] = [lineno for lineno, _ in rows["elements"]]
     try:
         return Mesh(coords, cells, boundary, params["gravity"], params["sigma"])
@@ -1147,7 +1154,8 @@ def _numbers(
     return ints.reshape(len(rows), n_int), floats.reshape(len(rows), n_float)
 
 
-def _parse_nodes(rows: list[_Row]) -> NDArray:
+def _parse_nodes(rows: list[_Row]) -> tuple[NDArray, list[int]]:
+    """The node coordinates by id, and the line of every node."""
     for lineno, tok in rows:
         if len(tok) != 4:
             raise MeshFormatError("node line needs: id x y z", lineno)
@@ -1163,7 +1171,9 @@ def _parse_nodes(rows: list[_Row]) -> NDArray:
         )
     coords = np.zeros((n, 3))
     coords[ids] = xyz
-    return coords
+    lines = np.zeros(n, dtype=np.int64)
+    lines[ids] = [lineno for lineno, _ in rows]
+    return coords, lines.tolist()
 
 
 def _tensors_from_upper(entries: NDArray, dim: int) -> NDArray:

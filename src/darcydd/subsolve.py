@@ -46,15 +46,17 @@ member's ``W``, one product for every ``S_i`` (dense, ``n_gamma x
 n_gamma``, each checked for symmetry on its own) and one solve for the
 interior loads. SuperLU factors a block-diagonal matrix block by block,
 and on the benchmark meshes every member's results equal those of
-factoring its own ``K_II`` bit for bit. Only the results are kept, in a
-:class:`SubstructureOperator` per substructure; the blocks and the
-factorization go. On the square-dense benchmark mesh, 64 substructures
-with three interface sizes, this makes three factorizations instead of 64.
+factoring its own ``K_II`` bit for bit. Only the results are kept, one
+:class:`SubstructureGroup` per interface size, with the members' ``S_i`` as
+one ``(m, n_gamma, n_gamma)`` stack; the blocks and the factorization go.
+On the square-dense benchmark mesh, 64 substructures with three interface
+sizes, this makes three factorizations instead of 64.
 
-The members of a group keep their ``S_i`` as one ``(m, n_gamma,
-n_gamma)`` array, which :class:`InterfaceOperator` applies in one batched
-product. The preconditioner's local problems work on ``S_i`` alone, the
-reduced right-hand side is a sum of stored shares, and the interior
+The groups reach every consumer as they were built, with one
+:class:`GroupLayout` of the members' interface dofs.
+:class:`InterfaceOperator` applies each stack in one batched product, the
+preconditioner's local problems work on the stacks alone, the reduced
+right-hand side is a scatter of stored shares, and the interior
 multipliers of an interface trace ``x`` are ``K_II^-1 rhs_I + W x``.
 :func:`recover_solution` then gets every velocity and pressure from
 ``M^-1 ([g; f] - N^T lam)`` with ``BlockSystem.back_substitute``, as the
@@ -86,33 +88,6 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-@dataclass
-class SubstructureOperator:
-    """One substructure's interface coupling on its copies of the
-    multipliers it touches, with its interior solved once at set-up.
-
-    The ``S_i`` of one interface-size group are one ``(m, n_gamma,
-    n_gamma)`` array, which every member holds; ``schur`` is its row."""
-
-    sub_id: int
-    interior_mults: NDArray[np.int64]  # global ids, ascending
-    local_gamma: NDArray[np.int64]  # global interface indices, ascending
-    schurs: NDArray = field(repr=False)  # S of every member of the group
-    row: int  # this substructure's row of ``schurs``
-    w: NDArray = field(repr=False)  # -K_II^-1 K_IG
-    lam_load: NDArray = field(repr=False)  # K_II^-1 rhs_I
-    rhs_share: NDArray = field(repr=False)  # K_GI K_II^-1 rhs_I - rhs_G
-
-    @property
-    def n_gamma(self) -> int:
-        return len(self.local_gamma)
-
-    @property
-    def schur(self) -> NDArray:
-        """``S_i``."""
-        return self.schurs[self.row]
 
 
 def stacked_matvec(mats: NDArray, vec: NDArray, out: NDArray | None = None) -> NDArray:
@@ -166,9 +141,38 @@ class GroupLayout:
         return np.bincount(self.index, weights=values[self.to_sub], minlength=self.size)
 
 
+@dataclass
+class SubstructureGroup:
+    """The substructures of one interface size ``n_gamma``, with their
+    interiors solved once at set-up by one factorization.
+
+    Member ``j``, substructure ``members[j]``, owns rows ``start[j]:start[j
+    + 1]`` of ``interior_mults``, ``w`` and ``lam_load``, row ``j`` of
+    ``schurs`` and entries ``j n_gamma : (j + 1) n_gamma`` of
+    ``rhs_share``."""
+
+    members: NDArray[np.int64]  # substructure ids, ascending
+    interior_mults: NDArray[np.int64]  # global ids, each member's ascending
+    start: NDArray[np.int64]  # member row offsets, m + 1 of them
+    schurs: NDArray = field(repr=False)  # S_i, (m, n_gamma, n_gamma)
+    w: NDArray = field(repr=False)  # -K_II^-1 K_IG
+    lam_load: NDArray = field(repr=False)  # K_II^-1 rhs_I
+    rhs_share: NDArray = field(repr=False)  # K_GI K_II^-1 rhs_I - rhs_G
+
+
+@dataclass
+class Substructures:
+    """What set-up keeps: the interface-size groups, by descending size, and
+    the :class:`GroupLayout` of their members' ``local_dofs``, group by
+    group, which every consumer gathers and scatters through."""
+
+    groups: list[SubstructureGroup]
+    gamma: GroupLayout
+
+
 def build_substructures(
     system: BlockSystem, layout: InterfaceLayout, threads: int = 1
-) -> list[SubstructureOperator]:
+) -> Substructures:
     """Cut the per-substructure blocks from one block-diagonal multiplier
     matrix and solve every interior problem once, with one factorization
     per interface size."""
@@ -273,7 +277,7 @@ def build_substructures(
         matrix: k is exactly symmetric, so its rows are its columns."""
         return sps.csc_matrix(rows_of(cut_ii, r0, r1, r0), shape=(r1 - r0,) * 2)
 
-    def solve_group(g: int) -> list[SubstructureOperator]:
+    def solve_group(g: int) -> SubstructureGroup:
         """Cut group ``g``'s blocks, factor its block-diagonal ``K_II`` once,
         and form every member's ``W``, dense local Schur complement and
         interior load solution; the blocks and the factorization go on
@@ -329,52 +333,31 @@ def build_substructures(
         # a solve of its own, so that the load cannot change W or S_i
         lam_load = fact.solve(load[lo:mid])
         share = k_ig.T @ lam_load - load[mid:hi]
-        return [
-            SubstructureOperator(
-                s,
-                interior[s],
-                layout.local_dofs[s],
-                schurs=schur,
-                row=j,
-                w=w[a:b],
-                lam_load=lam_load[a:b],
-                rhs_share=share[j * n_g : (j + 1) * n_g],
-            )
-            for j, (s, a, b) in enumerate(zip(members.tolist(), start, start[1:]))
-        ]
+        return SubstructureGroup(
+            members, copy_mult[lo:mid], start, schur, w, lam_load, share
+        )
 
-    subs = [None] * n_sub
-    for group in parallel_map(solve_group, range(len(groups)), threads):
-        for sub in group:
-            subs[sub.sub_id] = sub
-    return subs
+    return Substructures(
+        parallel_map(solve_group, range(len(groups)), threads),
+        GroupLayout(layout.local_dofs, groups, layout.n_interface),
+    )
 
 
 class InterfaceOperator:
     """Assembled action of the reduced interface operator.
 
-    The substructures of one interface-size group share one stack of
-    ``S_i``, as :func:`build_substructures` made it, and the operator
-    applies it in one batched product. It gathers the interface vector once
-    in group order and scatter-adds the products in substructure order, so
-    the operator is deterministic for any worker count of set-up.
+    Each interface-size group applies its stack of ``S_i``, as
+    :func:`build_substructures` made it, in one batched product. The
+    interface vector is gathered once in the groups' layout and the products
+    are scatter-added in substructure order, so the operator is
+    deterministic for any worker count of set-up.
     """
 
-    def __init__(self, subs: list[SubstructureOperator], layout: InterfaceLayout):
+    def __init__(self, subs: Substructures, layout: InterfaceLayout):
         self.subs = subs
         self.n = layout.n_interface
-        by_stack: dict[int, list[int]] = {}
-        for i, sub in enumerate(subs):
-            by_stack.setdefault(id(sub.schurs), []).append(i)
-        groups = [np.array(g) for g in by_stack.values()]
-        self.stacks = []
-        for g in groups:
-            stack, rows = subs[g[0]].schurs, [subs[i].row for i in g]
-            # a whole group, in its order, is applied from its own stack;
-            # any other selection of rows is copied
-            whole = rows == list(range(len(stack)))
-            self.stacks.append(stack if whole else stack[rows])
-        self.layout = GroupLayout([sub.local_gamma for sub in subs], groups, self.n)
+        self.stacks = [grp.schurs for grp in subs.groups]
+        self.layout = subs.gamma
 
     def apply(self, x: NDArray) -> NDArray:
         xg = x[self.layout.gather]
@@ -388,16 +371,14 @@ class InterfaceOperator:
         )
 
     def reduced_rhs(self) -> NDArray:
-        return np.bincount(
-            self.layout.index,
-            weights=np.concatenate([sub.rhs_share for sub in self.subs]),
-            minlength=self.n,
+        return self.layout.scatter(
+            np.concatenate([grp.rhs_share for grp in self.subs.groups])
         )
 
 
 def recover_solution(
     system: BlockSystem,
-    subs: list[SubstructureOperator],
+    subs: Substructures,
     layout: InterfaceLayout,
     lam_gamma: NDArray,
 ) -> SolutionTriple:
@@ -405,8 +386,10 @@ def recover_solution(
     then every velocity and pressure element by element."""
     lam = np.zeros(system.n_multiplier)
     lam[layout.interface_mults] = lam_gamma
-    for sub in subs:
-        lam[sub.interior_mults] = sub.lam_load + sub.w @ lam_gamma[sub.local_gamma]
+    for grp in subs.groups:
+        for s, a, b in zip(grp.members.tolist(), grp.start, grp.start[1:]):
+            x = lam_gamma[layout.local_dofs[s]]
+            lam[grp.interior_mults[a:b]] = grp.lam_load[a:b] + grp.w[a:b] @ x
     up = system.back_substitute(lam, np.concatenate([system.g, system.f]))
     u, p = np.split(up, [system.n_velocity])
     return SolutionTriple(u=u, p=p, lam=lam)

@@ -5,6 +5,7 @@ and the pipeline plumbing out of the individual test modules.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import mpmath
@@ -274,6 +275,49 @@ def mp_solve(a: np.ndarray, b: np.ndarray, digits: int = 50) -> np.ndarray:
         return np.array([[float(v) for v in xi] for xi in x]).reshape(b.shape)
 
 
+# ---------------------------------------------------------------------------
+# one substructure's part of set-up's groups
+
+
+@dataclass
+class SubstructureView:
+    """One substructure's rows of its interface-size group, all views."""
+
+    sub_id: int
+    interior_mults: NDArray[np.int64]
+    local_gamma: NDArray[np.int64]
+    schur: NDArray
+    w: NDArray
+    lam_load: NDArray
+    rhs_share: NDArray
+
+    @property
+    def n_gamma(self) -> int:
+        return len(self.local_gamma)
+
+
+def substructure_views(subs) -> list[SubstructureView]:
+    """Every substructure's part of the groups that
+    :func:`build_substructures` returns, in substructure order, as views
+    of the groups' arrays and of their interface layout's ``gather``."""
+    out = {}
+    for grp, block in zip(subs.groups, subs.gamma.blocks):
+        n_g = grp.schurs.shape[1]
+        for j, s in enumerate(grp.members.tolist()):
+            a, b = grp.start[j], grp.start[j + 1]
+            at = block.start + j * n_g
+            out[s] = SubstructureView(
+                sub_id=s,
+                interior_mults=grp.interior_mults[a:b],
+                local_gamma=subs.gamma.gather[at : at + n_g],
+                schur=grp.schurs[j],
+                w=grp.w[a:b],
+                lam_load=grp.lam_load[a:b],
+                rhs_share=grp.rhs_share[j * n_g : (j + 1) * n_g],
+            )
+    return [out[s] for s in range(len(out))]
+
+
 def implicit_bddc_apply(
     subs, weights, constraints, r: np.ndarray, solve=sla.solve, coarse_solve=None
 ) -> np.ndarray:
@@ -295,7 +339,7 @@ def implicit_bddc_apply(
     coarse = np.zeros((n_c, n_c))
     r_c = np.zeros((n_c, k))
     parts = []
-    for sub in subs:
+    for sub in substructure_views(subs):
         c = constraints.matrices[sub.sub_id]
         ids = constraints.coarse_ids[sub.sub_id]
         w = weights[sub.sub_id][:, None]
@@ -325,7 +369,7 @@ def interface_apply_loop(subs, n: int, x: np.ndarray) -> np.ndarray:
     """``InterfaceOperator.apply`` as one product and one ``np.add.at`` per
     substructure, in substructure order."""
     y = np.zeros(n)
-    for sub in subs:
+    for sub in substructure_views(subs):
         np.add.at(y, sub.local_gamma, sub.schur @ x[sub.local_gamma])
     return y
 
@@ -334,14 +378,14 @@ def reduced_rhs_loop(subs, n: int) -> np.ndarray:
     """``InterfaceOperator.reduced_rhs`` as one ``np.add.at`` per
     substructure."""
     b = np.zeros(n)
-    for sub in subs:
+    for sub in substructure_views(subs):
         np.add.at(b, sub.local_gamma, sub.rhs_share)
     return b
 
 
 def local_inverses(prec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every substructure's ``(N_i, Phi_i)``, rows of its group's stacks,
-    in the order of the substructure list."""
+    """Every substructure's ``(N_i, Phi_i)``, rows of its run's stacks, in
+    substructure order."""
     out = [None] * sum(len(g.members) for g in prec.groups)
     for g in prec.groups:
         for i, n_i, phi in zip(g.members, g.neumann, g.phi):
@@ -357,7 +401,7 @@ def bddc_apply_loop(prec, subs, weights, constraints, r: np.ndarray) -> np.ndarr
     ids = constraints.coarse_ids
     local = [
         (sub.local_gamma, weights[sub.sub_id], n_i, phi, ids[sub.sub_id])
-        for sub, (n_i, phi) in zip(subs, local_inverses(prec))
+        for sub, (n_i, phi) in zip(substructure_views(subs), local_inverses(prec))
     ]
     etas = []
     r_c = np.zeros(prec.n_coarse)

@@ -253,6 +253,23 @@ def test_duplicate_nodes_rejected():
         mesh_from_elements(coords, [el], [])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_node_rejected_by_node(value):
+    """A node with a non-finite coordinate is refused by its id, before
+    any element geometry is formed from it; numpy warns of nothing."""
+    coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    coords[2, 1] = value
+    els = [
+        Element(id=i, dim=2, node_ids=nodes, conductivity=np.eye(2),
+                cross_section=1.0, source=0.0)
+        for i, nodes in enumerate([(0, 1, 2), (1, 3, 2)])
+    ]
+    with pytest.raises(InvalidMeshError, match=r"^node 2: coordinates are not finite$") as exc:
+        mesh_from_elements(coords, els, [])
+    assert exc.value.rejected == ("node", 2)
+    assert exc.value.line is None
+
+
 def test_degenerate_simplex_rejected():
     coords = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
     el = Element(id=0, dim=2, node_ids=(0, 1, 2), conductivity=np.eye(2),
@@ -996,11 +1013,9 @@ def test_section_parse_matches_line_scan(tmp_path, monkeypatch, source):
 
 def _outcome(read, arg):
     """The mesh ``read(arg)`` returns, or the type, text and line of the
-    error it raises. An infinite coordinate makes the element measures
-    NaN, with numpy's warning, before the element is rejected."""
+    error it raises."""
     try:
-        with np.errstate(invalid="ignore"):
-            return read(arg)
+        return read(arg)
     except InvalidMeshError as exc:
         return type(exc), str(exc), exc.line
 
@@ -1095,6 +1110,10 @@ def _swap_face_nodes(toks):
             "transition coefficient sigma must be finite and positive, got 0.0",
         ),
         (
+            _set_token(lambda ls: _node_line(ls, 5), 3, "1e400"),
+            "node 5: coordinates are not finite",
+        ),
+        (
             _set_token(lambda ls: _element_line(ls, 5), 2, "999"),
             "element 5: dangling node reference 999",
         ),
@@ -1142,6 +1161,7 @@ def _swap_face_nodes(toks):
     ],
     ids=[
         "sigma",
+        "node-not-finite",
         "element-dangling-node",
         "element-repeated-node",
         "elements-on-one-simplex",

@@ -34,6 +34,7 @@ from support import (
     hybridized_substructure_blocks,
     mesh_from_elements,
     reduced_rhs_loop,
+    substructure_views,
 )
 
 
@@ -83,7 +84,7 @@ def test_reduced_operator_matches_dense_elimination(name, n_sub, params, fixture
     # the reduced operator is symmetric positive definite
     assert np.linalg.eigvalsh(0.5 * (s_hat + s_hat.T)).min() > 0
     # and each local contribution is at least positive semidefinite
-    for sub in subs:
+    for sub in substructure_views(subs):
         s_loc = sub.schur
         if s_loc.size:
             eigs = np.linalg.eigvalsh(0.5 * (s_loc + s_loc.T))
@@ -113,7 +114,8 @@ def test_thread_count_does_not_change_results(frac2):
     unique interface sizes."""
     square = generate_unit_square(12)
     _, _, subs, _ = setup_case(square, 9)
-    sizes = np.unique([sub.n_gamma for sub in subs], return_counts=True)[1]
+    views = substructure_views(subs)
+    sizes = np.unique([sub.n_gamma for sub in views], return_counts=True)[1]
     assert 1 in sizes and (sizes > 1).any()
     for mesh, n_sub, threads in ((frac2, 4, 4), (square, 9, 3)):
         _, _, subs1, op1 = setup_case(mesh, n_sub, threads=1)
@@ -122,15 +124,18 @@ def test_thread_count_does_not_change_results(frac2):
             dense_operator(op1.apply, op1.n), dense_operator(op_t.apply, op_t.n)
         )
         assert np.array_equal(op1.reduced_rhs(), op_t.reduced_rhs())
-        for a, b in zip(subs1, subs_t, strict=True):
+        for a, b in zip(
+            substructure_views(subs1), substructure_views(subs_t), strict=True
+        ):
             for name in ("schur", "w", "lam_load", "rhs_share"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_single_substructure_reduces_to_direct(square4):
     system, layout, subs, _ = setup_case(square4, 1)
-    assert len(subs) == 1
-    assert subs[0].n_gamma == 0
+    views = substructure_views(subs)
+    assert len(views) == 1
+    assert views[0].n_gamma == 0
     sol = recover_solution(system, subs, layout, np.zeros(0))
     ref = full_solve_direct(system).concatenated()
     assert np.abs(sol.concatenated() - ref).max() <= 1e-10
@@ -170,13 +175,14 @@ def test_blocks_match_per_substructure_slicing(mesh_of, n_sub):
     mesh = mesh_of()
     system, layout, subs, _ = setup_case(mesh, n_sub)
     ref = hybridized_substructure_blocks(system, layout)
-    assert len(subs) == len(ref) == n_sub
+    views = substructure_views(subs)
+    assert len(views) == len(ref) == n_sub
     if len(mesh.couplings):
         # some link multiplier is on the interface, so penalty ownership
         # is covered
         link_mults = system.dof_map.side_mult[mesh.couplings]
         assert np.isin(layout.interface_mults, link_mults).any()
-    for sub, want in zip(subs, ref):
+    for sub, want in zip(views, ref):
         assert np.array_equal(sub.interior_mults, want["interior_mults"])
         want["w"] = -sla.solve(want["k_ii"], want["k_ig"])
         want["lam_load"] = sla.solve(want["k_ii"], want["rhs_interior"])
@@ -204,7 +210,7 @@ def test_blockwise_assembly_covers_global_matrix(frac2):
     x = np.zeros((system.n_multiplier, n_g + 1))
     schur = np.zeros((n_g, n_g))
     share = np.zeros(n_g)
-    for sub in subs:
+    for sub in substructure_views(subs):
         x[np.ix_(sub.interior_mults, sub.local_gamma)] = sub.w
         x[sub.interior_mults, -1] = sub.lam_load
         schur[np.ix_(sub.local_gamma, sub.local_gamma)] += sub.schur
@@ -224,7 +230,9 @@ def test_stiffest_penalty_builds_and_matches_oracle():
     system, layout, subs, _ = setup_case(mesh, 8)
     s_ref, _ = dense_schur_oracle(system, layout)
     total = np.zeros_like(s_ref)
-    for sub, blk in zip(subs, hybridized_substructure_blocks(system, layout)):
+    for sub, blk in zip(
+        substructure_views(subs), hybridized_substructure_blocks(system, layout)
+    ):
         assert np.linalg.eigvalsh(blk["k_ii"]).max() < 0
         total[np.ix_(sub.local_gamma, sub.local_gamma)] += sub.schur
     assert _relative_gap(total, s_ref) <= 1e-11
@@ -276,7 +284,9 @@ def test_recover_backward_error(frac2, rng):
     the factorization's accuracy, and every stored share of the reduced
     right-hand side matches a fresh dense solve."""
     system, layout, subs, _ = setup_case(frac2, 4)
-    for sub, blk in zip(subs, hybridized_substructure_blocks(system, layout)):
+    for sub, blk in zip(
+        substructure_views(subs), hybridized_substructure_blocks(system, layout)
+    ):
         x = rng.standard_normal(sub.n_gamma)
         lam_i = sub.lam_load + sub.w @ x
         rhs = blk["rhs_interior"] - blk["k_ig"] @ x
@@ -308,7 +318,8 @@ def test_interior_factorizations_released_after_setup(frac2, cube2, monkeypatch)
         refs.clear()
         pipe = build_pipeline(mesh, 4)
         gc.collect()
-        assert len({sub.n_gamma for sub in pipe.subs}) == n_distinct
+        views = substructure_views(pipe.subs)
+        assert len({sub.n_gamma for sub in views}) == n_distinct
         assert len(refs) == n_distinct
         assert all(ref() is None for ref in refs)
         lam, report = pcg(
@@ -322,11 +333,12 @@ def test_interior_factorizations_released_after_setup(frac2, cube2, monkeypatch)
         assert np.abs(sol - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
-def interface_size_groups(subs) -> list[list[int]]:
+def interface_size_groups(views) -> list[list[int]]:
     """The substructures that share one interior factorization: one list
-    per interface size, sizes descending, ids ascending in each."""
-    sizes = sorted({sub.n_gamma for sub in subs}, reverse=True)
-    return [[sub.sub_id for sub in subs if sub.n_gamma == n] for n in sizes]
+    per interface size, sizes descending, ids ascending in each; ``views``
+    lists every substructure's :class:`SubstructureView`."""
+    sizes = sorted({sub.n_gamma for sub in views}, reverse=True)
+    return [[sub.sub_id for sub in views if sub.n_gamma == n] for n in sizes]
 
 
 def record_interior_matrices(monkeypatch) -> list:
@@ -367,7 +379,7 @@ def test_interior_matrices_reach_the_factorization_as_canonical_csc(
     mesh = fixtures[name] if name in fixtures else heterogeneous_square(12)
     seen = record_interior_matrices(monkeypatch)
     system, layout, subs, _ = setup_case(mesh, n_sub)
-    groups = interface_size_groups(subs)
+    groups = interface_size_groups(substructure_views(subs))
     assert len(seen) == len(groups)
     assert sorted(s for grp in groups for s in grp) == list(range(n_sub))
     ref = hybridized_substructure_blocks(system, layout)
@@ -409,7 +421,8 @@ def test_grouped_build_matches_oracle_and_separate_factorizations(monkeypatch):
             return self.inner.solve(rhs)
 
     monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", Recording)
-    system, layout, subs, _ = setup_case(heterogeneous_square(12), 9)
+    system, layout, built, _ = setup_case(heterogeneous_square(12), 9)
+    subs = substructure_views(built)
     assert sorted(sub.n_gamma for sub in subs) == [10, 10, 12, 12, 16, 17, 18, 19, 20]
     groups = interface_size_groups(subs)
     # one solve for W and one for the interior load, per group
@@ -441,7 +454,8 @@ def test_singular_member_of_a_group_is_named(monkeypatch):
 
     mesh = heterogeneous_square(12)
     seen = record_interior_matrices(monkeypatch)
-    system, layout, subs, _ = setup_case(mesh, 9)
+    system, layout, built, _ = setup_case(mesh, 9)
+    subs = substructure_views(built)
     groups = interface_size_groups(subs)
     pair = next(grp for grp in groups if len(grp) == 2)
     # the second member, so that a healthy member is refactored first
@@ -474,7 +488,9 @@ def test_operator_matches_summed_local_schur(square6):
     system, layout, subs, op = setup_case(square6, 4)
     dense = dense_operator(op.apply, layout.n_interface)
     total = np.zeros_like(dense)
-    for sub, blk in zip(subs, hybridized_substructure_blocks(system, layout)):
+    for sub, blk in zip(
+        substructure_views(subs), hybridized_substructure_blocks(system, layout)
+    ):
         s_loc = blk["schur"]
         total[np.ix_(sub.local_gamma, sub.local_gamma)] += s_loc
     assert np.abs(dense - total).max() <= 1e-12 * max(1.0, np.abs(dense).max())
@@ -534,23 +550,30 @@ def test_element_inverse_formed_once_per_solve(frac2, monkeypatch):
 
 @pytest.mark.parametrize(
     "name,n_sub",
-    [("frac2", 4), ("square6", 4), ("cube2", 4), ("square16", 16)],
+    [("frac2", 4), ("square6", 4), ("cube2", 4), ("square16", 16), ("frac4", 8)],
 )
 def test_grouped_operator_equals_substructure_loop(name, n_sub, fixtures, rng):
     """The operator applies each interface-size group's stack of ``S_i``
     in one batched product, and the reduced right-hand side sums the shares
     with one ``np.bincount``; both equal the loop over the substructures in
     order bit for bit, with one-member groups (frac2), one group (square6,
-    cube2) and several groups of several members (square16)."""
-    mesh = generate_unit_square(16) if name == "square16" else fixtures[name]
+    cube2), several groups of several members (square16) and groups whose
+    members differ in constraint count (frac4)."""
+    if name == "square16":
+        mesh = generate_unit_square(16)
+    elif name == "frac4":
+        mesh = generate_cross_fracture_cube(4)
+    else:
+        mesh = fixtures[name]
     pipe = build_pipeline(mesh, n_sub, with_prec=False)
     op = pipe.op
-    assert len(op.stacks) == len({sub.n_gamma for sub in pipe.subs})
+    views = substructure_views(pipe.subs)
+    assert len(op.stacks) == len({sub.n_gamma for sub in views})
     # the stacks are the storage of every S_i
     for stack in op.stacks:
         assert all(
             np.shares_memory(sub.schur, stack)
-            for sub in pipe.subs
+            for sub in views
             if sub.n_gamma == stack.shape[1]
         )
     for _ in range(3):
