@@ -30,18 +30,20 @@ its own LAPACK calls and decides refinement member by member, so each
 member's blocks are those of its own run of one bit for bit. Each run
 keeps its ``N_i`` and ``Phi_i`` as one stack each. The local coarse
 matrices are assembled, in substructure order, into the sparse coarse
-matrix, which is factored last, by Cholesky
-(:func:`~darcydd.ldlt.factor_negative_definite`): its success certifies
-that the coarse matrix is negative definite. The square-dense benchmark
-mesh has 64 substructures in three runs, so set-up makes three local
-factorizations instead of 64, and one coarse one; the 16 substructures of
-the fracture-contrast mesh form 15 interface-size groups and 16 runs, as
-its two substructures with 137 interface dofs have 41 and 40 constraints.
+matrix, which is factored last, by band Cholesky in reverse
+Cuthill-McKee order (:func:`~darcydd.ldlt.factor_negative_definite`): its
+success certifies that the coarse matrix is negative definite. The
+square-dense benchmark mesh has 64 substructures in three runs, so set-up
+makes three local factorizations instead of 64, and one coarse one, whose
+448 coarse dofs have a half-bandwidth of 67 in that order; the 16
+substructures of the fracture-contrast mesh form 15 interface-size groups
+and 16 runs, as its two substructures with 137 interface dofs have 41 and
+40 constraints.
 
 An application of the preconditioner gathers the weighted residual once,
 in the groups' layout, and makes two batched products per run, ``N_i r_i``
-and ``Phi_i^T r_i`` for every member at once, then one coarse solve (two
-triangular solves) and one batched ``Phi_i`` product per run. Each product
+and ``Phi_i^T r_i`` for every member at once, then one coarse solve (one
+band solve) and one batched ``Phi_i`` product per run. Each product
 is written into its place in a buffer in the group layout, kept from
 set-up. The products go back to substructure order and are added with one
 ``np.bincount`` per reduction, which adds in exactly the order of a loop
@@ -300,13 +302,13 @@ class BddcPreconditioner:
 
     Application: weight and restrict the residual to each substructure,
     apply the constrained local inverses, add the coarse component obtained
-    from the Cholesky factor of the assembled coarse matrix, weight again
-    and scatter back, then negate. The residual is gathered once, through
-    the interface layout of set-up, and each run applies its stacks in
-    batched products into buffers kept from set-up; both reductions
+    from the band Cholesky factor of the assembled coarse matrix, weight
+    again and scatter back, then negate. The residual is gathered once,
+    through the interface layout of set-up, and each run applies its stacks
+    in batched products into buffers kept from set-up; both reductions
     accumulate in substructure order.
 
-    Raises :class:`ConstraintDeficiencyError` when the Cholesky
+    Raises :class:`ConstraintDeficiencyError` when the band Cholesky
     factorization of the assembled coarse matrix fails, because it is
     singular or not negative definite: the coarse constraints are
     insufficient.
@@ -381,8 +383,8 @@ class BddcPreconditioner:
 
         Every product is written into its place in a buffer in the group
         layout, kept from set-up, in the same arithmetic order as a loop
-        over the substructures; the coarse solve is two triangular solves
-        with the Cholesky factor. Not reentrant: concurrent calls would
+        over the substructures; the coarse solve is one band solve with
+        the band Cholesky factor. Not reentrant: concurrent calls would
         share the buffers.
         """
         r_w, eta, phi_e, r_c = self._r_w, self._eta, self._phi_e, self._r_c

@@ -1,9 +1,11 @@
 """Symmetric factorizations: the sparse LU path, the dense Cholesky path
-for stacks of negative definite matrices, and the coarse Cholesky one."""
+for stacks of negative definite matrices, and the coarse band Cholesky one."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darcydd.errors import SingularSystemError
 from darcydd.ldlt import (
@@ -476,16 +478,45 @@ def test_negative_definite_solve_meets_contract(rng):
 def test_negative_definite_refines_once(rng):
     """A solution whose backward error exceeds 1e-12 gets exactly one step
     of iterative refinement: here every entry of the factor is perturbed
-    by about 1e-9, and so is the unrefined solution's backward error."""
+    by about 1e-9, and so is the unrefined solution's backward error. The
+    matrix is dense, so its band factor is the full 60 x 60 band."""
     a = _negative_definite(rng, 60, 1e6)
     fact = factor_negative_definite(a)
-    fact._factor = fact._factor * (1.0 + 1e-9 * rng.standard_normal((60, 60)))
+    assert fact._band.shape == (60, 60)
+    fact._band = fact._band * (1.0 + 1e-9 * rng.standard_normal(fact._band.shape))
     b = rng.standard_normal(60)
     raw = fact._solve_unrefined(b)
     assert fact.backward_error(b, raw) > 1e-12
     x = fact.solve(b)
     assert np.array_equal(x, raw + fact._solve_unrefined(b - a @ raw))
     assert fact.backward_error(b, x) < 1e-3 * fact.backward_error(b, raw)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 80),
+    density=st.floats(0.01, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_negative_definite_symmetric_permutation(n, density, seed):
+    """A random sparse negative definite matrix ``A`` and a symmetric
+    permutation ``Q A Q^T`` of it are both certified, with inertia
+    (0, n, 0), and the permuted matrix's solution of ``Q b``, permuted
+    back, solves ``A x = b`` within the 1e-12 backward-error contract."""
+    rng = np.random.default_rng(seed)
+    r = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+    a = sps.csr_matrix(-(r @ r.T + np.diag(rng.uniform(0.1, 1.0, n))))
+    q = rng.permutation(n)
+    fact, fact_q = factor_negative_definite(a), factor_negative_definite(a[q][:, q])
+    assert fact.inertia == fact_q.inertia == (0, n, 0)
+    b = rng.standard_normal(n)
+    x = fact.solve(b)
+    x_q = fact_q.solve(b[q])
+    assert fact.backward_error(b, x) <= 1e-12
+    assert fact_q.backward_error(b[q], x_q) <= 1e-12
+    back = np.empty(n)
+    back[q] = x_q
+    assert fact.backward_error(b, back) <= 1e-12
 
 
 def test_negative_definite_refuses_singular_and_positive_definite():
