@@ -23,16 +23,19 @@ factorization certifies the local problem; no saddle matrix is formed.
 
 Set-up splits each interface-size group of
 :func:`~darcydd.subsolve.build_substructures` into its runs of consecutive
-members with one constraint count ``n_c``. It solves each run's local problems as one ``(m, n, n)`` stack, a view of
-the group's ``S_i`` stack: one batched QR of the ``C_i^T`` and one call of
+members with one constraint count ``n_c``. It solves each run's local
+problems as one ``(m, n, n)`` stack, a view of the group's ``S_i`` stack,
+whose members are exactly symmetric: one batched QR of the ``C_i^T`` and one call of
 the dense Cholesky factorization, which factors and solves each member with
 its own LAPACK calls and decides refinement member by member, so each
 member's blocks are those of its own run of one bit for bit. Each run
 keeps its ``N_i`` and ``Phi_i`` as one stack each. The local coarse
 matrices are assembled, in substructure order, into the sparse coarse
 matrix, which is factored last, by band Cholesky in reverse
-Cuthill-McKee order (:func:`~darcydd.ldlt.factor_negative_definite`): its
-success certifies that the coarse matrix is negative definite. The
+Cuthill-McKee order (:func:`~darcydd.ldlt.factor_negative_definite`, the
+band path that also factors the interior problems, with the coarse matrix
+as one block): its success certifies that the coarse matrix is negative
+definite. The
 square-dense benchmark mesh has 64 substructures in three runs, so set-up
 makes three local factorizations instead of 64, and one coarse one, whose
 448 coarse dofs have a half-bandwidth of 67 in that order; the 16

@@ -1,28 +1,21 @@
-"""Symmetric factorizations: a sparse LU path and a dense Cholesky path for
-stacks of negative definite matrices, and a band Cholesky one for the
-sparse coarse matrix.
+"""Symmetric factorizations: a sparse LU path for one global matrix, a dense
+Cholesky path for stacks of negative definite matrices, and a band Cholesky
+path for block-diagonal and sparse negative definite matrices.
 
 Every matrix factored here is symmetric, and every one this package
 factors is negative definite. :func:`factor_symmetric_indefinite` takes
-sparse and dense input, and its input type alone picks the path; there is
-no size threshold and no option. Sparse input takes a sparse LU with
-partial pivoting and the ``MMD_ATA`` column ordering. In this package it
-is always a negative definite multiplier matrix, left when velocities and
-pressures are eliminated element by element: one block-diagonal matrix of
-interior blocks per group of substructures with one interface size, and
-the global multiplier matrix of the direct solve. The path checks
-symmetry, not definiteness. SuperLU factors a block-diagonal matrix block
-by block, with the same fill as its blocks alone. On the fracture-contrast
-benchmark mesh (22k unknowns, 16 substructures) the interior blocks hold
-329-364 unknowns each and 201k L+U entries in 15 matrices, and the global
-multiplier matrix (6,391 unknowns) 2.04M; on the square-dense mesh, 64
-blocks of 65 unknowns hold 45k in 3 matrices, and the global matrix (4,720
-unknowns) 221k.
+sparse, dense and :class:`BlockDiagonal` input, and its input type alone
+picks the path; there is no size threshold and no option.
 
-Sparse input is taken as it is when it is a CSC matrix in canonical format
-(sorted row indices, no duplicates), which is what SuperLU reads; any other
-sparse matrix is converted to one once, and the caller's matrix is never
-changed. Its checks work on those arrays: the matrix is symmetric when its
+Sparse input takes a sparse LU with partial pivoting and the ``MMD_ATA``
+column ordering. In this package it is the global multiplier matrix of the
+direct solve, left when velocities and pressures are eliminated element by
+element (6,391 unknowns and 2.04M L+U entries on the fracture-contrast
+benchmark mesh), whose band would be far too wide for a band factor. The
+path checks symmetry, not definiteness. The matrix is taken as it is when it
+is a CSC matrix in canonical format (sorted row indices, no duplicates),
+which is what SuperLU reads; any other sparse matrix is converted to one
+once, and the caller's matrix is never changed. It is symmetric when its
 nonzero ``(row, col, value)`` triplets, in column-major order, equal its
 transpose's triplets sorted the same way (``np.lexsort``), which is exactly
 ``(A != A.T).nnz == 0``; its infinity norm is :func:`csc_norm_inf`.
@@ -45,37 +38,46 @@ operations over the whole stack, decided member by member; ``dpotrf`` and
 ``dpotrs`` run once per member, on that member alone, in place on
 Fortran-ordered arrays. A member's factor and solutions are therefore bit
 for bit those of factoring it alone, and a member that is not certified
-raises :class:`SingularSystemError` with its index in ``member``. The
-preconditioner factors the projected local matrices of all substructures
-of one shape as one stack.
+raises :class:`SingularSystemError` with its index in ``member``.
 
-Both paths meet the same accuracy contract: ``solve`` measures the normwise
-backward error and applies one step of iterative refinement whenever it
-exceeds 1e-12; in a stack, each member's error decides its own step. The
-sparse path's error is :func:`sparse_backward_error`, which the direct solve
-also applies to the unreduced saddle matrix. It forms the residual 32
-columns at a time, so that no temporary holds more than a block of
-SuperLU's multi-column solution.
+The band path factors each diagonal block ``A_j`` of a :class:`BlockDiagonal`
+matrix on its own, and :func:`factor_negative_definite` takes a sparse
+matrix as one block. Each block is ordered by reverse Cuthill-McKee,
+computed from the block's own pattern, and keeps the caller's order when
+that does not narrow its band. LAPACK's lower band storage of ``-P_j A_j
+P_j^T`` is filled straight from the sparse arrays, all blocks at once, with
+no dense copy, and ``dpbtrf`` factors each block in place, certified as the
+dense path is. The fill also checks the input: a matrix is symmetric
+exactly when the band filled from its lower triangle equals the band filled
+from its transposed upper triangle (explicit zeros count as absent, as in
+``(A != A.T).nnz == 0``), and a nonzero entry outside the diagonal blocks
+is refused with ``ValueError``. Per block only the ordering call and the
+LAPACK calls run; the checks, the certificate, the backward errors and the
+refinement decisions are array operations over all blocks, decided block by
+block, so each block's factor and solutions are bit for bit those of
+factoring it alone. A block of order 0 makes no LAPACK call.
+:meth:`BandFactorization.inverse_forms` gives each block's ``B_j^T (-A_j)^-1
+B_j`` as ``X_j^T X_j``, ``X_j = L_j^-1 P_j B_j``, from one triangular band
+solve (``dtbtrs``) and one symmetric rank-k product (``dsyrk``), so the
+result is exactly symmetric. Set-up factors each interface-size group's
+interior blocks as one block-diagonal matrix this way, and the
+preconditioner its coarse matrix, whose 448 dofs on the square-dense
+benchmark mesh have a half-bandwidth of 67 in that order.
 
-:func:`factor_negative_definite` factors the preconditioner's sparse coarse
-matrix ``A`` by band Cholesky. It orders ``A`` by reverse Cuthill-McKee,
-computed from ``A``'s own pattern, and keeps the caller's order when that
-does not narrow the band; a matrix whose band is full gets full band
-storage. LAPACK's lower band storage of ``-P A P^T`` is filled straight
-from the sparse arrays, with no dense ``n x n`` copy, and ``dpbtrf``
-factors it in place, certified as the dense path is: a positive ``info``
-means not negative definite, and a pivot ``l_kk^2`` at or below
-``n eps (-A)_kk`` (in the band's order) means singular. ``solve`` takes one
-right-hand side: one ``dpbtrs`` call on the permuted ``-b``. It meets the
-same accuracy contract against the sparse matrix it was given, with
-:func:`sparse_backward_error`. The square-dense benchmark mesh's coarse
-matrix, 448 dofs, has a half-bandwidth of 67 in that order, so the factor
-holds 30k entries where a dense one holds 200k.
+Every path meets the same accuracy contract: ``solve`` measures the
+normwise backward error and applies one step of iterative refinement
+whenever it exceeds 1e-12; in a stack or a block-diagonal matrix, each
+member's error decides its own step. The sparse LU path's error is
+:func:`sparse_backward_error`, which the direct solve also applies to the
+unreduced saddle matrix.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.linalg import lapack
+from numpy.typing import NDArray
+from scipy.linalg import blas, lapack
 import scipy.sparse as sps
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 import scipy.sparse.linalg as spla
@@ -83,8 +85,6 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 
 _REFINE_TRIGGER = 1e-12
-# columns of a multi-column residual formed at a time
-_RESIDUAL_COLUMNS = 32
 
 
 def _csc_symmetric(a: sps.csc_matrix) -> bool:
@@ -112,63 +112,44 @@ def csc_norm_inf(a: sps.csc_matrix) -> float:
     return float(row_sums.max(initial=0.0))
 
 
-def _residual_maxima(a: sps.spmatrix, b, x) -> tuple[float, float, float]:
-    """The largest entries of ``|b - A x|``, ``|x|`` and ``|b|``."""
-    return (
-        np.abs(b - a @ x).max(initial=0.0),
-        np.abs(x).max(initial=0.0),
-        np.abs(b).max(initial=0.0),
-    )
-
-
 def sparse_backward_error(a: sps.spmatrix, b, x, norm_inf: float) -> float:
     """Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` of ``x`` in
-    the infinity norm, given ``|A|``; stacked right-hand sides as a whole.
-
-    Stacked right-hand sides are taken 32 columns at a time. ``A @ x`` adds
-    each entry's terms in the same order whatever the number of columns,
-    and a maximum does not depend on the order it is taken in, so the error
-    is that of the whole residual bit for bit.
-    """
-    cols = _RESIDUAL_COLUMNS
-    if x.ndim == 1 or x.shape[1] <= cols:
-        r_max, x_max, b_max = _residual_maxima(a, b, x)
-    else:
-        r_max, x_max, b_max = np.max(
-            [
-                _residual_maxima(a, b[:, j : j + cols], x[:, j : j + cols])
-                for j in range(0, x.shape[1], cols)
-            ],
-            axis=0,
-        )
-    denom = norm_inf * x_max + b_max
+    the infinity norm, given ``|A|``; stacked right-hand sides as a whole."""
+    r_max = np.abs(b - a @ x).max(initial=0.0)
+    denom = norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
     if denom == 0.0:
         return 0.0
     return float(r_max / denom)
 
 
-def _certify(info, pivots: np.ndarray, diag: np.ndarray, stacked: bool = False) -> None:
+def _certify(info, pivots: np.ndarray, diag: np.ndarray, start: np.ndarray,
+             member_name: str | None = None) -> None:
     """Raise :class:`SingularSystemError` for the first of ``m`` Cholesky
-    factorizations ``-A = L L^T`` that does not certify ``A`` negative
-    definite: LAPACK's ``info`` is positive, or a pivot ``l_kk^2`` (row of
-    ``pivots``) is at or below ``n eps (-A)_kk`` (row of ``diag``). For a
-    ``stacked`` input the message names the member and sets ``member``.
+    factorizations ``-A_j = L_j L_j^T`` that does not certify ``A_j``
+    negative definite: LAPACK's ``info`` is positive, or a pivot ``l_kk^2``
+    is at or below ``n_j eps (-A_j)_kk``. Member ``j``'s pivots and diagonal
+    entries are entries ``start[j]:start[j + 1]`` of ``pivots`` and
+    ``diag``. With a ``member_name`` format (fields ``j`` and ``m``) the
+    message names the member and sets ``member``.
     """
-    m, n = pivots.shape
-    zero = pivots <= n * np.finfo(float).eps * diag
-    for j in np.flatnonzero(np.greater(info, 0) | zero.any(axis=1)):
-        which = f"matrix {j} of a stack of {m}" if stacked else "matrix"
-        member = j if stacked else None
+    sizes = np.diff(start)
+    m = len(sizes)
+    zero = pivots <= np.repeat(sizes, sizes) * np.finfo(float).eps * diag
+    has_zero = np.bincount(np.repeat(np.arange(m), sizes)[zero], minlength=m) > 0
+    for j in np.flatnonzero(np.greater(info, 0) | has_zero):
+        which = member_name.format(j=j, m=m) if member_name else "matrix"
+        member = j if member_name else None
+        n = sizes[j]
         if info[j] > 0:
             raise SingularSystemError(
                 f"{which} is not negative definite: its leading block of "
                 f"order {info[j]} (of {n}) is not",
                 member=member,
             )
-        k = np.flatnonzero(zero[j])[0]
+        k = start[j] + np.flatnonzero(zero[start[j] : start[j + 1]])[0]
         raise SingularSystemError(
-            f"{which} is singular: pivot {k + 1} of {n} is "
-            f"{pivots[j, k] / diag[j, k]:.3e} times its diagonal entry",
+            f"{which} is singular: pivot {k - start[j] + 1} of {n} is "
+            f"{pivots[k] / diag[k]:.3e} times its diagonal entry",
             member=member,
         )
 
@@ -178,14 +159,17 @@ def _certified_cholesky(neg: np.ndarray, stacked: bool = False) -> None:
     matrices ``-A``, in place by ``dpotrf``: ``-A = L L^T``, with ``L``
     left in the member's lower triangle; :func:`_certify` checks each.
     """
-    diag = np.diagonal(neg, axis1=1, axis2=2).copy()
+    m, n = neg.shape[:2]
+    diag = np.diagonal(neg, axis1=1, axis2=2).ravel()
     info = [lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)[1] for a in neg]
-    _certify(info, np.diagonal(neg, axis1=1, axis2=2) ** 2, diag, stacked)
+    pivots = np.diagonal(neg, axis1=1, axis2=2).ravel() ** 2
+    name = "matrix {j} of a stack of {m}" if stacked else None
+    _certify(info, pivots, diag, np.arange(m + 1) * n, name)
 
 
 class IndefiniteFactorization:
-    """Factored symmetric matrix, or stack of negative definite matrices,
-    exposing ``solve``.
+    """Factored symmetric sparse matrix, or stack of negative definite
+    matrices, exposing ``solve``.
 
     ``solve`` takes what the matrix acts on: for a matrix one right-hand
     side or a matrix of stacked right-hand sides, and for a stack of ``m``
@@ -294,99 +278,247 @@ class IndefiniteFactorization:
         return x if self._stacked else x[0]
 
 
-def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization:
-    """Factor a symmetric sparse matrix, or a dense negative definite
-    matrix or stack of such matrices of one size.
+@dataclass(frozen=True)
+class BlockDiagonal:
+    """A symmetric sparse matrix given with its diagonal blocks: block ``j``
+    is rows and columns ``start[j]:start[j + 1]``. The band path factors
+    each block on its own, and refuses a nonzero entry outside them."""
 
-    A sparse matrix takes the sparse LU path, which checks symmetry, not
-    definiteness, and raises :class:`SingularSystemError` on exact
-    singularity. An ndarray takes the dense Cholesky path, which raises
-    :class:`SingularSystemError` for a matrix that it does not certify
-    negative definite, and for a stack names the first such member.
-    Either path raises ``ValueError`` for a matrix that is not square and
-    symmetric.
-    """
-    return IndefiniteFactorization(matrix)
+    matrix: sps.spmatrix
+    start: NDArray[np.int64]
 
 
-def _half_bandwidth(row: np.ndarray, col: np.ndarray) -> int:
-    """The largest ``|i - j|`` over the entries ``(row, col)``."""
-    return int(np.abs(row - col).max(initial=0))
+def _segment_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The largest of each segment ``values[bounds[j]:bounds[j + 1]]`` of a
+    non-negative array, 0 for an empty one; ``bounds[-1]`` is its length."""
+    if len(bounds) == 2:
+        return values.max(initial=0, keepdims=True)
+    out = np.zeros(len(bounds) - 1, dtype=values.dtype)
+    nonempty = bounds[:-1] < bounds[1:]
+    if nonempty.any():
+        # an empty segment between two listed starts holds no entries
+        out[nonempty] = np.maximum.reduceat(values, bounds[:-1][nonempty])
+    return out
 
 
-class NegativeDefiniteFactorization:
-    """Band Cholesky factor ``L`` of ``-P A P^T`` for a symmetric negative
-    definite sparse matrix ``A``, with ``P`` the reverse Cuthill-McKee
-    ordering of ``A``, or the identity when that ordering does not narrow
-    the band; ``solve`` takes one right-hand side.
+class BandFactorization:
+    """Band Cholesky factors ``L_j`` of ``-P_j A_j P_j^T`` for each diagonal
+    block ``A_j`` of a symmetric negative definite sparse matrix ``A``, with
+    ``P_j`` the reverse Cuthill-McKee ordering of ``A_j``, or the identity
+    when that ordering does not narrow the block's band.
 
-    The factorization exists only for a matrix that it certified negative
+    ``solve`` takes one right-hand side for all blocks at once. The
+    factorization exists only for a matrix that it certified negative
     definite, so ``inertia`` is always ``(0, n, 0)``.
     """
 
-    def __init__(self, matrix):
+    mode = "band"
+
+    def __init__(self, matrix, start, member_name: str | None = None):
         self._mat = a = matrix
-        if a.format != "csr" or not a.has_canonical_format:
+        if a.format not in ("csr", "csc") or not a.has_canonical_format:
             a = a.tocsr(copy=True)
             a.sum_duplicates()
         n = a.shape[0]
-        # a canonical CSR matrix's arrays are those of its transpose in
-        # canonical CSC format
-        if a.shape != (n, n) or not _csc_symmetric(a):
+        start = np.asarray(start, dtype=np.int64)
+        if a.shape != (n, n):
             raise ValueError("matrix must be square and symmetric")
-        self.n = n
+        sizes = np.diff(start)
+        if start[0] != 0 or start[-1] != n or (sizes < 0).any():
+            raise ValueError(f"block bounds {start.tolist()} do not split order {n}")
+        self.n, self.inertia = n, (0, n, 0)
+        self._member_name = member_name
+        m = len(sizes)
+        # the compressed arrays are read as rows: for CSC input they are
+        # those of A^T, which is A when the symmetry check below passes
+        member = np.repeat(np.arange(m), sizes)
         row = np.repeat(np.arange(n), np.diff(a.indptr))
-        col = a.indices
-        # order[k] is the index placed k-th, rank its inverse; the caller's
-        # order is kept when the ordering does not narrow the band
-        order = reverse_cuthill_mckee(a, symmetric_mode=True)
+        col, val = a.indices, a.data
+        inside = member[row] == member[col]
+        if not inside.all():
+            if val[~inside].any():
+                raise ValueError(
+                    "matrix has a nonzero entry outside its diagonal blocks"
+                )
+            row, col, val = row[inside], col[inside], val[inside]
+            a = sps.csr_matrix(
+                (val, col, np.searchsorted(row, np.arange(n + 1))), shape=(n, n)
+            )
+        bounds = a.indptr[start]  # block j's entries are bounds[j]:bounds[j + 1]
+        self._nonempty = np.flatnonzero(sizes).tolist()
+        # order[k] is the index placed k-th, rank its inverse; each block
+        # is ordered from its own pattern alone
+        order = np.arange(n)
+        for j in self._nonempty:
+            s0, s1 = int(start[j]), int(start[j + 1])
+            e0, e1 = a.indptr[s0], a.indptr[s1]
+            block = sps.csr_matrix(
+                (val[e0:e1], a.indices[e0:e1] - s0, a.indptr[s0 : s1 + 1] - e0),
+                shape=(s1 - s0, s1 - s0),
+            )
+            order[s0:s1] = s0 + reverse_cuthill_mckee(block, symmetric_mode=True)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        if _half_bandwidth(rank[row], rank[col]) >= _half_bandwidth(row, col):
-            order = rank = np.arange(n)
+        kd_own = _segment_max(np.abs(row - col), bounds)
+        kd = _segment_max(np.abs(rank[row] - rank[col]), bounds)
+        # the caller's order is kept where the ordering does not narrow
+        # the band
+        keep = kd >= kd_own
+        if keep.any():
+            natural = np.repeat(keep, sizes)
+            order[natural] = np.flatnonzero(natural)
+            rank[order] = np.arange(n)
+            kd = np.where(keep, kd_own, kd)
         row, col = rank[row], rank[col]
-        lower = row >= col
-        # LAPACK's lower band storage of -PAP^T, Fortran-ordered: entry
-        # (i, j), i >= j, at [i - j, j]
-        band = np.zeros((n, _half_bandwidth(row, col) + 1)).T
-        band[row[lower] - col[lower], col[lower]] = -a.data[lower]
-        diag = band[0].copy()
-        info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)[1]
-        _certify([info], band[None, 0] ** 2, diag[None])
-        self._band = band
-        self._order, self._rank = order, rank
-        # |A|'s largest column sum, which for a symmetric A is its largest
-        # row sum; the transpose of a CSR matrix is a CSC one
-        self._norm_inf = csc_norm_inf(a.T)
-        self.inertia = (0, n, 0)
+        # LAPACK's lower band storage of every -P_j A_j P_j^T, one
+        # Fortran-ordered (kd_j + 1, n_j) array after another in one
+        # buffer: entry (i, c), i >= c, of the ordered matrix at [i - c, c],
+        # which is flat position base_j + (i - c) + c (kd_j + 1)
+        width = kd + 1
+        end = np.cumsum(width * sizes)
+        base = (end - width * sizes) - width * start[:-1]
+        at, stride = base[member], width[member]
 
-    def _solve_unrefined(self, b: np.ndarray) -> np.ndarray:
-        """``x = -P^T L^-T L^-1 P b``: one band solve (``dpbtrs``) in place
-        on ``-P b``."""
+        def filled(i: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+            """The band holding ``-v`` at the entries ``(i, c)``, ``i >= c``."""
+            out = np.zeros(end[-1] if m else 0)
+            out[at[c] + i + c * (stride[c] - 1)] = -v
+            return out
+
+        lower, upper = row >= col, row <= col
+        band = filled(row[lower], col[lower], val[lower])
+        if not np.array_equal(band, filled(col[upper], row[upper], val[upper])):
+            raise ValueError("matrix must be square and symmetric")
+        diag_at = at + np.arange(n) * stride
+        diag = band[diag_at]
+        self._bands = [
+            band[end[j] - width[j] * sizes[j] : end[j]].reshape(
+                (width[j], sizes[j]), order="F"
+            )
+            for j in range(m)
+        ]
+        info = np.zeros(m, dtype=np.int64)
+        for j in self._nonempty:
+            info[j] = lapack.dpbtrf(self._bands[j], lower=1, overwrite_ab=1)[1]
+        _certify(info, band[diag_at] ** 2, diag, start, member_name)
+        self._band = band
+        self._start, self._sizes = start, sizes
+        self._bounds = start.tolist()
+        self._order, self._rank = order, rank
+        # each block's largest row sum of |A|; a row's entries all lie in
+        # its block
+        sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=n)
+        self._norm_inf = _segment_max(sums, start)
+
+    def _solve_unrefined(self, b: np.ndarray, blocks=None) -> np.ndarray:
+        """``x = -P^T L^-T L^-1 P b`` on the given blocks, or on all: one
+        band solve (``dpbtrs``) per block, in place on its rows of ``-P
+        b``. Rows of the other blocks hold no solution."""
         y = np.negative(b[self._order])
-        lapack.dpbtrs(self._band, y, lower=1, overwrite_b=1)
+        for j in self._nonempty if blocks is None else blocks.tolist():
+            seg = y[self._bounds[j] : self._bounds[j + 1]]
+            lapack.dpbtrs(self._bands[j], seg, lower=1, overwrite_b=1)
         return y[self._rank]
 
-    def backward_error(self, b: np.ndarray, x: np.ndarray) -> float:
-        """Normwise backward error of ``x`` against the sparse matrix."""
-        return sparse_backward_error(self._mat, b, x, self._norm_inf)
+    def _block_errors(self, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Each block's normwise backward error, from its residual ``r``."""
+
+        def amax(v: np.ndarray) -> np.ndarray:
+            return _segment_max(np.abs(v), self._start)
+
+        denom = self._norm_inf * amax(x) + amax(b)
+        return np.divide(
+            amax(r), denom, out=np.zeros(len(denom)), where=denom != 0.0
+        )
+
+    def backward_error(self, b: np.ndarray, x: np.ndarray):
+        """Normwise backward error of ``x`` against the sparse matrix; one
+        per block for a :class:`BlockDiagonal` matrix."""
+        err = self._block_errors(b, x, b - self._mat @ x)
+        return err if self._member_name else float(err[0])
+
+    def probe(self) -> np.ndarray:
+        """Each block's backward error of an unrefined solve against ``A
+        1``, a right-hand side that is zero on no block of positive order,
+        as each block is definite."""
+        b = self._mat @ np.ones(self.n)
+        x = self._solve_unrefined(b)
+        return self._block_errors(b, x, b - self._mat @ x)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve against one vector, refined once when its backward error
-        exceeds 1e-12."""
+        """Solve against one vector; each block whose backward error
+        exceeds 1e-12 is refined once, on its own."""
         b = np.asarray(b, dtype=float)
         x = self._solve_unrefined(b)
-        if self.backward_error(b, x) > _REFINE_TRIGGER:
-            x += self._solve_unrefined(b - self._mat @ x)
+        r = b - self._mat @ x
+        refine = self._block_errors(b, x, r) > _REFINE_TRIGGER
+        if refine.any():
+            rows = np.repeat(refine, self._sizes)
+            x[rows] += self._solve_unrefined(r, np.flatnonzero(refine))[rows]
         return x
 
+    def inverse_forms(self, b: sps.spmatrix, k: int) -> np.ndarray:
+        """The ``(m, k, k)`` stack of ``B_j^T (-A_j)^-1 B_j`` over the blocks
+        ``B_j`` of a sparse ``B`` whose block ``j`` is its rows of block
+        ``j`` and columns ``j k:(j + 1) k``; a nonzero entry elsewhere is
+        refused with ``ValueError``. Each is ``X_j^T X_j``, ``X_j = L_j^-1
+        P_j B_j``, formed by one ``dtbtrs`` and one ``dsyrk`` with the
+        lower triangle copied from the upper, so it is exactly symmetric.
+        """
+        b = b.tocsr()
+        if not b.has_canonical_format:
+            b = b.copy()
+            b.sum_duplicates()
+        start, sizes = self._start, self._sizes
+        m = len(sizes)
+        row = np.repeat(np.arange(self.n), np.diff(b.indptr))
+        member = np.repeat(np.arange(m), sizes)[row]
+        col = b.indices - member * k
+        inside = (col >= 0) & (col < k)
+        if b.data[~inside].any():
+            raise ValueError("right-hand side has a nonzero entry outside its blocks")
+        # every X_j Fortran-ordered, (n_j, k), at k start[j] in one buffer
+        x = np.zeros(self.n * k)
+        x[
+            (k * start[member] + self._rank[row] - start[member] + col * sizes[member])[
+                inside
+            ]
+        ] = b.data[inside]
+        forms = np.zeros((m, k, k))
+        for j in self._nonempty if k else ():
+            x_j = x[k * start[j] : k * start[j + 1]].reshape((sizes[j], k), order="F")
+            lapack.dtbtrs(self._bands[j], x_j, uplo="L", overwrite_b=1)
+            forms[j] = blas.dsyrk(1.0, x_j, trans=1)  # the upper triangle
+        upper = np.triu_indices(k, 1)
+        forms[:, upper[1], upper[0]] = forms[:, upper[0], upper[1]]
+        return forms
 
-def factor_negative_definite(matrix) -> NegativeDefiniteFactorization:
+
+def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization | BandFactorization:
+    """Factor a symmetric sparse matrix, a dense negative definite matrix or
+    stack of such matrices of one size, or a :class:`BlockDiagonal`
+    negative definite matrix.
+
+    A sparse matrix takes the sparse LU path, which checks symmetry, not
+    definiteness, and raises :class:`SingularSystemError` on exact
+    singularity. An ndarray takes the dense Cholesky path, and a
+    :class:`BlockDiagonal` matrix the band path, block by block; both
+    raise :class:`SingularSystemError` for a matrix that they do not
+    certify negative definite, and for a stack or a block-diagonal matrix
+    name the first such member. Every path raises ``ValueError`` for a
+    matrix that is not square and symmetric.
+    """
+    if isinstance(matrix, BlockDiagonal):
+        return BandFactorization(matrix.matrix, matrix.start, "block {j} of {m}")
+    return IndefiniteFactorization(matrix)
+
+
+def factor_negative_definite(matrix) -> BandFactorization:
     """Factor a symmetric negative definite sparse matrix by band Cholesky,
-    in reverse Cuthill-McKee order.
+    in reverse Cuthill-McKee order, as one block.
 
     Raises :class:`SingularSystemError` when the matrix is singular or not
     negative definite, and ``ValueError`` when it is not square and
     symmetric.
     """
-    return NegativeDefiniteFactorization(matrix)
+    return BandFactorization(matrix, [0, matrix.shape[0]])

@@ -31,7 +31,7 @@ With the interior/interface splitting ``K = [[K_II, K_IG], [K_GI, K_GG]]``
 of one substructure, the local interface contribution is the Schur
 complement
 
-    S_i = -(K_GG + K_GI W),   K_II W = -K_IG,
+    S_i = -(K_GG - K_GI K_II^-1 K_IG),
 
 which is symmetric positive semidefinite; the assembled sum over
 substructures is positive definite whenever some natural boundary condition
@@ -41,26 +41,35 @@ interior unknowns in another order does not change it. The sign convention
 keeps the reduced problem SPD so conjugate gradients applies unchanged.
 
 :func:`build_substructures` does all interior work at set-up, one group
-at a time: one factorization of the group's ``K_II``, one solve for every
-member's ``W``, one product for every ``S_i`` (dense, ``n_gamma x
-n_gamma``, each checked for symmetry on its own) and one solve for the
-interior loads. SuperLU factors a block-diagonal matrix block by block,
-and on the benchmark meshes every member's results equal those of
-factoring its own ``K_II`` bit for bit. Only the results are kept, one
-:class:`SubstructureGroup` per interface size, with the members' ``S_i`` as
-one ``(m, n_gamma, n_gamma)`` stack; the blocks and the factorization go.
-On the square-dense benchmark mesh, 64 substructures with three interface
-sizes, this makes three factorizations instead of 64.
+at a time, with one call of ``factor_symmetric_indefinite`` on the group's
+``K_II`` as a :class:`~darcydd.ldlt.BlockDiagonal` matrix: each member's
+block gets its own band Cholesky factor ``-P K_II P^T = L L^T`` in its own
+reverse Cuthill-McKee order, certified negative definite, so a member that
+is not certified is named. Each factor is then probed with one unrefined
+solve against ``K_II 1``; a backward error above 1e-12 refuses the member
+("interior solve is unreliable"). One triangular band solve per member
+gives ``X = L^-1 P K_IG`` and one symmetric rank-k product ``X^T X``, so
+
+    S_i = -(K_GG + X^T X)
+
+is exactly symmetric; a group's ``S_i`` form one ``(m, n_gamma,
+n_gamma)`` stack. One more solve gives the interior loads' share of the
+reduced right-hand side. Every member's factor and results are bit for bit
+those of factoring its own ``K_II`` alone. Each :class:`SubstructureGroup`
+keeps the band factors, its ``K_IG`` and its interior load, and no dense
+``K_II^-1 K_IG``. On the square-dense benchmark mesh, 64 substructures
+with three interface sizes, set-up makes three factorization calls instead
+of 64.
 
 The groups reach every consumer as they were built, with one
 :class:`GroupLayout` of the members' interface dofs.
 :class:`InterfaceOperator` applies each stack in one batched product, the
-preconditioner's local problems work on the stacks alone, the reduced
-right-hand side is a scatter of stored shares, and the interior
-multipliers of an interface trace ``x`` are ``K_II^-1 rhs_I + W x``.
-:func:`recover_solution` then gets every velocity and pressure from
-``M^-1 ([g; f] - N^T lam)`` with ``BlockSystem.back_substitute``, as the
-direct solve does.
+preconditioner's local problems work on the stacks alone, and the reduced
+right-hand side is a scatter of stored shares. :func:`recover_solution`
+solves ``K_II lam_I = rhs_I - K_IG lam_Gamma`` for every member of a group
+at once with the kept factors, under the factorization's accuracy contract,
+and then gets every velocity and pressure from ``M^-1 ([g; f] - N^T lam)``
+with ``BlockSystem.back_substitute``, as the direct solve does.
 """
 from __future__ import annotations
 
@@ -73,8 +82,11 @@ from numpy.typing import NDArray
 
 from .assembly import BlockSystem, SolutionTriple, multiplier_matrix
 from .errors import ConfigurationError, SingularSystemError
-from .ldlt import factor_symmetric_indefinite
+from .ldlt import BandFactorization, BlockDiagonal, factor_symmetric_indefinite
 from .partition import InterfaceLayout
+
+# largest backward error of the unrefined probe solve with an interior factor
+_PROBE_LIMIT = 1e-12
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
@@ -143,20 +155,22 @@ class GroupLayout:
 
 @dataclass
 class SubstructureGroup:
-    """The substructures of one interface size ``n_gamma``, with their
-    interiors solved once at set-up by one factorization.
+    """The substructures of one interface size ``n_gamma``, with the band
+    Cholesky factors of their interior problems.
 
     Member ``j``, substructure ``members[j]``, owns rows ``start[j]:start[j
-    + 1]`` of ``interior_mults``, ``w`` and ``lam_load``, row ``j`` of
-    ``schurs`` and entries ``j n_gamma : (j + 1) n_gamma`` of
+    + 1]`` of ``interior_mults``, ``k_ig`` and ``load`` and block ``j`` of
+    ``interior``, columns ``j n_gamma : (j + 1) n_gamma`` of ``k_ig``, row
+    ``j`` of ``schurs`` and entries ``j n_gamma : (j + 1) n_gamma`` of
     ``rhs_share``."""
 
     members: NDArray[np.int64]  # substructure ids, ascending
     interior_mults: NDArray[np.int64]  # global ids, each member's ascending
     start: NDArray[np.int64]  # member row offsets, m + 1 of them
     schurs: NDArray = field(repr=False)  # S_i, (m, n_gamma, n_gamma)
-    w: NDArray = field(repr=False)  # -K_II^-1 K_IG
-    lam_load: NDArray = field(repr=False)  # K_II^-1 rhs_I
+    interior: BandFactorization = field(repr=False)  # of every member's K_II
+    k_ig: sps.csr_matrix = field(repr=False)  # K_IG, member j's block as above
+    load: NDArray = field(repr=False)  # rhs_I
     rhs_share: NDArray = field(repr=False)  # K_GI K_II^-1 rhs_I - rhs_G
 
 
@@ -174,8 +188,8 @@ def build_substructures(
     system: BlockSystem, layout: InterfaceLayout, threads: int = 1
 ) -> Substructures:
     """Cut the per-substructure blocks from one block-diagonal multiplier
-    matrix and solve every interior problem once, with one factorization
-    per interface size."""
+    matrix and factor every interior problem by band Cholesky, with one
+    factorization call per interface size."""
     dm = system.dof_map
     sides = system.mesh.sides
     part = layout.partition
@@ -262,8 +276,8 @@ def build_substructures(
     cut_gg = cut(row_gamma & col_gamma)
 
     def rows_of(block: tuple[NDArray, NDArray], r0: int, r1: int, c0: int):
-        """Values, columns less ``c0``, and row pointer of rows ``r0:r1``;
-        the index arrays are int32, which SuperLU takes without a copy."""
+        """Values, columns less ``c0``, and row pointer of rows ``r0:r1``,
+        the index arrays int32 as scipy keeps them."""
         take, ptr = block
         pick = take[ptr[r0] : ptr[r1]]
         return (
@@ -278,63 +292,46 @@ def build_substructures(
         return sps.csc_matrix(rows_of(cut_ii, r0, r1, r0), shape=(r1 - r0,) * 2)
 
     def solve_group(g: int) -> SubstructureGroup:
-        """Cut group ``g``'s blocks, factor its block-diagonal ``K_II`` once,
-        and form every member's ``W``, dense local Schur complement and
-        interior load solution; the blocks and the factorization go on
-        return."""
+        """Cut group ``g``'s blocks, factor its members' ``K_II`` by band
+        Cholesky, probe each factor, and form every member's dense local
+        Schur complement and share of the reduced right-hand side; the
+        group keeps the factors, ``K_IG`` and the interior load."""
         members, n_g = groups[g], int(sizes[g])
         lo, mid, hi = (int(e) for e in edge[2 * g : 2 * g + 3])
         # member j's interior rows, less lo, are start[j]:start[j + 1]; its
         # interface copies are columns j n_g : (j + 1) n_g of the group's K_IG
         start = np.concatenate([[0], np.cumsum(n_int[members])])
         try:
-            fact = factor_symmetric_indefinite(interior_matrix(lo, mid))
+            fact = factor_symmetric_indefinite(
+                BlockDiagonal(interior_matrix(lo, mid), start)
+            )
         except SingularSystemError as exc:
-            # name the member whose own block is singular
-            for s, a, b in zip(members.tolist(), start, start[1:]):
-                try:
-                    factor_symmetric_indefinite(interior_matrix(lo + a, lo + b))
-                except SingularSystemError as own:
-                    raise SingularSystemError(
-                        f"interior problem of substructure {s} is singular ({own})"
-                    ) from own
             raise SingularSystemError(
-                f"interior problem of substructures {members.tolist()} is "
+                f"interior problem of substructure {members[exc.member]} is "
                 f"singular ({exc})"
             ) from exc
+        for j, err in enumerate(fact.probe()):
+            if err > _PROBE_LIMIT:
+                raise SingularSystemError(
+                    f"substructure {members[j]}: backward error {err:.3e} of "
+                    f"a probe solve exceeds {_PROBE_LIMIT:.0e}; interior "
+                    f"solve is unreliable"
+                )
         k_ig = sps.csr_matrix(
             rows_of(cut_ig, lo, mid, mid), shape=(mid - lo, hi - mid)
         )
-        # -K_IG with member j's columns on its own rows, one right-hand
-        # side per interface copy of a member
-        first = np.arange(len(members)) * n_g  # member j's first column
-        entry = np.repeat(np.arange(mid - lo), np.diff(k_ig.indptr))
-        rhs = np.zeros((mid - lo, n_g))
-        col = k_ig.indices - np.repeat(first, n_int[members])[entry]
-        rhs[entry, col] = -k_ig.data
-        w = fact.solve(rhs)
-        del rhs
         val, col, ptr = rows_of(cut_gg, mid, hi, mid)
         entry = np.repeat(np.arange(hi - mid), np.diff(ptr))
+        first = np.arange(len(members)) * n_g  # member j's first column
         k_gg = np.zeros((hi - mid, n_g))
         k_gg[entry, col - np.repeat(first, n_g)[entry]] = val
-        # row block j of K_GI W is member j's
-        schur = -(k_gg + k_ig.T @ w).reshape(len(members), n_g, n_g)
-        schur_t = schur.transpose(0, 2, 1)
-        defect = np.abs(schur - schur_t).max(axis=(1, 2), initial=0.0)
-        scale = np.abs(schur).max(axis=(1, 2), initial=0.0)
-        for s, d, a in zip(members.tolist(), defect, scale):
-            if d > 1e-10 * a:
-                raise SingularSystemError(
-                    f"substructure {s}: local Schur complement symmetry defect "
-                    f"{d:.3e} exceeds tolerance; interior solve is unreliable"
-                )
-        schur = 0.5 * (schur + schur_t)
-        # a solve of its own, so that the load cannot change W or S_i
-        lam_load = fact.solve(load[lo:mid])
-        share = k_ig.T @ lam_load - load[mid:hi]
+        # -K_GI K_II^-1 K_IG = K_GI P^T L^-T L^-1 P K_IG, exactly symmetric
+        forms = fact.inverse_forms(k_ig, n_g)
+        schur = -(k_gg.reshape(len(members), n_g, n_g) + forms)
+        load_i = load[lo:mid]
+        share = k_ig.T @ fact.solve(load_i) - load[mid:hi]
         return SubstructureGroup(
-            members, copy_mult[lo:mid], start, schur, w, lam_load, share
+            members, copy_mult[lo:mid], start, schur, fact, k_ig, load_i, share
         )
 
     return Substructures(
@@ -386,10 +383,11 @@ def recover_solution(
     then every velocity and pressure element by element."""
     lam = np.zeros(system.n_multiplier)
     lam[layout.interface_mults] = lam_gamma
-    for grp in subs.groups:
-        for s, a, b in zip(grp.members.tolist(), grp.start, grp.start[1:]):
-            x = lam_gamma[layout.local_dofs[s]]
-            lam[grp.interior_mults[a:b]] = grp.lam_load[a:b] + grp.w[a:b] @ x
+    lam_g = lam_gamma[subs.gamma.gather]
+    for grp, block in zip(subs.groups, subs.gamma.blocks):
+        # K_II lam_I = rhs_I - K_IG lam_Gamma, every member at once
+        rhs = grp.load - grp.k_ig @ lam_g[block]
+        lam[grp.interior_mults] = grp.interior.solve(rhs)
     up = system.back_substitute(lam, np.concatenate([system.g, system.f]))
     u, p = np.split(up, [system.n_velocity])
     return SolutionTriple(u=u, p=p, lam=lam)

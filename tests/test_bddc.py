@@ -183,9 +183,10 @@ def test_coarse_factor_is_banded():
     pipe = build_pipeline(generate_unit_square(40), 64)
     fact = pipe.prec.coarse_fact
     n = pipe.prec.n_coarse
-    w = fact._band.shape[0] - 1
+    band = fact._bands[0]
+    w = band.shape[0] - 1
     assert n == fact.n == 448
-    assert fact._band.size == (w + 1) * n and w <= 70
+    assert band.size == fact._band.size == (w + 1) * n and w <= 70
     assert fact.inertia == (0, n, 0)
 
 

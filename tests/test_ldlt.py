@@ -1,5 +1,6 @@
 """Symmetric factorizations: the sparse LU path, the dense Cholesky path
-for stacks of negative definite matrices, and the coarse band Cholesky one."""
+for stacks of negative definite matrices, and the band Cholesky one for
+block-diagonal and sparse negative definite matrices."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,8 +8,11 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import lapack
+
 from darcydd.errors import SingularSystemError
 from darcydd.ldlt import (
+    BlockDiagonal,
     IndefiniteFactorization,
     csc_norm_inf,
     factor_negative_definite,
@@ -425,9 +429,9 @@ def test_stacked_solve_makes_no_full_size_absolute_copies(rng):
 
 @pytest.mark.parametrize("k", [None, 1, 31, 32, 33, 70])
 def test_blocked_backward_error_equals_whole_residual(k, rng):
-    """The sparse backward error, formed 32 columns at a time, is the
-    whole-residual formula's bit for bit, for one vector and for SuperLU's
-    Fortran-ordered multi-column solutions."""
+    """The sparse backward error is the whole-residual formula's bit for
+    bit, for one vector and for SuperLU's Fortran-ordered multi-column
+    solutions of 1 to 70 columns."""
     a = (_laplacian(200) + sps.diags(rng.uniform(0.0, 1e-3, 200))).tocsc()
     fact = factor_symmetric_indefinite(a)
     shape = 200 if k is None else (200, k)
@@ -482,8 +486,9 @@ def test_negative_definite_refines_once(rng):
     matrix is dense, so its band factor is the full 60 x 60 band."""
     a = _negative_definite(rng, 60, 1e6)
     fact = factor_negative_definite(a)
-    assert fact._band.shape == (60, 60)
-    fact._band = fact._band * (1.0 + 1e-9 * rng.standard_normal(fact._band.shape))
+    band = fact._bands[0]
+    assert band.shape == (60, 60)
+    band *= 1.0 + 1e-9 * rng.standard_normal(band.shape)
     b = rng.standard_normal(60)
     raw = fact._solve_unrefined(b)
     assert fact.backward_error(b, raw) > 1e-12
@@ -540,3 +545,192 @@ def test_negative_definite_refuses_singular_and_positive_definite():
         factor_negative_definite(_laplacian(40) + sps.eye(40))
     with pytest.raises(ValueError):
         factor_negative_definite(sps.csr_matrix([[-2.0, 1.0], [0.0, -2.0]]))
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal matrices by band Cholesky
+
+
+def test_band_symmetry_check_matches_transpose_comparison(rng):
+    """The band path raises ValueError exactly where the shape is not
+    square or ``(A != A.T).nnz != 0``, on the negated matrices of the
+    sparse path's cases: CSR, CSC and COO input with duplicates, one-sided
+    explicit zeros, one-ulp defects and missing mirror entries."""
+    seen = {True: 0, False: 0}
+    for case, symmetric in _symmetry_cases(rng):
+        seen[symmetric] += 1
+        if symmetric:
+            assert factor_negative_definite(-case).n == case.shape[0]
+        else:
+            with pytest.raises(ValueError, match="square and symmetric"):
+                factor_negative_definite(-case)
+    assert seen[True] > 100 and seen[False] > 100
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 30),
+    density=st.floats(0.02, 0.5),
+    defect=st.sampled_from(["none", "zero", "value", "pattern", "zero-facing"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_symmetry_check_property(n, density, defect, seed):
+    """Whether the band filled from the lower triangle equals the band
+    filled from the transposed upper one agrees with ``(A != A.T).nnz ==
+    0``: for a symmetric draw, one with an explicit zero stored on one
+    side only, one with one value changed on one side, one with one entry
+    dropped from one side, and one with an entry replaced by an explicit
+    zero facing a nonzero."""
+    rng = np.random.default_rng(seed)
+    r = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+    dense = -(np.abs(r) + np.abs(r.T) + np.diag(np.full(n, 2.0 * n)))
+    coo = sps.coo_matrix(dense)
+    row, col, val = coo.row, coo.col, coo.data
+    off = np.flatnonzero(row != col)
+    if defect == "zero":
+        i, j = rng.integers(0, n, 2)
+        row, col, val = np.append(row, i), np.append(col, j), np.append(val, 0.0)
+    elif len(off) and defect != "none":
+        k = off[rng.integers(len(off))]
+        if defect == "value":
+            val = val.copy()
+            val[k] *= 1.0 + 2.0**-40
+        elif defect == "pattern":
+            row, col, val = np.delete(row, k), np.delete(col, k), np.delete(val, k)
+        else:
+            val = val.copy()
+            val[k] = 0.0
+    a = sps.coo_matrix((val, (row, col)), shape=(n, n)).tocsr()
+    symmetric = (a != a.T).nnz == 0
+    if symmetric:
+        fact = factor_negative_definite(a)
+        assert fact.inertia == (0, n, 0)
+    else:
+        with pytest.raises(ValueError, match="square and symmetric"):
+            factor_negative_definite(a)
+
+
+def _block_diagonal(rng, sizes, density=0.2):
+    """Random symmetric negative definite blocks of the given orders, and
+    their :class:`BlockDiagonal` matrix as canonical CSC."""
+    blocks = []
+    for n in sizes:
+        r = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+        a = -(r @ r.T + np.diag(rng.uniform(0.1, 1.0, n)))
+        blocks.append(sps.csc_matrix(np.outer(*(np.logspace(-2, 2, n),) * 2) * a))
+    start = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    matrix = sps.block_diag(blocks, format="csc") if sizes else sps.csc_matrix((0, 0))
+    return blocks, BlockDiagonal(matrix, start)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    k=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_diagonal_equals_blocks_factored_alone(sizes, k, seed):
+    """A block-diagonal matrix of random negative definite blocks of orders
+    0 to 40 is factored and solved block by block exactly as each block
+    alone: band factors, orderings, solutions, backward errors and
+    ``B_j^T (-A_j)^-1 B_j`` are bit for bit the block's own, and the forms
+    are exactly symmetric and match a dense solve."""
+    rng = np.random.default_rng(seed)
+    blocks, bd = _block_diagonal(rng, sizes)
+    fact = factor_symmetric_indefinite(bd)
+    assert fact.mode == "band" and fact.n == sum(sizes)
+    b = rng.standard_normal(fact.n)
+    x = fact.solve(b)
+    errors = fact.backward_error(b, x)
+    assert errors.shape == (len(sizes),) and (errors <= 1e-12).all()
+    cols = [rng.standard_normal((n, k)) for n in sizes]
+    rhs = sps.block_diag([sps.csr_matrix(c) for c in cols], format="csr")
+    rhs = sps.csr_matrix(rhs.toarray().reshape(fact.n, len(sizes) * k))
+    forms = fact.inverse_forms(rhs, k)
+    assert forms.shape == (len(sizes), k, k)
+    for j, (a, s0, s1) in enumerate(zip(blocks, bd.start, bd.start[1:])):
+        alone = factor_symmetric_indefinite(BlockDiagonal(a, np.array([0, s1 - s0])))
+        assert np.array_equal(fact._bands[j], alone._bands[0])
+        assert np.array_equal(fact._order[s0:s1] - s0, alone._order)
+        assert np.array_equal(x[s0:s1], alone.solve(b[s0:s1]))
+        assert errors[j] == alone.backward_error(b[s0:s1], x[s0:s1])[0]
+        form = alone.inverse_forms(sps.csr_matrix(cols[j]), k)[0]
+        assert np.array_equal(forms[j], form)
+        assert np.array_equal(form, form.T)
+        if s1 > s0:
+            want = cols[j].T @ np.linalg.solve(-a.toarray(), cols[j])
+            assert np.abs(form - want).max(initial=0.0) <= 1e-9 * max(
+                1.0, np.abs(want).max(initial=0.0)
+            )
+
+
+def test_order_zero_blocks_make_no_lapack_call(rng, monkeypatch):
+    """Blocks of order 0 are skipped by every band LAPACK call: dtbtrs on
+    an order-0 band corrupts the heap in some scipy builds."""
+    import darcydd.ldlt
+
+    calls = []
+    for name in ("dpbtrf", "dpbtrs", "dtbtrs"):
+        real = getattr(lapack, name)
+
+        def recording(ab, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, ab.shape))
+            return _real(ab, *args, **kwargs)
+
+        monkeypatch.setattr(darcydd.ldlt.lapack, name, recording)
+    sizes = [0, 7, 0, 0, 5, 0]
+    _, bd = _block_diagonal(rng, sizes)
+    fact = factor_symmetric_indefinite(bd)
+    fact.solve(rng.standard_normal(12))
+    fact.probe()
+    fact.inverse_forms(sps.csr_matrix((12, 6 * 3)), 3)
+    assert {name for name, _ in calls} == {"dpbtrf", "dpbtrs", "dtbtrs"}
+    assert all(shape[1] > 0 for _, shape in calls)
+    # a matrix of order 0 makes none at all
+    calls.clear()
+    empty = factor_symmetric_indefinite(
+        BlockDiagonal(sps.csc_matrix((0, 0)), np.zeros(2, np.int64))
+    )
+    assert empty.solve(np.zeros(0)).shape == (0,)
+    assert empty.inverse_forms(sps.csr_matrix((0, 4)), 2).shape == (1, 2, 2)
+    assert calls == []
+
+
+def test_entry_outside_the_blocks_refused(rng):
+    """A nonzero coupling between two blocks is refused with ValueError, so
+    that none is dropped silently; an explicit zero there is no coupling.
+    Block bounds that do not split the order are refused too, and so is a
+    right-hand side of ``inverse_forms`` with an entry outside its blocks."""
+    blocks, bd = _block_diagonal(rng, [4, 3])
+    coupled = bd.matrix.tolil()
+    coupled[0, 5] = coupled[5, 0] = 1e-3
+    with pytest.raises(ValueError, match="outside its diagonal blocks"):
+        factor_symmetric_indefinite(BlockDiagonal(coupled.tocsc(), bd.start))
+    coo = bd.matrix.tocoo()
+    row, col = np.append(coo.row, [0, 5]), np.append(coo.col, [5, 0])
+    zero = sps.coo_matrix(
+        (np.append(coo.data, [0.0, 0.0]), (row, col)), shape=(7, 7)
+    ).tocsc()
+    assert zero.nnz == bd.matrix.nnz + 2
+    fact = factor_symmetric_indefinite(BlockDiagonal(zero, bd.start))
+    ref = factor_symmetric_indefinite(bd)
+    assert all(np.array_equal(f, g) for f, g in zip(fact._bands, ref._bands))
+    with pytest.raises(ValueError, match="do not split"):
+        factor_symmetric_indefinite(BlockDiagonal(bd.matrix, np.array([0, 4, 6])))
+    outside = np.zeros((7, 4))
+    outside[0, 2] = 1.0  # block 0's row, block 1's columns
+    with pytest.raises(ValueError, match="outside its blocks"):
+        ref.inverse_forms(sps.csr_matrix(outside), 2)
+
+
+def test_singular_block_named(rng):
+    """A block that is not certified raises SingularSystemError naming the
+    block and setting ``member``."""
+    blocks, bd = _block_diagonal(rng, [5, 6, 4])
+    dense = bd.matrix.toarray()
+    dense[9, :] = dense[:, 9] = 0.0
+    with pytest.raises(
+        SingularSystemError, match=r"^block 1 of 3 is not negative definite"
+    ) as err:
+        factor_symmetric_indefinite(BlockDiagonal(sps.csc_matrix(dense), bd.start))
+    assert err.value.member == 1

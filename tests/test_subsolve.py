@@ -1,7 +1,4 @@
 """Substructure set-up and the reduced interface operator."""
-import gc
-import weakref
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,6 +6,7 @@ import scipy.sparse as sps
 
 from darcydd.assembly import assemble, full_solve_direct, mass_balance_residual
 from darcydd.errors import ConfigurationError, SingularSystemError
+from darcydd.ldlt import BlockDiagonal, factor_symmetric_indefinite
 from darcydd.krylov import PcgConfig, pcg
 from darcydd.mesh import (
     NATURAL,
@@ -33,6 +31,7 @@ from support import (
     dense_schur_oracle,
     hybridized_substructure_blocks,
     mesh_from_elements,
+    mp_inverse_form,
     reduced_rhs_loop,
     substructure_views,
 )
@@ -83,9 +82,11 @@ def test_reduced_operator_matches_dense_elimination(name, n_sub, params, fixture
     assert np.abs(b_hat - b_ref).max() <= 1e-11 * max(1.0, np.abs(b_ref).max())
     # the reduced operator is symmetric positive definite
     assert np.linalg.eigvalsh(0.5 * (s_hat + s_hat.T)).min() > 0
-    # and each local contribution is at least positive semidefinite
+    # and each local contribution is exactly symmetric and at least
+    # positive semidefinite
     for sub in substructure_views(subs):
         s_loc = sub.schur
+        assert np.array_equal(s_loc, s_loc.T)
         if s_loc.size:
             eigs = np.linalg.eigvalsh(0.5 * (s_loc + s_loc.T))
             assert eigs.min() >= -1e-9 * max(1.0, eigs.max())
@@ -127,6 +128,7 @@ def test_thread_count_does_not_change_results(frac2):
         for a, b in zip(
             substructure_views(subs1), substructure_views(subs_t), strict=True
         ):
+            assert np.array_equal(a.group.interior._band, b.group.interior._band)
             for name in ("schur", "w", "lam_load", "rhs_share"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -279,17 +281,19 @@ def test_operator_symmetry_bilinear(cube2, rng):
 
 
 def test_recover_backward_error(frac2, rng):
-    """Recovery from the stored interior solutions, ``lam_load + W x``,
-    solves the interior problem of the hybridized substructure blocks to
-    the factorization's accuracy, and every stored share of the reduced
-    right-hand side matches a fresh dense solve."""
+    """Recovery solves each substructure's interior problem ``K_II lam_I =
+    rhs_I - K_IG x`` of the hybridized substructure blocks with the kept
+    band factors to the factorization's accuracy, and every stored share
+    of the reduced right-hand side matches a fresh dense solve."""
     system, layout, subs, _ = setup_case(frac2, 4)
+    x = rng.standard_normal(layout.n_interface)
+    lam = recover_solution(system, subs, layout, x).lam
+    assert np.array_equal(lam[layout.interface_mults], x)
     for sub, blk in zip(
         substructure_views(subs), hybridized_substructure_blocks(system, layout)
     ):
-        x = rng.standard_normal(sub.n_gamma)
-        lam_i = sub.lam_load + sub.w @ x
-        rhs = blk["rhs_interior"] - blk["k_ig"] @ x
+        lam_i = lam[sub.interior_mults]
+        rhs = blk["rhs_interior"] - blk["k_ig"] @ x[sub.local_gamma]
         r = rhs - blk["k_ii"] @ lam_i
         assert np.linalg.norm(r) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
         want = blk["k_ig"].T @ sla.solve(blk["k_ii"], blk["rhs_interior"])
@@ -298,30 +302,42 @@ def test_recover_backward_error(frac2, rng):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_interior_factorizations_released_after_setup(frac2, cube2, monkeypatch):
-    """Set-up makes one interior factorization per distinct interface size
-    (frac2: four sizes for four substructures; cube2: one size), none of
-    them outlives set-up, and the reduced right-hand side, PCG and recovery
-    still match the direct solve."""
+def test_setup_keeps_band_factors_and_no_superlu(frac2, cube2, monkeypatch):
+    """Set-up makes one band factorization per distinct interface size
+    (frac2: four sizes for four substructures; cube2: one size), each group
+    keeps it and no ``W``, set-up makes no SuperLU factorization, so none
+    is left alive, and the reduced right-hand side, PCG and recovery still
+    match the direct solve."""
+    import scipy.sparse.linalg as spla
+
     import darcydd.subsolve
 
     real = darcydd.subsolve.factor_symmetric_indefinite
-    refs = []
+    made = []
 
     def recording(matrix):
-        fact = real(matrix)
-        refs.append(weakref.ref(fact))
-        return fact
+        made.append(real(matrix))
+        return made[-1]
+
+    real_splu = spla.splu
+    superlu = []
+
+    def counting_splu(*args, **kwargs):
+        superlu.append(args)
+        return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", recording)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     for mesh, n_distinct in ((frac2, 4), (cube2, 1)):
-        refs.clear()
+        made.clear()
         pipe = build_pipeline(mesh, 4)
-        gc.collect()
+        assert superlu == []
         views = substructure_views(pipe.subs)
         assert len({sub.n_gamma for sub in views}) == n_distinct
-        assert len(refs) == n_distinct
-        assert all(ref() is None for ref in refs)
+        assert len(made) == n_distinct
+        for grp, fact in zip(pipe.subs.groups, made, strict=True):
+            assert grp.interior is fact and fact.mode == "band"
+            assert not hasattr(grp, "w")
         lam, report = pcg(
             pipe.op.apply, pipe.prec.apply, pipe.op.reduced_rhs(),
             PcgConfig(rel_tol=1e-10),
@@ -329,7 +345,10 @@ def test_interior_factorizations_released_after_setup(frac2, cube2, monkeypatch)
         assert report.converged
         sol = recover_solution(pipe.system, pipe.subs, pipe.layout, lam)
         sol = sol.concatenated()
+        assert superlu == []
         ref = full_solve_direct(pipe.system).concatenated()
+        assert len(superlu) == 1  # the direct solve's global matrix
+        superlu.clear()
         assert np.abs(sol - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
@@ -373,9 +392,10 @@ def test_interior_matrices_reach_the_factorization_as_canonical_csc(
 ):
     """build_substructures hands one block-diagonal K_II per interface size
     to the module-level factor_symmetric_indefinite, the binding a
-    benchmark trace wraps, as a canonical CSC matrix; its diagonal blocks
-    are the members' interior blocks of the dense elimination, every
-    substructure in exactly one of them, and nothing lies outside them."""
+    benchmark trace wraps, as a :class:`BlockDiagonal` of a canonical CSC
+    matrix; its diagonal blocks, as its ``start`` bounds them, are the
+    members' interior blocks of the dense elimination, every substructure
+    in exactly one of them, and nothing lies outside them."""
     mesh = fixtures[name] if name in fixtures else heterogeneous_square(12)
     seen = record_interior_matrices(monkeypatch)
     system, layout, subs, _ = setup_case(mesh, n_sub)
@@ -383,12 +403,15 @@ def test_interior_matrices_reach_the_factorization_as_canonical_csc(
     assert len(seen) == len(groups)
     assert sorted(s for grp in groups for s in grp) == list(range(n_sub))
     ref = hybridized_substructure_blocks(system, layout)
-    for k_ii, members in zip(seen, groups):
+    for given, members in zip(seen, groups):
+        assert isinstance(given, BlockDiagonal)
+        k_ii = given.matrix
         assert k_ii.format == "csc"
         assert k_ii.has_canonical_format
         assert (k_ii != k_ii.T).nnz == 0
         sizes = [len(ref[s]["interior_mults"]) for s in members]
         assert k_ii.shape == (sum(sizes),) * 2
+        assert given.start.tolist() == np.cumsum([0] + sizes).tolist()
         dense = k_ii.toarray()
         outside = np.ones(dense.shape, dtype=bool)
         for s, a, b in zip(members, np.cumsum([0] + sizes), np.cumsum(sizes)):
@@ -403,39 +426,29 @@ def test_interior_matrices_reach_the_factorization_as_canonical_csc(
 def test_grouped_build_matches_oracle_and_separate_factorizations(monkeypatch):
     """On a partition with repeated and unique interface sizes, every
     member's W, K_II^-1 rhs_I, S_i and share of the reduced right-hand side
-    match the dense elimination, and W and K_II^-1 rhs_I equal, bit for bit,
-    solves with the member's own K_II factored alone."""
-    from darcydd.ldlt import factor_symmetric_indefinite
-
-    import darcydd.subsolve
-
-    real = darcydd.subsolve.factor_symmetric_indefinite
-    solves = []  # (matrix, right-hand side) of every solve, in order
-
-    class Recording:
-        def __init__(self, matrix):
-            self.matrix, self.inner = matrix, real(matrix)
-
-        def solve(self, rhs):
-            solves.append((self.matrix, rhs.copy()))
-            return self.inner.solve(rhs)
-
-    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", Recording)
+    match the dense elimination, and its band factor, ordering, interior
+    load solution and ``K_GI (-K_II)^-1 K_IG`` equal, bit for bit, those of
+    the member's own K_II factored alone."""
+    seen = record_interior_matrices(monkeypatch)
     system, layout, built, _ = setup_case(heterogeneous_square(12), 9)
     subs = substructure_views(built)
     assert sorted(sub.n_gamma for sub in subs) == [10, 10, 12, 12, 16, 17, 18, 19, 20]
     groups = interface_size_groups(subs)
-    # one solve for W and one for the interior load, per group
-    assert len(solves) == 2 * len(groups)
-    for members, (k_ii, rhs_w), (k_load, rhs_load) in zip(
-        groups, solves[::2], solves[1::2]
-    ):
-        assert k_load is k_ii and rhs_w.ndim == 2 and rhs_load.ndim == 1
-        sizes = [len(subs[s].interior_mults) for s in members]
-        for s, a, b in zip(members, np.cumsum([0] + sizes), np.cumsum(sizes)):
-            alone = factor_symmetric_indefinite(k_ii[a:b, a:b])
-            assert np.array_equal(subs[s].w, alone.solve(rhs_w[a:b]))
-            assert np.array_equal(subs[s].lam_load, alone.solve(rhs_load[a:b]))
+    assert len(seen) == len(groups) == len(built.groups)
+    for given, members, grp in zip(seen, groups, built.groups):
+        n_g = grp.schurs.shape[1]
+        forms = grp.interior.inverse_forms(grp.k_ig, n_g)
+        for j, s in enumerate(members):
+            a, b = given.start[j], given.start[j + 1]
+            alone = factor_symmetric_indefinite(
+                BlockDiagonal(given.matrix[a:b, a:b], np.array([0, b - a]))
+            )
+            assert np.array_equal(grp.interior._bands[j], alone._bands[0])
+            assert np.array_equal(grp.interior._order[a:b] - a, alone._order)
+            sub = subs[s]
+            assert np.array_equal(sub.lam_load, alone.solve(sub.load))
+            k_ig = sps.csr_matrix(sub.k_ig)
+            assert np.array_equal(forms[j], alone.inverse_forms(k_ig, n_g)[0])
     for sub, want in zip(subs, hybridized_substructure_blocks(system, layout)):
         assert np.array_equal(sub.interior_mults, want["interior_mults"])
         want["w"] = -sla.solve(want["k_ii"], want["k_ig"])
@@ -446,8 +459,8 @@ def test_grouped_build_matches_oracle_and_separate_factorizations(monkeypatch):
 
 
 def test_singular_member_of_a_group_is_named(monkeypatch):
-    """When a group's factorization fails, the error names the member whose
-    own interior block is singular, not the group."""
+    """When a member of a group is not certified, the error names that
+    member, not the group."""
     from darcydd.ldlt import factor_symmetric_indefinite as real
 
     import darcydd.subsolve
@@ -458,22 +471,21 @@ def test_singular_member_of_a_group_is_named(monkeypatch):
     subs = substructure_views(built)
     groups = interface_size_groups(subs)
     pair = next(grp for grp in groups if len(grp) == 2)
-    # the second member, so that a healthy member is refactored first
+    # the second member, so that a healthy member is factored first
     target = pair[1]
-    n_first = len(subs[pair[0]].interior_mults)
-    n_target = len(subs[target].interior_mults)
-    block = seen[groups.index(pair)].toarray()[n_first:, n_first:]
-    assert block.shape == (n_target, n_target)
+    given = seen[groups.index(pair)]
+    a, b = given.start[1], given.start[2]
+    block = given.matrix.toarray()[a:b, a:b]
 
     def singular_target(matrix):
-        """Zero the rows and columns of the target's block wherever it
-        appears on the diagonal, which leaves the matrix symmetric."""
-        dense = matrix.toarray()
-        for o in range(len(dense) - n_target + 1):
-            if np.array_equal(dense[o : o + n_target, o : o + n_target], block):
-                dense[o : o + n_target] = 0.0
-                dense[:, o : o + n_target] = 0.0
-                return real(sps.csc_matrix(dense))
+        """Zero the rows and columns of the target's block wherever it is
+        a diagonal block, which leaves the matrix symmetric."""
+        dense = matrix.matrix.toarray()
+        for o, e in zip(matrix.start, matrix.start[1:]):
+            if np.array_equal(dense[o:e, o:e], block):
+                dense[o:e] = 0.0
+                dense[:, o:e] = 0.0
+                return real(BlockDiagonal(sps.csc_matrix(dense), matrix.start))
         return real(matrix)
 
     monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", singular_target)
@@ -500,25 +512,62 @@ def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: 2 * x, range(6), threads=2) == [0, 2, 4, 6, 8, 10]
 
 
-def test_asymmetric_schur_rejected(frac2, monkeypatch):
+def test_corrupted_band_factor_fails_the_probe(frac2, monkeypatch):
+    """A band factor scaled by 1 + 1e-6 after its certificate makes the
+    probe solve's backward error about 2e-6, and set-up refuses it, naming
+    the member, before it forms that group's S_i."""
     import darcydd.subsolve
 
     real = darcydd.subsolve.factor_symmetric_indefinite
+    system, layout, subs, _ = setup_case(frac2, 4)
+    target = int(subs.groups[0].members[0])
 
-    class Skewed:
-        def __init__(self, matrix):
-            self.inner = real(matrix)
+    def corrupted(matrix):
+        fact = real(matrix)
+        fact._bands[0] *= 1.0 + 1e-6
 
-        def solve(self, rhs):
-            x = self.inner.solve(rhs)
-            if x.ndim == 2 and x.shape[1] > 1:
-                x[:, 0] *= 1.0 + 1e-6  # break the symmetry of S_i
-            return x
+        def refused(*args):
+            pytest.fail("S_i formed with a factor that failed its probe")
 
-    system, layout, _, _ = setup_case(frac2, 4)
-    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", Skewed)
-    with pytest.raises(SingularSystemError, match="symmetry defect"):
+        fact.inverse_forms = refused
+        return fact
+
+    monkeypatch.setattr(darcydd.subsolve, "factor_symmetric_indefinite", corrupted)
+    with pytest.raises(
+        SingularSystemError,
+        match=rf"^substructure {target}: .*interior solve is unreliable",
+    ):
         build_substructures(system, layout)
+
+
+@pytest.mark.parametrize(
+    "params,bound",
+    [({"k1": 1e8, "k2": 1.0, "k3": 1e-8}, 1e-7), ({"sigma": 1e9}, 2e-9)],
+    ids=["k-1e8", "sigma-1e9"],
+)
+def test_schur_complements_match_40_digit_reference(params, bound, monkeypatch):
+    """Every S_i of the fractured cube with 8 substructures, at conductivity
+    contrast k = 1e8 and at penalty sigma = 1e9, lies within ``bound``
+    (relative to its largest entry) of the Schur complement of the same
+    multiplier blocks in 40-digit arithmetic. The band path measured 3.3e-8
+    and 7.4e-10 at worst, the members whose blocks the extreme coefficient
+    enters, and about 1e-16 elsewhere; the bounds leave a factor of about
+    three. Only the K_GI K_II^-1 K_IG part is compared, as K_GG enters
+    S_i by one exact negation and one addition."""
+    seen = record_interior_matrices(monkeypatch)
+    mesh = generate_cross_fracture_cube(4, **params)
+    _, _, subs, _ = setup_case(mesh, 8)
+    worst = 0.0
+    for given, grp in zip(seen, subs.groups, strict=True):
+        n_g = grp.schurs.shape[1]
+        forms = grp.interior.inverse_forms(grp.k_ig, n_g)
+        for j, (a, b) in enumerate(zip(grp.start, grp.start[1:])):
+            k_ii = given.matrix[a:b, a:b].toarray()
+            k_ig = grp.k_ig[a:b, j * n_g : (j + 1) * n_g].toarray()
+            ref = mp_inverse_form(-k_ii, k_ig, digits=40)
+            gap = np.abs(forms[j] - ref).max() / np.abs(grp.schurs[j]).max()
+            worst = max(worst, gap)
+    assert worst <= bound
 
 
 def test_element_inverse_formed_once_per_solve(frac2, monkeypatch):
