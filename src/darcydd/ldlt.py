@@ -50,8 +50,8 @@ no dense copy, and ``dpbtrf`` factors each block in place, certified as the
 dense path is. The fill also checks the input: a matrix is symmetric
 exactly when the band filled from its lower triangle equals the band filled
 from its transposed upper triangle (explicit zeros count as absent, as in
-``(A != A.T).nnz == 0``), and a nonzero entry outside the diagonal blocks
-is refused with ``ValueError``. Per block only the ordering call and the
+``(A != A.T).nnz == 0``), and an entry outside the diagonal blocks is
+refused with ``ValueError``. Per block only the ordering call and the
 LAPACK calls run; the checks, the certificate, the backward errors and the
 refinement decisions are array operations over all blocks, decided block by
 block, so each block's factor and solutions are bit for bit those of
@@ -282,7 +282,7 @@ class IndefiniteFactorization:
 class BlockDiagonal:
     """A symmetric sparse matrix given with its diagonal blocks: block ``j``
     is rows and columns ``start[j]:start[j + 1]``. The band path factors
-    each block on its own, and refuses a nonzero entry outside them."""
+    each block on its own, and refuses an entry outside them."""
 
     matrix: sps.spmatrix
     start: NDArray[np.int64]
@@ -334,16 +334,8 @@ class BandFactorization:
         member = np.repeat(np.arange(m), sizes)
         row = np.repeat(np.arange(n), np.diff(a.indptr))
         col, val = a.indices, a.data
-        inside = member[row] == member[col]
-        if not inside.all():
-            if val[~inside].any():
-                raise ValueError(
-                    "matrix has a nonzero entry outside its diagonal blocks"
-                )
-            row, col, val = row[inside], col[inside], val[inside]
-            a = sps.csr_matrix(
-                (val, col, np.searchsorted(row, np.arange(n + 1))), shape=(n, n)
-            )
+        if (member[row] != member[col]).any():
+            raise ValueError("matrix has an entry outside its diagonal blocks")
         bounds = a.indptr[start]  # block j's entries are bounds[j]:bounds[j + 1]
         self._nonempty = np.flatnonzero(sizes).tolist()
         # order[k] is the index placed k-th, rank its inverse; each block
@@ -477,13 +469,11 @@ class BandFactorization:
         inside = (col >= 0) & (col < k)
         if b.data[~inside].any():
             raise ValueError("right-hand side has a nonzero entry outside its blocks")
-        # every X_j Fortran-ordered, (n_j, k), at k start[j] in one buffer
+        # every X_j, Fortran-ordered (n_j, k), at k start[j] in one buffer:
+        # its entry (i, c) at k start[j] + (i - start[j]) + c n_j
+        at = (k - 1) * start[member] + self._rank[row] + col * sizes[member]
         x = np.zeros(self.n * k)
-        x[
-            (k * start[member] + self._rank[row] - start[member] + col * sizes[member])[
-                inside
-            ]
-        ] = b.data[inside]
+        x[at[inside]] = b.data[inside]
         forms = np.zeros((m, k, k))
         for j in self._nonempty if k else ():
             x_j = x[k * start[j] : k * start[j + 1]].reshape((sizes[j], k), order="F")
