@@ -25,11 +25,14 @@ Set-up splits each interface-size group of
 :func:`~darcydd.subsolve.build_substructures` into its runs of consecutive
 members with one constraint count ``n_c``. It solves each run's local
 problems as one ``(m, n, n)`` stack, a view of the group's ``S_i`` stack,
-whose members are exactly symmetric: one batched QR of the ``C_i^T`` and one call of
-the dense Cholesky factorization, which factors and solves each member with
-its own LAPACK calls and decides refinement member by member, so each
-member's blocks are those of its own run of one bit for bit. Each run
-keeps its ``N_i`` and ``Phi_i`` as one stack each. The local coarse
+whose members are exactly symmetric: one batched QR of the ``C_i^T`` and one
+call of the dense Cholesky factorization, which factors each member with
+its own LAPACK call. Each factor must pass a probe solve (backward error at
+most 1e-12, or the member is refused as an unreliable constrained local
+solve), and then ``N_i`` is the Gram form of one triangular solve and one
+symmetric rank-k product per member, exactly symmetric, so each member's
+blocks are those of its own run of one bit for bit. Each run keeps its
+``N_i`` and ``Phi_i`` as one stack each. The local coarse
 matrices are assembled, in substructure order, into the sparse coarse
 matrix, which is factored last, by band Cholesky in reverse
 Cuthill-McKee order (:func:`~darcydd.ldlt.factor_negative_definite`, the
@@ -73,7 +76,7 @@ from .errors import (
     ConstraintDeficiencyError,
     SingularSystemError,
 )
-from .ldlt import factor_negative_definite, factor_symmetric_indefinite
+from .ldlt import PROBE_LIMIT, factor_negative_definite, factor_symmetric_indefinite
 from .partition import InterfaceLayout
 from .subsolve import GroupLayout, Substructures, stacked_matvec
 
@@ -199,15 +202,15 @@ def _rank(groups: NDArray, counts: NDArray) -> NDArray[np.int64]:
     return np.arange(len(groups)) - (np.cumsum(counts) - counts)[groups]
 
 
-def _symmetrized(blocks: NDArray, sub_ids: list[int], what: str) -> NDArray:
-    """A stack of blocks, each made exactly symmetric, after checking that
-    every member's symmetry defect is at rounding level."""
+def _symmetrized(blocks: NDArray, sub_ids: list[int]) -> NDArray:
+    """A stack of local coarse matrices, each made exactly symmetric, after
+    checking that every member's symmetry defect is at rounding level."""
     flipped = blocks.transpose(0, 2, 1)
     defect = np.abs(blocks - flipped).max(axis=(1, 2), initial=0.0)
     scale = np.abs(blocks).max(axis=(1, 2), initial=1.0)
     for j in np.flatnonzero(defect > 1e-10 * scale):
         raise SingularSystemError(
-            f"substructure {sub_ids[j]}: {what} symmetry defect "
+            f"substructure {sub_ids[j]}: coarse matrix symmetry defect "
             f"{defect[j]:.3e} exceeds tolerance; constrained local solve is "
             f"unreliable"
         )
@@ -227,18 +230,23 @@ def constrained_inverse(
     members in errors; one substructure is a group of one. The complete QR
     ``C_i^T = [Q1 Z][R1; 0]`` gives ``C^+ = Q1 R1^-T``, a right inverse of
     ``C_i``, and an orthonormal basis ``Z`` of its null space. One
-    Cholesky factorization of the stack of ``A_i = -Z^T S_i Z`` and one
-    solve against ``[Z^T, Z^T S_i C^+]`` then give ``N_i = Z A_i^-1 Z^T``,
-    which maps an interface residual to the constrained (Neumann)
-    correction, and the coarse basis ``Phi_i = C^+ + Z A_i^-1 Z^T S_i C^+``;
-    ``S_cc,i = -Phi_i^T S_i Phi_i``. These are the blocks of the inverse of
-    ``[[-S_i, C_i^T], [C_i, 0]]``.
+    Cholesky factorization ``-A_i = L_i L_i^T`` of the stack of ``A_i =
+    -Z^T S_i Z`` then gives ``N_i = Z A_i^-1 Z^T = -(L_i^-1 Z^T)^T (L_i^-1
+    Z^T)``, which maps an interface residual to the constrained (Neumann)
+    correction, as an exactly symmetric Gram form (one ``dtrsm`` and one
+    ``dsyrk`` per member), and the coarse basis ``Phi_i = C^+ + N_i S_i
+    C^+``; ``S_cc,i = -Phi_i^T S_i Phi_i``. These are the blocks of the
+    inverse of ``[[-S_i, C_i^T], [C_i, 0]]``.
 
     Raises :class:`ConstraintDeficiencyError` naming the first member whose
     constraint rows are linearly dependent (an ``R1`` diagonal entry at or
     below ``n_gamma eps`` times its row's norm) or whose ``A_i`` the
     Cholesky factorization does not certify negative definite: its
-    constraints leave a floating mode of ``S_i``.
+    constraints leave a floating mode of ``S_i``. Raises
+    :class:`SingularSystemError` naming the first member whose factor fails
+    its probe, an unrefined solve against ``A_i 1`` whose backward error
+    must be at most 1e-12, whose ``S_cc,i`` is not symmetric to rounding
+    level, or whose ``Phi_i`` does not meet its constraints.
     """
     schurs, cs = np.asarray(schurs), np.asarray(cs)
     nc, n_g = cs.shape[1:]
@@ -255,8 +263,7 @@ def constrained_inverse(
     # row exchanges, so this is the triangular solve
     c_plus = np.linalg.solve(r1, q[:, :, :nc].transpose(0, 2, 1)).transpose(0, 2, 1)
     z = q[:, :, nc:]
-    zt_s = z.transpose(0, 2, 1) @ schurs
-    a = zt_s @ z
+    a = z.transpose(0, 2, 1) @ schurs @ z
     a = -0.5 * (a + a.transpose(0, 2, 1))
     try:
         fact = factor_symmetric_indefinite(a)
@@ -266,14 +273,18 @@ def constrained_inverse(
             f"is singular; its constraints do not remove every floating "
             f"pressure mode ({exc})"
         ) from exc
-    y = fact.solve(np.concatenate([z.transpose(0, 2, 1), zt_s @ c_plus], axis=2))
-    del a, fact, zt_s
-    zy = z @ y
-    neumann = _symmetrized(zy[:, :, :n_g], sub_ids, "Neumann block")
-    phi = c_plus + zy[:, :, n_g:]
-    s_cc = _symmetrized(
-        -(phi.transpose(0, 2, 1) @ (schurs @ phi)), sub_ids, "coarse matrix"
-    )
+    for j, err in enumerate(fact.probe()):
+        if err > PROBE_LIMIT:
+            raise SingularSystemError(
+                f"substructure {sub_ids[j]}: backward error {err:.3e} of a "
+                f"probe solve exceeds {PROBE_LIMIT:.0e}; constrained local "
+                f"solve is unreliable"
+            )
+    # N_i = Z A_i^-1 Z^T = -Z (-A_i)^-1 Z^T, exactly symmetric
+    neumann = np.negative(fact.inverse_forms(z.transpose(0, 2, 1)))
+    del a, fact
+    phi = c_plus + neumann @ (schurs @ c_plus)
+    s_cc = _symmetrized(-(phi.transpose(0, 2, 1) @ (schurs @ phi)), sub_ids)
     defect = np.abs(cs @ phi - np.eye(nc)).max(axis=(1, 2), initial=0.0)
     for j in np.flatnonzero(defect > 1e-8):
         raise SingularSystemError(

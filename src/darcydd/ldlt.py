@@ -39,6 +39,11 @@ operations over the whole stack, decided member by member; ``dpotrf`` and
 Fortran-ordered arrays. A member's factor and solutions are therefore bit
 for bit those of factoring it alone, and a member that is not certified
 raises :class:`SingularSystemError` with its index in ``member``.
+:meth:`IndefiniteFactorization.inverse_forms` gives each member's ``B_j^T
+(-A_j)^-1 B_j`` as the Gram form ``W_j^T W_j``, ``W_j = L_j^-1 B_j``, from
+one triangular solve (``dtrsm``) and one symmetric rank-k product
+(``dsyrk``) per member, so the result is exactly symmetric. The
+preconditioner's constrained local inverses ``N_i`` are such forms.
 
 The band path factors each diagonal block ``A_j`` of a :class:`BlockDiagonal`
 matrix on its own, and :func:`factor_negative_definite` takes a sparse
@@ -52,24 +57,32 @@ exactly when the band filled from its lower triangle equals the band filled
 from its transposed upper triangle (explicit zeros count as absent, as in
 ``(A != A.T).nnz == 0``), and an entry outside the diagonal blocks is
 refused with ``ValueError``. Per block only the ordering call and the
-LAPACK calls run; the checks, the certificate, the backward errors and the
-refinement decisions are array operations over all blocks, decided block by
-block, so each block's factor and solutions are bit for bit those of
-factoring it alone. A block of order 0 makes no LAPACK call.
+LAPACK and BLAS calls run; the checks, the certificate, the backward errors
+and the refinement decisions are array operations over all blocks, decided
+block by block, so each block's factor and solutions are bit for bit those
+of factoring it alone. A block of order 0 makes no LAPACK or BLAS call.
 :meth:`BandFactorization.inverse_forms` gives each block's ``B_j^T (-A_j)^-1
-B_j`` as ``X_j^T X_j``, ``X_j = L_j^-1 P_j B_j``, from one triangular band
-solve (``dtbtrs``) and one symmetric rank-k product (``dsyrk``), so the
-result is exactly symmetric. Set-up factors each interface-size group's
-interior blocks as one block-diagonal matrix this way, and the
-preconditioner its coarse matrix, whose 448 dofs on the square-dense
-benchmark mesh have a half-bandwidth of 67 in that order.
+B_j`` as the Gram form ``X_j^T X_j``, ``X_j = L_j^-1 P_j B_j``, so the result
+is exactly symmetric. ``X_j^T`` comes from a blocked forward substitution
+with Level-3 BLAS on column blocks of width ``kd_j``, the half-bandwidth:
+per block one ``dtrmm`` and one ``dtrsm`` with two panels of ``L_j`` that are
+plain views of its band storage (see :func:`_band_solve_right`); then one
+``dsyrk`` forms the product. It does the work of the Level-2 band solve
+``dtbtrs``, which sweeps the band once per column. Set-up factors each
+interface-size group's interior blocks as one block-diagonal matrix this
+way, and the preconditioner its coarse matrix, whose 448 dofs on the
+square-dense benchmark mesh have a half-bandwidth of 67 in that order.
 
-Every path meets the same accuracy contract: ``solve`` measures the
+Every path meets the same accuracy contract. ``solve`` measures the
 normwise backward error and applies one step of iterative refinement
 whenever it exceeds 1e-12; in a stack or a block-diagonal matrix, each
 member's error decides its own step. The sparse LU path's error is
 :func:`sparse_backward_error`, which the direct solve also applies to the
-unreduced saddle matrix.
+unreduced saddle matrix. A Gram form is not a solve and cannot be refined:
+the dense and band paths' ``probe`` measures each member's backward error
+of one unrefined solve against ``A 1``, and a caller accepts a member's
+forms only when it is at most :data:`PROBE_LIMIT`, 1e-12, as set-up does
+for every interior factor and every constrained one.
 """
 from __future__ import annotations
 
@@ -85,6 +98,9 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 
 _REFINE_TRIGGER = 1e-12
+# largest backward error of an unrefined probe solve with a factor, above
+# which a caller refuses the factor
+PROBE_LIMIT = 1e-12
 
 
 def _csc_symmetric(a: sps.csc_matrix) -> bool:
@@ -167,9 +183,20 @@ def _certified_cholesky(neg: np.ndarray, stacked: bool = False) -> None:
     _certify(info, pivots, diag, np.arange(m + 1) * n, name)
 
 
+def _mirror_upper(forms: np.ndarray) -> np.ndarray:
+    """A stack of symmetric matrices given by their upper triangles, with
+    each lower triangle copied from it in place, so every member is exactly
+    symmetric."""
+    k = forms.shape[-1]
+    upper = np.triu_indices(k, 1)
+    forms[:, upper[1], upper[0]] = forms[:, upper[0], upper[1]]
+    return forms
+
+
 class IndefiniteFactorization:
     """Factored symmetric sparse matrix, or stack of negative definite
-    matrices, exposing ``solve``.
+    matrices, exposing ``solve``; the dense path also exposes ``probe`` and
+    ``inverse_forms``.
 
     ``solve`` takes what the matrix acts on: for a matrix one right-hand
     side or a matrix of stacked right-hand sides, and for a stack of ``m``
@@ -255,6 +282,30 @@ class IndefiniteFactorization:
         err = self._member_errors(b, x, np.subtract(b, r, out=r))
         return err if self._stacked else float(err[0])
 
+    def probe(self) -> np.ndarray:
+        """Dense path: each member's backward error of an unrefined solve
+        against ``A 1``, a right-hand side that is zero for no member of
+        positive order, as each member is definite."""
+        b = self._mat @ np.ones((self.n, 1))
+        x = self._solve_unrefined(b)
+        return self._member_errors(b, x, b - self._mat @ x)
+
+    def inverse_forms(self, b: np.ndarray) -> np.ndarray:
+        """Dense path: the ``(m, k, k)`` stack of ``B_j^T (-A_j)^-1 B_j`` for
+        an ``(m, n, k)`` stack of ``B_j``. Each is ``W_j^T W_j``, ``W_j =
+        L_j^-1 B_j``, formed by one ``dtrsm`` and one ``dsyrk`` with the
+        lower triangle copied from the upper, so it is exactly symmetric; a
+        matrix of order 0 makes no call. The forms meet the accuracy
+        contract only for a factor whose :meth:`probe` passes."""
+        m, _, k = b.shape
+        w = np.empty((m, k, self.n)).transpose(0, 2, 1)  # Fortran members
+        w[...] = b
+        forms = np.zeros((m, k, k))
+        for j in range(m) if self.n and k else ():
+            blas.dtrsm(1.0, self._factors[j].T, w[j], lower=1, overwrite_b=1)
+            forms[j] = blas.dsyrk(1.0, w[j], trans=1)  # the upper triangle
+        return _mirror_upper(forms)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve against one vector or a matrix of stacked right-hand sides;
         for a stack, against one such block per member."""
@@ -299,6 +350,57 @@ def _segment_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         # an empty segment between two listed starts holds no entries
         out[nonempty] = np.maximum.reduceat(values, bounds[:-1][nonempty])
     return out
+
+
+def _band_solve_right(band: np.ndarray, x_t: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered ``(k, n)`` array ``x_t`` with ``x_t
+    L^-T``, for the lower band factor ``L`` of order ``n`` and
+    half-bandwidth ``kd`` held in ``band``, LAPACK's ``(kd + 1, n)`` lower
+    band storage.
+
+    A blocked forward substitution on column blocks of ``x_t`` of width
+    ``kd`` (the last may be narrower), with Level-3 BLAS. The band storage
+    holds ``L(i, c)`` at flat position ``i + c kd``, so for the block rows
+    ``i0:i0 + kd`` two plain Fortran ``(kd, kd)`` views of it, with leading
+    dimension ``kd``, are the panels of ``L``: the diagonal block, whose
+    lower triangle is valid, starts at ``i0 (kd + 1)``, and the block to
+    its left, whose upper triangle is valid, at ``i0 (kd + 1) - kd^2``.
+    Each block takes one ``dtrmm`` with the left panel on a copy of the
+    block before it, one subtraction and one ``dtrsm`` with the diagonal
+    panel, in place. For the narrower last block the left panel's product
+    is formed whole and its first columns are taken; each column of it
+    reads only its own row of the panel. ``kd = 0`` is a division by the
+    diagonal; ``n = 0`` makes no call.
+    """
+    kd, n = band.shape[0] - 1, band.shape[1]
+    if kd == 0:
+        x_t /= band[0]
+        return
+    flat = band.ravel(order="F")  # a view: the band is Fortran-ordered
+    size = flat.itemsize
+
+    def panels(offset: int, count: int, h: int) -> np.ndarray:
+        """``count`` Fortran ``(h, h)`` views of leading dimension ``kd``,
+        the first at ``offset``, one block's diagonal panel apart; numpy
+        checks that they lie inside the band."""
+        strides = (kd * (kd + 1) * size, size, kd * size)
+        return np.ndarray((count, h, h), float, flat, offset * size, strides)
+
+    full, rest = divmod(n, kd)
+    diag = panels(0, full, kd)
+    # the left panel of block p + 1 starts at (p + 1) kd (kd + 1) - kd^2,
+    # kd after block p's diagonal panel, and ends before block p + 1's
+    left = panels(kd, full - (rest == 0), kd)
+    if rest:
+        diag = [*diag, panels(full * kd * (kd + 1), 1, rest)[0]]
+    for p, panel in enumerate(diag):
+        i0 = p * kd
+        block = x_t[:, i0 : i0 + len(panel)]
+        if p:
+            prev = x_t[:, i0 - kd : i0]
+            product = blas.dtrmm(1.0, left[p - 1], prev, side=1, lower=0, trans_a=1)
+            block -= product[:, : len(panel)]
+        blas.dtrsm(1.0, panel, block, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
 class BandFactorization:
@@ -454,8 +556,11 @@ class BandFactorization:
         ``B_j`` of a sparse ``B`` whose block ``j`` is its rows of block
         ``j`` and columns ``j k:(j + 1) k``; a nonzero entry elsewhere is
         refused with ``ValueError``. Each is ``X_j^T X_j``, ``X_j = L_j^-1
-        P_j B_j``, formed by one ``dtbtrs`` and one ``dsyrk`` with the
-        lower triangle copied from the upper, so it is exactly symmetric.
+        P_j B_j``: ``X_j^T`` is filled in place and overwritten by the
+        blocked band solve :func:`_band_solve_right`, and one ``dsyrk``
+        forms the upper triangle, which is copied to the lower, so the form
+        is exactly symmetric. The forms meet the accuracy contract only
+        for a factor whose :meth:`probe` passes.
         """
         b = b.tocsr()
         if not b.has_canonical_format:
@@ -469,19 +574,17 @@ class BandFactorization:
         inside = (col >= 0) & (col < k)
         if b.data[~inside].any():
             raise ValueError("right-hand side has a nonzero entry outside its blocks")
-        # every X_j, Fortran-ordered (n_j, k), at k start[j] in one buffer:
-        # its entry (i, c) at k start[j] + (i - start[j]) + c n_j
-        at = (k - 1) * start[member] + self._rank[row] + col * sizes[member]
+        # every X_j^T, Fortran-ordered (k, n_j), at k start[j] in one
+        # buffer: its entry (c, i) at k start[j] + c + (i - start[j]) k
+        at = k * self._rank[row] + col
         x = np.zeros(self.n * k)
         x[at[inside]] = b.data[inside]
         forms = np.zeros((m, k, k))
         for j in self._nonempty if k else ():
-            x_j = x[k * start[j] : k * start[j + 1]].reshape((sizes[j], k), order="F")
-            lapack.dtbtrs(self._bands[j], x_j, uplo="L", overwrite_b=1)
-            forms[j] = blas.dsyrk(1.0, x_j, trans=1)  # the upper triangle
-        upper = np.triu_indices(k, 1)
-        forms[:, upper[1], upper[0]] = forms[:, upper[0], upper[1]]
-        return forms
+            x_t = x[k * start[j] : k * start[j + 1]].reshape((k, sizes[j]), order="F")
+            _band_solve_right(self._bands[j], x_t)
+            forms[j] = blas.dsyrk(1.0, x_t)  # the upper triangle
+        return _mirror_upper(forms)
 
 
 def factor_symmetric_indefinite(matrix) -> IndefiniteFactorization | BandFactorization:

@@ -47,8 +47,9 @@ block gets its own band Cholesky factor ``-P K_II P^T = L L^T`` in its own
 reverse Cuthill-McKee order, certified negative definite, so a member that
 is not certified is named. Each factor is then probed with one unrefined
 solve against ``K_II 1``; a backward error above 1e-12 refuses the member
-("interior solve is unreliable"). One triangular band solve per member
-gives ``X = L^-1 P K_IG`` and one symmetric rank-k product ``X^T X``, so
+("interior solve is unreliable"). A blocked triangular band solve per
+member, with Level-3 BLAS on column blocks of the band's half-width, gives
+``X = L^-1 P K_IG`` and one symmetric rank-k product ``X^T X``, so
 
     S_i = -(K_GG + X^T X)
 
@@ -82,11 +83,13 @@ from numpy.typing import NDArray
 
 from .assembly import BlockSystem, SolutionTriple, multiplier_matrix
 from .errors import ConfigurationError, SingularSystemError
-from .ldlt import BandFactorization, BlockDiagonal, factor_symmetric_indefinite
+from .ldlt import (
+    PROBE_LIMIT,
+    BandFactorization,
+    BlockDiagonal,
+    factor_symmetric_indefinite,
+)
 from .partition import InterfaceLayout
-
-# largest backward error of the unrefined probe solve with an interior factor
-_PROBE_LIMIT = 1e-12
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
@@ -311,10 +314,10 @@ def build_substructures(
                 f"singular ({exc})"
             ) from exc
         for j, err in enumerate(fact.probe()):
-            if err > _PROBE_LIMIT:
+            if err > PROBE_LIMIT:
                 raise SingularSystemError(
                     f"substructure {members[j]}: backward error {err:.3e} of "
-                    f"a probe solve exceeds {_PROBE_LIMIT:.0e}; interior "
+                    f"a probe solve exceeds {PROBE_LIMIT:.0e}; interior "
                     f"solve is unreliable"
                 )
         k_ig = sps.csr_matrix(

@@ -588,26 +588,28 @@ def test_fracture_condition_matches_exact_spectrum():
     assert 0.99 * exact <= report.condition <= exact * (1.0 + 1e-8)
 
 
-def test_asymmetric_neumann_block_rejected(monkeypatch):
-    """An explicit local inverse whose interface block is not symmetric to
-    rounding level is refused, as an unreliable constrained local solve,
-    naming the substructure whose block it is: a 10x10 square's four
-    substructures form one group whose constraints leave a null space of
-    dimension two, and the solve on it is skewed in its third member."""
+def test_corrupted_constrained_factor_fails_the_probe(monkeypatch):
+    """A constrained factor scaled by 1 + 1e-6 in one member after its
+    certificate makes that member's probe solve's backward error about
+    2e-6, and set-up refuses it as an unreliable constrained local solve,
+    naming the substructure, before it forms any ``N_i``: a 10x10
+    square's four substructures form one group whose constraints leave a
+    null space of dimension two, and the factor of its third member is
+    corrupted."""
     import darcydd.bddc
 
     real = darcydd.bddc.factor_symmetric_indefinite
     member = 2
 
-    class Skewed:
-        def __init__(self, matrix):
-            self.inner = real(matrix)
+    def corrupted(matrix):
+        fact = real(matrix)
+        fact._factors[member] *= 1.0 + 1e-6
 
-        def solve(self, rhs):
-            x = self.inner.solve(rhs)
-            # break the symmetry of one member's N_i = Z A^-1 Z^T
-            x[member, 0, 1] += 1e-6 * np.abs(x[member]).max()
-            return x
+        def refused(*args):
+            pytest.fail("N_i formed with a factor that failed its probe")
+
+        fact.inverse_forms = refused
+        return fact
 
     pipe = build_pipeline(generate_unit_square(10), 4, with_prec=False)
     constraints = build_constraints(pipe.layout, select_corners(pipe.layout))
@@ -615,11 +617,11 @@ def test_asymmetric_neumann_block_rejected(monkeypatch):
     views = substructure_views(pipe.subs)
     assert len({sub.n_gamma for sub in views}) == 1
     assert views[0].n_gamma > len(constraints.matrices[0])
-    monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", Skewed)
-    skewed = views[member].sub_id
+    monkeypatch.setattr(darcydd.bddc, "factor_symmetric_indefinite", corrupted)
+    target = views[member].sub_id
     with pytest.raises(
         SingularSystemError,
-        match=rf"substructure {skewed}: Neumann block symmetry defect",
+        match=rf"^substructure {target}: .*constrained local solve is unreliable",
     ):
         BddcPreconditioner(
             pipe.subs,
@@ -696,7 +698,7 @@ def test_grouped_apply_equals_substructure_loop(name, n_sub, corners_on, meshes,
 def test_group_inverse_equals_members_alone(name, n_sub, corners_on, meshes):
     """Inverting a group's constrained saddle matrices as one stack gives
     every member the ``N_i``, ``Phi_i`` and ``S_cc,i`` of its own group of
-    one, bit for bit."""
+    one, bit for bit, and every kept ``N_i`` is exactly symmetric."""
     mesh = generate_unit_square(16) if name == "square16" else meshes[name]
     pipe = build_pipeline(mesh, n_sub, corners_on=corners_on)
     cs = pipe.constraints.matrices
@@ -714,6 +716,7 @@ def test_group_inverse_equals_members_alone(name, n_sub, corners_on, meshes):
             for stack, one in zip(stacks, alone):
                 assert np.array_equal(stack[j], one[0])
         assert np.array_equal(stacks[0], grp.neumann)
+        assert np.array_equal(grp.neumann, grp.neumann.transpose(0, 2, 1))
         assert np.array_equal(stacks[1], grp.phi)
     for (n_i, phi), sub in zip(local_inverses(pipe.prec), views):
         assert n_i.shape == (sub.n_gamma, sub.n_gamma)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scipy.linalg import lapack
@@ -311,11 +311,14 @@ def _negative_definite_stack(rng, m: int, n: int) -> np.ndarray:
     return np.outer(d, d) * 0.5 * (stack + stack.transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("m,n,k", [(1, 9, 4), (5, 9, 4), (12, 30, 10)])
+@pytest.mark.parametrize("m,n,k", [(1, 9, 4), (5, 9, 4), (12, 30, 10), (3, 0, 4)])
 def test_stack_equals_members_factored_alone(m, n, k, rng):
     """A stack is factored and solved member by member exactly as each
     member alone: the solutions against one and against ``k`` right-hand
-    sides are bit for bit those of the member's own factorization."""
+    sides, the probe's backward errors and the Gram forms ``B_j^T (-A_j)^-1
+    B_j`` are bit for bit those of the member's own factorization; every
+    form is exactly symmetric and matches a dense solve, and members of
+    order 0 give zero forms."""
     stack = _negative_definite_stack(rng, m, n)
     fact = factor_symmetric_indefinite(stack)
     assert fact.mode == "dense" and fact.n == n
@@ -331,6 +334,18 @@ def test_stack_equals_members_factored_alone(m, n, k, rng):
         assert np.array_equal(x[j], f.solve(np.eye(n)))
     errors = fact.backward_error(b, fact.solve(b))
     assert errors.shape == (m,) and (errors <= 1e-12).all()
+    probe = fact.probe()
+    assert probe.shape == (m,) and (probe <= 1e-12).all()
+    b = rng.standard_normal((m, n, k))
+    forms = fact.inverse_forms(b)
+    assert forms.shape == (m, k, k)
+    for j, f in enumerate(alone):
+        assert probe[j] == f.probe()[0]
+        assert np.array_equal(forms[j], f.inverse_forms(b[j][None])[0])
+        assert np.array_equal(forms[j], forms[j].T)
+        want = b[j].T @ np.linalg.solve(-stack[j], b[j]) if n else np.zeros((k, k))
+        gap = np.abs(forms[j] - want).max()
+        assert gap <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("member", [0, 3])
@@ -664,28 +679,53 @@ def test_block_diagonal_equals_blocks_factored_alone(sizes, k, seed):
             )
 
 
+def _band_block(rng, n, kd, permute):
+    """A random symmetric negative definite matrix of order ``n`` whose band
+    of half-width ``kd`` is full and which is zero outside it, diagonally
+    dominant, symmetrically permuted at random when ``permute``."""
+    i, j = np.indices((n, n))
+    a = np.where(np.abs(i - j) <= kd, rng.uniform(0.5, 1.0, (n, n)), 0.0)
+    a = np.triu(a, 1) * rng.choice([-1.0, 1.0], (n, n))
+    a = a + a.T
+    a += np.diag(np.abs(a).sum(axis=1) + rng.uniform(0.5, 1.5, n))
+    if permute:
+        p = rng.permutation(n)
+        a = a[np.ix_(p, p)]
+    return -a
+
+
 def test_order_zero_blocks_make_no_lapack_call(rng, monkeypatch):
-    """Blocks of order 0 are skipped by every band LAPACK call: dtbtrs on
-    an order-0 band corrupts the heap in some scipy builds."""
+    """Blocks of order 0 are skipped by every band LAPACK and BLAS call
+    (``dpbtrf``, ``dpbtrs``, and the blocked solve's ``dtrmm``, ``dtrsm``
+    and ``dsyrk``): a band kernel on an order-0 band corrupts the heap in
+    some scipy builds, so every array a call receives is nonempty."""
     import darcydd.ldlt
 
     calls = []
-    for name in ("dpbtrf", "dpbtrs", "dtbtrs"):
-        real = getattr(lapack, name)
+    kernels = {"lapack": ("dpbtrf", "dpbtrs"), "blas": ("dtrmm", "dtrsm", "dsyrk")}
+    for module, names in kernels.items():
+        for name in names:
+            real = getattr(getattr(darcydd.ldlt, module), name)
 
-        def recording(ab, *args, _real=real, _name=name, **kwargs):
-            calls.append((_name, ab.shape))
-            return _real(ab, *args, **kwargs)
+            def recording(*args, _real=real, _name=name, **kwargs):
+                shapes = [a.shape for a in args if isinstance(a, np.ndarray)]
+                calls.append((_name, shapes))
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(darcydd.ldlt.lapack, name, recording)
+            monkeypatch.setattr(getattr(darcydd.ldlt, module), name, recording)
     sizes = [0, 7, 0, 0, 5, 0]
-    _, bd = _block_diagonal(rng, sizes)
-    fact = factor_symmetric_indefinite(bd)
+    # half-bandwidth 2: three blocks of the blocked solve per member
+    blocks = [sps.csc_matrix(_band_block(rng, n, min(n - 1, 2), False)) for n in sizes]
+    start = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    fact = factor_symmetric_indefinite(
+        BlockDiagonal(sps.block_diag(blocks, format="csc"), start)
+    )
+    assert [band.shape for band in fact._bands if band.size] == [(3, 7), (3, 5)]
     fact.solve(rng.standard_normal(12))
     fact.probe()
     fact.inverse_forms(sps.csr_matrix((12, 6 * 3)), 3)
-    assert {name for name, _ in calls} == {"dpbtrf", "dpbtrs", "dtbtrs"}
-    assert all(shape[1] > 0 for _, shape in calls)
+    assert {name for name, _ in calls} == {"dpbtrf", "dpbtrs", "dtrmm", "dtrsm", "dsyrk"}
+    assert all(min(shape) > 0 for _, shapes in calls for shape in shapes)
     # a matrix of order 0 makes none at all
     calls.clear()
     empty = factor_symmetric_indefinite(
@@ -694,6 +734,65 @@ def test_order_zero_blocks_make_no_lapack_call(rng, monkeypatch):
     assert empty.solve(np.zeros(0)).shape == (0,)
     assert empty.inverse_forms(sps.csr_matrix((0, 4)), 2).shape == (1, 2, 2)
     assert calls == []
+
+
+BAND_MEMBER = st.tuples(
+    st.integers(0, 30), st.sampled_from(["zero", "one", "third", "full"]), st.booleans()
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    members=st.lists(BAND_MEMBER, min_size=1, max_size=5),
+    k=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    members=[(0, "zero", False), (9, "zero", False), (10, "one", False),
+             (11, "full", False), (17, "third", False), (23, "third", True)],
+    k=7, seed=1,
+)
+@example(members=[(12, "third", False), (1, "full", False)], k=1, seed=2)
+@example(members=[(13, "one", False), (0, "one", False)], k=0, seed=3)
+def test_inverse_forms_match_dense_reference(members, k, seed):
+    """The blocked band solve gives every member's ``B_j^T (-A_j)^-1 B_j``
+    of a dense solve, exactly symmetric, for members of half-bandwidth 0
+    (a division by the diagonal), 1, a third of the order (an order that
+    is no multiple of it leaves a narrower last block) and ``n - 1`` (one
+    full block and one of a single row), with ``k`` of 0, 1 and more than
+    ``kd``, members of order 0, members kept in their natural order and
+    members the ordering permutes."""
+    rng = np.random.default_rng(seed)
+    target = {"zero": lambda n: 0, "one": lambda n: 1, "third": lambda n: n // 3,
+              "full": lambda n: n - 1}
+    sizes, kds, blocks = [], [], []
+    for n, width, permute in members:
+        kd = max(0, min(target[width](n), n - 1))
+        sizes.append(n)
+        kds.append(kd)
+        blocks.append(_band_block(rng, n, kd, permute))
+    start = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    matrix = sps.block_diag([sps.csc_matrix(a) for a in blocks], format="csc")
+    fact = factor_symmetric_indefinite(BlockDiagonal(matrix, start))
+    m = len(sizes)
+    rhs = np.zeros((fact.n, m * k))
+    cols = []
+    for j, n in enumerate(sizes):
+        c = np.where(rng.random((n, k)) < 0.6, rng.standard_normal((n, k)), 0.0)
+        rhs[start[j] : start[j + 1], j * k : (j + 1) * k] = c
+        cols.append(c)
+    forms = fact.inverse_forms(sps.csr_matrix(rhs), k)
+    assert forms.shape == (m, k, k)
+    for j, ((n, _, permute), kd, a, c) in enumerate(zip(members, kds, blocks, cols)):
+        assert np.array_equal(forms[j], forms[j].T)
+        if not permute:
+            # the ordering does not narrow a full band: the natural order stays
+            assert np.array_equal(fact._order[start[j] : start[j + 1]] - start[j],
+                                  np.arange(n))
+            assert fact._bands[j].shape[0] - 1 == kd
+        want = c.T @ np.linalg.solve(-a, c) if n else np.zeros((k, k))
+        gap = np.abs(forms[j] - want).max(initial=0.0)
+        assert gap <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
 
 
 def test_entry_outside_the_blocks_refused(rng):
